@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cached_property
 from importlib import resources
 
 from .visual import Group, VisualPage, group_text
@@ -110,7 +111,7 @@ class Gazetteer:
     fac: tuple[str, ...] = ()
 
     def __post_init__(self):
-        for name in ("roles", "address_types", "orgs", "org_suffixes", "gpe", "persons", "fac"):
+        for name in (f.name for f in fields(self)):
             phrases = getattr(self, name)
             cleaned = []
             seen = set()
@@ -131,12 +132,17 @@ class Gazetteer:
         if not isinstance(data, dict):
             raise GazetteerError("gazetteer file must be a JSON object")
         kwargs = {}
-        for name in ("roles", "address_types", "orgs", "org_suffixes", "gpe", "persons", "fac"):
+        for name in (f.name for f in fields(cls)):
             value = data.get(name, [])
             if not isinstance(value, list):
                 raise GazetteerError(f"{name}: expected a list of phrases")
             kwargs[name] = tuple(value)
         return cls(**kwargs)
+
+    @cached_property
+    def patterns(self) -> "dict[str, re.Pattern | None]":
+        """One phrase regex per list, compiled on first use."""
+        return {f.name: _phrase_regex(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def load(cls, path: str) -> "Gazetteer":
@@ -215,37 +221,26 @@ def _dedupe_longest(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return sorted(chosen)
 
 
-class _Matchers:
-    def __init__(self, gaz: Gazetteer):
-        self.roles = _phrase_regex(gaz.roles)
-        self.address_types = _phrase_regex(gaz.address_types)
-        self.orgs = _phrase_regex(gaz.orgs)
-        self.org_suffixes = _phrase_regex(gaz.org_suffixes)
-        self.gpe = _phrase_regex(gaz.gpe)
-        self.persons = _phrase_regex(gaz.persons)
-        self.fac = _phrase_regex(gaz.fac)
-
-
 def _regex_spans(pattern: "re.Pattern | None", text: str) -> list[tuple[int, int]]:
     if pattern is None:
         return []
     return [(m.start(), m.end()) for m in pattern.finditer(text)]
 
 
-def _annotate_text(text: str, matchers: _Matchers) -> list[Annotation]:
+def _annotate_text(text: str, patterns: "dict[str, re.Pattern | None]") -> list[Annotation]:
     out: list[Annotation] = []
 
     def emit(label: AnnotationLabel, spans: list[tuple[int, int]]):
         for start, end in _dedupe_longest(spans):
             out.append(Annotation(label, start, end, text[start:end]))
 
-    org_spans = _regex_spans(matchers.orgs, text) + _suffix_orgs(text, matchers.org_suffixes)
+    org_spans = _regex_spans(patterns["orgs"], text) + _suffix_orgs(text, patterns["org_suffixes"])
     emit(AnnotationLabel.ORG, org_spans)
-    emit(AnnotationLabel.PERSON, _regex_spans(matchers.persons, text))
-    emit(AnnotationLabel.ROLE, _regex_spans(matchers.roles, text))
-    emit(AnnotationLabel.ADDRESS_TYPE, _regex_spans(matchers.address_types, text))
-    emit(AnnotationLabel.GPE, _regex_spans(matchers.gpe, text))
-    emit(AnnotationLabel.FAC, _regex_spans(matchers.fac, text))
+    emit(AnnotationLabel.PERSON, _regex_spans(patterns["persons"], text))
+    emit(AnnotationLabel.ROLE, _regex_spans(patterns["roles"], text))
+    emit(AnnotationLabel.ADDRESS_TYPE, _regex_spans(patterns["address_types"], text))
+    emit(AnnotationLabel.GPE, _regex_spans(patterns["gpe"], text))
+    emit(AnnotationLabel.FAC, _regex_spans(patterns["fac"], text))
     emit(AnnotationLabel.POSTCODE, _regex_spans(POSTCODE_RE, text))
     emit(AnnotationLabel.CARDINAL, _regex_spans(CARDINAL_RE, text))
     emit(AnnotationLabel.CURRENCY, _regex_spans(CURRENCY_RE, text))
@@ -258,10 +253,9 @@ def _annotate_text(text: str, matchers: _Matchers) -> list[Annotation]:
 
 def annotate(page: VisualPage, gaz: Gazetteer, page_index: int = 0) -> AnnotationSet:
     """Annotate every group of a page (furniture groups included)."""
-    matchers = _Matchers(gaz)
     result = AnnotationSet()
     for gi, group in enumerate(page.groups):
-        result.by_group[(page_index, gi)] = _annotate_text(group_text(group), matchers)
+        result.by_group[(page_index, gi)] = _annotate_text(group_text(group), gaz.patterns)
     return result
 
 

@@ -9,27 +9,29 @@ violated.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from . import forest
 from .annotate import Gazetteer, annotate as annotate_page
-from .features import extract_features, write_features_csv, read_features_csv
+from .features import extract_features, read_features_csv, write_features_csv
 from .metrics import (
     check_page_sets,
     eval_classifier,
-    eval_segmentation,
+    eval_span_keys,
     eval_tree,
     gold_page_labels,
-    gold_spans,
     gold_tree_for_page,
     load_gold,
+    span_keys,
     PRF,
 )
-from .segment import EmptyPageError, SpanLabel, segment_page, spans_to_json
+from .segment import EmptyPageError, segment_page, spans_to_json
 from .tree import (
     TreeInvariantError,
     TreeParams,
@@ -40,7 +42,7 @@ from .tree import (
     tree_to_json,
     validate_tree,
 )
-from .visual import parse_document
+from .visual import VisualPage, parse_document
 
 CONFIG_ENV = "DIRTREE_CONFIG"
 
@@ -85,6 +87,10 @@ class PipelineConfig:
         tp = data.get("tree_params", {})
         if not isinstance(tp, dict):
             raise ValueError("config tree_params must be an object")
+        names = {f.name for f in dataclasses.fields(TreeParams)}
+        for key, value in tp.items():
+            if key not in names or not isinstance(value, (int, float)):
+                raise ValueError(f"config tree_params.{key} is not a numeric tree parameter")
         params = TreeParams(**tp)
         threshold = data.get("threshold", 0.5)
         if not isinstance(threshold, (int, float)) or not 0 <= threshold <= 1:
@@ -127,67 +133,6 @@ def _load_model(args, cfg: PipelineConfig):
     return forest.load_model(path)
 
 
-def _tree_params(args, cfg: PipelineConfig) -> TreeParams:
-    base = cfg.tree_params
-    overrides = {
-        name: getattr(args, name)
-        for name in (
-            "band_overlap_frac",
-            "align_tol",
-            "gap_factor",
-            "min_x_overlap_frac",
-            "size_cluster_tol",
-        )
-        if getattr(args, name, None) is not None
-    }
-    if not overrides:
-        return base
-    merged = {
-        "band_overlap_frac": base.band_overlap_frac,
-        "align_tol": base.align_tol,
-        "gap_factor": base.gap_factor,
-        "min_x_overlap_frac": base.min_x_overlap_frac,
-        "size_cluster_tol": base.size_cluster_tol,
-    }
-    merged.update(overrides)
-    return TreeParams(**merged)
-
-
-def _page_scores(pages, gaz, model, threshold):
-    out = []
-    for i, page in enumerate(pages):
-        anns = annotate_page(page, gaz, page_index=i)
-        score = forest.predict_score(model, extract_features(page, anns, i))
-        out.append((i, score, 1 if score >= threshold else 0))
-    return out
-
-
-def _select_pages(args, cfg, pages, gaz):
-    """Resolve --pages to a list of page indexes.
-
-    "all" keeps every page; "auto" keeps classifier positives (model
-    required); an explicit comma list is taken verbatim and must be in
-    range.
-    """
-    spec = args.pages
-    if spec == "all":
-        return list(range(len(pages))), False
-    if spec == "auto":
-        model = _load_model(args, cfg)
-        scored = _page_scores(pages, gaz, model, _threshold(args, cfg))
-        return [i for i, _, label in scored if label == 1], False
-    try:
-        indexes = [int(tok) for tok in spec.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise UsageError(f"--pages must be auto, all or a comma list: {spec!r}")
-    if not indexes:
-        raise UsageError("--pages list is empty")
-    for i in indexes:
-        if i < 0 or i >= len(pages):
-            raise ValueError(f"page {i} out of range (document has {len(pages)})")
-    return indexes, True
-
-
 def _threshold(args, cfg: PipelineConfig) -> float:
     value = getattr(args, "threshold", None)
     if value is None:
@@ -197,20 +142,116 @@ def _threshold(args, cfg: PipelineConfig) -> float:
     return value
 
 
-def _segment_selected(pages, indexes, explicit, gaz):
-    """Segment each selected page; pages with no scorable text are an error
-    when explicitly requested, and skipped otherwise."""
-    out = []
-    for i in indexes:
-        anns = annotate_page(pages[i], gaz, page_index=i)
+@dataclass
+class PageRun:
+    """One page's pass through the pipeline.
+
+    Each stage runs at most once, when a command first reads it, and later
+    stages reuse earlier ones.  Stages are called through this module's
+    names so that tracing and tests can substitute them.
+    """
+
+    page: VisualPage
+    index: int
+    gaz: Gazetteer
+    model: "forest.ForestModel | None" = None
+    params: "TreeParams | None" = None
+
+    @cached_property
+    def annotations(self):
+        return annotate_page(self.page, self.gaz, page_index=self.index)
+
+    @cached_property
+    def features(self):
+        return extract_features(self.page, self.annotations, self.index)
+
+    @cached_property
+    def score(self) -> float:
+        return forest.predict_score(self.model, self.features)
+
+    @cached_property
+    def spans(self):
+        return segment_page(self.page, self.annotations, page_index=self.index)
+
+    @cached_property
+    def tree(self):
+        t = build_tree(self.spans, self.params)
+        validate_tree(t)
+        return t
+
+    @cached_property
+    def blocks(self):
+        return directory_blocks(self.tree)
+
+
+def _scored(args, cfg: PipelineConfig, pages, gaz):
+    """Yield (run, label) for every page.  The model is loaded and the
+    threshold checked before any page is scored."""
+    model = _load_model(args, cfg)
+    threshold = _threshold(args, cfg)
+    for i, page in enumerate(pages):
+        run = PageRun(page, i, gaz, model)
+        yield run, 1 if run.score >= threshold else 0
+
+
+def _page_runs(args, cfg: PipelineConfig):
+    """Read the document and resolve --pages to runs.
+
+    "all" keeps every page; "auto" keeps classifier positives (model
+    required) with the annotations made to score them; an explicit comma
+    list is taken verbatim and must be in range.  Returns the runs and
+    whether the pages were named explicitly.
+    """
+    pages = _read_doc(args.doc)
+    gaz = _load_gazetteer(args, cfg)
+    spec = args.pages
+    explicit = spec not in ("all", "auto")
+    if spec == "all":
+        runs = [PageRun(page, i, gaz) for i, page in enumerate(pages)]
+    elif spec == "auto":
+        runs = [run for run, label in _scored(args, cfg, pages, gaz) if label == 1]
+    else:
         try:
-            spans = segment_page(pages[i], anns, page_index=i)
+            indexes = [int(tok) for tok in spec.split(",") if tok.strip() != ""]
+        except ValueError:
+            raise UsageError(f"--pages must be auto, all or a comma list: {spec!r}")
+        if not indexes:
+            raise UsageError("--pages list is empty")
+        for i in indexes:
+            if i < 0 or i >= len(pages):
+                raise ValueError(f"page {i} out of range (document has {len(pages)})")
+        runs = [PageRun(pages[i], i, gaz) for i in indexes]
+    # Resolved after scoring: a bad parameter is reported only once the
+    # pages are known, and before any page is segmented.
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(TreeParams)
+        if getattr(args, f.name, None) is not None
+    }
+    params = dataclasses.replace(cfg.tree_params, **overrides)
+    for run in runs:
+        run.params = params
+    return runs, explicit
+
+
+def _drain(runs: "list[PageRun]"):
+    """Yield the runs in order, removing each from the list first so that
+    its stages are freed once the caller has projected it."""
+    while runs:
+        yield runs.pop(0)
+
+
+def _segmented(runs: "list[PageRun]", explicit: bool):
+    """Drain the runs, keeping those whose page segments.  A page with no
+    scorable text is an error when named explicitly and skipped otherwise."""
+    for run in _drain(runs):
+        try:
+            run.spans
         except EmptyPageError:
             if explicit:
                 raise
             continue
-        out.append((i, spans))
-    return out
+        yield run
 
 
 def _out_path(args, cfg: PipelineConfig, attr: str = "out") -> "str | None":
@@ -245,25 +286,24 @@ def _cmd_validate(args, cfg):
 
 
 def _cmd_annotate(args, cfg):
-    pages = _read_doc(args.doc)
-    gaz = _load_gazetteer(args, cfg)
-    indexes, _ = _select_pages(args, cfg, pages, gaz)
-    out = []
-    for i in indexes:
-        page_anns = []
-        anns = annotate_page(pages[i], gaz, page_index=i)
-        for gi in range(len(pages[i].groups)):
-            for a in anns.for_group(i, gi):
-                page_anns.append(
-                    {
-                        "group": gi,
-                        "label": a.label.value,
-                        "start": a.start,
-                        "end": a.end,
-                        "surface": a.surface,
-                    }
-                )
-        out.append({"page": i, "annotations": page_anns})
+    runs, _ = _page_runs(args, cfg)
+    out = [
+        {
+            "page": run.index,
+            "annotations": [
+                {
+                    "group": gi,
+                    "label": a.label.value,
+                    "start": a.start,
+                    "end": a.end,
+                    "surface": a.surface,
+                }
+                for gi in range(len(run.page.groups))
+                for a in run.annotations.for_group(run.index, gi)
+            ],
+        }
+        for run in _drain(runs)
+    ]
     _emit({"pages": out}, args, cfg)
     return EXIT_OK
 
@@ -271,10 +311,7 @@ def _cmd_annotate(args, cfg):
 def _cmd_features(args, cfg):
     pages = _read_doc(args.doc)
     gaz = _load_gazetteer(args, cfg)
-    rows = []
-    for i, page in enumerate(pages):
-        anns = annotate_page(page, gaz, page_index=i)
-        rows.append((extract_features(page, anns, i), None))
+    rows = [(PageRun(page, i, gaz).features, None) for i, page in enumerate(pages)]
     path = _out_path(args, cfg, attr="csv")
     if path is None:
         write_features_csv(sys.stdout, rows)
@@ -317,64 +354,39 @@ def _cmd_train(args, cfg):
 def _cmd_classify(args, cfg):
     pages = _read_doc(args.doc)
     gaz = _load_gazetteer(args, cfg)
-    model = _load_model(args, cfg)
-    scored = _page_scores(pages, gaz, model, _threshold(args, cfg))
-    _emit(
-        {
-            "pages": [
-                {"page": i, "score": score, "label": label}
-                for i, score, label in scored
-            ]
-        },
-        args,
-        cfg,
-    )
-    return EXIT_OK
-
-
-def _cmd_segment(args, cfg):
-    pages = _read_doc(args.doc)
-    gaz = _load_gazetteer(args, cfg)
-    indexes, explicit = _select_pages(args, cfg, pages, gaz)
     out = [
-        spans_to_json(i, spans)
-        for i, spans in _segment_selected(pages, indexes, explicit, gaz)
+        {"page": run.index, "score": run.score, "label": label}
+        for run, label in _scored(args, cfg, pages, gaz)
     ]
     _emit({"pages": out}, args, cfg)
     return EXIT_OK
 
 
-def _build_page_trees(args, cfg, pages, gaz):
-    indexes, explicit = _select_pages(args, cfg, pages, gaz)
-    params = _tree_params(args, cfg)
-    out = []
-    for i, spans in _segment_selected(pages, indexes, explicit, gaz):
-        t = build_tree(spans, params)
-        validate_tree(t)
-        out.append((i, t))
-    return out
+def _cmd_segment(args, cfg):
+    runs, explicit = _page_runs(args, cfg)
+    out = [spans_to_json(run.index, run.spans) for run in _segmented(runs, explicit)]
+    _emit({"pages": out}, args, cfg)
+    return EXIT_OK
 
 
 def _cmd_tree(args, cfg):
-    pages = _read_doc(args.doc)
-    gaz = _load_gazetteer(args, cfg)
-    built = _build_page_trees(args, cfg, pages, gaz)
-    _emit(
-        {"pages": [{"page": i, "tree": tree_to_json(t)} for i, t in built]},
-        args,
-        cfg,
-    )
+    runs, explicit = _page_runs(args, cfg)
+    out = [
+        {"page": run.index, "tree": tree_to_json(run.tree)}
+        for run in _segmented(runs, explicit)
+    ]
+    _emit({"pages": out}, args, cfg)
     return EXIT_OK
 
 
 def _cmd_blocks(args, cfg):
-    pages = _read_doc(args.doc)
-    gaz = _load_gazetteer(args, cfg)
-    built = _build_page_trees(args, cfg, pages, gaz)
-    blocks = []
-    for i, t in built:
-        blocks.extend(blocks_to_json(directory_blocks(t), page_index=i))
-    _emit({"blocks": blocks}, args, cfg)
+    runs, explicit = _page_runs(args, cfg)
+    out = [
+        block
+        for run in _segmented(runs, explicit)
+        for block in blocks_to_json(run.blocks, page_index=run.index)
+    ]
+    _emit({"blocks": out}, args, cfg)
     return EXIT_OK
 
 
@@ -412,48 +424,26 @@ def _eval_classifier(args) -> dict:
     return {"stage": "classifier", "overall": prf.to_json()}
 
 
-def _spans_from_pred(pred_pages: list, path: str):
-    from .visual import BBox, StyleInfo
-    from .segment import LabeledSpan
-
-    box = BBox(0.0, 0.0, 0.0, 0.0)
-    style = StyleInfo("", 1.0, False, False, 0)
-    out = []
-    for p in pred_pages:
-        try:
-            page_no = int(p["page"])
-            for s in p["spans"]:
-                out.append(
-                    LabeledSpan(
-                        page_index=page_no,
-                        group_index=int(s["group"]),
-                        start=int(s["start"]),
-                        end=int(s["end"]),
-                        label=SpanLabel(s["label"]),
-                        text="",
-                        bbox=box,
-                        style_summary=style,
-                        fired_rule="pred",
-                    )
-                )
-        except (KeyError, TypeError) as e:
-            raise ValueError(f"{path}: malformed span record: {e}") from e
-    return out
-
-
 def _eval_segmentation(args) -> dict:
     pred_pages = _pred_pages(_load_json_file(args.pred), args.pred)
     gold = load_gold(_load_json_file(args.gold))
-    pred = _spans_from_pred(pred_pages, args.pred)
-    goldspans = gold_spans(gold)
+    pred = set()
+    for p in pred_pages:
+        try:
+            pred |= span_keys(int(p["page"]), p["spans"])
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"{args.pred}: malformed span record: {e}") from e
+    gold_keys = set()
+    for p in gold["pages"]:
+        gold_keys |= span_keys(p["page"], p.get("spans", []))
     gold_set = {p["page"] for p in gold["pages"] if "spans" in p}
     check_page_sets(gold_set, {int(p["page"]) for p in pred_pages})
-    per_page = {}
-    for page in sorted(gold_set):
-        per_page[page] = eval_segmentation(
-            [s for s in goldspans if s.page_index == page],
-            [s for s in pred if s.page_index == page],
+    per_page = {
+        page: eval_span_keys(
+            {k for k in gold_keys if k[0] == page}, {k for k in pred if k[0] == page}
         )
+        for page in sorted(gold_set)
+    }
     overall = _combine(list(per_page.values()))
     return {
         "stage": "segmentation",
@@ -472,6 +462,11 @@ def _eval_tree(args) -> dict:
         pred_trees = {int(p["page"]): tree_from_json(p["tree"]) for p in pred_pages}
     except (KeyError, TypeError) as e:
         raise ValueError(f"{args.pred}: every page needs 'page' and 'tree'") from e
+    for page, t in pred_trees.items():
+        try:
+            validate_tree(t)
+        except TreeInvariantError as e:
+            raise ValueError(f"{args.pred}: page {page}: invalid tree: {e}") from e
     gold_records = {p["page"]: p for p in gold["pages"] if "spans" in p}
     check_page_sets(set(gold_records), set(pred_trees))
     per_page = {}

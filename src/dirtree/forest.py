@@ -271,15 +271,29 @@ def _node_to_json(node) -> dict:
     }
 
 
+def _nonneg_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def _node_from_json(obj):
-    if obj["kind"] == "leaf":
-        neg, pos = obj["counts"]
-        return LeafNode(counts=(int(neg), int(pos)))
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind == "leaf":
+        counts = obj.get("counts")
+        if not (isinstance(counts, list) and len(counts) == 2 and all(map(_nonneg_int, counts))):
+            raise ValueError(f"model leaf counts must be two non-negative integers: {counts!r}")
+        return LeafNode(counts=tuple(counts))
+    if kind != "split":
+        raise ValueError(f"model node kind must be 'leaf' or 'split', got {kind!r}")
+    feature, threshold = obj.get("feature"), obj.get("threshold")
+    if not (_nonneg_int(feature) and feature < len(FEATURE_NAMES)):
+        raise ValueError(f"model split feature out of range: {feature!r}")
+    if not isinstance(threshold, (int, float)):
+        raise ValueError(f"model split threshold must be a number: {threshold!r}")
     return SplitNode(
-        feature=int(obj["feature"]),
-        threshold=float(obj["threshold"]),
-        left=_node_from_json(obj["left"]),
-        right=_node_from_json(obj["right"]),
+        feature=feature,
+        threshold=float(threshold),
+        left=_node_from_json(obj.get("left")),
+        right=_node_from_json(obj.get("right")),
     )
 
 
@@ -294,23 +308,35 @@ def model_to_json(model: ForestModel) -> dict:
 
 
 def model_from_json(data: "bytes | str | dict") -> ForestModel:
+    """Parse and check a model; a malformed one raises ValueError."""
     if isinstance(data, (bytes, str)):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError("model must be a JSON object")
     if data.get("version") != 1:
         raise ValueError(f"unsupported model version: {data.get('version')!r}")
-    hp_obj = data["hyperparams"]
-    hp = ForestHyperparams(
-        n_trees=int(hp_obj["n_trees"]),
-        max_depth=None if hp_obj["max_depth"] is None else int(hp_obj["max_depth"]),
-        max_features_fraction=float(hp_obj["max_features_fraction"]),
-        min_samples_leaf=int(hp_obj["min_samples_leaf"]),
-        seed=int(hp_obj["seed"]),
-    )
+    try:
+        hp_obj = data["hyperparams"]
+        hp = ForestHyperparams(
+            n_trees=int(hp_obj["n_trees"]),
+            max_depth=None if hp_obj["max_depth"] is None else int(hp_obj["max_depth"]),
+            max_features_fraction=float(hp_obj["max_features_fraction"]),
+            min_samples_leaf=int(hp_obj["min_samples_leaf"]),
+            seed=int(hp_obj["seed"]),
+        )
+        importances = [float(v) for v in data["importances"]]
+        feature_order, trees = data["feature_order"], data["trees"]
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"malformed model, missing or mistyped: {e}") from e
+    if feature_order != list(FEATURE_NAMES):
+        raise ValueError(f"model feature_order must be {list(FEATURE_NAMES)}")
+    if not isinstance(trees, list) or not trees:
+        raise ValueError("model must have at least one tree")
     return ForestModel(
         hyperparams=hp,
-        feature_order=tuple(data["feature_order"]),
-        trees=[_node_from_json(t) for t in data["trees"]],
-        importances=[float(v) for v in data["importances"]],
+        feature_order=FEATURE_NAMES,
+        trees=[_node_from_json(t) for t in trees],
+        importances=importances,
     )
 
 

@@ -82,25 +82,25 @@ def _span_keys(spans: "list[LabeledSpan]") -> "set[tuple]":
     }
 
 
+def span_keys(page: int, records: list) -> "set[tuple]":
+    """Match keys of span records as gold and prediction files hold them,
+    in the form ``_span_keys`` gives LabeledSpans; Neither spans are left out."""
+    spans = (
+        (page, int(s["group"]), int(s["start"]), int(s["end"]), SpanLabel(s["label"]))
+        for s in records
+    )
+    return {(*k[:4], k[4].value) for k in spans if k[4] is not SpanLabel.NEITHER}
+
+
+def eval_span_keys(gold: "set[tuple]", pred: "set[tuple]") -> PRF:
+    """Scores of predicted against gold span keys; only exact matches count."""
+    return PRF.from_counts(len(gold & pred), len(pred - gold), len(gold - pred))
+
+
 def eval_segmentation(gold: "list[LabeledSpan]", pred: "list[LabeledSpan]") -> PRF:
     """Exact-match spans: same group, offsets and label.  Neither spans are
     background and do not count."""
-    g = _span_keys(gold)
-    q = _span_keys(pred)
-    return PRF.from_counts(len(g & q), len(q - g), len(g - q))
-
-
-def eval_segmentation_by_page(
-    gold: "list[LabeledSpan]", pred: "list[LabeledSpan]"
-) -> "dict[int, PRF]":
-    pages = {s.page_index for s in gold} | {s.page_index for s in pred}
-    out = {}
-    for page in sorted(pages):
-        out[page] = eval_segmentation(
-            [s for s in gold if s.page_index == page],
-            [s for s in pred if s.page_index == page],
-        )
-    return out
+    return eval_span_keys(_span_keys(gold), _span_keys(pred))
 
 
 # --- tree quality ----------------------------------------------------------
@@ -207,7 +207,12 @@ def load_gold(data: "bytes | str | dict") -> dict:
             raise ValueError("every gold page needs an integer 'page' index")
         if "is_directory" in p and not isinstance(p["is_directory"], bool):
             raise ValueError(f"gold page {p['page']}: is_directory must be a bool")
-        for i, s in enumerate(p.get("spans", [])):
+        spans = p.get("spans", [])
+        if not isinstance(spans, list):
+            raise ValueError(f"gold page {p['page']}: spans must be an array")
+        for i, s in enumerate(spans):
+            if not isinstance(s, dict):
+                raise ValueError(f"gold page {p['page']} span {i}: must be an object")
             for key in ("group", "start", "end"):
                 if not isinstance(s.get(key), int):
                     raise ValueError(
@@ -227,35 +232,6 @@ def gold_page_labels(gold: dict) -> "dict[int, int]":
     for p in gold["pages"]:
         if "is_directory" in p:
             out[p["page"]] = 1 if p["is_directory"] else 0
-    return out
-
-
-def gold_spans(gold: dict) -> "list[LabeledSpan]":
-    """Gold span records as LabeledSpan keys for eval_segmentation.
-
-    Only the identity fields take part in matching, so geometry and style
-    are placeholders.
-    """
-    from .visual import BBox, StyleInfo
-
-    placeholder_box = BBox(0.0, 0.0, 0.0, 0.0)
-    placeholder_style = StyleInfo("", 1.0, False, False, 0)
-    out = []
-    for p in gold["pages"]:
-        for s in p.get("spans", []):
-            out.append(
-                LabeledSpan(
-                    page_index=p["page"],
-                    group_index=s["group"],
-                    start=s["start"],
-                    end=s["end"],
-                    label=SpanLabel(s["label"]),
-                    text="",
-                    bbox=placeholder_box,
-                    style_summary=placeholder_style,
-                    fired_rule="gold",
-                )
-            )
     return out
 
 

@@ -404,6 +404,8 @@ def validate_tree(tree: ReadingTree) -> None:
     seen_children: set = set()
     for node in nodes.values():
         for c in node.children:
+            if c not in nodes:
+                raise TreeInvariantError(f"node {node.node_id} lists unknown child {c}")
             if c in seen_children:
                 raise TreeInvariantError(f"node {c} appears under two parents")
             seen_children.add(c)

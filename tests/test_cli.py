@@ -174,6 +174,28 @@ def test_classify_threshold_flag(fig1a_path, trained_model_path, capsys):
     assert "threshold" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda m: m.pop("hyperparams"), "hyperparams"),
+        (lambda m: m["trees"][0].update(feature=99), "feature"),
+        (lambda m: m.update(trees=[]), "at least one tree"),
+    ],
+    ids=["no_hyperparams", "feature_99", "no_trees"],
+)
+def test_classify_rejects_malformed_model(
+    mutate, message, fig1a_path, trained_model_path, tmp_path, capsys
+):
+    model = json.loads(trained_model_path.read_text())
+    assert model["trees"][0]["kind"] == "split"
+    mutate(model)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert run_cli("classify", str(fig1a_path), "--model", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 # --- segment ---
 
 def test_segment_explicit_page(fig1a_path, capsys):
@@ -260,6 +282,25 @@ def test_invariant_violation_exits_2(fig1a_path, capsys, monkeypatch):
     assert "internal error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["annotate", "segment", "blocks"])
+def test_auto_annotates_each_page_once(
+    command, fig1a_path, trained_model_path, monkeypatch, capsys
+):
+    calls = []
+    real = cli.annotate_page
+
+    def counting(page, gaz, page_index=0):
+        calls.append(page_index)
+        return real(page, gaz, page_index=page_index)
+
+    monkeypatch.setattr(cli, "annotate_page", counting)
+    rc = run_cli(command, str(fig1a_path), "--pages", "auto",
+                 "--model", str(trained_model_path))
+    assert rc == 0
+    assert '"page": 0' in capsys.readouterr().out  # the page was flagged
+    assert calls == [0]
+
+
 # --- eval ---
 
 def eval_lines(capsys):
@@ -330,6 +371,67 @@ def test_eval_rejects_malformed_pred(fig1a_gold_path, tmp_path, capsys):
     assert "'pages' array" in capsys.readouterr().err
 
 
+def test_eval_segmentation_per_page(fig1a_path, fig1a_gold, tmp_path, capsys):
+    seg = tmp_path / "seg.json"
+    assert run_cli("segment", str(fig1a_path), "--pages", "0", "--out", str(seg)) == 0
+    page0 = json.loads(seg.read_text())["pages"][0]
+    labeled = [s for s in page0["spans"] if s["label"] != "Neither"]
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"pages": [page0, dict(page0, page=1, spans=labeled[1:])]}))
+    gold_page = fig1a_gold["pages"][0]
+    gold = tmp_path / "gold.json"
+    gold.write_text(json.dumps({"pages": [gold_page, dict(gold_page, page=1)]}))
+    rc = run_cli("eval", "--stage", "segmentation", "--pred", str(pred), "--gold", str(gold))
+    assert rc == 0
+    report, _ = eval_lines(capsys)
+    assert report["pages"]["0"]["f1"] == 1.0
+    assert [report["pages"]["1"][k] for k in ("tp", "fp", "fn")] == [13, 0, 1]
+    assert [report["overall"][k] for k in ("tp", "fp", "fn")] == [27, 0, 1]
+
+
+def test_eval_rejects_malformed_gold_span(tmp_path, capsys):
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"pages": [{"page": 0, "spans": []}]}))
+    gold = tmp_path / "gold.json"
+    gold.write_text(json.dumps({"pages": [{"page": 0, "spans": [1]}]}))
+    rc = run_cli("eval", "--stage", "segmentation", "--pred", str(pred), "--gold", str(gold))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "gold page 0 span 0" in err
+
+
+def tree_json(*nodes):
+    return {"nodes": [
+        {"id": i, "label": label, "text": label.lower(), "parent": parent, "children": children}
+        for i, label, parent, children in nodes
+    ]}
+
+
+@pytest.mark.parametrize(
+    "tree, reason",
+    [
+        # Two headers parenting each other: walking up from the body never
+        # reaches the root.
+        (tree_json((0, "Root", None, []), (1, "Header", 2, [2]),
+                   (2, "Header", 1, [1, 3]), (3, "Body", 2, [])), "cycle"),
+        (tree_json((0, "Root", None, [1]), (1, "Body", 0, [7])), "unknown child 7"),
+    ],
+    ids=["cycle", "unknown_child"],
+)
+def test_eval_tree_rejects_invalid_pred(tree, reason, fig1a_path, fig1a_gold_path, tmp_path):
+    pred = tmp_path / "tree.json"
+    pred.write_text(json.dumps({"pages": [{"page": 0, "tree": tree}]}))
+    # A child process, so that a hang fails the test instead of stalling it.
+    proc = subprocess.run(
+        [sys.executable, "-m", "dirtree", "eval", "--stage", "tree", "--doc", str(fig1a_path),
+         "--pred", str(pred), "--gold", str(fig1a_gold_path)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "page 0" in proc.stderr and reason in proc.stderr
+
+
 # --- config file ---
 
 def set_config(monkeypatch, tmp_path, payload):
@@ -385,3 +487,15 @@ def test_config_gazetteer_and_flag_override(fig1a_path, tmp_path, monkeypatch, c
                    "--gazetteer", str(roles)) == 0
     labels = {a["label"] for a in json.loads(capsys.readouterr().out)["pages"][0]["annotations"]}
     assert "ROLE" in labels
+
+
+@pytest.mark.parametrize(
+    "tree_params, message",
+    [({"bogus": 1}, "bogus"), ({"gap_factor": "x"}, "gap_factor")],
+    ids=["unknown_key", "not_a_number"],
+)
+def test_config_bad_tree_params(tree_params, message, fig1a_path, tmp_path, monkeypatch, capsys):
+    set_config(monkeypatch, tmp_path, {"tree_params": tree_params})
+    assert run_cli("validate", str(fig1a_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err

@@ -281,3 +281,23 @@ def test_model_version_rejected():
     obj["version"] = 2
     with pytest.raises(ValueError, match="version"):
         model_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda m: m.update(feature_order=["x1"]), "feature_order"),
+        (lambda m: m["trees"][0].update(kind="stump"), "kind"),
+        (lambda m: m["trees"][0].update(kind="leaf", counts=[-1, 2]), "counts"),
+        (lambda m: m["trees"][0].update(kind="leaf", counts=[1.5, 2]), "counts"),
+        (lambda m: m["trees"][0].update(threshold="high"), "threshold"),
+        (lambda m: m["hyperparams"].pop("seed"), "seed"),
+    ],
+    ids=["feature_order", "kind", "negative_count", "float_count", "threshold", "no_seed"],
+)
+def test_model_schema_rejected(mutate, message):
+    obj = model_to_json(train(Dataset(make_margin_rows(20, 20, seed=5)), ForestHyperparams(n_trees=2)))
+    assert obj["trees"][0]["kind"] == "split"
+    mutate(obj)
+    with pytest.raises(ValueError, match=message):
+        model_from_json(obj)

@@ -13,10 +13,8 @@ from dirtree.metrics import (
     eval_classifier,
     eval_parents,
     eval_segmentation,
-    eval_segmentation_by_page,
     eval_tree,
     gold_page_labels,
-    gold_spans,
     gold_tree_for_page,
     load_gold,
     normalize_text,
@@ -111,19 +109,6 @@ def test_eval_segmentation_ignores_neither():
     pred = make_spans(3)
     m = eval_segmentation(gold, pred)
     assert (m.precision, m.recall) == (1.0, 1.0)
-
-
-def test_eval_segmentation_by_page():
-    gold = make_spans(3)
-    off = [
-        mkspan(s.text, s.bbox.left, s.bbox.top, s.bbox.right, s.bbox.bottom,
-               s.label, page=1, gi=s.group_index)
-        for s in make_spans(2)
-    ]
-    per_page = eval_segmentation_by_page(gold + off, gold + off[:1])
-    assert set(per_page) == {0, 1}
-    assert per_page[0].f1 == 1.0
-    assert (per_page[1].tp, per_page[1].fn) == (1, 1)
 
 
 # --- block and tree metrics ---
@@ -281,9 +266,11 @@ def test_load_gold_validation():
 def test_load_gold_round_trip(fig1a_gold_path):
     gold = load_gold(fig1a_gold_path.read_bytes())
     assert gold_page_labels(gold) == {0: 1}
-    spans = gold_spans(gold)
+    spans = [s for p in gold["pages"] for s in p["spans"]]
     assert len(spans) == 15
-    assert {s.label for s in spans} == {SpanLabel.HEADER, SpanLabel.BODY, SpanLabel.NEITHER}
+    assert {SpanLabel(s["label"]) for s in spans} == {
+        SpanLabel.HEADER, SpanLabel.BODY, SpanLabel.NEITHER
+    }
 
 
 def test_gold_labels_only_for_annotated_pages():

@@ -497,6 +497,13 @@ def test_validate_dangling_parent():
         validate_tree(tree)
 
 
+def test_validate_unknown_child():
+    tree = make_valid_tree()
+    tree.nodes[2].children.append(99)
+    with pytest.raises(TreeInvariantError, match="unknown child 99"):
+        validate_tree(tree)
+
+
 def test_validate_unmirrored_link():
     tree = make_valid_tree()
     tree.nodes[2].parent = ROOT_ID  # root's children don't list node 2
