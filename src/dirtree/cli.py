@@ -458,14 +458,16 @@ def _eval_tree(args) -> dict:
     pred_pages = _pred_pages(_load_json_file(args.pred), args.pred)
     gold = load_gold(_load_json_file(args.gold))
     doc = _read_doc(args.doc)
-    try:
-        pred_trees = {int(p["page"]): tree_from_json(p["tree"]) for p in pred_pages}
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"{args.pred}: every page needs 'page' and 'tree'") from e
-    for page, t in pred_trees.items():
+    pred_trees = {}
+    for p in pred_pages:
         try:
-            validate_tree(t)
-        except TreeInvariantError as e:
+            page, tree_obj = int(p["page"]), p["tree"]
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"{args.pred}: every page needs 'page' and 'tree'") from e
+        try:
+            pred_trees[page] = tree_from_json(tree_obj)
+            validate_tree(pred_trees[page])
+        except (ValueError, TreeInvariantError) as e:
             raise ValueError(f"{args.pred}: page {page}: invalid tree: {e}") from e
     gold_records = {p["page"]: p for p in gold["pages"] if "spans" in p}
     check_page_sets(set(gold_records), set(pred_trees))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 from .annotate import AnnotationLabel, AnnotationSet, is_address_candidate
@@ -120,8 +121,19 @@ def read_features_csv(f) -> "list[tuple[list[float], int]]":
             label = 0
         else:
             raise ValueError(f"line {lineno}: unrecognized label {row[-1]!r}")
-        rows.append(([float(v) for v in row[:-1]], label))
+        x = [_csv_value(v, name, lineno) for v, name in zip(row, FEATURE_NAMES)]
+        rows.append((x, label))
     return rows
+
+
+def _csv_value(text: str, name: str, lineno: int) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"line {lineno}: {name} is not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"line {lineno}: {name} must be finite, got {text!r}")
+    return value
 
 
 def features_csv_text(rows) -> str:

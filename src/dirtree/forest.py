@@ -10,7 +10,12 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import itemgetter
 
 from .features import FEATURE_NAMES
 
@@ -40,8 +45,7 @@ class Dataset:
         return len(self.rows[0][0]) if self.rows else 0
 
     def class_counts(self) -> tuple[int, int]:
-        pos = sum(y for _, y in self.rows)
-        return len(self.rows) - pos, pos
+        return _class_counts(self.rows)
 
 
 @dataclass(frozen=True)
@@ -140,24 +144,31 @@ def _best_split(rows, feature_ids, min_leaf):
 
     Candidate thresholds are midpoints of consecutive distinct values.  Ties
     break toward the lowest feature index, then the lowest threshold.
+
+    Each feature's values are counted per class once, then the thresholds
+    are swept in ascending order with running (negative, positive) counts.
+    A row goes left when its value is ``<= thr``, so the left counts are the
+    prefix up to ``bisect_right(values, thr)``: a midpoint of two adjacent
+    floats may round up to the upper value, and one whose sum overflows is
+    ``inf`` and sends every row left.
     """
     n = len(rows)
+    neg = [x for x, y in rows if not y]
+    pos = [x for x, y in rows if y]
+    n_neg, n_pos = len(neg), len(pos)
     best = None  # (weighted_gini, feature, threshold)
     for f in sorted(feature_ids):
-        values = sorted({x[f] for x, _ in rows})
+        value_of = itemgetter(f)
+        neg_counts = Counter(map(value_of, neg))
+        pos_counts = Counter(map(value_of, pos))
+        values = sorted(neg_counts.keys() | pos_counts.keys())
+        below_neg = [0, *accumulate(neg_counts[v] for v in values)]
+        below_pos = [0, *accumulate(pos_counts[v] for v in values)]
         for lo, hi in zip(values, values[1:]):
             thr = (lo + hi) / 2.0
-            ln = lp = rn = rp = 0
-            for x, y in rows:
-                if x[f] <= thr:
-                    if y:
-                        lp += 1
-                    else:
-                        ln += 1
-                elif y:
-                    rp += 1
-                else:
-                    rn += 1
+            k = bisect_right(values, thr)
+            ln, lp = below_neg[k], below_pos[k]
+            rn, rp = n_neg - ln, n_pos - lp
             left_total = ln + lp
             right_total = rn + rp
             if left_total < min_leaf or right_total < min_leaf:
@@ -169,8 +180,14 @@ def _best_split(rows, feature_ids, min_leaf):
     return best
 
 
+def _class_counts(rows) -> tuple[int, int]:
+    """(negatives, positives) of labeled rows."""
+    pos = sum(y for _, y in rows)
+    return len(rows) - pos, pos
+
+
 def _grow(rows, depth, hp, n_features, n_root, rng, importance_acc):
-    counts = (sum(1 for _, y in rows if y == 0), sum(1 for _, y in rows if y == 1))
+    counts = _class_counts(rows)
     node_gini = gini(counts)
     if (
         node_gini == 0.0
@@ -186,12 +203,10 @@ def _grow(rows, depth, hp, n_features, n_root, rng, importance_acc):
     _, f, thr = best
     left_rows = [row for row in rows if row[0][f] <= thr]
     right_rows = [row for row in rows if row[0][f] > thr]
-    left_counts = (sum(1 for _, y in left_rows if y == 0), sum(1 for _, y in left_rows if y == 1))
-    right_counts = (sum(1 for _, y in right_rows if y == 0), sum(1 for _, y in right_rows if y == 1))
     decrease = (len(rows) / n_root) * (
         node_gini
-        - (len(left_rows) / len(rows)) * gini(left_counts)
-        - (len(right_rows) / len(rows)) * gini(right_counts)
+        - (len(left_rows) / len(rows)) * gini(_class_counts(left_rows))
+        - (len(right_rows) / len(rows)) * gini(_class_counts(right_rows))
     )
     importance_acc[f] += decrease
     return SplitNode(
@@ -287,8 +302,10 @@ def _node_from_json(obj):
     feature, threshold = obj.get("feature"), obj.get("threshold")
     if not (_nonneg_int(feature) and feature < len(FEATURE_NAMES)):
         raise ValueError(f"model split feature out of range: {feature!r}")
-    if not isinstance(threshold, (int, float)):
-        raise ValueError(f"model split threshold must be a number: {threshold!r}")
+    # Bounded by the largest float: rejects NaN, infinities and integers
+    # too large to convert.
+    if not (isinstance(threshold, (int, float)) and abs(threshold) <= sys.float_info.max):
+        raise ValueError(f"model split threshold must be a finite number: {threshold!r}")
     return SplitNode(
         feature=feature,
         threshold=float(threshold),

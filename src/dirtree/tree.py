@@ -163,10 +163,28 @@ def reading_sequence(spans: "list[LabeledSpan]", p: "TreeParams | None" = None) 
             i = parent[i]
         return i
 
+    def union(i, j):
+        parent[find(i)] = find(j)
+
+    # Sweep in ascending top order.  Two boxes band together only when their
+    # y-intervals meet (an inverted box meets nothing), so each span is
+    # tested only against earlier spans whose bottom reaches its top.
+    boxes = [s.bbox for s in spans]
+    open_spans: list[int] = []
+    for j in sorted(range(n), key=lambda i: boxes[i].top):
+        top = boxes[j].top
+        open_spans = [i for i in open_spans if boxes[i].bottom >= top]
+        for i in open_spans:
+            if _same_band(boxes[i], boxes[j], p):
+                union(i, j)
+        open_spans.append(j)
+    # The exception: a box so thin that band_overlap_frac * height underflows
+    # to 0.0 needs no overlap, so it is tested against every other box.
     for i in range(n):
-        for j in range(i + 1, n):
-            if _same_band(spans[i].bbox, spans[j].bbox, p):
-                parent[find(i)] = find(j)
+        if boxes[i].height > 0 and p.band_overlap_frac * boxes[i].height == 0.0:
+            for j in range(n):
+                if _same_band(boxes[i], boxes[j], p):
+                    union(i, j)
 
     bands: dict[int, list[int]] = {}
     for i in range(n):
@@ -540,21 +558,33 @@ def tree_to_json(tree: ReadingTree) -> dict:
 def tree_from_json(data: "bytes | str | dict") -> ReadingTree:
     """Rebuild a tree from its JSON form.  Spans are not recoverable; the
     result carries labels, texts and structure, which is all evaluation
-    needs."""
+    needs.  A malformed node raises ValueError."""
     if isinstance(data, (bytes, str)):
         data = json.loads(data)
+    node_objs = data.get("nodes") if isinstance(data, dict) else None
+    if not isinstance(node_objs, list):
+        raise ValueError("tree must be an object with a 'nodes' array")
     nodes: dict[int, TreeNode] = {}
-    for obj in data["nodes"]:
+    for i, obj in enumerate(node_objs):
+        if not isinstance(obj, dict):
+            raise ValueError(f"node {i} must be an object")
+        if not isinstance(obj.get("text"), str):
+            raise ValueError(f"node {i}: text must be a string, got {obj.get('text')!r}")
+        if not isinstance(obj.get("children"), list):
+            raise ValueError(f"node {i}: children must be an array, got {obj.get('children')!r}")
         bbox = obj.get("bbox")
-        nodes[int(obj["id"])] = TreeNode(
-            node_id=int(obj["id"]),
-            label=NodeLabel(obj["label"]),
-            text=obj["text"],
-            parent=None if obj["parent"] is None else int(obj["parent"]),
-            children=[int(c) for c in obj["children"]],
-            cluster_id=obj.get("cluster"),
-            bbox=None if bbox is None else BBox(bbox["l"], bbox["t"], bbox["r"], bbox["b"]),
-        )
+        try:
+            nodes[int(obj["id"])] = TreeNode(
+                node_id=int(obj["id"]),
+                label=NodeLabel(obj["label"]),
+                text=obj["text"],
+                parent=None if obj["parent"] is None else int(obj["parent"]),
+                children=[int(c) for c in obj["children"]],
+                cluster_id=obj.get("cluster"),
+                bbox=None if bbox is None else BBox(bbox["l"], bbox["t"], bbox["r"], bbox["b"]),
+            )
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"node {i}: missing or mistyped field: {e}") from e
     return ReadingTree(nodes=nodes)
 
 

@@ -104,13 +104,13 @@ class Segment:
 
 @dataclass(frozen=True)
 class Line:
-    segments: tuple[Segment, ...]
+    segments: tuple[Segment, ...]  # left to right, as parsing sorts them
     bbox: BBox
 
 
 @dataclass(frozen=True)
 class Group:
-    lines: tuple[Line, ...]
+    lines: tuple[Line, ...]  # top to bottom, as parsing sorts them
     bbox: BBox
     is_page_header: bool = False
     is_page_footer: bool = False
@@ -346,10 +346,7 @@ def document_to_json(pages: "list[VisualPage]") -> dict:
 
 
 def _ordered_segments(g: Group) -> list[Segment]:
-    out: list[Segment] = []
-    for line in sorted(g.lines, key=lambda l: l.bbox.top):
-        out.extend(sorted(line.segments, key=lambda s: s.bbox.left))
-    return out
+    return [s for line in g.lines for s in line.segments]
 
 
 def group_text(g: Group) -> str:

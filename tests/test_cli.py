@@ -143,6 +143,20 @@ def test_train_no_rows(tmp_path, capsys):
     assert "no labeled rows" in capsys.readouterr().err
 
 
+def test_train_rejects_non_finite_rows(tmp_path, capsys):
+    csv = tmp_path / "rows.csv"
+    write_csv(csv, make_margin_rows(10, 10, seed=2))
+    lines = csv.read_text().splitlines()
+    lines[4] = "nan," + lines[4].split(",", 1)[1]
+    csv.write_text("\n".join(lines) + "\n")
+    rc = run_cli("train", "--csv", str(csv), "--pos", "5", "--neg", "5",
+                 "--seed", "1", "--out", str(tmp_path / "m.json"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 5: f1 must be finite" in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_train_bad_hyperparams(tmp_path, capsys):
     csv = tmp_path / "rows.csv"
     write_csv(csv, make_margin_rows(10, 10, seed=2))
@@ -407,6 +421,12 @@ def tree_json(*nodes):
     ]}
 
 
+def body_node_with(**fields):
+    tree = tree_json((0, "Root", None, [1]), (1, "Body", 0, []))
+    tree["nodes"][1].update(fields)
+    return tree
+
+
 @pytest.mark.parametrize(
     "tree, reason",
     [
@@ -415,8 +435,10 @@ def tree_json(*nodes):
         (tree_json((0, "Root", None, []), (1, "Header", 2, [2]),
                    (2, "Header", 1, [1, 3]), (3, "Body", 2, [])), "cycle"),
         (tree_json((0, "Root", None, [1]), (1, "Body", 0, [7])), "unknown child 7"),
+        (body_node_with(text=5), "node 1: text must be a string"),
+        (body_node_with(children=None), "node 1: children must be an array"),
     ],
-    ids=["cycle", "unknown_child"],
+    ids=["cycle", "unknown_child", "text_not_string", "children_not_array"],
 )
 def test_eval_tree_rejects_invalid_pred(tree, reason, fig1a_path, fig1a_gold_path, tmp_path):
     pred = tmp_path / "tree.json"

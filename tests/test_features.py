@@ -166,6 +166,14 @@ def test_csv_errors():
     with pytest.raises(ValueError, match="label"):
         read_features_csv(io.StringIO(good_header + "\n" + ",".join(["0"] * 15) + ",maybe\n"))
 
+    # A non-numeric or non-finite cell names its line and column.
+    for cell in ("lots", "nan", "inf", "-Infinity"):
+        row = ["1"] * 16
+        row[6] = cell
+        text = "\n".join([good_header, ",".join(["0"] * 16), ",".join(row)]) + "\n"
+        with pytest.raises(ValueError, match=f"line 3: f7 .*{cell!r}"):
+            read_features_csv(io.StringIO(text))
+
 
 def test_write_features_csv_to_real_file(tmp_path):
     p = tmp_path / "features.csv"

@@ -1,4 +1,7 @@
+import hashlib
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -142,8 +145,39 @@ def test_best_split_midpoint_and_min_leaf():
     assert _best_split([((5.0,), 0), ((5.0,), 1)], [0], 1) is None
 
 
+def _float_edge_cases():
+    """(rows, feature_ids, min_leaf) cases where float rounding decides the split."""
+    up = math.nextafter(1.0, 2.0)
+    up2 = math.nextafter(up, 2.0)
+    assert (up + up2) / 2.0 == up2  # the midpoint rounds up to the upper value
+    big = sys.float_info.max
+    assert big + big / 2 == math.inf
+    rng = random.Random(7)
+    return [
+        # Adjacent floats: the first threshold sends the upper value left too.
+        ([((up,), 0), ((up2,), 1), ((3.0,), 1)], [0], 1),
+        ([((up,), 1), ((up2,), 0), ((up2,), 1), ((3.0,), 0)], [0], 1),
+        # Signed zeros are one value.
+        ([((-0.0,), 0), ((0.0,), 1), ((1.0,), 1), ((-1.0,), 0)], [0], 1),
+        ([((0.0, -0.0), 1), ((-0.0, 0.0), 0), ((2.0, -3.0), 1)], [0, 1], 1),
+        # Sums that overflow to +inf (every row left) or -inf (none left).
+        ([((big / 2,), 0), ((big,), 1), ((0.0,), 0)], [0], 1),
+        ([((-big,), 1), ((-big / 2,), 0), ((0.0,), 1)], [0], 1),
+        # Many distinct floats.
+        *(
+            (
+                [((rng.uniform(-1e3, 1e3), rng.random()), rng.randint(0, 1)) for _ in range(40)],
+                [0, 1],
+                rng.randint(1, 3),
+            )
+            for _ in range(10)
+        ),
+    ]
+
+
 def test_best_split_matches_brute_force():
     rng = random.Random(42)
+    cases = []
     for trial in range(60):
         n = rng.randint(2, 12)
         n_feat = rng.randint(1, 3)
@@ -151,15 +185,33 @@ def test_best_split_matches_brute_force():
             (tuple(float(rng.randint(0, 4)) for _ in range(n_feat)), rng.randint(0, 1))
             for _ in range(n)
         ]
-        min_leaf = rng.randint(1, 2)
-        got = _best_split(rows, list(range(n_feat)), min_leaf)
-        want = _brute_best(rows, list(range(n_feat)), min_leaf)
+        cases.append((rows, list(range(n_feat)), rng.randint(1, 2)))
+    for rows, feature_ids, min_leaf in cases + _float_edge_cases():
+        got = _best_split(rows, feature_ids, min_leaf)
+        want = _brute_best(rows, feature_ids, min_leaf)
         if want is None:
             assert got is None
         else:
             assert got is not None
             assert (got[1], got[2]) == (want[1], want[2])
             assert got[0] == pytest.approx(float(want[0]), abs=1e-12)
+
+
+class _CountingVector(tuple):
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountingVector.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_best_split_reads_each_value_once():
+    rng = random.Random(3)
+    rows = [(_CountingVector((rng.random(), rng.random())), i % 2) for i in range(50)]
+    _CountingVector.reads = 0
+    assert _best_split(rows, [0, 1], 1) is not None
+    # A rescan per candidate threshold would read about 2 * 50 * 49 values.
+    assert _CountingVector.reads == 2 * len(rows)
 
 
 # --- training ---
@@ -174,6 +226,38 @@ def test_train_deterministic_bytes():
     hp = ForestHyperparams(n_trees=8, seed=5)
     assert dumps_model(train(d, hp)) == dumps_model(train(d, hp))
     assert dumps_model(train(d, ForestHyperparams(n_trees=8, seed=6))) != dumps_model(train(d, hp))
+
+
+def _noisy_rows(n, seed, grid):
+    """Two overlapping classes with about 15% of the labels flipped, on a
+    coarse grid or as continuous draws."""
+    rng = random.Random(seed)
+    rows = []
+    for i in range(n):
+        y = i % 2
+        if grid:
+            x = tuple(float(rng.randint(0, 6) + 2 * y) for _ in range(5))
+        else:
+            x = tuple(rng.gauss(y, 1.5) for _ in range(5))
+        rows.append((x, 1 - y if rng.random() < 0.15 else y))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "grid, hp, digest",
+    [
+        (True, ForestHyperparams(n_trees=6, seed=3),
+         "84ba420470590ae68892f75c08bd08ebb9d5956f3b9b09d01e79caab0afea523"),
+        (False, ForestHyperparams(n_trees=4, min_samples_leaf=1, max_features_fraction=0.6, seed=8),
+         "e08a550109c08b68ff7cc95dab8df44d9326d714cf31bdf4eed33320039a875b"),
+    ],
+    ids=["grid", "continuous"],
+)
+def test_model_bytes_pinned(grid, hp, digest):
+    # Digests of models trained before the split search was rewritten: the
+    # same data and hyperparameters must keep giving the same bytes.
+    model = train(Dataset(_noisy_rows(160, 11, grid)), hp)
+    assert hashlib.sha256(dumps_model(model).encode()).hexdigest() == digest
 
 
 def test_importances_sum_to_one():
@@ -291,9 +375,15 @@ def test_model_version_rejected():
         (lambda m: m["trees"][0].update(kind="leaf", counts=[-1, 2]), "counts"),
         (lambda m: m["trees"][0].update(kind="leaf", counts=[1.5, 2]), "counts"),
         (lambda m: m["trees"][0].update(threshold="high"), "threshold"),
+        (lambda m: m["trees"][0].update(threshold=math.nan), "threshold"),
+        (lambda m: m["trees"][0].update(threshold=-math.inf), "threshold"),
+        (lambda m: m["trees"][0].update(threshold=10**400), "threshold"),
         (lambda m: m["hyperparams"].pop("seed"), "seed"),
     ],
-    ids=["feature_order", "kind", "negative_count", "float_count", "threshold", "no_seed"],
+    ids=[
+        "feature_order", "kind", "negative_count", "float_count", "threshold",
+        "nan_threshold", "inf_threshold", "huge_threshold", "no_seed",
+    ],
 )
 def test_model_schema_rejected(mutate, message):
     obj = model_to_json(train(Dataset(make_margin_rows(20, 20, seed=5)), ForestHyperparams(n_trees=2)))

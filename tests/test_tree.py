@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from dirtree import tree as tree_module
 from dirtree.annotate import Gazetteer, annotate
 from dirtree.segment import SpanLabel, segment_page
 from dirtree.tree import (
@@ -10,6 +12,7 @@ from dirtree.tree import (
     TreeNode,
     TreeParamError,
     TreeParams,
+    _same_band,
     blocks_to_json,
     build_tree,
     can_parent,
@@ -147,6 +150,87 @@ def test_reading_sequence_input_order_independent():
     expected = ["one", "two", "three", "four"]
     assert [s.text for s in reading_sequence(spans)] == expected
     assert [s.text for s in reading_sequence(spans[::-1])] == expected
+
+
+def _reading_sequence_all_pairs(spans, p):
+    """Reference: band by testing every pair of spans, then order as
+    reading_sequence does."""
+    n = len(spans)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if _same_band(spans[i].bbox, spans[j].bbox, p):
+                parent[find(i)] = find(j)
+    bands = {}
+    for i in range(n):
+        bands.setdefault(find(i), []).append(i)
+    ordered = []
+    for members in sorted(
+        bands.values(),
+        key=lambda m: (min(spans[i].bbox.top for i in m), min(spans[i].bbox.left for i in m)),
+    ):
+        members.sort(key=lambda i: (spans[i].bbox.left, spans[i].bbox.top, i))
+        ordered.extend(spans[i] for i in members)
+    return ordered
+
+
+_coords = st.one_of(
+    st.integers(-20, 40).map(float),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-50, 50, allow_nan=False, allow_infinity=False),
+)
+# Zero, subnormal, negative (inverted box) and ordinary heights.
+_heights = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, -1.0]),
+    st.integers(-3, 15).map(float),
+    st.floats(-5, 30, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _span_boxes(draw):
+    boxes = []
+    for k in range(draw(st.integers(0, 20))):
+        left, top = draw(_coords), draw(_coords)
+        boxes.append(mkspan(f"s{k}", left, top, left + 50, top + draw(_heights)))
+    return boxes
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spans=_span_boxes(),
+    frac=st.one_of(st.sampled_from([0.5, 1.0]), st.floats(1e-300, 1.0)),
+)
+@example(
+    spans=[mkspan("a", 0, 0, 50, 5e-324), mkspan("b", 0, 30, 50, 40), mkspan("c", 0, 60, 50, 60)],
+    frac=0.5,
+)
+def test_reading_sequence_matches_all_pairs(spans, frac):
+    p = TreeParams(band_overlap_frac=frac)
+    got, want = reading_sequence(spans, p), _reading_sequence_all_pairs(spans, p)
+    assert [id(s) for s in got] == [id(s) for s in want]
+
+
+def test_reading_sequence_tests_only_overlapping_spans(monkeypatch):
+    calls = []
+
+    def counting_same_band(a, b, p):
+        calls.append(1)
+        return _same_band(a, b, p)
+
+    monkeypatch.setattr(tree_module, "_same_band", counting_same_band)
+    # 60 rows of 5 spans; rows are 10 pt apart, so only spans in one row meet.
+    spans = [mkspan(f"{r}.{c}", c * 60, r * 20, c * 60 + 50, r * 20 + 10)
+             for r in range(60) for c in range(5)]
+    ordered = reading_sequence(spans[::-1])
+    assert [s.text for s in ordered] == [s.text for s in spans]
+    assert len(calls) == 60 * (5 * 4 // 2)  # all pairs would be 300 * 299 / 2
 
 
 # --- dominance ---
@@ -615,6 +699,24 @@ def test_tree_json_round_trip(fig1a_page):
         assert (other.label, other.text, other.parent, other.children, other.cluster_id) == (
             node.label, node.text, node.parent, node.children, node.cluster_id
         )
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["nodes"][1].update(text=5), "node 1: text must be a string"),
+        (lambda d: d["nodes"][1].update(children="ab"), "node 1: children must be an array"),
+        (lambda d: d["nodes"][1].pop("parent"), "node 1: missing or mistyped"),
+        (lambda d: d["nodes"].append([]), "must be an object"),
+        (lambda d: d.update(nodes={}), "'nodes' array"),
+    ],
+    ids=["text", "children", "no_parent", "node_not_object", "nodes_not_array"],
+)
+def test_tree_from_json_rejects_malformed(mutate, message):
+    data = tree_to_json(make_valid_tree())
+    mutate(data)
+    with pytest.raises(ValueError, match=message):
+        tree_from_json(data)
 
 
 def test_blocks_to_json():
