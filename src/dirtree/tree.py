@@ -146,7 +146,8 @@ def _same_band(a: BBox, b: BBox, p: TreeParams) -> bool:
     if shorter <= 0:
         # Degenerate zero-height boxes: band together only when touching.
         return max(a.top, b.top) <= min(a.bottom, b.bottom)
-    return overlap >= p.band_overlap_frac * shorter
+    # overlap > 0 first: band_overlap_frac * shorter can underflow to 0.0.
+    return overlap > 0 and overlap >= p.band_overlap_frac * shorter
 
 
 def reading_sequence(spans: "list[LabeledSpan]", p: "TreeParams | None" = None) -> "list[LabeledSpan]":
@@ -178,13 +179,6 @@ def reading_sequence(spans: "list[LabeledSpan]", p: "TreeParams | None" = None) 
             if _same_band(boxes[i], boxes[j], p):
                 union(i, j)
         open_spans.append(j)
-    # The exception: a box so thin that band_overlap_frac * height underflows
-    # to 0.0 needs no overlap, so it is tested against every other box.
-    for i in range(n):
-        if boxes[i].height > 0 and p.band_overlap_frac * boxes[i].height == 0.0:
-            for j in range(n):
-                if _same_band(boxes[i], boxes[j], p):
-                    union(i, j)
 
     bands: dict[int, list[int]] = {}
     for i in range(n):
@@ -312,9 +306,10 @@ def build_tree(spans: "list[LabeledSpan]", p: "TreeParams | None" = None) -> Rea
 
     Walks the reading sequence in reverse.  A Body claims earlier unparented
     bodies of the same entry (chaining multi-line bodies); a Header claims
-    every earlier unparented node it can dominate.  Whatever is left joins
-    the synthetic root.  Headers that end up childless are moved under the
-    root and later excluded from the emitted blocks.
+    every earlier unparented node it can dominate, and never scans the
+    headers of its own cluster, which it cannot parent.  Whatever is left
+    joins the synthetic root.  Headers that end up childless are moved under
+    the root and later excluded from the emitted blocks.
     """
     p = p or TreeParams()
     live = [s for s in spans if s.label is not SpanLabel.NEITHER]
@@ -322,7 +317,6 @@ def build_tree(spans: "list[LabeledSpan]", p: "TreeParams | None" = None) -> Rea
     clusters = cluster_headers(sequence, p)
     line_height = median_line_height(sequence)
 
-    order = {id(s): i for i, s in enumerate(sequence)}
     node_of = {id(s): i + 1 for i, s in enumerate(sequence)}
     nodes: dict[int, TreeNode] = {
         ROOT_ID: TreeNode(ROOT_ID, NodeLabel.ROOT, "", None)
@@ -338,28 +332,28 @@ def build_tree(spans: "list[LabeledSpan]", p: "TreeParams | None" = None) -> Rea
             span=s,
         )
 
-    traversed: list[LabeledSpan] = []
+    # Unclaimed earlier spans, bucketed: bodies under None, headers under
+    # their cluster id.  A body can claim only bodies, and a header anything
+    # outside its own cluster, so each scans only the buckets it could claim.
+    unclaimed: "dict[int | None, list[LabeledSpan]]" = {}
     for current in reversed(sequence):
         cur_node = nodes[node_of[id(current)]]
-        if current.label is SpanLabel.BODY:
-            for earlier in traversed:
-                if earlier.label is not SpanLabel.BODY:
-                    continue
-                node = nodes[node_of[id(earlier)]]
-                if node.parent is not None:
-                    continue
-                if same_entry(current, earlier, sequence, p, line_height):
+        key = clusters.get(current)  # None for a body
+        for k in [None] if key is None else [k for k in unclaimed if k != key]:
+            kept = []
+            for earlier in unclaimed.get(k, ()):
+                if (
+                    same_entry(current, earlier, sequence, p, line_height)
+                    if key is None
+                    else can_parent(current, earlier, clusters, p)
+                ):
+                    node = nodes[node_of[id(earlier)]]
                     node.parent = cur_node.node_id
                     cur_node.children.append(node.node_id)
-        else:
-            for earlier in traversed:
-                node = nodes[node_of[id(earlier)]]
-                if node.parent is not None:
-                    continue
-                if can_parent(current, earlier, clusters, p):
-                    node.parent = cur_node.node_id
-                    cur_node.children.append(node.node_id)
-        traversed.append(current)
+                else:
+                    kept.append(earlier)
+            unclaimed[k] = kept
+        unclaimed.setdefault(key, []).append(current)
 
     root = nodes[ROOT_ID]
     for s in sequence:
@@ -370,10 +364,9 @@ def build_tree(spans: "list[LabeledSpan]", p: "TreeParams | None" = None) -> Rea
 
     _demote_childless_headers(nodes)
 
+    # Node ids are reading positions + 1, so id order is reading order.
     for node in nodes.values():
-        node.children.sort(
-            key=lambda cid: order[id(nodes[cid].span)] if nodes[cid].span is not None else 0
-        )
+        node.children.sort()
     return ReadingTree(nodes=nodes)
 
 

@@ -233,6 +233,13 @@ def test_reading_sequence_tests_only_overlapping_spans(monkeypatch):
     assert len(calls) == 60 * (5 * 4 // 2)  # all pairs would be 300 * 299 / 2
 
 
+def test_reading_sequence_hairline_span_keeps_its_band():
+    hair = mkspan("hair", 200, 0, 250, 5e-324)  # 0.5 * height underflows to 0.0
+    box = mkspan("box", 0, 100, 50, 110)
+    assert not _same_band(hair.bbox, box.bbox, TreeParams())
+    assert [s.text for s in reading_sequence([box, hair])] == ["hair", "box"]
+
+
 # --- dominance ---
 
 def test_can_parent_requires_below():
@@ -486,6 +493,114 @@ def test_node_ids_follow_reading_order():
     tree = build_tree(spans)
     assert tree.nodes[1].text == "first"
     assert tree.nodes[2].text == "second"
+
+
+def _build_tree_all_pairs(spans, p):
+    """Reference: build_tree testing each span against every earlier-visited
+    unparented span, then sorting children by reading position."""
+    sequence = reading_sequence([s for s in spans if s.label is not SpanLabel.NEITHER], p)
+    clusters = cluster_headers(sequence, p)
+    line_height = median_line_height(sequence)
+    order = {id(s): i for i, s in enumerate(sequence)}
+    node_of = {id(s): i + 1 for i, s in enumerate(sequence)}
+    nodes = {ROOT_ID: TreeNode(ROOT_ID, NodeLabel.ROOT, "", None)}
+    for s in sequence:
+        label = NodeLabel.HEADER if s.label is H else NodeLabel.BODY
+        nodes[node_of[id(s)]] = TreeNode(
+            node_of[id(s)], label, s.text, None,
+            cluster_id=clusters.get(s), bbox=s.bbox, span=s,
+        )
+    traversed = []
+    for current in reversed(sequence):
+        cur_node = nodes[node_of[id(current)]]
+        for earlier in traversed:
+            node = nodes[node_of[id(earlier)]]
+            if node.parent is not None:
+                continue
+            if current.label is B:
+                claims = earlier.label is B and same_entry(
+                    current, earlier, sequence, p, line_height)
+            else:
+                claims = can_parent(current, earlier, clusters, p)
+            if claims:
+                node.parent = cur_node.node_id
+                cur_node.children.append(node.node_id)
+        traversed.append(current)
+    for s in sequence:
+        node = nodes[node_of[id(s)]]
+        if node.parent is None:
+            node.parent = ROOT_ID
+            nodes[ROOT_ID].children.append(node.node_id)
+    tree_module._demote_childless_headers(nodes)
+    for node in nodes.values():
+        node.children.sort(
+            key=lambda cid: order[id(nodes[cid].span)] if nodes[cid].span is not None else 0
+        )
+    return ReadingTree(nodes=nodes)
+
+
+@st.composite
+def _tree_spans(draw):
+    # Few styles, groups and grid positions, so that clusters hold several
+    # headers, groups several spans, and boxes stack, align and overlap.
+    spans = []
+    for k in range(draw(st.integers(0, 16))):
+        label = draw(st.sampled_from([H, H, B, B, B, SpanLabel.NEITHER]))
+        left = draw(st.integers(0, 6)) * 40.0 + draw(st.sampled_from([0.0, 3.0, 7.5]))
+        top = draw(st.integers(0, 12)) * 12.0 + draw(st.sampled_from([0.0, 2.0, 6.0]))
+        width = draw(st.sampled_from([30.0, 100.0, 250.0]))
+        height = draw(st.sampled_from([10.0, 12.0, 30.0]))
+        spans.append(mkspan(
+            draw(st.sampled_from(["Title", "TITLE", "entry", f"s{k}"])),
+            left, top, left + width, top + height, label,
+            gi=draw(st.integers(0, 5)),
+            size=draw(st.sampled_from([10.0, 10.4, 12.0, 16.0])),
+            bold=draw(st.booleans()),
+        ))
+    return spans
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spans=_tree_spans(),
+    p=st.builds(
+        TreeParams,
+        band_overlap_frac=st.sampled_from([0.2, 0.5, 1.0]),
+        align_tol=st.sampled_from([0.0, 5.0, 20.0]),
+        gap_factor=st.sampled_from([0.0, 1.5, 6.0]),
+        min_x_overlap_frac=st.sampled_from([0.1, 0.3, 1.0]),
+        size_cluster_tol=st.sampled_from([0.0, 0.5, 3.0]),
+    ),
+)
+def test_build_tree_matches_all_pairs_claim(spans, p):
+    assert tree_to_json(build_tree(spans, p)) == tree_to_json(_build_tree_all_pairs(spans, p))
+
+
+def _grid_page(k, columns=5):
+    """A title above k cells, each a header above one body line."""
+    spans = [mkspan("DIRECTORY", 0, 0, 255 * columns, 20, H, size=16.0, bold=True)]
+    for i in range(k):
+        left, top = (i % columns) * 255.0, 40.0 + (i // columns) * 80.0
+        spans.append(mkspan(f"Head {i}", left, top, left + 150, top + 12, H, bold=True))
+        spans.append(mkspan(f"body {i}", left, top + 16, left + 200, top + 28))
+    return spans
+
+
+@pytest.mark.parametrize("k", [50, 200])
+def test_build_tree_can_parent_calls_linear_on_grid(monkeypatch, k):
+    calls = []
+
+    def counting_can_parent(*args):
+        calls.append(1)
+        return can_parent(*args)
+
+    monkeypatch.setattr(tree_module, "can_parent", counting_can_parent)
+    tree = build_tree(_grid_page(k))
+    validate_tree(tree)
+    assert [(b.headers, b.body) for b in directory_blocks(tree)] == [
+        (("DIRECTORY", f"Head {i}"), f"body {i}") for i in range(k)
+    ]
+    assert len(calls) <= 4 * (2 * k + 1)  # all earlier spans would be about k * k / 2
 
 
 # --- the worked example ---
