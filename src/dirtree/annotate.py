@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from importlib import resources
 
-from .visual import Group, VisualPage, group_text
+from .visual import VisualPage, group_text
 
 
 class AnnotationLabel(str, Enum):
@@ -155,19 +155,6 @@ class Gazetteer:
         return cls.from_json(data)
 
 
-@dataclass
-class AnnotationSet:
-    """Annotations for a document, keyed by (page index, group index)."""
-
-    by_group: dict[tuple[int, int], list[Annotation]] = field(default_factory=dict)
-
-    def for_group(self, page_index: int, group_index: int) -> list[Annotation]:
-        return self.by_group.get((page_index, group_index), [])
-
-    def merge(self, other: "AnnotationSet") -> None:
-        self.by_group.update(other.by_group)
-
-
 # Lowercase connective tokens allowed inside a capitalized organization name.
 _ORG_LINKERS = frozenset(
     {"of", "de", "du", "des", "der", "den", "van", "von", "la", "le", "les",
@@ -251,19 +238,10 @@ def _annotate_text(text: str, patterns: "dict[str, re.Pattern | None]") -> list[
     return out
 
 
-def annotate(page: VisualPage, gaz: Gazetteer, page_index: int = 0) -> AnnotationSet:
-    """Annotate every group of a page (furniture groups included)."""
-    result = AnnotationSet()
-    for gi, group in enumerate(page.groups):
-        result.by_group[(page_index, gi)] = _annotate_text(group_text(group), gaz.patterns)
-    return result
-
-
-def annotate_document(pages: "list[VisualPage]", gaz: Gazetteer) -> AnnotationSet:
-    result = AnnotationSet()
-    for pi, page in enumerate(pages):
-        result.merge(annotate(page, gaz, page_index=pi))
-    return result
+def annotate(page: VisualPage, gaz: Gazetteer) -> "list[list[Annotation]]":
+    """Annotate every group of a page (furniture groups included): one list
+    per group, in group order."""
+    return [_annotate_text(group_text(g), gaz.patterns) for g in page.groups]
 
 
 def is_address_candidate(annotations: "list[Annotation]") -> bool:

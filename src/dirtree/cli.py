@@ -159,11 +159,11 @@ class PageRun:
 
     @cached_property
     def annotations(self):
-        return annotate_page(self.page, self.gaz, page_index=self.index)
+        return annotate_page(self.page, self.gaz)
 
     @cached_property
     def features(self):
-        return extract_features(self.page, self.annotations, self.index)
+        return extract_features(self.page, self.annotations)
 
     @cached_property
     def score(self) -> float:
@@ -298,8 +298,8 @@ def _cmd_annotate(args, cfg):
                     "end": a.end,
                     "surface": a.surface,
                 }
-                for gi in range(len(run.page.groups))
-                for a in run.annotations.for_group(run.index, gi)
+                for gi, anns in enumerate(run.annotations)
+                for a in anns
             ],
         }
         for run in _drain(runs)

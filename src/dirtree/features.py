@@ -11,7 +11,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .annotate import AnnotationLabel, AnnotationSet, is_address_candidate
+from .annotate import Annotation, AnnotationLabel, is_address_candidate
 from .visual import VisualPage, group_text
 
 FEATURE_NAMES = (
@@ -52,9 +52,9 @@ def _label_count(anns, label: AnnotationLabel) -> int:
     return sum(1 for a in anns if a.label is label)
 
 
-def extract_features(page: VisualPage, anns: AnnotationSet, page_index: int = 0) -> FeatureVector:
+def extract_features(page: VisualPage, per_group: "list[list[Annotation]]") -> FeatureVector:
+    """``per_group`` holds the page's annotations, one list per group."""
     groups = page.groups
-    per_group = [anns.for_group(page_index, gi) for gi in range(len(groups))]
 
     f1 = sum(_label_count(a, AnnotationLabel.CURRENCY) for a in per_group)
     f2 = sum(_label_count(a, AnnotationLabel.DATE) for a in per_group)

@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .annotate import AnnotationLabel, AnnotationSet
+from .annotate import Annotation, AnnotationLabel
 from .visual import BBox, Group, StyleInfo, VisualPage, group_layout, group_text, union_all
 
 
@@ -161,10 +161,13 @@ def _has_role_or_address(anns, start: int, end: int) -> bool:
 
 def segment_page(
     page: VisualPage,
-    anns: AnnotationSet,
+    anns: "list[list[Annotation]]",
     page_index: int = 0,
 ) -> list[LabeledSpan]:
     """Apply the rule cascade to every group of an (already classified) page.
+
+    ``anns`` holds the page's annotations, one list per group; ``page_index``
+    is only stamped on the spans.
 
     Per group: (1) page furniture is Neither; (2) an ORG/PERSON entity with
     text following it turns [entity start, group end] into Body, an entity
@@ -178,9 +181,7 @@ def segment_page(
     stats = page_style_stats(page)
     spans: list[LabeledSpan] = []
     for gi, group in enumerate(page.groups):
-        spans.extend(
-            _segment_group(group, anns.for_group(page_index, gi), stats, page_index, gi)
-        )
+        spans.extend(_segment_group(group, anns[gi], stats, page_index, gi))
     return spans
 
 

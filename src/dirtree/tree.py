@@ -371,21 +371,18 @@ def build_tree(spans: "list[LabeledSpan]", p: "TreeParams | None" = None) -> Rea
 
 
 def _demote_childless_headers(nodes: "dict[int, TreeNode]") -> None:
-    """Move headers without children under the root (cascading upward)."""
-    changed = True
-    while changed:
-        changed = False
-        for node in nodes.values():
-            if (
-                node.label is NodeLabel.HEADER
-                and not node.children
-                and node.parent != ROOT_ID
-            ):
-                old = nodes[node.parent]
-                old.children.remove(node.node_id)
-                node.parent = ROOT_ID
-                nodes[ROOT_ID].children.append(node.node_id)
-                changed = True
+    """Move headers without children under the root (cascading upward).
+
+    A node claims only spans later in the reading sequence, so a child's id
+    is larger than its parent's: in descending id order every header is
+    visited after all of its children.
+    """
+    for node_id in sorted(nodes, reverse=True):
+        node = nodes[node_id]
+        if node.label is NodeLabel.HEADER and not node.children and node.parent != ROOT_ID:
+            nodes[node.parent].children.remove(node_id)
+            node.parent = ROOT_ID
+            nodes[ROOT_ID].children.append(node_id)
 
 
 def validate_tree(tree: ReadingTree) -> None:
@@ -502,16 +499,10 @@ def _block_body_sets(tree: ReadingTree):
     ]
 
 
-def _sequence_position(tree: ReadingTree) -> "dict[int, int]":
-    ids = [n.node_id for n in tree.nodes.values() if n.node_id != ROOT_ID]
-    return {node_id: i for i, node_id in enumerate(sorted(ids))}
-
-
 def directory_blocks(tree: ReadingTree) -> "list[DirectoryBlock]":
     """One block per body chain: the header texts from just under the root
     down to the immediate parent, plus the chain's concatenated body text.
-    Blocks come out in the reading order of their last body."""
-    pos = _sequence_position(tree)
+    Blocks come out in the reading order (node id order) of their last body."""
     blocks = []
     for head in _chain_heads(tree):
         headers = []
@@ -520,10 +511,9 @@ def directory_blocks(tree: ReadingTree) -> "list[DirectoryBlock]":
             headers.append(cur.text)
             cur = tree.nodes[cur.parent]
         headers.reverse()
-        chain = sorted(_body_subtree(tree, head), key=lambda n: pos[n.node_id])
+        chain = sorted(_body_subtree(tree, head), key=lambda n: n.node_id)
         body = " ".join(n.text for n in chain)
-        leaf_pos = pos[chain[-1].node_id]
-        blocks.append((leaf_pos, DirectoryBlock(headers=tuple(headers), body=body)))
+        blocks.append((chain[-1].node_id, DirectoryBlock(headers=tuple(headers), body=body)))
     blocks.sort(key=lambda t: t[0])
     return [b for _, b in blocks]
 

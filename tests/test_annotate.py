@@ -5,7 +5,6 @@ from dirtree.annotate import (
     Gazetteer,
     GazetteerError,
     annotate,
-    annotate_document,
     is_address_candidate,
 )
 
@@ -16,7 +15,8 @@ GAZ = Gazetteer.default()
 
 def ann(text, gaz=GAZ):
     page = parse_page(text_group(text, 0, 0, 590, 10))
-    return annotate(page, gaz).for_group(0, 0)
+    (group,) = annotate(page, gaz)
+    return group
 
 
 def spans(text, label, gaz=GAZ):
@@ -143,7 +143,7 @@ def test_gazetteer_org_list_merges_with_suffix_spans():
     assert spans("Acme Capital offices", AnnotationLabel.ORG, gaz) == ["Acme Capital"]
 
 
-# --- annotation sets ---
+# --- page annotation ---
 
 def test_annotations_sorted_by_position():
     out = ann("Custodian Acme Capital S.A. in Luxembourg L-2449")
@@ -158,16 +158,9 @@ def test_annotate_covers_furniture_groups():
         text_group("Luxembourg Fund", 0, 0, 100, 10),
         text_group("Page 4", 0, 700, 50, 710, footer=True),
     )
-    out = annotate(page, GAZ, page_index=2)
-    assert (2, 0) in out.by_group
-    assert (2, 1) in out.by_group
-    assert out.for_group(2, 5) == []
-
-
-def test_annotate_document_merges_pages(fig1a_page):
-    out = annotate_document([fig1a_page, fig1a_page], GAZ)
-    pages = {p for p, _ in out.by_group}
-    assert pages == {0, 1}
+    out = annotate(page, GAZ)
+    assert len(out) == 2
+    assert [(a.label, a.surface) for a in out[1]] == [(AnnotationLabel.CARDINAL, "4")]
 
 
 def test_is_address_candidate():
@@ -181,14 +174,12 @@ def test_is_address_candidate():
 
 def test_fig1a_group_annotations(fig1a_page):
     out = annotate(fig1a_page, GAZ)
-    labels0 = {a.label for a in out.for_group(0, 0)}
+    labels0 = {a.label for a in out[0]}
     assert AnnotationLabel.ORG not in labels0 and AnnotationLabel.PERSON not in labels0
-    assert [a.surface for a in out.for_group(0, 7) if a.label == AnnotationLabel.ROLE] == [
+    assert [a.surface for a in out[7] if a.label == AnnotationLabel.ROLE] == [
         "Legal Counsel"
     ]
-    body_counts = sum(
-        1 for gi in range(len(fig1a_page.groups)) if is_address_candidate(out.for_group(0, gi))
-    )
+    body_counts = sum(1 for anns in out if is_address_candidate(anns))
     assert body_counts == 6
 
 

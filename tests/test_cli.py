@@ -303,16 +303,16 @@ def test_auto_annotates_each_page_once(
     calls = []
     real = cli.annotate_page
 
-    def counting(page, gaz, page_index=0):
-        calls.append(page_index)
-        return real(page, gaz, page_index=page_index)
+    def counting(page, gaz):
+        calls.append(page)
+        return real(page, gaz)
 
     monkeypatch.setattr(cli, "annotate_page", counting)
     rc = run_cli(command, str(fig1a_path), "--pages", "auto",
                  "--model", str(trained_model_path))
     assert rc == 0
     assert '"page": 0' in capsys.readouterr().out  # the page was flagged
-    assert calls == [0]
+    assert len(calls) == 1
 
 
 # --- eval ---

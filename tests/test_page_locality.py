@@ -1,0 +1,142 @@
+"""A page's results depend on that page alone.
+
+Annotation is a page-local value (one list per group), so a page's index in
+its document, the other pages around it, and a rigid shift of its geometry
+must not change what the pipeline says about it.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from dirtree import cli
+from dirtree.annotate import Gazetteer, annotate
+from dirtree.features import extract_features
+from dirtree.segment import RULE_ENTITY_BODY, RULE_ROLE_ADDRESS, segment_page
+
+from conftest import EXPECTED_BLOCKS, FIXTURES, doc, group, line, page, seg, text_group
+
+GAZ = Gazetteer.default()
+
+# A prospectus page of running text, with page furniture at both ends.
+NARRATIVE = page(
+    text_group("Annual Report 2020", 40, 20, 300, 32, header=True),
+    text_group("Investment Objectives", 40, 60, 260, 74, bold=True, size=12.0),
+    group(
+        line(seg("The Fund seeks long-term capital growth by investing", 40, 80, 400, 90)),
+        line(seg("in equities listed on recognised exchanges.", 40, 92, 360, 102)),
+    ),
+    text_group("Subscriptions of EUR 1,000 are accepted from 15 March 2021.",
+               40, 110, 460, 120),
+    text_group("Page 3", 280, 780, 320, 790, footer=True),
+)
+
+
+def _fig1a():
+    return json.loads((FIXTURES / "fig1a.json").read_text())["pages"][0]
+
+
+def _shifted(obj, d):
+    """A copy of a page dict with every box moved right and down by d."""
+    if isinstance(obj, list):
+        return [_shifted(v, d) for v in obj]
+    if not isinstance(obj, dict):
+        return obj
+    if set(obj) == {"l", "t", "r", "b"}:
+        return {k: v + d for k, v in obj.items()}
+    return {k: _shifted(v, d) for k, v in obj.items()}
+
+
+THREE_PAGES = [NARRATIVE, _fig1a(), _shifted(_fig1a(), 0.5)]
+
+COMMANDS = [
+    ("annotate",),
+    ("features",),
+    ("segment",),
+    ("tree",),
+    ("blocks", "--pages", "all"),
+]
+
+
+def _stdout(capsys, tmp_path, pages, *command):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc(*pages)))
+    assert cli.run([command[0], str(path), *command[1:]]) == 0
+    return capsys.readouterr().out
+
+
+def _by_page(command, out):
+    """Per-page output keyed by page index, with the index itself dropped."""
+    if command == "features":
+        return dict(enumerate(out.splitlines()[1:]))
+    data = json.loads(out)
+    if command == "blocks":
+        pages = {}
+        for b in data["blocks"]:
+            pages.setdefault(b.pop("page"), []).append(b)
+        return pages
+    return {p.pop("page"): p for p in data["pages"]}
+
+
+def _keys(spans):
+    return [(s.group_index, s.start, s.end, s.label, s.fired_rule) for s in spans]
+
+
+def test_page_index_only_stamps_spans(fig1a_page):
+    anns = annotate(fig1a_page, GAZ)
+    first = segment_page(fig1a_page, anns, page_index=0)
+    later = segment_page(fig1a_page, anns, page_index=3)
+    assert _keys(later) == _keys(first)
+    assert {s.page_index for s in later} == {3}
+    assert {RULE_ENTITY_BODY, RULE_ROLE_ADDRESS} <= {s.fired_rule for s in later}
+    vec = extract_features(fig1a_page, anns)
+    assert (vec.f8, vec.f10, vec.f12, vec.f13) == (3, 6, 5, 3)
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_page_output_independent_of_document(command, capsys, tmp_path):
+    whole = _by_page(command[0], _stdout(capsys, tmp_path, THREE_PAGES, *command))
+    assert sorted(whole) == [0, 1, 2]
+    for i, p in enumerate(THREE_PAGES):
+        alone = _by_page(command[0], _stdout(capsys, tmp_path, [p], *command))
+        assert whole[i] == alone[0], f"page {i}"
+
+
+def test_translated_page_gives_reference_blocks(capsys, tmp_path):
+    out = json.loads(_stdout(capsys, tmp_path, [THREE_PAGES[2]], "blocks", "--pages", "all"))
+    assert [(b["headers"], b["body"]) for b in out["blocks"]] == EXPECTED_BLOCKS
+
+
+# SHA-256 of stdout, computed before annotations became page-local.
+PINNED = {
+    ("fig1a", "annotate"):
+        "c2ae03f1a7490b3f15db8edb1f5e03d6d9a22f5a4ae471a769399c5e9f042459",
+    ("fig1a", "features"):
+        "2cf9f8a55ddd023934648ddf7e789d6a58f28bd6ff8193a05779eab5e4792e63",
+    ("fig1a", "segment"):
+        "5f6f36162f408f421ee748f210f1a3586207cbe28fce7954f5f355f9d30e9de7",
+    ("fig1a", "tree"):
+        "d15853194fe2967649cae2cdc382434ca37e26e4dd15a24cc30abc2f3ec2e1eb",
+    ("fig1a", "blocks"):
+        "a9598624d83755e6c3c79965b3d7ad486da8398afd968d95dd02576b85716144",
+    ("three_pages", "annotate"):
+        "18c98858c37fb7e3ddbcf81593cae43d7c782e73dd5d9a7eea559c3ed720d75c",
+    ("three_pages", "features"):
+        "339a39a8d960a157aaf57b68f234056d7e418d1d7f7d2646eccc969a0dcc23cf",
+    ("three_pages", "segment"):
+        "7866e72264422d62ecd690e4ab58a0c56f587b4caf429dcae7199460e18171da",
+    ("three_pages", "tree"):
+        "d4aeb2d742da140f97770c3e3d737bb592630640925dd3fec0889866d0799741",
+    ("three_pages", "blocks"):
+        "c59782d423c2ec0eb88e78acd0dc90870946d17d1386ffb2d0b3dd241c9e5e6a",
+}
+
+
+@pytest.mark.parametrize("pages", ["fig1a", "three_pages"])
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_cli_bytes_pinned(pages, command, capsys, tmp_path):
+    doc_pages = [_fig1a()] if pages == "fig1a" else THREE_PAGES
+    out = _stdout(capsys, tmp_path, doc_pages, *command)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == PINNED[(pages, command[0])]

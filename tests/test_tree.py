@@ -531,7 +531,15 @@ def _build_tree_all_pairs(spans, p):
         if node.parent is None:
             node.parent = ROOT_ID
             nodes[ROOT_ID].children.append(node.node_id)
-    tree_module._demote_childless_headers(nodes)
+    changed = True
+    while changed:  # demote childless headers until nothing moves
+        changed = False
+        for node in nodes.values():
+            if node.label is NodeLabel.HEADER and not node.children and node.parent != ROOT_ID:
+                nodes[node.parent].children.remove(node.node_id)
+                node.parent = ROOT_ID
+                nodes[ROOT_ID].children.append(node.node_id)
+                changed = True
     for node in nodes.values():
         node.children.sort(
             key=lambda cid: order[id(nodes[cid].span)] if nodes[cid].span is not None else 0
