@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
@@ -38,22 +39,28 @@ ADDRESS_INDICATOR_LABELS = frozenset(
     {AnnotationLabel.GPE, AnnotationLabel.POSTCODE, AnnotationLabel.CARDINAL}
 )
 
+# The surface regexes are scanned over every group, so each is written so
+# that ``re`` rejects most positions at their first character: a boundary
+# test on the character before a match is made after the match's first
+# character (``\d(?<!X\d)`` rather than ``(?<!X)\d``), and a boundary
+# shared by every alternative is tested once.
+
 EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")
 
 # A phone is a run of at least 7 digits, allowing +, parentheses, hyphens and
 # spaces between them.  Must start and end on +/digit so punctuation around
 # the number is not swallowed.
-PHONE_RE = re.compile(r"\+?(?:\d[ ()\-]*){6,}\d")
+PHONE_RE = re.compile(r"(?:\+\d|\d)[ ()\-]*(?:\d[ ()\-]*){5,}\d")
 
 _MONTHS = (
     "January|February|March|April|May|June|July|August|September|October|"
     "November|December|Jan|Feb|Mar|Apr|Jun|Jul|Aug|Sep|Sept|Oct|Nov|Dec"
 )
 DATE_RE = re.compile(
-    r"\b\d{1,2}[/.-]\d{1,2}[/.-]\d{2,4}\b"
-    r"|\b\d{4}-\d{2}-\d{2}\b"
-    rf"|\b(?:{_MONTHS})\.?\s+\d{{1,2}}(?:st|nd|rd|th)?,?\s+\d{{4}}\b"
-    rf"|\b\d{{1,2}}(?:st|nd|rd|th)?\s+(?:{_MONTHS})\.?,?\s+\d{{4}}\b"
+    r"\b(?:\d{1,2}[/.-]\d{1,2}[/.-]\d{2,4}\b"
+    r"|\d{4}-\d{2}-\d{2}\b"
+    rf"|(?:{_MONTHS})\.?\s+\d{{1,2}}(?:st|nd|rd|th)?,?\s+\d{{4}}\b"
+    rf"|\d{{1,2}}(?:st|nd|rd|th)?\s+(?:{_MONTHS})\.?,?\s+\d{{4}}\b)"
 )
 
 CURRENCY_RE = re.compile(
@@ -63,10 +70,10 @@ CURRENCY_RE = re.compile(
 
 # Standalone integer tokens.  Digits glued to letters, decimals, slashes or
 # dashes ("4th", "9/11", "L-2449") do not count.
-CARDINAL_RE = re.compile(r"(?<![\w./\-–])\d+(?![\w./\-–])")
+CARDINAL_RE = re.compile(r"\d(?<![\w./\-–]\d)\d*(?![\w./\-–])")
 
 POSTCODE_RE = re.compile(
-    r"\b[A-Z]{1,2}[\-–]\d{3,5}\b|(?<![\w./\-–])\d{5}(?![\w./\-–])"
+    r"[A-Z](?<!\w[A-Z])[A-Z]?[\-–]\d{3,5}\b|\d(?<![\w./\-–]\d)\d{4}(?![\w./\-–])"
 )
 
 
@@ -78,16 +85,126 @@ class Annotation:
     surface: str
 
 
-def _phrase_regex(phrases: tuple[str, ...]) -> "re.Pattern | None":
-    """One alternation over all phrases, longest first so the scanner prefers
-    the longest match at any position.  Word-boundary guarded, case-insensitive,
-    and tolerant of run-together whitespace inside a phrase."""
-    if not phrases:
-        return None
-    parts = []
-    for p in sorted(phrases, key=len, reverse=True):
-        parts.append(r"\s+".join(re.escape(tok) for tok in p.split()))
-    return re.compile(r"(?<!\w)(?:" + "|".join(parts) + r")(?!\w)", re.IGNORECASE)
+_LEADING_WORD_RE = re.compile(r"\w+")
+_TOKEN_RE = re.compile(r"\S+")
+
+
+def _phrase_pattern(phrase: str) -> "re.Pattern":
+    """Word-boundary guarded and case-insensitive, tolerant of run-together
+    whitespace between the phrase's tokens."""
+    body = r"\s+".join(re.escape(tok) for tok in phrase.split())
+    return re.compile(r"(?<!\w)" + body + r"(?!\w)", re.IGNORECASE)
+
+
+def _ascii_key(phrase: str) -> "str | None":
+    """The phrase's leading word (or its first character, when that is a
+    symbol) as the lowercase ASCII text that ``re.IGNORECASE`` equates with
+    it, or None when no ASCII text does: ``ſ`` folds to ``s`` and ``K``
+    (Kelvin) to ``k``, but ``é`` to nothing."""
+    m = _LEADING_WORD_RE.match(phrase)
+    lead = m.group() if m else phrase[0]
+    key = []
+    for ch in lead:
+        if not ch.isascii():
+            ch_re = re.compile(re.escape(ch), re.IGNORECASE)
+            ch = next((a for a in map(chr, range(128)) if ch_re.fullmatch(a)), None)
+            if ch is None:
+                return None
+        key.append(ch.lower())
+    return "".join(key)
+
+
+def _trie_pattern(words: "set[str]") -> str:
+    """A regex for exactly these strings, factored by common prefixes so
+    that the engine gives up on other text after a character or two."""
+    tails: "dict[str, set[str]]" = {}
+    for w in words:
+        tails.setdefault(w[:1], set()).add(w[1:])
+    alts = [re.escape(c) + _trie_pattern(rest) for c, rest in sorted(tails.items()) if c]
+    if not alts:
+        return ""
+    return "(?:" + "|".join(alts) + ")" + ("?" if "" in tails else "")
+
+
+class _PhraseIndex:
+    """Every phrase of a gazetteer, filed under its first word, in the spirit
+    of Aho & Corasick, "Efficient string matching" (CACM 1975).
+
+    ``find`` gives, per phrase list, the spans that one ``finditer`` of the
+    list's longest-first alternation would give.  One regex pass finds the
+    phrase starts whose first word is a key.  Each candidate phrase there is
+    checked by its own regex, in its list's longest-first order, and each
+    list keeps its own next allowed position, so a list's matches never
+    overlap.
+
+    The pass reads a lowercase copy of the text in which each non-ASCII
+    character is a "?".  Positions stay put, and every real phrase start is
+    a start in the copy too; the copy also shows some starts that are not
+    real, which each phrase regex rejects by its own word-boundary check.
+    A whole ASCII word not followed by a "?", or an ASCII symbol, is looked
+    up by its text.  No phrase filed elsewhere can match there, because
+    ``re.IGNORECASE`` equates an ASCII word character only with word
+    characters and an ASCII symbol only with itself.  A word followed by a
+    "?", or a "?" itself, is looked up instead by its first character in a
+    bucket of the phrases whose first character ``re.IGNORECASE`` equates
+    with it, filled on first use.
+    """
+
+    def __init__(self, lists: "dict[str, tuple[str, ...]]"):
+        self.names = tuple(lists)
+        # Per list: (first character, phrase regex), longest phrase first.
+        self._lists: "list[list[tuple[str, re.Pattern]]]" = []
+        # Key -> {list: its phrase regexes under that key, longest first}.
+        self._by_key: "dict[str, dict[int, list[re.Pattern]]]" = {}
+        self._by_char: "dict[str, dict[int, list[re.Pattern]]]" = {}
+        for slot, phrases in enumerate(lists.values()):
+            entries = []
+            for phrase in sorted(phrases, key=len, reverse=True):
+                pattern = _phrase_pattern(phrase)
+                entries.append((phrase[0], pattern))
+                key = _ascii_key(phrase)
+                if key is not None and key != "?":  # every "?" goes to a bucket
+                    self._by_key.setdefault(key, {}).setdefault(slot, []).append(pattern)
+            self._lists.append(entries)
+        words = {k for k in self._by_key if _LEADING_WORD_RE.fullmatch(k)}
+        symbols = "".join(re.escape(k) for k in self._by_key if k not in words)
+        starts = [_trie_pattern(words) + r"(?![\w?])"] if words else []
+        if symbols:
+            starts.append(f"[{symbols}]")
+        starts.append(r"\w*\?")
+        self._start_re = re.compile(r"(?<!\w)(?:" + "|".join(starts) + ")")
+
+    def _char_candidates(self, ch: str) -> "dict[int, list[re.Pattern]]":
+        """The bucket of phrases whose first character may be ch."""
+        found = self._by_char.get(ch)
+        if found is None:
+            found = self._by_char[ch] = {}
+            for slot, entries in enumerate(self._lists):
+                for first, pattern in entries:
+                    if re.fullmatch(re.escape(first), ch, re.IGNORECASE):
+                        found.setdefault(slot, []).append(pattern)
+        return found
+
+    def find(self, text: str) -> "dict[str, list[tuple[int, int]]]":
+        spans: "list[list[tuple[int, int]]]" = [[] for _ in self.names]
+        next_allowed = [0] * len(self.names)
+        scan = text.encode("ascii", "replace").decode("ascii").lower()
+        for m in self._start_re.finditer(scan):
+            pos = m.start()
+            if m[0].endswith("?"):
+                candidates = self._char_candidates(text[pos])
+            else:
+                candidates = self._by_key[m[0]]
+            for slot, patterns in candidates.items():
+                if pos < next_allowed[slot]:
+                    continue
+                for pattern in patterns:
+                    hit = pattern.match(text, pos)
+                    if hit:
+                        spans[slot].append((pos, hit.end()))
+                        next_allowed[slot] = hit.end()
+                        break
+        return dict(zip(self.names, spans))
 
 
 class GazetteerError(ValueError):
@@ -140,9 +257,9 @@ class Gazetteer:
         return cls(**kwargs)
 
     @cached_property
-    def patterns(self) -> "dict[str, re.Pattern | None]":
-        """One phrase regex per list, compiled on first use."""
-        return {f.name: _phrase_regex(getattr(self, f.name)) for f in fields(self)}
+    def phrase_index(self) -> _PhraseIndex:
+        """The index of every phrase list, built on first use."""
+        return _PhraseIndex({f.name: getattr(self, f.name) for f in fields(self)})
 
     @classmethod
     def load(cls, path: str) -> "Gazetteer":
@@ -176,72 +293,93 @@ def _is_linker(token: str) -> bool:
     return token.strip("(),.;:'\"").lower() in _ORG_LINKERS
 
 
-def _suffix_orgs(text: str, suffix_re: "re.Pattern | None") -> list[tuple[int, int]]:
-    """Spans of capitalized runs that terminate in an organization suffix."""
-    if suffix_re is None:
+def _suffix_orgs(text: str, suffix_spans: "list[tuple[int, int]]") -> list[tuple[int, int]]:
+    """Spans of capitalized runs that terminate in an organization suffix.
+
+    The work is linear in the number of tokens.  The walk back from a suffix
+    stops at the token before the previous suffix, whose run start is
+    remembered, so each token is tested once; the search for a run's first
+    name token resumes where it last stopped.
+    """
+    if not suffix_spans:
         return []
-    tokens = [(m.start(), m.end(), m.group()) for m in re.finditer(r"\S+", text)]
+    # Tokens past the last suffix's first character are never read.
+    tokens = [m.span() for m in _TOKEN_RE.finditer(text, 0, suffix_spans[-1][0] + 1)]
+    ends = [end for _, end in tokens]
+    run_start: "dict[int, int]" = {}   # token -> first token of its qualifying run
+    name_start: "dict[int, int]" = {}  # run start -> first non-linker found so far
     spans = []
-    for m in suffix_re.finditer(text):
-        i = 0
-        while i < len(tokens) and tokens[i][1] <= m.start():
-            i += 1
-        if i >= len(tokens) or i == 0:
+    for start, end in suffix_spans:
+        i = bisect_right(ends, start)  # the token holding the suffix's start
+        if i == 0:
             continue
         j = i - 1
-        while j >= 0 and _token_qualifies(tokens[j][2]):
+        while j >= 0 and j not in run_start and _token_qualifies(text[slice(*tokens[j])]):
             j -= 1
-        k = j + 1
-        while k < i and _is_linker(tokens[k][2]):
+        r = 0 if j < 0 else run_start.get(j, j + 1)
+        run_start[i - 1] = r
+        k = name_start.get(r, r)
+        while k < i and _is_linker(text[slice(*tokens[k])]):
             k += 1
+        name_start[r] = k
         if k >= i:
             continue  # no name tokens before the suffix
-        spans.append((tokens[k][0], m.end()))
+        spans.append((tokens[k][0], end))
     return spans
 
 
 def _dedupe_longest(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    chosen: list[tuple[int, int]] = []
+    """Keep the longest of overlapping non-empty spans (the leftmost among
+    equals), in start order."""
+    starts: list[int] = []
+    ends: list[int] = []  # disjoint spans sorted by start are sorted by end too
     for start, end in sorted(spans, key=lambda s: (-(s[1] - s[0]), s[0])):
-        if all(end <= c0 or start >= c1 for c0, c1 in chosen):
-            chosen.append((start, end))
-    return sorted(chosen)
+        i = bisect_left(starts, end)  # spans before i start before this ends
+        if i and ends[i - 1] > start:
+            continue
+        starts.insert(i, start)
+        ends.insert(i, end)
+    return list(zip(starts, ends))
 
 
-def _regex_spans(pattern: "re.Pattern | None", text: str) -> list[tuple[int, int]]:
-    if pattern is None:
-        return []
-    return [(m.start(), m.end()) for m in pattern.finditer(text)]
+_SURFACE_RES = (
+    (AnnotationLabel.POSTCODE, POSTCODE_RE),
+    (AnnotationLabel.CARDINAL, CARDINAL_RE),
+    (AnnotationLabel.CURRENCY, CURRENCY_RE),
+    (AnnotationLabel.DATE, DATE_RE),
+    (AnnotationLabel.PHONE, PHONE_RE),
+)
 
 
-def _annotate_text(text: str, patterns: "dict[str, re.Pattern | None]") -> list[Annotation]:
-    out: list[Annotation] = []
-
-    def emit(label: AnnotationLabel, spans: list[tuple[int, int]]):
-        for start, end in _dedupe_longest(spans):
-            out.append(Annotation(label, start, end, text[start:end]))
-
-    org_spans = _regex_spans(patterns["orgs"], text) + _suffix_orgs(text, patterns["org_suffixes"])
-    emit(AnnotationLabel.ORG, org_spans)
-    emit(AnnotationLabel.PERSON, _regex_spans(patterns["persons"], text))
-    emit(AnnotationLabel.ROLE, _regex_spans(patterns["roles"], text))
-    emit(AnnotationLabel.ADDRESS_TYPE, _regex_spans(patterns["address_types"], text))
-    emit(AnnotationLabel.GPE, _regex_spans(patterns["gpe"], text))
-    emit(AnnotationLabel.FAC, _regex_spans(patterns["fac"], text))
-    emit(AnnotationLabel.POSTCODE, _regex_spans(POSTCODE_RE, text))
-    emit(AnnotationLabel.CARDINAL, _regex_spans(CARDINAL_RE, text))
-    emit(AnnotationLabel.CURRENCY, _regex_spans(CURRENCY_RE, text))
-    emit(AnnotationLabel.DATE, _regex_spans(DATE_RE, text))
-    emit(AnnotationLabel.EMAIL, _regex_spans(EMAIL_RE, text))
-    emit(AnnotationLabel.PHONE, _regex_spans(PHONE_RE, text))
-    out.sort(key=lambda a: (a.start, a.end, a.label.value))
-    return out
+def _annotate_text(text: str, index: _PhraseIndex) -> list[Annotation]:
+    """Each label's spans, sorted by (start, end, label).  Labels may overlap
+    one another, so every label has a scan of its own."""
+    phrases = index.find(text)
+    # A phrase list's spans, like one regex's, are sorted and disjoint; only
+    # ORG, which has two sources, needs the longest of overlapping spans kept.
+    by_label = (
+        (AnnotationLabel.ORG, _dedupe_longest(
+            phrases["orgs"] + _suffix_orgs(text, phrases["org_suffixes"]))),
+        (AnnotationLabel.PERSON, phrases["persons"]),
+        (AnnotationLabel.ROLE, phrases["roles"]),
+        (AnnotationLabel.ADDRESS_TYPE, phrases["address_types"]),
+        (AnnotationLabel.GPE, phrases["gpe"]),
+        (AnnotationLabel.FAC, phrases["fac"]),
+    )
+    found = [(start, end, label) for label, spans in by_label for start, end in spans]
+    for label, regex in _SURFACE_RES:
+        found += [(*m.span(), label) for m in regex.finditer(text)]
+    if "@" in text:
+        found += [(*m.span(), AnnotationLabel.EMAIL) for m in EMAIL_RE.finditer(text)]
+    found.sort()  # a label compares as its value, being a str
+    return [Annotation(label, start, end, text[start:end]) for start, end, label in found]
 
 
 def annotate(page: VisualPage, gaz: Gazetteer) -> "list[list[Annotation]]":
     """Annotate every group of a page (furniture groups included): one list
     per group, in group order."""
-    return [_annotate_text(group_text(g), gaz.patterns) for g in page.groups]
+    index = gaz.phrase_index
+    return [_annotate_text(group_text(g), index) for g in page.groups]
 
 
 def is_address_candidate(annotations: "list[Annotation]") -> bool:

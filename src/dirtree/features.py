@@ -55,6 +55,9 @@ def _label_count(anns, label: AnnotationLabel) -> int:
 def extract_features(page: VisualPage, per_group: "list[list[Annotation]]") -> FeatureVector:
     """``per_group`` holds the page's annotations, one list per group."""
     groups = page.groups
+    if len(per_group) != len(groups):
+        raise ValueError(
+            f"{len(per_group)} annotation lists for a page of {len(groups)} groups")
 
     f1 = sum(_label_count(a, AnnotationLabel.CURRENCY) for a in per_group)
     f2 = sum(_label_count(a, AnnotationLabel.DATE) for a in per_group)

@@ -73,10 +73,6 @@ class LabeledSpan:
     style_summary: StyleInfo
     fired_rule: str
 
-    @property
-    def line_left(self) -> float:
-        return self.bbox.left
-
 
 def size_bin(size: float) -> float:
     """Font size rounded to the nearest 0.5pt."""
@@ -178,6 +174,9 @@ def segment_page(
     larger size, different family) makes a Header; (6) whatever is left is
     Body.
     """
+    if len(anns) != len(page.groups):
+        raise ValueError(
+            f"{len(anns)} annotation lists for a page of {len(page.groups)} groups")
     stats = page_style_stats(page)
     spans: list[LabeledSpan] = []
     for gi, group in enumerate(page.groups):

@@ -77,9 +77,6 @@ class ReadingTree:
     def root(self) -> TreeNode:
         return self.nodes[ROOT_ID]
 
-    def children_of(self, node_id: int) -> "list[TreeNode]":
-        return [self.nodes[c] for c in self.nodes[node_id].children]
-
 
 @dataclass(frozen=True)
 class DirectoryBlock:

@@ -10,12 +10,18 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from dirtree.forest import Dataset, ForestHyperparams, save_model, train
 from dirtree.segment import LabeledSpan, SpanLabel
 from dirtree.visual import BBox, StyleInfo, parse_document
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# Property tests run on shared machines whose speed varies, so no example
+# has a time limit; each test still sets its own max_examples.
+settings.register_profile("dirtree", deadline=None)
+settings.load_profile("dirtree")
 
 DEFAULT_FAMILY = "Serif"
 

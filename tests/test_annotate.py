@@ -1,9 +1,21 @@
+import random
+import re
+import sys
+from collections import Counter
+from dataclasses import fields
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dirtree.annotate import (
+    Annotation,
     AnnotationLabel,
     Gazetteer,
     GazetteerError,
+    _annotate_text,
+    _dedupe_longest,
+    _is_linker,
+    _token_qualifies,
     annotate,
     is_address_candidate,
 )
@@ -217,3 +229,258 @@ def test_gazetteer_load_and_default(tmp_path):
     assert "Custodian" in default.roles
     assert "Luxembourg" in default.gpe
     assert default.persons == () and default.fac == ()
+
+
+# --- the phrase index against the alternation scan it replaced ---
+#
+# Reference copy of the scan ``_annotate_text`` ran before phrases were found
+# through a first-word index: the surface regexes as first written, one
+# longest-first alternation per phrase list, suffix organisations found by
+# rescanning tokens from the start, and every label's spans deduplicated by
+# testing each against every kept span.
+
+EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")
+PHONE_RE = re.compile(r"\+?(?:\d[ ()\-]*){6,}\d")
+_MONTHS = (
+    "January|February|March|April|May|June|July|August|September|October|"
+    "November|December|Jan|Feb|Mar|Apr|Jun|Jul|Aug|Sep|Sept|Oct|Nov|Dec"
+)
+DATE_RE = re.compile(
+    r"\b\d{1,2}[/.-]\d{1,2}[/.-]\d{2,4}\b"
+    r"|\b\d{4}-\d{2}-\d{2}\b"
+    rf"|\b(?:{_MONTHS})\.?\s+\d{{1,2}}(?:st|nd|rd|th)?,?\s+\d{{4}}\b"
+    rf"|\b\d{{1,2}}(?:st|nd|rd|th)?\s+(?:{_MONTHS})\.?,?\s+\d{{4}}\b"
+)
+CURRENCY_RE = re.compile(
+    r"(?:[$€£¥]|\b(?:USD|EUR|GBP|CHF|JPY|HKD|SGD|AUD|CAD)\b)"
+    r"\s?\d[\d,]*(?:\.\d+)?"
+)
+CARDINAL_RE = re.compile(r"(?<![\w./\-–])\d+(?![\w./\-–])")
+POSTCODE_RE = re.compile(
+    r"\b[A-Z]{1,2}[\-–]\d{3,5}\b|(?<![\w./\-–])\d{5}(?![\w./\-–])"
+)
+
+
+def _phrase_regex_reference(phrases):
+    if not phrases:
+        return None
+    parts = []
+    for p in sorted(phrases, key=len, reverse=True):
+        parts.append(r"\s+".join(re.escape(tok) for tok in p.split()))
+    return re.compile(r"(?<!\w)(?:" + "|".join(parts) + r")(?!\w)", re.IGNORECASE)
+
+
+def _suffix_orgs_reference(text, suffix_re):
+    if suffix_re is None:
+        return []
+    tokens = [(m.start(), m.end(), m.group()) for m in re.finditer(r"\S+", text)]
+    spans = []
+    for m in suffix_re.finditer(text):
+        i = 0
+        while i < len(tokens) and tokens[i][1] <= m.start():
+            i += 1
+        if i >= len(tokens) or i == 0:
+            continue
+        j = i - 1
+        while j >= 0 and _token_qualifies(tokens[j][2]):
+            j -= 1
+        k = j + 1
+        while k < i and _is_linker(tokens[k][2]):
+            k += 1
+        if k >= i:
+            continue
+        spans.append((tokens[k][0], m.end()))
+    return spans
+
+
+def _dedupe_longest_reference(spans):
+    chosen = []
+    for start, end in sorted(spans, key=lambda s: (-(s[1] - s[0]), s[0])):
+        if all(end <= c0 or start >= c1 for c0, c1 in chosen):
+            chosen.append((start, end))
+    return sorted(chosen)
+
+
+def _regex_spans_reference(pattern, text):
+    if pattern is None:
+        return []
+    return [(m.start(), m.end()) for m in pattern.finditer(text)]
+
+
+def _annotate_text_reference(text, gaz):
+    patterns = {f.name: _phrase_regex_reference(getattr(gaz, f.name)) for f in fields(gaz)}
+    out = []
+
+    def emit(label, spans):
+        for start, end in _dedupe_longest_reference(spans):
+            out.append(Annotation(label, start, end, text[start:end]))
+
+    org_spans = (_regex_spans_reference(patterns["orgs"], text)
+                 + _suffix_orgs_reference(text, patterns["org_suffixes"]))
+    emit(AnnotationLabel.ORG, org_spans)
+    emit(AnnotationLabel.PERSON, _regex_spans_reference(patterns["persons"], text))
+    emit(AnnotationLabel.ROLE, _regex_spans_reference(patterns["roles"], text))
+    emit(AnnotationLabel.ADDRESS_TYPE, _regex_spans_reference(patterns["address_types"], text))
+    emit(AnnotationLabel.GPE, _regex_spans_reference(patterns["gpe"], text))
+    emit(AnnotationLabel.FAC, _regex_spans_reference(patterns["fac"], text))
+    emit(AnnotationLabel.POSTCODE, _regex_spans_reference(POSTCODE_RE, text))
+    emit(AnnotationLabel.CARDINAL, _regex_spans_reference(CARDINAL_RE, text))
+    emit(AnnotationLabel.CURRENCY, _regex_spans_reference(CURRENCY_RE, text))
+    emit(AnnotationLabel.DATE, _regex_spans_reference(DATE_RE, text))
+    emit(AnnotationLabel.EMAIL, _regex_spans_reference(EMAIL_RE, text))
+    emit(AnnotationLabel.PHONE, _regex_spans_reference(PHONE_RE, text))
+    out.sort(key=lambda a: (a.start, a.end, a.label.value))
+    return out
+
+
+# Characters that re.IGNORECASE equates although str.lower or str.casefold
+# tells them apart (or the reverse: it never equates ß with "ss"), and one
+# that is not a word character but is equated with one (U+0345 with ι).
+_FOLDS = ("sSſ", "kKK", "iIıİ", "µΜμ", "ßẞ", "ιΙͅ")
+
+# Phrase words share first words ("Alpha", "Sub", "Co"), lead with
+# punctuation ("(Lux)", "&", "-Fund"), and hold the characters above.
+_PHRASE_WORDS = [
+    "Alpha", "Beta", "Limited", "S.A.", "SA", "Co.", "(Lux)", "&", "-Fund",
+    "of", "de", "the", "Sub", "Sub-Fund", "Kasse", "Sigma", "Iris", "µ-Cap",
+    "Straße", "Strasse", "Zürich", "Coöp", "ſ", "ı", "ιota", "Luxembourg",
+    "Custodian",
+]
+_TEXT_WORDS = _PHRASE_WORDS + [
+    "by", "12", "2021", "4th", "12.5", "1,000", "12345", "75440", "L-2449",
+    "L–1115", "CH-8023", "EUR 5", "USD 12.50", "$5", "€1,000", "info@fund.lu",
+    "+352 26 12 34 56", "+ 1234567", "+123456", "L1234567", "(12) 345-678",
+    "1 January 2021", "Jan. 1st, 2021", "12/31/2021", "2021-12-31", "9/11",
+    "–", ",", ".", "(", ")", "?",
+]
+_GAPS = [" ", "  ", "\t", "\n", "\xa0"]
+# "" runs words together; the rest are whitespace, punctuation and a
+# non-ASCII dash.
+_SEPARATORS = ["", " ", " ", "  ", "\t", "\n", "\xa0", ", ", "–", "(", "."]
+_CHARACTERS = "".join(_FOLDS) + "Alpha Beta Limited S.A.(&)-–,?+/\xa0 1234567"
+
+
+def _variants(c):
+    for group in _FOLDS:
+        if c in group:
+            return group
+    return c + c.swapcase() if len(c.swapcase()) == 1 else c
+
+
+def _respell(text, choice):
+    """``text`` with each character one of those re.IGNORECASE equates with
+    it and each space one of several whitespace runs, chosen by ``choice``
+    (0 keeps the text as it is)."""
+    if not choice:
+        return text
+    rng = random.Random(choice)
+    return "".join(rng.choice(_GAPS) if c == " " else rng.choice(_variants(c)) for c in text)
+
+
+def _respelled(texts):
+    return st.tuples(st.sampled_from(texts), st.integers(0, 2**32)).map(lambda t: _respell(*t))
+
+
+@st.composite
+def _gazetteer_and_text(draw):
+    """A gazetteer of random phrases, and a text either of random characters
+    or of words, respelled phrases of the gazetteer, and separators."""
+    lists = {
+        f.name: [" ".join(draw(st.lists(st.sampled_from(_PHRASE_WORDS), min_size=1, max_size=3)))
+                 for _ in range(draw(st.integers(0, 3)))]
+        for f in fields(Gazetteer)
+    }
+    gaz = Gazetteer(**{name: tuple(_respell(p, draw(st.integers(0, 2**32))) for p in phrases)
+                       for name, phrases in lists.items()})
+    if draw(st.integers(0, 4)) == 0:
+        return gaz, draw(st.text(alphabet=_CHARACTERS, max_size=60))
+    pieces = _respelled(_TEXT_WORDS)
+    phrases = sorted({p for phrases in lists.values() for p in phrases})
+    if phrases:
+        pieces = st.one_of(pieces, _respelled(phrases))
+    return gaz, draw(_prose(pieces))
+
+
+def _prose(pieces):
+    return st.lists(st.tuples(pieces, st.sampled_from(_SEPARATORS)), max_size=25).map(
+        lambda items: "".join(word + sep for word, sep in items))
+
+
+@settings(max_examples=300)
+@given(case=_gazetteer_and_text())
+@example(case=(Gazetteer(roles=("Adminiſtrator",), gpe=("Zürich", "Zurich")),
+               "ADMINISTRATOR in ZÜRICH, Zurich and Zürich–Zurich"))
+@example(case=(Gazetteer(orgs=("Alpha Beta",), org_suffixes=("Limited", "Beta Limited")),
+               "Alpha Beta Limited Alpha Beta LimitedAlpha Beta  Limited"))
+@example(case=(Gazetteer(gpe=("ı", "İ", "i"), roles=("(Lux)", "(Lux) Fund")),
+               "I i ı İ (Lux)(LUX) Fund (lux)\tfund"))
+@example(case=(Gazetteer(fac=("ιota",), gpe=("Co", "Coöp")), "ͅota ͅOTA xͅota ΙOTA COÖP"))
+@example(case=(Gazetteer(gpe=("Rich", "Sigma")), "Zürich ΣSigma ſigma"))
+def test_annotate_text_matches_alternation_scan(case):
+    gaz, text = case
+    assert _annotate_text(text, gaz.phrase_index) == _annotate_text_reference(text, gaz)
+
+
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 8)).map(lambda s: (s[0], s[0] + s[1]))))
+def test_dedupe_longest_matches_all_pairs(spans):
+    assert _dedupe_longest(spans) == _dedupe_longest_reference(spans)
+
+
+@settings(max_examples=300)
+@given(text=st.one_of(_prose(_respelled(_TEXT_WORDS)), st.text(alphabet=_CHARACTERS)))
+def test_surface_labels_match_alternation_scan(text):
+    gaz = Gazetteer(roles=("Custodian",), org_suffixes=("Limited", "S.A."))
+    assert _annotate_text(text, gaz.phrase_index) == _annotate_text_reference(text, gaz)
+
+
+def test_ascii_case_classes():
+    """The phrase index files an ASCII word only under ASCII keys.  That holds
+    because re.IGNORECASE equates an ASCII word character only with word
+    characters, and an ASCII non-word character only with itself."""
+    everything = "".join(chr(c) for c in range(0x110000) if not 0xD800 <= c < 0xE000)
+    word = re.compile(r"\w")
+    for a in map(chr, range(128)):
+        equal = set(re.compile("[" + re.escape(a) + "]", re.IGNORECASE).findall(everything))
+        if word.fullmatch(a):
+            assert all(word.fullmatch(c) for c in equal), repr(a)
+        else:
+            assert equal == {a}, repr(a)
+
+
+# --- work grows linearly with group length ---
+
+def _calls_annotating(text):
+    """Python and builtin calls, by name, made while annotating a one-group
+    page, with "all" their total."""
+    annotate(parse_page(text_group("warm up", 0, 0, 590, 10)), GAZ)
+    page = parse_page(text_group(text, 0, 0, 590, 10))
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts[frame.f_code.co_name] += 1
+        elif event == "c_call":
+            counts[arg.__name__] += 1
+
+    sys.setprofile(profile)
+    try:
+        annotate(page, GAZ)
+    finally:
+        sys.setprofile(None)
+    counts["all"] = sum(counts.values())
+    return counts
+
+
+# One group of numbers made the ORG/label dedupe quadratic (each span was
+# tested against every kept one); repeated suffixed names made the walk back
+# from each suffix rescan every earlier token.
+@pytest.mark.parametrize("group,n", [
+    (lambda n: " ".join(map(str, range(1, n + 1))), 1000),
+    (lambda n: "Alpha Beta Limited " * n, 300),
+], ids=["numbers", "suffixed_names"])
+def test_annotation_calls_linear_in_group_length(group, n):
+    small, large = _calls_annotating(group(n)), _calls_annotating(group(2 * n))
+    # _token_qualifies: the suffix walk; bisect_left: dedupe overlap probes;
+    # match: per-phrase checks.
+    for name in ("all", "_token_qualifies", "bisect_left", "match"):
+        assert large[name] <= 2.1 * small[name] + 20, (name, small[name], large[name])

@@ -14,6 +14,7 @@ from dirtree import cli
 from dirtree.annotate import Gazetteer, annotate
 from dirtree.features import extract_features
 from dirtree.segment import RULE_ENTITY_BODY, RULE_ROLE_ADDRESS, segment_page
+from dirtree.visual import parse_document
 
 from conftest import EXPECTED_BLOCKS, FIXTURES, doc, group, line, page, seg, text_group
 
@@ -49,6 +50,52 @@ def _shifted(obj, d):
 
 
 THREE_PAGES = [NARRATIVE, _fig1a(), _shifted(_fig1a(), 0.5)]
+
+
+def _paragraph(top, *lines):
+    return group(*(line(seg(text, 40, top + 12 * i, 560, top + 12 * i + 10))
+                   for i, text in enumerate(lines)))
+
+
+# Several paragraphs of prospectus prose: dates, amounts, organisations,
+# roles and places, with non-ASCII groups whose case folding differs from
+# ASCII (ſ folds to s, İ and ı to i).
+LONG_NARRATIVE = page(
+    text_group("Prospectus dated 1 June 2021", 40, 20, 300, 32, header=True),
+    _paragraph(
+        60,
+        "The Management Company, Oddo Asset Management SA of 12, boulevard de",
+        "la Madeleine, 75440 Paris, has appointed Deutsche Bank (Suisse) S.A. as",
+        "Custodian and Paying Agent, and KPMG Luxembourg Société Coopérative as",
+        "Auditor of the Fund with effect from January 1, 2021.",
+    ),
+    _paragraph(
+        120,
+        "Subscriptions of EUR 1,000 or USD 2,500 are accepted on 15/03/2021, and",
+        "a fee of €50 or $1.5 per unit is paid to the Transfer Agent, Banque de",
+        "Commerce S.A., at 14, boulevard Royal L-2449 LUXEMBOURG, Grand  Duchy of",
+        "Luxembourg (Tel: +352 26 12 34 56, info@fund.lu) by 2021-12-31.",
+    ),
+    _paragraph(
+        180,
+        "The Board of Directors of Acme Capital Holdings Limited and Alpha Beta",
+        "Limited, and the Investment Manager and Sub-Investment Manager, meet in",
+        "London, New York, Hong Kong and the Cayman Islands; the Registrar and",
+        "the Company Secretary keep the Registered Office in George Town.",
+    ),
+    _paragraph(
+        240,
+        "Zürich, Genève and ZÜRICH host the Swiss Representative of Banque Privée",
+        "Société Anonyme and of BANQUE DE LUXEMBOURG Société anonyme (public",
+        "limited company), at Bahnhofquai 9/11, CH-8023 Zurich, Switzerland.",
+    ),
+    _paragraph(
+        290,
+        "The Adminiſtrator of the Fund, İnvestment Manager and İSTANBUL Limıted",
+        "report to the ſponsor in Luxemburg and Dublın on 4th Floor, room 39.",
+    ),
+    text_group("Page 7 of 120", 280, 780, 340, 790, footer=True),
+)
 
 COMMANDS = [
     ("annotate",),
@@ -94,6 +141,22 @@ def test_page_index_only_stamps_spans(fig1a_page):
     assert (vec.f8, vec.f10, vec.f12, vec.f13) == (3, 6, 5, 3)
 
 
+def _two_pages():
+    return parse_document(doc(NARRATIVE, _fig1a()))
+
+
+def test_extract_features_rejects_other_pages_annotations():
+    narrative, fig1a = _two_pages()
+    with pytest.raises(ValueError, match="5 annotation lists for a page of 15 groups"):
+        extract_features(fig1a, annotate(narrative, GAZ))
+
+
+def test_segment_page_rejects_other_pages_annotations():
+    narrative, fig1a = _two_pages()
+    with pytest.raises(ValueError, match="15 annotation lists for a page of 5 groups"):
+        segment_page(narrative, annotate(fig1a, GAZ))
+
+
 @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
 def test_page_output_independent_of_document(command, capsys, tmp_path):
     whole = _by_page(command[0], _stdout(capsys, tmp_path, THREE_PAGES, *command))
@@ -130,13 +193,29 @@ PINNED = {
         "d4aeb2d742da140f97770c3e3d737bb592630640925dd3fec0889866d0799741",
     ("three_pages", "blocks"):
         "c59782d423c2ec0eb88e78acd0dc90870946d17d1386ffb2d0b3dd241c9e5e6a",
+    # Computed before phrase matching moved to a first-word index.
+    ("long_narrative", "annotate"):
+        "ee645da642175e1a3a69db29f1862852dfb222c89a5ea748c4ad1b17eca96bc4",
+    ("long_narrative", "features"):
+        "0309e5022381e9828a248cb6185601ad7ad4d130714bd307da7a1d6f64fbfe3f",
+    ("long_narrative", "segment"):
+        "4744de51c751406ab6bdca0398bb6c00f43489b46712346a6afd32f3c368bb19",
+    ("long_narrative", "tree"):
+        "198860a03e8ccc070c7eadd45fc701cb5fcb9d62db41f97b7796234d0f492db2",
+    ("long_narrative", "blocks"):
+        "23258ff162d82b113d428897aca7a52c438dcf32d681ea7b0f086a6e62a6cf4f",
+}
+
+PINNED_PAGES = {
+    "fig1a": [_fig1a()],
+    "three_pages": THREE_PAGES,
+    "long_narrative": [LONG_NARRATIVE],
 }
 
 
-@pytest.mark.parametrize("pages", ["fig1a", "three_pages"])
+@pytest.mark.parametrize("pages", list(PINNED_PAGES))
 @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
 def test_cli_bytes_pinned(pages, command, capsys, tmp_path):
-    doc_pages = [_fig1a()] if pages == "fig1a" else THREE_PAGES
-    out = _stdout(capsys, tmp_path, doc_pages, *command)
+    out = _stdout(capsys, tmp_path, PINNED_PAGES[pages], *command)
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == PINNED[(pages, command[0])]

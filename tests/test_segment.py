@@ -258,11 +258,6 @@ def test_segment_page_raises_eagerly_on_empty_page():
         segment_page(vp, annotate(vp, GAZ))
 
 
-def test_line_left_property():
-    spans = segment_one(text_group("plain words", 37, 0, 140, 10))
-    assert spans[0].line_left == 37
-
-
 def test_spans_to_json_shape():
     spans = segment_one(text_group("Fund Overview:", 0, 0, 140, 10))
     out = spans_to_json(3, spans)

@@ -202,7 +202,7 @@ def _span_boxes(draw):
     return boxes
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     spans=_span_boxes(),
     frac=st.one_of(st.sampled_from([0.5, 1.0]), st.floats(1e-300, 1.0)),
@@ -568,7 +568,7 @@ def _tree_spans(draw):
     return spans
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     spans=_tree_spans(),
     p=st.builds(

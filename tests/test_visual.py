@@ -246,7 +246,7 @@ def test_round_trip_is_stable_json(fig1a_path):
     assert first == second
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_round_trip_random_pages(seed):
     rng = random.Random(seed)
