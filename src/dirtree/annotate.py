@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from importlib import resources
+from typing import NamedTuple
 
 from .visual import VisualPage, group_text
 
@@ -56,16 +57,37 @@ _MONTHS = (
     "January|February|March|April|May|June|July|August|September|October|"
     "November|December|Jan|Feb|Mar|Apr|Jun|Jul|Aug|Sep|Sept|Oct|Nov|Dec"
 )
+
+
+def _words_after_boundary(words: str, after: str) -> str:
+    r"""The regex ``\b(?:words)after``, written as one alternative per first
+    letter that begins with its letter: ``_words_after_boundary("Ab|Cd|Ce",
+    "X")`` gives ``A(?<!\wA)(?:b)X|C(?<!\wC)(?:d|e)X``.  Each word begins
+    with a word character, so the lookbehind is the boundary.  Words of two
+    groups never match at one position, so only the order within a group
+    can matter, and it is kept."""
+    tails: "dict[str, list[str]]" = {}
+    for word in words.split("|"):
+        tails.setdefault(word[0], []).append(re.escape(word[1:]))
+    return "|".join(
+        rf"{re.escape(c)}(?<!\w{re.escape(c)})(?:{'|'.join(rest)}){after}"
+        for c, rest in tails.items()
+    )
+
+
+# The three digit-led forms, in their order, share the leading digit; a
+# month name begins the fourth.
 DATE_RE = re.compile(
-    r"\b(?:\d{1,2}[/.-]\d{1,2}[/.-]\d{2,4}\b"
-    r"|\d{4}-\d{2}-\d{2}\b"
-    rf"|(?:{_MONTHS})\.?\s+\d{{1,2}}(?:st|nd|rd|th)?,?\s+\d{{4}}\b"
-    rf"|\d{{1,2}}(?:st|nd|rd|th)?\s+(?:{_MONTHS})\.?,?\s+\d{{4}}\b)"
+    r"\d(?<!\w\d)(?:\d?[/.-]\d{1,2}[/.-]\d{2,4}\b"
+    r"|\d{3}-\d{2}-\d{2}\b"
+    rf"|\d?(?:st|nd|rd|th)?\s+(?:{_MONTHS})\.?,?\s+\d{{4}}\b)|"
+    + _words_after_boundary(_MONTHS, r"\.?\s+\d{1,2}(?:st|nd|rd|th)?,?\s+\d{4}\b")
 )
 
 CURRENCY_RE = re.compile(
-    r"(?:[$€£¥]|\b(?:USD|EUR|GBP|CHF|JPY|HKD|SGD|AUD|CAD)\b)"
-    r"\s?\d[\d,]*(?:\.\d+)?"
+    r"(?:[$€£¥]|"
+    + _words_after_boundary("USD|EUR|GBP|CHF|JPY|HKD|SGD|AUD|CAD", r"\b")
+    + r")\s?\d[\d,]*(?:\.\d+)?"
 )
 
 # Standalone integer tokens.  Digits glued to letters, decimals, slashes or
@@ -77,8 +99,7 @@ POSTCODE_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(NamedTuple):
     label: AnnotationLabel
     start: int
     end: int

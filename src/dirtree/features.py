@@ -11,7 +11,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .annotate import Annotation, AnnotationLabel, is_address_candidate
+from .annotate import ADDRESS_INDICATOR_LABELS, Annotation, AnnotationLabel
 from .visual import VisualPage, group_text
 
 FEATURE_NAMES = (
@@ -48,10 +48,6 @@ class FeatureVector:
         return cls(**{name: float(v) for name, v in zip(FEATURE_NAMES, values)})
 
 
-def _label_count(anns, label: AnnotationLabel) -> int:
-    return sum(1 for a in anns if a.label is label)
-
-
 def extract_features(page: VisualPage, per_group: "list[list[Annotation]]") -> FeatureVector:
     """``per_group`` holds the page's annotations, one list per group."""
     groups = page.groups
@@ -59,11 +55,25 @@ def extract_features(page: VisualPage, per_group: "list[list[Annotation]]") -> F
         raise ValueError(
             f"{len(per_group)} annotation lists for a page of {len(groups)} groups")
 
-    f1 = sum(_label_count(a, AnnotationLabel.CURRENCY) for a in per_group)
-    f2 = sum(_label_count(a, AnnotationLabel.DATE) for a in per_group)
-    f3 = sum(_label_count(a, AnnotationLabel.EMAIL) for a in per_group)
-    f4 = sum(_label_count(a, AnnotationLabel.PHONE) for a in per_group)
-    f5 = sum(_label_count(a, AnnotationLabel.FAC) for a in per_group)
+    # One pass over each group's annotations counts its labels.
+    org, role = AnnotationLabel.ORG, AnnotationLabel.ROLE
+    totals: "dict[AnnotationLabel, int]" = {}
+    f10 = f12 = f13 = 0
+    for anns in per_group:
+        counts: "dict[AnnotationLabel, int]" = {}
+        for a in anns:
+            counts[a.label] = counts.get(a.label, 0) + 1
+        for label, n in counts.items():
+            totals[label] = totals.get(label, 0) + n
+        f10 += len(ADDRESS_INDICATOR_LABELS.intersection(counts)) >= 2  # as is_address_candidate
+        f12 += 1 <= counts.get(org, 0) <= 3
+        f13 += 1 <= counts.get(role, 0) <= 4
+
+    f1 = totals.get(AnnotationLabel.CURRENCY, 0)
+    f2 = totals.get(AnnotationLabel.DATE, 0)
+    f3 = totals.get(AnnotationLabel.EMAIL, 0)
+    f4 = totals.get(AnnotationLabel.PHONE, 0)
+    f5 = totals.get(AnnotationLabel.FAC, 0)
     f6 = len(groups)
 
     # Table regions may overlap each other or hang off the page; only the
@@ -75,14 +85,11 @@ def extract_features(page: VisualPage, per_group: "list[list[Annotation]]") -> F
         table_area += w * h
     f7 = min(1.0, table_area / (page.width * page.height))
 
-    f8 = sum(_label_count(a, AnnotationLabel.ROLE) for a in per_group)
+    f8 = totals.get(role, 0)
     f9 = sum(
         len(group_text(g).split()) for g in groups if not g.is_furniture
     )
-    f10 = sum(1 for a in per_group if is_address_candidate(a))
     f11 = sum(1 for g in groups if g.border_sides == 4)
-    f12 = sum(1 for a in per_group if 1 <= _label_count(a, AnnotationLabel.ORG) <= 3)
-    f13 = sum(1 for a in per_group if 1 <= _label_count(a, AnnotationLabel.ROLE) <= 4)
     f14 = f12 / f6 if f6 else 0.0
     f15 = f13 / f6 if f6 else 0.0
 

@@ -8,8 +8,10 @@ for any box with positive height.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import inf, isfinite
+from operator import attrgetter
+from typing import NamedTuple
 
 
 class SchemaError(ValueError):
@@ -24,8 +26,7 @@ class GeometryError(ValueError):
     """A structural invariant of the page geometry is violated."""
 
 
-@dataclass(frozen=True)
-class BBox:
+class BBox(NamedTuple):
     left: float
     top: float
     right: float
@@ -77,8 +78,7 @@ def v_gap(a: BBox, b: BBox) -> float:
     return b.top - a.bottom
 
 
-@dataclass(frozen=True)
-class StyleInfo:
+class StyleInfo(NamedTuple):
     font_family: str
     font_size: float
     bold: bool
@@ -95,21 +95,18 @@ class StyleInfo:
         }
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     text: str
     bbox: BBox
     style: StyleInfo
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     segments: tuple[Segment, ...]  # left to right, as parsing sorts them
     bbox: BBox
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(NamedTuple):
     lines: tuple[Line, ...]  # top to bottom, as parsing sorts them
     bbox: BBox
     is_page_header: bool = False
@@ -133,148 +130,190 @@ class VisualPage:
 # their children; absorbs round-tripping noise in serialized floats.
 _BOX_EPS = 1e-6
 
+# Each parse function takes the JSON path of its value as ``where``, a tuple
+# of steps (keys and array indices), and formats it as a string only to
+# raise.  The field readers take an ``obj`` that the caller has checked is an
+# object.
 
-def _require(obj: dict, key: str, path: str):
-    if not isinstance(obj, dict):
-        raise SchemaError(path, f"expected object, got {type(obj).__name__}")
+
+def _path(where: tuple) -> str:
+    return "$" + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in where)
+
+
+def _expected(kind: str, value, where: tuple) -> SchemaError:
+    return SchemaError(_path(where), f"expected {kind}, got {type(value).__name__}")
+
+
+def _missing(key: str, where: tuple) -> SchemaError:
+    return SchemaError(_path(where + (key,)), "missing required field")
+
+
+def _require(obj: dict, key: str, where: tuple):
     if key not in obj:
-        raise SchemaError(f"{path}.{key}", "missing required field")
+        raise _missing(key, where)
     return obj[key]
 
 
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"expected number, got {type(value).__name__}")
-    out = float(value)
-    if not math.isfinite(out):
-        raise GeometryError(f"{path}: coordinates must be finite")
-    return out
+def _number(obj: dict, key: str, where: tuple) -> float:
+    """``obj[key]`` as a finite float."""
+    # _require is inlined, and an exact float skips the type tests: a segment
+    # holds five numbers, usually floats.
+    if key not in obj:
+        raise _missing(key, where)
+    value = obj[key]
+    if value.__class__ is not float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise _expected("number", value, where + (key,))
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = inf
+    if not isfinite(value):
+        raise GeometryError(f"{_path(where + (key,))}: coordinates must be finite")
+    return value
 
 
-def _boolean(value, path: str) -> bool:
+def _boolean(obj: dict, key: str, where: tuple) -> bool:
+    value = _require(obj, key, where)
     if not isinstance(value, bool):
-        raise SchemaError(path, f"expected boolean, got {type(value).__name__}")
+        raise _expected("boolean", value, where + (key,))
     return value
 
 
-def _array(value, path: str) -> list:
+def _array(value, where: tuple) -> list:
     if not isinstance(value, list):
-        raise SchemaError(path, f"expected array, got {type(value).__name__}")
+        raise _expected("array", value, where)
     return value
 
 
-def _parse_bbox(obj, path: str) -> BBox:
-    l = _number(_require(obj, "l", path), f"{path}.l")
-    t = _number(_require(obj, "t", path), f"{path}.t")
-    r = _number(_require(obj, "r", path), f"{path}.r")
-    b = _number(_require(obj, "b", path), f"{path}.b")
-    if min(l, t, r, b) < 0:
-        raise GeometryError(f"{path}: coordinates must be non-negative")
-    if l > r or t > b:
-        raise GeometryError(f"{path}: box edges out of order (l<=r, t<=b required)")
-    return BBox(l, t, r, b)
+def _parse_bbox(obj, where: tuple) -> BBox:
+    if not isinstance(obj, dict):
+        raise _expected("object", obj, where)
+    box = BBox(
+        _number(obj, "l", where),
+        _number(obj, "t", where),
+        _number(obj, "r", where),
+        _number(obj, "b", where),
+    )
+    if min(box) < 0:
+        raise GeometryError(f"{_path(where)}: coordinates must be non-negative")
+    if box.left > box.right or box.top > box.bottom:
+        raise GeometryError(f"{_path(where)}: box edges out of order (l<=r, t<=b required)")
+    return box
 
 
-def _parse_style(obj, path: str) -> StyleInfo:
-    family = _require(obj, "font_family", path)
+def _parse_style(obj, where: tuple) -> StyleInfo:
+    if not isinstance(obj, dict):
+        raise _expected("object", obj, where)
+    family = _require(obj, "font_family", where)
     if not isinstance(family, str):
-        raise SchemaError(f"{path}.font_family", "expected string")
-    size = _number(_require(obj, "font_size", path), f"{path}.font_size")
+        raise SchemaError(_path(where + ("font_family",)), "expected string")
+    size = _number(obj, "font_size", where)
     if size <= 0:
-        raise GeometryError(f"{path}.font_size: must be positive")
-    color = _require(obj, "color", path)
+        raise GeometryError(f"{_path(where + ('font_size',))}: must be positive")
+    color = _require(obj, "color", where)
     if isinstance(color, bool) or not isinstance(color, int):
-        raise SchemaError(f"{path}.color", "expected integer")
+        raise SchemaError(_path(where + ("color",)), "expected integer")
     if not 0 <= color <= 0xFFFFFF:
-        raise GeometryError(f"{path}.color: must fit in 24 bits")
+        raise GeometryError(f"{_path(where + ('color',))}: must fit in 24 bits")
     return StyleInfo(
-        font_family=family,
-        font_size=size,
-        bold=_boolean(_require(obj, "bold", path), f"{path}.bold"),
-        italic=_boolean(_require(obj, "italic", path), f"{path}.italic"),
-        color=color,
+        family, size, _boolean(obj, "bold", where), _boolean(obj, "italic", where), color
     )
 
 
-def _parse_segment(obj, path: str) -> Segment:
-    text = _require(obj, "text", path)
+def _parse_segment(obj, where: tuple) -> Segment:
+    if not isinstance(obj, dict):
+        raise _expected("object", obj, where)
+    text = _require(obj, "text", where)
     if not isinstance(text, str):
-        raise SchemaError(f"{path}.text", "expected string")
+        raise SchemaError(_path(where + ("text",)), "expected string")
     if not text:
-        raise GeometryError(f"{path}.text: must be non-empty")
-    bbox = _parse_bbox(_require(obj, "bbox", path), f"{path}.bbox")
-    style = _parse_style(_require(obj, "style", path), f"{path}.style")
-    return Segment(text=text, bbox=bbox, style=style)
-
-
-def _close(a: BBox, b: BBox) -> bool:
-    return (
-        abs(a.left - b.left) <= _BOX_EPS
-        and abs(a.top - b.top) <= _BOX_EPS
-        and abs(a.right - b.right) <= _BOX_EPS
-        and abs(a.bottom - b.bottom) <= _BOX_EPS
+        raise GeometryError(f"{_path(where + ('text',))}: must be non-empty")
+    return Segment(
+        text,
+        _parse_bbox(_require(obj, "bbox", where), where + ("bbox",)),
+        _parse_style(_require(obj, "style", where), where + ("style",)),
     )
 
 
-def _parse_line(obj, path: str, page_i: int, group_i: int) -> Line:
-    seg_objs = _array(_require(obj, "segments", path), f"{path}.segments")
+def _is_union(box: BBox, parts: "list[BBox]") -> bool:
+    """Whether ``box`` is the union of ``parts``, to within _BOX_EPS."""
+    lefts, tops, rights, bottoms = zip(*parts)
+    return (
+        abs(box.left - min(lefts)) <= _BOX_EPS
+        and abs(box.top - min(tops)) <= _BOX_EPS
+        and abs(box.right - max(rights)) <= _BOX_EPS
+        and abs(box.bottom - max(bottoms)) <= _BOX_EPS
+    )
+
+
+_LEFT = attrgetter("bbox.left")
+_TOP = attrgetter("bbox.top")
+
+
+def _parse_line(obj, where: tuple, page_i: int, group_i: int) -> Line:
+    if not isinstance(obj, dict):
+        raise _expected("object", obj, where)
+    seg_objs = _array(_require(obj, "segments", where), where + ("segments",))
     if not seg_objs:
-        raise SchemaError(f"{path}.segments", "must contain at least one segment")
-    segments = [
-        _parse_segment(s, f"{path}.segments[{i}]") for i, s in enumerate(seg_objs)
-    ]
+        raise SchemaError(_path(where + ("segments",)), "must contain at least one segment")
+    segments = [_parse_segment(s, where + ("segments", i)) for i, s in enumerate(seg_objs)]
     # Ingestion establishes the left-to-right ordering invariant.
-    segments.sort(key=lambda s: s.bbox.left)
-    bbox = _parse_bbox(_require(obj, "bbox", path), f"{path}.bbox")
-    if not _close(bbox, union_all([s.bbox for s in segments])):
+    segments.sort(key=_LEFT)
+    bbox = _parse_bbox(_require(obj, "bbox", where), where + ("bbox",))
+    if not _is_union(bbox, [s.bbox for s in segments]):
         raise GeometryError(
             f"page {page_i}, group {group_i}: line bbox does not equal "
             "the union of its segment bboxes"
         )
-    return Line(segments=tuple(segments), bbox=bbox)
+    return Line(tuple(segments), bbox)
 
 
-def _parse_group(obj, path: str, page_i: int, group_i: int) -> Group:
-    line_objs = _array(_require(obj, "lines", path), f"{path}.lines")
+def _parse_group(obj, where: tuple, page_i: int, group_i: int) -> Group:
+    if not isinstance(obj, dict):
+        raise _expected("object", obj, where)
+    line_objs = _array(_require(obj, "lines", where), where + ("lines",))
     if not line_objs:
-        raise SchemaError(f"{path}.lines", "must contain at least one line")
+        raise SchemaError(_path(where + ("lines",)), "must contain at least one line")
     lines = [
-        _parse_line(l, f"{path}.lines[{i}]", page_i, group_i)
+        _parse_line(l, where + ("lines", i), page_i, group_i)
         for i, l in enumerate(line_objs)
     ]
-    lines.sort(key=lambda l: l.bbox.top)
-    bbox = _parse_bbox(_require(obj, "bbox", path), f"{path}.bbox")
-    if not _close(bbox, union_all([l.bbox for l in lines])):
+    lines.sort(key=_TOP)
+    bbox = _parse_bbox(_require(obj, "bbox", where), where + ("bbox",))
+    if not _is_union(bbox, [l.bbox for l in lines]):
         raise GeometryError(
             f"page {page_i}, group {group_i}: group bbox does not equal "
             "the union of its line bboxes"
         )
     border = obj.get("border_sides", 0)
     if isinstance(border, bool) or not isinstance(border, int):
-        raise SchemaError(f"{path}.border_sides", "expected integer")
+        raise SchemaError(_path(where + ("border_sides",)), "expected integer")
     if not 0 <= border <= 4:
         raise GeometryError(f"page {page_i}, group {group_i}: border_sides must be 0..4")
     return Group(
-        lines=tuple(lines),
-        bbox=bbox,
-        is_page_header=_boolean(_require(obj, "is_page_header", path), f"{path}.is_page_header"),
-        is_page_footer=_boolean(_require(obj, "is_page_footer", path), f"{path}.is_page_footer"),
-        border_sides=border,
+        tuple(lines),
+        bbox,
+        _boolean(obj, "is_page_header", where),
+        _boolean(obj, "is_page_footer", where),
+        border,
     )
 
 
-def _parse_page(obj, path: str, page_i: int) -> VisualPage:
-    width = _number(_require(obj, "width", path), f"{path}.width")
-    height = _number(_require(obj, "height", path), f"{path}.height")
+def _parse_page(obj, where: tuple, page_i: int) -> VisualPage:
+    if not isinstance(obj, dict):
+        raise _expected("object", obj, where)
+    width = _number(obj, "width", where)
+    height = _number(obj, "height", where)
     if width <= 0 or height <= 0:
         raise GeometryError(f"page {page_i}: page dimensions must be positive")
+    region_objs = _array(obj.get("table_regions", []), where + ("table_regions",))
     regions = [
-        _parse_bbox(r, f"{path}.table_regions[{i}]")
-        for i, r in enumerate(_array(obj.get("table_regions", []), f"{path}.table_regions"))
+        _parse_bbox(r, where + ("table_regions", i)) for i, r in enumerate(region_objs)
     ]
     groups = []
-    for i, g in enumerate(_array(_require(obj, "groups", path), f"{path}.groups")):
-        group = _parse_group(g, f"{path}.groups[{i}]", page_i, i)
+    for i, g in enumerate(_array(_require(obj, "groups", where), where + ("groups",))):
+        group = _parse_group(g, where + ("groups", i), page_i, i)
         box = group.bbox
         if (
             box.left < -_BOX_EPS
@@ -304,8 +343,10 @@ def parse_document(data: "bytes | str | dict") -> list[VisualPage]:
             data = json.loads(data)
         except json.JSONDecodeError as exc:
             raise SchemaError("$", f"invalid JSON: {exc}") from exc
-    pages = _array(_require(data, "pages", "$"), "$.pages")
-    return [_parse_page(p, f"$.pages[{i}]", i) for i, p in enumerate(pages)]
+    if not isinstance(data, dict):
+        raise _expected("object", data, ())
+    pages = _array(_require(data, "pages", ()), ("pages",))
+    return [_parse_page(p, ("pages", i), i) for i, p in enumerate(pages)]
 
 
 def document_to_json(pages: "list[VisualPage]") -> dict:
@@ -352,7 +393,7 @@ def _ordered_segments(g: Group) -> list[Segment]:
 def group_text(g: Group) -> str:
     """Text of a group: lines top to bottom, segments left to right,
     joined with single spaces."""
-    return " ".join(s.text for s in _ordered_segments(g))
+    return " ".join([s.text for line in g.lines for s in line.segments])
 
 
 def group_layout(g: Group) -> list[tuple[Segment, int, int]]:

@@ -175,6 +175,16 @@ def test_annotate_covers_furniture_groups():
     assert [(a.label, a.surface) for a in out[1]] == [(AnnotationLabel.CARDINAL, "4")]
 
 
+def test_annotation_is_an_immutable_value():
+    a = Annotation(AnnotationLabel.ORG, 3, 9, "KPMG S.A.")
+    assert (a.label, a.start, a.end, a.surface) == (AnnotationLabel.ORG, 3, 9, "KPMG S.A.")
+    twin = Annotation(label=AnnotationLabel.ORG, start=3, end=9, surface="KPMG S.A.")
+    assert twin == a and hash(twin) == hash(a) == hash((a.label, a.start, a.end, a.surface))
+    for name in ("label", "start", "end", "surface"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+
+
 def test_is_address_candidate():
     assert is_address_candidate(ann("14, boulevard Royal L-2449 LUXEMBOURG"))
     assert is_address_candidate(ann("L – 1115 Luxemburg"))  # cardinal + gpe

@@ -60,6 +60,26 @@ def test_unknown_flag(fig1a_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["width", "group_r"])
+def test_blocks_rejects_integer_beyond_float_range(where, fig1a_path, tmp_path):
+    doc = json.loads(fig1a_path.read_text())
+    page = doc["pages"][0]
+    if where == "width":
+        page["width"] = 10**400
+    else:
+        page["groups"][0]["bbox"]["r"] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dirtree", "blocks", str(path)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error:") and "coordinates must be finite" in line
+
+
 def test_help_via_module():
     proc = subprocess.run(
         [sys.executable, "-m", "dirtree", "--help"],

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -7,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 from dirtree.visual import (
     BBox,
     GeometryError,
+    Group,
+    Line,
     SchemaError,
+    Segment,
+    StyleInfo,
+    VisualPage,
     document_to_json,
     group_layout,
     group_text,
@@ -46,6 +52,42 @@ def test_overlap_and_gap():
     assert v_gap(a, b) == 10
     assert v_gap(b, a) == -30  # negative when b sits above a's bottom
     assert x_overlap(a, BBox(10, 0, 20, 10)) == 0  # touching edges share nothing
+
+
+# --- value types ---
+
+_BOX = BBox(1.0, 2.0, 30.0, 12.0)
+_STYLE = StyleInfo("Serif", 10.0, True, False, 255)
+_SEGMENT = Segment("Fund", _BOX, _STYLE)
+_LINE = Line((_SEGMENT,), _BOX)
+
+# Each parsed type, one value of it, and its fields in order.
+_VALUES = [
+    (_BOX, ("left", "top", "right", "bottom")),
+    (_STYLE, ("font_family", "font_size", "bold", "italic", "color")),
+    (_SEGMENT, ("text", "bbox", "style")),
+    (_LINE, ("segments", "bbox")),
+    (Group((_LINE,), _BOX, False, True, 4),
+     ("lines", "bbox", "is_page_header", "is_page_footer", "border_sides")),
+]
+
+
+@pytest.mark.parametrize("value, names", _VALUES, ids=lambda v: type(v).__name__)
+def test_value_types_hash_as_field_tuples_and_are_immutable(value, names):
+    fields = tuple(getattr(value, name) for name in names)
+    twin = type(value)(*fields)
+    assert twin == value and twin is not value
+    assert hash(twin) == hash(value) == hash(fields)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
+def test_group_defaults_and_furniture():
+    g = Group((_LINE,), _BOX)
+    assert (g.is_page_header, g.is_page_footer, g.border_sides) == (False, False, 0)
+    assert not g.is_furniture
+    assert Group((_LINE,), _BOX, is_page_footer=True).is_furniture
 
 
 # --- schema validation ---
@@ -253,3 +295,327 @@ def test_round_trip_random_pages(seed):
     d = doc(*[random_page_dict(rng) for _ in range(rng.randint(1, 3))])
     pages = parse_document(d)
     assert parse_document(document_to_json(pages)) == pages
+
+
+# --- the parser against the parser as first written ---
+#
+# The reference below is the parser as first written, which formatted every
+# value's JSON path before checking it.  The parser must make the same checks
+# in the same order: on any document it returns the same pages or raises the
+# same error, with the same message and path.  The one change is an integer
+# beyond the float range, on which the reference ends in OverflowError and
+# the parser raises GeometryError.
+
+def _require_reference(obj, key, path):
+    if not isinstance(obj, dict):
+        raise SchemaError(path, f"expected object, got {type(obj).__name__}")
+    if key not in obj:
+        raise SchemaError(f"{path}.{key}", "missing required field")
+    return obj[key]
+
+
+def _number_reference(value, path):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(path, f"expected number, got {type(value).__name__}")
+    out = float(value)
+    if not math.isfinite(out):
+        raise GeometryError(f"{path}: coordinates must be finite")
+    return out
+
+
+def _boolean_reference(value, path):
+    if not isinstance(value, bool):
+        raise SchemaError(path, f"expected boolean, got {type(value).__name__}")
+    return value
+
+
+def _array_reference(value, path):
+    if not isinstance(value, list):
+        raise SchemaError(path, f"expected array, got {type(value).__name__}")
+    return value
+
+
+def _parse_bbox_reference(obj, path):
+    l = _number_reference(_require_reference(obj, "l", path), f"{path}.l")
+    t = _number_reference(_require_reference(obj, "t", path), f"{path}.t")
+    r = _number_reference(_require_reference(obj, "r", path), f"{path}.r")
+    b = _number_reference(_require_reference(obj, "b", path), f"{path}.b")
+    if min(l, t, r, b) < 0:
+        raise GeometryError(f"{path}: coordinates must be non-negative")
+    if l > r or t > b:
+        raise GeometryError(f"{path}: box edges out of order (l<=r, t<=b required)")
+    return BBox(l, t, r, b)
+
+
+def _parse_style_reference(obj, path):
+    family = _require_reference(obj, "font_family", path)
+    if not isinstance(family, str):
+        raise SchemaError(f"{path}.font_family", "expected string")
+    size = _number_reference(_require_reference(obj, "font_size", path), f"{path}.font_size")
+    if size <= 0:
+        raise GeometryError(f"{path}.font_size: must be positive")
+    color = _require_reference(obj, "color", path)
+    if isinstance(color, bool) or not isinstance(color, int):
+        raise SchemaError(f"{path}.color", "expected integer")
+    if not 0 <= color <= 0xFFFFFF:
+        raise GeometryError(f"{path}.color: must fit in 24 bits")
+    return StyleInfo(
+        font_family=family,
+        font_size=size,
+        bold=_boolean_reference(_require_reference(obj, "bold", path), f"{path}.bold"),
+        italic=_boolean_reference(_require_reference(obj, "italic", path), f"{path}.italic"),
+        color=color,
+    )
+
+
+def _parse_segment_reference(obj, path):
+    text = _require_reference(obj, "text", path)
+    if not isinstance(text, str):
+        raise SchemaError(f"{path}.text", "expected string")
+    if not text:
+        raise GeometryError(f"{path}.text: must be non-empty")
+    bbox = _parse_bbox_reference(_require_reference(obj, "bbox", path), f"{path}.bbox")
+    style = _parse_style_reference(_require_reference(obj, "style", path), f"{path}.style")
+    return Segment(text=text, bbox=bbox, style=style)
+
+
+def _close_reference(a, b):
+    return all(abs(x - y) <= 1e-6 for x, y in
+               ((a.left, b.left), (a.top, b.top), (a.right, b.right), (a.bottom, b.bottom)))
+
+
+def _parse_line_reference(obj, path, page_i, group_i):
+    seg_objs = _array_reference(_require_reference(obj, "segments", path), f"{path}.segments")
+    if not seg_objs:
+        raise SchemaError(f"{path}.segments", "must contain at least one segment")
+    segments = [
+        _parse_segment_reference(s, f"{path}.segments[{i}]") for i, s in enumerate(seg_objs)
+    ]
+    segments.sort(key=lambda s: s.bbox.left)
+    bbox = _parse_bbox_reference(_require_reference(obj, "bbox", path), f"{path}.bbox")
+    if not _close_reference(bbox, union_all([s.bbox for s in segments])):
+        raise GeometryError(
+            f"page {page_i}, group {group_i}: line bbox does not equal "
+            "the union of its segment bboxes"
+        )
+    return Line(segments=tuple(segments), bbox=bbox)
+
+
+def _parse_group_reference(obj, path, page_i, group_i):
+    line_objs = _array_reference(_require_reference(obj, "lines", path), f"{path}.lines")
+    if not line_objs:
+        raise SchemaError(f"{path}.lines", "must contain at least one line")
+    lines = [
+        _parse_line_reference(l, f"{path}.lines[{i}]", page_i, group_i)
+        for i, l in enumerate(line_objs)
+    ]
+    lines.sort(key=lambda l: l.bbox.top)
+    bbox = _parse_bbox_reference(_require_reference(obj, "bbox", path), f"{path}.bbox")
+    if not _close_reference(bbox, union_all([l.bbox for l in lines])):
+        raise GeometryError(
+            f"page {page_i}, group {group_i}: group bbox does not equal "
+            "the union of its line bboxes"
+        )
+    border = obj.get("border_sides", 0)
+    if isinstance(border, bool) or not isinstance(border, int):
+        raise SchemaError(f"{path}.border_sides", "expected integer")
+    if not 0 <= border <= 4:
+        raise GeometryError(f"page {page_i}, group {group_i}: border_sides must be 0..4")
+    return Group(
+        lines=tuple(lines),
+        bbox=bbox,
+        is_page_header=_boolean_reference(
+            _require_reference(obj, "is_page_header", path), f"{path}.is_page_header"),
+        is_page_footer=_boolean_reference(
+            _require_reference(obj, "is_page_footer", path), f"{path}.is_page_footer"),
+        border_sides=border,
+    )
+
+
+def _parse_page_reference(obj, path, page_i):
+    width = _number_reference(_require_reference(obj, "width", path), f"{path}.width")
+    height = _number_reference(_require_reference(obj, "height", path), f"{path}.height")
+    if width <= 0 or height <= 0:
+        raise GeometryError(f"page {page_i}: page dimensions must be positive")
+    regions = [
+        _parse_bbox_reference(r, f"{path}.table_regions[{i}]")
+        for i, r in enumerate(
+            _array_reference(obj.get("table_regions", []), f"{path}.table_regions"))
+    ]
+    groups = []
+    for i, g in enumerate(
+            _array_reference(_require_reference(obj, "groups", path), f"{path}.groups")):
+        group = _parse_group_reference(g, f"{path}.groups[{i}]", page_i, i)
+        box = group.bbox
+        if (
+            box.left < -1e-6
+            or box.top < -1e-6
+            or box.right > width + 1e-6
+            or box.bottom > height + 1e-6
+        ):
+            raise GeometryError(f"page {page_i}, group {i}: group bbox extends outside the page")
+        groups.append(group)
+    return VisualPage(
+        width=width, height=height, groups=tuple(groups), table_regions=tuple(regions),
+    )
+
+
+def _parse_document_reference(data):
+    if isinstance(data, (bytes, str)):
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise SchemaError("$", f"invalid JSON: {exc}") from exc
+    pages = _array_reference(_require_reference(data, "pages", "$"), "$.pages")
+    return [_parse_page_reference(p, f"$.pages[{i}]", i) for i, p in enumerate(pages)]
+
+
+def _nodes(value, where=()):
+    """Every value of a JSON document with its steps from the root."""
+    yield where, value
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _nodes(child, where + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from _nodes(child, where + (i,))
+
+
+def _parent(document, where):
+    """The array or object holding the value at ``where``."""
+    for step in where[:-1]:
+        document = document[step]
+    return document
+
+
+# Values swapped in for any value (a bool for an int, a string for a number,
+# an object for an array), and for a number: NaN, infinities, negative
+# numbers, zero, integers beyond the float range and beyond 24 bits.
+_ODD_VALUES = [True, False, None, "7", "", {}, [], 3, 0.5]
+_ODD_NUMBERS = [math.nan, math.inf, -math.inf, -1, -2.5, 0, 0.0, 5, 0x1000000,
+                10**400, -(10**400), True, "7"]
+
+
+@st.composite
+def _faulty_documents(draw):
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    pages = [random_page_dict(rng) for _ in range(rng.randint(1, 2))]
+    for p in pages:
+        if rng.random() < 0.5:
+            p["table_regions"] = [{"l": 10, "t": 10, "r": 200, "b": 300}]
+    document = doc(*pages)
+    # Faults go into one object and what it holds (a page, a group, a line,
+    # a segment, a box), so that several faults often meet in one object and
+    # the order of its checks shows.
+    focus = draw(st.sampled_from([w for w, v in _nodes(document) if isinstance(v, dict)]))
+    for _ in range(draw(st.integers(1, 4))):
+        fault = draw(st.sampled_from(sorted(_FAULTS)))
+        nodes = [(where, value) for where, value in _nodes(document)
+                 if where[:len(focus)] == focus and _FAULTS[fault](where, value)]
+        if not nodes:
+            continue
+        where, value = draw(st.sampled_from(nodes))
+        if fault == "drop":
+            del value[draw(st.sampled_from(sorted(value)))]
+        elif fault == "swap":
+            _parent(document, where)[where[-1]] = draw(st.sampled_from(_ODD_VALUES))
+        elif fault == "number":
+            _parent(document, where)[where[-1]] = draw(st.sampled_from(_ODD_NUMBERS))
+        elif fault == "empty":
+            value.clear()
+        elif fault == "edges":
+            a, b = draw(st.sampled_from([("l", "r"), ("t", "b")]))
+            value[a], value[b] = value[b], value[a]
+        else:
+            edge = draw(st.sampled_from("ltrb"))
+            value[edge] += draw(st.sampled_from([-3, -1e-7, 1e-7, 0.5, 900]))
+    return document
+
+
+def _is_number(value):
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
+def _is_box(value):
+    """An object whose four edges are numbers that a shift keeps finite."""
+    return isinstance(value, dict) and all(
+        _is_number(value.get(k)) and abs(value[k]) < 1e300 for k in "ltrb")
+
+
+# Which values each fault applies to: drop a key of an object, swap any value
+# but the document, swap a number, empty an array, swap a box's edges or move
+# one edge (so that a box is no longer the union of its children).
+_FAULTS = {
+    "drop": lambda where, value: isinstance(value, dict) and bool(value),
+    "swap": lambda where, value: bool(where),
+    "number": lambda where, value: _is_number(value),
+    "empty": lambda where, value: isinstance(value, list) and bool(value),
+    "edges": lambda where, value: _is_box(value),
+    "shift": lambda where, value: _is_box(value),
+}
+
+
+def _outcome(parse, document):
+    try:
+        return document_to_json(parse(document))
+    except (SchemaError, GeometryError, OverflowError) as exc:
+        return type(exc), str(exc), getattr(exc, "path", None)
+
+
+@settings(max_examples=400)
+@given(_faulty_documents())
+def test_parse_matches_reference_parser(document):
+    text = json.dumps(document)
+    new = _outcome(parse_document, json.loads(text))
+    old = _outcome(_parse_document_reference, json.loads(text))
+    if isinstance(old, tuple) and old[0] is OverflowError:
+        # An integer beyond the float range; the reference has no error for it.
+        assert new[0] is GeometryError and new[1].endswith(": coordinates must be finite")
+    else:
+        assert new == old
+    assert _outcome(parse_document, text) == new
+
+
+_DROP = object()
+
+# Two faults each, in checks whose order the random documents seldom put
+# side by side.
+_FAULT_PAIRS = {
+    "border_then_header": [(("groups", 0, "border_sides"), 5),
+                           (("groups", 0, "is_page_header"), _DROP)],
+    "header_then_footer": [(("groups", 0, "is_page_header"), 1),
+                           (("groups", 0, "is_page_footer"), _DROP)],
+    "size_then_color": [(("groups", 0, "lines", 0, "segments", 0, "style", "font_size"), 0),
+                        (("groups", 0, "lines", 0, "segments", 0, "style", "color"), True)],
+    "color_then_bold": [(("groups", 0, "lines", 0, "segments", 0, "style", "color"), -1),
+                        (("groups", 0, "lines", 0, "segments", 0, "style", "bold"), _DROP)],
+    "left_then_top": [(("groups", 0, "bbox", "l"), "x"), (("groups", 0, "bbox", "t"), _DROP)],
+    "edges_then_union": [(("groups", 0, "lines", 0, "bbox", "l"), 50),
+                         (("groups", 0, "bbox", "r"), 11)],
+    "text_then_bbox": [(("groups", 0, "lines", 0, "segments", 0, "text"), ""),
+                       (("groups", 0, "lines", 0, "segments", 0, "bbox"), [])],
+    "lines_then_bbox": [(("groups", 0, "lines"), []), (("groups", 0, "bbox"), _DROP)],
+    "size_then_regions": [(("width",), 0), (("table_regions",), {})],
+    "regions_then_groups": [(("table_regions",), [{"l": 1}]), (("groups",), _DROP)],
+    "union_then_next_group": [(("groups", 0, "bbox", "b"), 900),
+                              (("groups", 1, "lines"), None)],
+    "huge_then_missing": [(("height",), 10**400), (("groups",), _DROP)],
+}
+
+
+@pytest.mark.parametrize("edits", list(_FAULT_PAIRS.values()), ids=list(_FAULT_PAIRS))
+def test_parse_reports_first_fault_like_reference(edits):
+    p = page(text_group("x", 0, 0, 10, 10), text_group("y", 0, 20, 10, 30))
+    p["table_regions"] = []
+    for where, value in edits:
+        if value is _DROP:
+            del _parent(p, where)[where[-1]]
+        else:
+            _parent(p, where)[where[-1]] = value
+    new = _outcome(parse_document, doc(p))
+    old = _outcome(_parse_document_reference, doc(p))
+    assert isinstance(new, tuple)
+    if old[0] is OverflowError:
+        assert new == (GeometryError, "$.pages[0].height: coordinates must be finite", None)
+    else:
+        assert new == old
