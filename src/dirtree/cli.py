@@ -62,6 +62,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _is_number(value) -> bool:
+    """JSON number: ``true`` and ``false`` are ints to Python, not here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     gazetteer: "str | None" = None
@@ -89,11 +94,11 @@ class PipelineConfig:
             raise ValueError("config tree_params must be an object")
         names = {f.name for f in dataclasses.fields(TreeParams)}
         for key, value in tp.items():
-            if key not in names or not isinstance(value, (int, float)):
+            if key not in names or not _is_number(value):
                 raise ValueError(f"config tree_params.{key} is not a numeric tree parameter")
         params = TreeParams(**tp)
         threshold = data.get("threshold", 0.5)
-        if not isinstance(threshold, (int, float)) or not 0 <= threshold <= 1:
+        if not _is_number(threshold) or not 0 <= threshold <= 1:
             raise ValueError("config threshold must be in [0, 1]")
         return cls(
             gazetteer=data.get("gazetteer"),

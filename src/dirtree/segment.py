@@ -1,7 +1,11 @@
 """Label group text as Header, Body or Neither with an ordered rule cascade.
 
 Rules fire per group, earlier rules win, and each emitted span records which
-rule decided it.  Spans always tile the full group text exactly.
+rule decided it.  A group is labelled as at most three runs: the first
+entity's run and the gaps before and after it, each gap labelled whole.
+Whitespace-only runs join a neighbour, adjacent runs with one label merge,
+and a merged span's fired_rule is the earliest cascade rule among its runs.
+Spans always tile the full group text exactly.
 """
 
 from __future__ import annotations
@@ -172,7 +176,11 @@ def segment_page(
     label; (4) a remaining span containing a role or address-type mention is
     a Header; (5) styling that stands out from the page (color, bold/italic,
     larger size, different family) makes a Header; (6) whatever is left is
-    Body.
+    Body.  Rules 3 to 6 label each gap around the entity whole, so a group
+    is at most three runs.  A whitespace-only gap takes the label and rule
+    of the run before it, or at the start of the group of the run after it;
+    an all-whitespace group is Body.  Adjacent runs with one label merge
+    into one span whose fired_rule is the earliest cascade rule among them.
     """
     if len(anns) != len(page.groups):
         raise ValueError(
@@ -188,112 +196,73 @@ def _segment_group(group, anns, stats: PageStyleStats, page_index: int, gi: int)
     text = group_text(group)
     layout = group_layout(group)
     n = len(text)
-    labels: list = [None] * n   # SpanLabel per character
-    rules: list = [None] * n    # fired_rule per character
-
-    def paint(start, end, label, rule):
-        for i in range(start, end):
-            if labels[i] is None:
-                labels[i] = label
-                rules[i] = rule
-
     if group.is_furniture:
-        paint(0, n, SpanLabel.NEITHER, RULE_PAGE_FURNITURE)
+        runs = [[0, n, SpanLabel.NEITHER, RULE_PAGE_FURNITURE]]
     else:
+        # The first entity claims one run and leaves at most a gap on
+        # either side; rules 3 to 6 label each gap whole.
+        runs = [[0, n, None, None]]
         entity = _first_entity(anns)
         if entity is not None:
             if text[entity.end:].strip():
-                paint(entity.start, n, SpanLabel.BODY, RULE_ENTITY_BODY)
+                claim = [entity.start, n, SpanLabel.BODY, RULE_ENTITY_BODY]
             else:
-                paint(entity.start, entity.end, SpanLabel.HEADER, RULE_ENTITY_HEADER)
+                claim = [entity.start, entity.end, SpanLabel.HEADER, RULE_ENTITY_HEADER]
+            runs = [r for r in ([0, claim[0], None, None], claim, [claim[1], n, None, None])
+                    if r[0] < r[1]]
+        for run in runs:
+            if run[2] is None:
+                run[2:] = _gap_rule(group, layout, text, anns, stats, run[0], run[1])
+        # A whitespace-only gap joins the run before it, or at the start of
+        # the group the run after it; an all-whitespace group is body filler.
+        for k, run in enumerate(runs):
+            if run[2] is None:
+                if k:
+                    run[2:] = runs[k - 1][2:]
+                elif len(runs) > 1:
+                    run[2:] = runs[1][2:]
+                else:
+                    run[2:] = SpanLabel.BODY, RULE_DEFAULT_BODY
 
-        for start, end in _unlabeled_runs(labels):
-            chunk = text[start:end].strip()
-            if not chunk:
-                continue
-            if chunk.endswith((":", "-")):
-                trailing = chunk.split()[-1].lower()
-                if trailing not in _CONTACT_TOKENS:
-                    paint(start, end, SpanLabel.HEADER, RULE_COLON_DASH)
-                    continue
-            if _has_role_or_address(anns, start, end):
-                paint(start, end, SpanLabel.HEADER, RULE_ROLE_ADDRESS)
-                continue
-            _, style = _span_geometry(group, layout, start, end)
-            if style.color != stats.predominant_color:
-                paint(start, end, SpanLabel.HEADER, RULE_STYLE_COLOR)
-            elif style.bold or style.italic:
-                paint(start, end, SpanLabel.HEADER, RULE_STYLE_BOLD_ITALIC)
-            elif size_bin(style.font_size) > stats.majority_font_size:
-                paint(start, end, SpanLabel.HEADER, RULE_STYLE_SIZE)
-            elif style.font_family != stats.majority_font_family:
-                paint(start, end, SpanLabel.HEADER, RULE_STYLE_FAMILY)
-            else:
-                paint(start, end, SpanLabel.BODY, RULE_DEFAULT_BODY)
-
-        # Whitespace-only leftovers merge into a neighboring span.
-        for start, end in _unlabeled_runs(labels):
-            if start > 0:
-                paint(start, end, labels[start - 1], rules[start - 1])
-            elif end < n:
-                paint(start, end, labels[end], rules[end])
-        # A group whose text is nothing but whitespace has no neighbor to
-        # merge into; it reads as body filler.
-        for start, end in _unlabeled_runs(labels):
-            paint(start, end, SpanLabel.BODY, RULE_DEFAULT_BODY)
-
-    return _runs_to_spans(group, layout, text, labels, rules, page_index, gi)
-
-
-def _unlabeled_runs(labels):
-    runs = []
-    i = 0
-    n = len(labels)
-    while i < n:
-        if labels[i] is None:
-            j = i
-            while j < n and labels[j] is None:
-                j += 1
-            runs.append((i, j))
-            i = j
+    # Adjacent runs with one label merge, keeping the earliest cascade rule.
+    merged = []
+    for start, end, label, rule in runs:
+        if merged and merged[-1][2] is label:
+            last = merged[-1]
+            last[1] = end
+            last[3] = min(last[3], rule, key=_RULE_ORDER.__getitem__)
         else:
-            i += 1
-    return runs
-
-
-def _runs_to_spans(group, layout, text, labels, rules, page_index, gi):
-    """Merge per-character labels into maximal same-label spans.
-
-    A merged span's fired_rule is the earliest cascade rule that contributed
-    to it.
-    """
+            merged.append([start, end, label, rule])
     spans = []
-    i = 0
-    n = len(text)
-    while i < n:
-        j = i
-        while j < n and labels[j] is labels[i]:
-            j += 1
-        rule = min(
-            (rules[k] for k in range(i, j)),
-            key=lambda r: _RULE_ORDER[r],
-        )
-        bbox, style = _span_geometry(group, layout, i, j)
-        spans.append(
-            LabeledSpan(
-                page_index=page_index,
-                group_index=gi,
-                start=i,
-                end=j,
-                label=labels[i],
-                text=text[i:j],
-                bbox=bbox,
-                style_summary=style,
-                fired_rule=rule,
-            )
-        )
-        i = j
+    for start, end, label, rule in merged:
+        bbox, style = _span_geometry(group, layout, start, end)
+        spans.append(LabeledSpan(
+            page_index=page_index, group_index=gi, start=start, end=end, label=label,
+            text=text[start:end], bbox=bbox, style_summary=style, fired_rule=rule,
+        ))
     return spans
+
+
+def _gap_rule(group, layout, text, anns, stats: PageStyleStats, start: int, end: int):
+    """(label, rule) of rules 3 to 6 for text[start:end], or (None, None)
+    when the gap is whitespace only."""
+    chunk = text[start:end].strip()
+    if not chunk:
+        return None, None
+    if chunk.endswith((":", "-")) and chunk.split()[-1].lower() not in _CONTACT_TOKENS:
+        return SpanLabel.HEADER, RULE_COLON_DASH
+    if _has_role_or_address(anns, start, end):
+        return SpanLabel.HEADER, RULE_ROLE_ADDRESS
+    _, style = _span_geometry(group, layout, start, end)
+    if style.color != stats.predominant_color:
+        return SpanLabel.HEADER, RULE_STYLE_COLOR
+    if style.bold or style.italic:
+        return SpanLabel.HEADER, RULE_STYLE_BOLD_ITALIC
+    if size_bin(style.font_size) > stats.majority_font_size:
+        return SpanLabel.HEADER, RULE_STYLE_SIZE
+    if style.font_family != stats.majority_font_family:
+        return SpanLabel.HEADER, RULE_STYLE_FAMILY
+    return SpanLabel.BODY, RULE_DEFAULT_BODY
 
 
 def spans_to_json(page_index: int, spans: "list[LabeledSpan]") -> dict:

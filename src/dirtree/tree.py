@@ -36,15 +36,16 @@ class TreeParams:
     size_cluster_tol: float = 0.5
 
     def __post_init__(self):
+        # Every check is written so that NaN, which compares False, fails it.
         if not 0 < self.band_overlap_frac <= 1:
             raise TreeParamError("band_overlap_frac must be in (0, 1]")
-        if self.align_tol < 0:
+        if not self.align_tol >= 0:
             raise TreeParamError("align_tol must be >= 0")
-        if self.gap_factor < 0:
+        if not self.gap_factor >= 0:
             raise TreeParamError("gap_factor must be >= 0")
         if not 0 < self.min_x_overlap_frac <= 1:
             raise TreeParamError("min_x_overlap_frac must be in (0, 1]")
-        if self.size_cluster_tol < 0:
+        if not self.size_cluster_tol >= 0:
             raise TreeParamError("size_cluster_tol must be >= 0")
 
 

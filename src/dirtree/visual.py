@@ -339,9 +339,11 @@ def parse_document(data: "bytes | str | dict") -> list[VisualPage]:
     violations (message carries page/group indices).
     """
     if isinstance(data, (bytes, str)):
+        # JSONDecodeError, bytes in no UTF encoding, and integers past the
+        # interpreter's digit limit are all ValueErrors.
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise SchemaError("$", f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise _expected("object", data, ())

@@ -1,0 +1,39 @@
+"""The traced benchmark reads per-layer metrics by span and counter name.
+
+``bench/trace.py`` wraps pipeline functions under fixed names; a renamed or
+unwrapped function would silently read as a zero per-layer metric, so one
+traced ``dirtree blocks`` run must still emit every name.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+STAGE_SPANS = {
+    "visual.parse",
+    "annotate",
+    "segment",
+    "tree.build",
+    "tree.reading_sequence",
+    "tree.cluster",
+    "tree.validate",
+    "tree.blocks",
+}
+COUNTERS = {"tree.same_entry", "tree.can_parent"}
+
+
+def test_traced_blocks_emits_every_stage_name(tmp_path):
+    spans_file = tmp_path / "spans.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "bench/trace.py", "--spans", str(spans_file), "--trace", "1",
+         "--", "blocks", "tests/fixtures/fig1a.json", "--pages", "all"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    head, *spans, tail = [json.loads(l) for l in spans_file.read_text().splitlines()]
+    assert head["exit"] == 0
+    assert STAGE_SPANS <= {s["name"] for s in spans}
+    assert COUNTERS <= set(tail["counts"])

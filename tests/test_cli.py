@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -53,6 +54,24 @@ def test_validate_missing_file(tmp_path, capsys):
 def test_no_command_prints_usage(capsys):
     assert run_cli() == 1
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b'{"pages": [{"width": %s}]}' % (b"9" * 5001), b"\xff\xfe{"],
+    ids=["over_digit_limit", "not_utf"],
+)
+def test_validate_rejects_undecodable_json(raw, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    assert run_cli("validate", str(bad)) == 1
+    assert capsys.readouterr().err.startswith("error: $: invalid JSON")
+
+
+@pytest.mark.parametrize("flag", ["--align-tol", "--gap-factor", "--size-cluster-tol"])
+def test_nan_tree_param_flag_rejected(flag, fig1a_path, capsys):
+    assert run_cli("blocks", str(fig1a_path), "--pages", "all", flag, "nan") == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_unknown_flag(fig1a_path, capsys):
@@ -490,9 +509,12 @@ def test_config_unknown_key(fig1a_path, tmp_path, monkeypatch, capsys):
 
 
 def test_config_bad_threshold(fig1a_path, tmp_path, monkeypatch, capsys):
-    set_config(monkeypatch, tmp_path, {"threshold": 2})
-    assert run_cli("validate", str(fig1a_path)) == 1
-    assert "threshold" in capsys.readouterr().err
+    # true is an int to Python and NaN fails no ordered comparison; neither
+    # is a threshold.
+    for threshold in (2, True, math.nan):
+        set_config(monkeypatch, tmp_path, {"threshold": threshold})
+        assert run_cli("validate", str(fig1a_path)) == 1
+        assert "threshold" in capsys.readouterr().err
 
 
 def test_config_missing_gazetteer(fig1a_path, tmp_path, monkeypatch, capsys):
@@ -533,8 +555,9 @@ def test_config_gazetteer_and_flag_override(fig1a_path, tmp_path, monkeypatch, c
 
 @pytest.mark.parametrize(
     "tree_params, message",
-    [({"bogus": 1}, "bogus"), ({"gap_factor": "x"}, "gap_factor")],
-    ids=["unknown_key", "not_a_number"],
+    [({"bogus": 1}, "bogus"), ({"gap_factor": "x"}, "gap_factor"),
+     ({"align_tol": True}, "align_tol"), ({"size_cluster_tol": math.nan}, "size_cluster_tol")],
+    ids=["unknown_key", "not_a_number", "boolean", "nan"],
 )
 def test_config_bad_tree_params(tree_params, message, fig1a_path, tmp_path, monkeypatch, capsys):
     set_config(monkeypatch, tmp_path, {"tree_params": tree_params})

@@ -1,10 +1,19 @@
 import random
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dirtree.annotate import Gazetteer, annotate
+from dirtree.annotate import Annotation, AnnotationLabel, Gazetteer, annotate
 from dirtree.segment import (
+    _CONTACT_TOKENS,
+    _RULE_ORDER,
+    _first_entity,
+    _has_role_or_address,
+    _span_geometry,
     EmptyPageError,
+    LabeledSpan,
     RULE_COLON_DASH,
     RULE_DEFAULT_BODY,
     RULE_ENTITY_BODY,
@@ -21,7 +30,7 @@ from dirtree.segment import (
     size_bin,
     spans_to_json,
 )
-from dirtree.visual import group_text, parse_document
+from dirtree.visual import group_layout, group_text, parse_document
 
 from conftest import doc, group, line, page, parse_page, random_page_dict, seg, text_group
 
@@ -322,3 +331,194 @@ def test_spans_tile_random_pages():
         except EmptyPageError:
             continue
         assert_tiling(vp, spans)
+
+
+# --- run-based cascade against the per-character reference ---
+#
+# The cascade used to keep a label and a rule per character: entity and
+# gap rules painted characters, whitespace leftovers copied a neighbour's
+# character, and spans were maximal same-label character runs whose rule
+# was the per-character minimum in cascade order.  That design is kept here
+# as the reference the run-based one must match on every span field.
+
+def _reference_segment_page(vp, anns, page_index=0):
+    stats = page_style_stats(vp)
+    spans = []
+    for gi, g in enumerate(vp.groups):
+        spans.extend(_reference_segment_group(g, anns[gi], stats, page_index, gi))
+    return spans
+
+
+def _reference_segment_group(group, anns, stats, page_index, gi):
+    text = group_text(group)
+    layout = group_layout(group)
+    n = len(text)
+    labels = [None] * n
+    rules = [None] * n
+
+    def paint(start, end, label, rule):
+        for i in range(start, end):
+            if labels[i] is None:
+                labels[i] = label
+                rules[i] = rule
+
+    if group.is_furniture:
+        paint(0, n, SpanLabel.NEITHER, RULE_PAGE_FURNITURE)
+    else:
+        entity = _first_entity(anns)
+        if entity is not None:
+            if text[entity.end:].strip():
+                paint(entity.start, n, SpanLabel.BODY, RULE_ENTITY_BODY)
+            else:
+                paint(entity.start, entity.end, SpanLabel.HEADER, RULE_ENTITY_HEADER)
+        for start, end in _reference_unlabeled_runs(labels):
+            chunk = text[start:end].strip()
+            if not chunk:
+                continue
+            if chunk.endswith((":", "-")):
+                if chunk.split()[-1].lower() not in _CONTACT_TOKENS:
+                    paint(start, end, SpanLabel.HEADER, RULE_COLON_DASH)
+                    continue
+            if _has_role_or_address(anns, start, end):
+                paint(start, end, SpanLabel.HEADER, RULE_ROLE_ADDRESS)
+                continue
+            _, style = _span_geometry(group, layout, start, end)
+            if style.color != stats.predominant_color:
+                paint(start, end, SpanLabel.HEADER, RULE_STYLE_COLOR)
+            elif style.bold or style.italic:
+                paint(start, end, SpanLabel.HEADER, RULE_STYLE_BOLD_ITALIC)
+            elif size_bin(style.font_size) > stats.majority_font_size:
+                paint(start, end, SpanLabel.HEADER, RULE_STYLE_SIZE)
+            elif style.font_family != stats.majority_font_family:
+                paint(start, end, SpanLabel.HEADER, RULE_STYLE_FAMILY)
+            else:
+                paint(start, end, SpanLabel.BODY, RULE_DEFAULT_BODY)
+        for start, end in _reference_unlabeled_runs(labels):
+            if start > 0:
+                paint(start, end, labels[start - 1], rules[start - 1])
+            elif end < n:
+                paint(start, end, labels[end], rules[end])
+        for start, end in _reference_unlabeled_runs(labels):
+            paint(start, end, SpanLabel.BODY, RULE_DEFAULT_BODY)
+
+    spans = []
+    i = 0
+    while i < n:
+        j = i
+        while j < n and labels[j] is labels[i]:
+            j += 1
+        rule = min((rules[k] for k in range(i, j)), key=lambda r: _RULE_ORDER[r])
+        bbox, style = _span_geometry(group, layout, i, j)
+        spans.append(LabeledSpan(
+            page_index=page_index, group_index=gi, start=i, end=j, label=labels[i],
+            text=text[i:j], bbox=bbox, style_summary=style, fired_rule=rule,
+        ))
+        i = j
+    return spans
+
+
+def _reference_unlabeled_runs(labels):
+    runs = []
+    i = 0
+    while i < len(labels):
+        if labels[i] is None:
+            j = i
+            while j < len(labels) and labels[j] is None:
+                j += 1
+            runs.append((i, j))
+            i = j
+        else:
+            i += 1
+    return runs
+
+
+# Entity words, colon/dash endings, contact labels, role and address-type
+# words, and bare whitespace, so every rule of the cascade gets to fire.
+_WORDS = ["Acme", "Capital", "S.A.", "Office:", "Tel:", "email:", "Fax:", "Custodian",
+          "Registered", "Agent", "-", "x-", "main", "street", "12,", "notes"]
+_STYLES = [{}, {}, {"bold": True}, {"italic": True}, {"color": 255}, {"size": 14.0},
+           {"size": 8.0}, {"family": "Sans"}]
+_ENTITY_WORDS = ["Acme Capital S.A.", "Deutsche Bank (Suisse) S.A.", "KPMG Luxembourg"]
+
+
+@st.composite
+def _segment_text(draw):
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from([" ", "  ", "   "]))
+    words = draw(st.lists(st.sampled_from(_WORDS + _ENTITY_WORDS), min_size=1, max_size=4))
+    text = " ".join(words)
+    return text + draw(st.sampled_from(["", "", " ", "  "]))
+
+
+@st.composite
+def _page_and_annotations(draw):
+    groups = []
+    for gi in range(draw(st.integers(1, 4))):
+        top = 20 + gi * 60
+        lines = []
+        for li in range(draw(st.integers(1, 2))):
+            segs, x = [], 10.0
+            for _ in range(draw(st.integers(1, 3))):
+                text = draw(_segment_text())
+                w = 4.0 * len(text)
+                segs.append(seg(text, x, top + li * 14, min(x + w, 600.0), top + li * 14 + 10,
+                                **draw(st.sampled_from(_STYLES))))
+                x = min(x + w + 3, 590.0)
+            lines.append(line(*segs))
+        groups.append(group(*lines, footer=draw(st.integers(0, 7)) == 0))
+    groups.append(BALLAST)
+    vp = parse_document(doc(page(*groups)))[0]
+    anns = annotate(vp, GAZ)
+    # Extra annotations on token boundaries put entities at the start, in
+    # the middle and at the end of groups, and role mentions in any gap.
+    for gi, g in enumerate(vp.groups):
+        text = group_text(g)
+        cuts = sorted({0, len(text)} | {i for m in re.finditer(r"\S+", text) for i in m.span()})
+        for _ in range(draw(st.integers(0, 2))):
+            start, end = sorted(draw(st.lists(st.sampled_from(cuts), min_size=2, max_size=2)))
+            label = draw(st.sampled_from([AnnotationLabel.ORG, AnnotationLabel.PERSON,
+                                          AnnotationLabel.ROLE, AnnotationLabel.GPE]))
+            if start < end:
+                anns[gi].append(Annotation(label, start, end, text[start:end]))
+    return vp, anns
+
+
+@settings(max_examples=300)
+@given(_page_and_annotations(), st.integers(0, 9))
+def test_run_cascade_matches_per_character_reference(case, page_index):
+    vp, anns = case
+    got = segment_page(vp, anns, page_index)
+    want = _reference_segment_page(vp, anns, page_index)
+    # Dataclass equality compares every field, text, bbox and style included.
+    assert got == want
+
+
+def _python_calls(fn):
+    """Python-level function calls (generator resumptions included) made
+    while ``fn`` runs."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_segment_calls_do_not_grow_with_text_length():
+    counts = []
+    for length in (200, 400):
+        entity = " Acme Capital S.A."
+        filler = ("main street " * length)[:length - len(entity)]
+        vp = parse_page(text_group(filler + entity, 0, 0, 590, 10))
+        anns = annotate(vp, GAZ)
+        spans = segment_page(vp, anns)
+        assert len(vp.groups[0].lines[0].segments[0].text) == length
+        assert triples(spans)[1] == (SpanLabel.HEADER, RULE_ENTITY_HEADER, "Acme Capital S.A.")
+        counts.append(_python_calls(lambda: segment_page(vp, anns)))
+    assert counts[0] == counts[1]

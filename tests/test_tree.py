@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -52,6 +55,10 @@ def test_param_validation():
         TreeParams(min_x_overlap_frac=1.5)
     with pytest.raises(TreeParamError):
         TreeParams(size_cluster_tol=-1)
+    # NaN compares False with everything, so it must fail every check.
+    for f in dataclasses.fields(TreeParams):
+        with pytest.raises(TreeParamError, match=f.name):
+            TreeParams(**{f.name: math.nan})
     assert isinstance(TreeParamError("x"), ValueError)
     assert isinstance(TreeInvariantError("x"), RuntimeError)
 

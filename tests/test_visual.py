@@ -143,6 +143,20 @@ def test_invalid_json_text():
         parse_document("{not json")
 
 
+@pytest.mark.parametrize(
+    "raw",
+    ['{"pages": [{"width": %s}]}' % ("9" * 5001), b"\xff\xfe{"],
+    ids=["over_digit_limit", "not_utf"],
+)
+def test_invalid_json_value_errors(raw):
+    # json.loads raises plain ValueError / UnicodeDecodeError for these,
+    # not JSONDecodeError; both still read as invalid JSON at the root.
+    with pytest.raises(SchemaError) as info:
+        parse_document(raw)
+    assert info.value.path == "$"
+    assert str(info.value).startswith("$: invalid JSON: ")
+
+
 def test_empty_lines_and_segments_rejected():
     p = page(text_group("x", 0, 0, 10, 10))
     p["groups"][0]["lines"][0]["segments"] = []
