@@ -8,7 +8,6 @@ statistical NER is involved, so recall is bounded by the gazetteer.
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
@@ -17,7 +16,7 @@ from functools import cached_property
 from importlib import resources
 from typing import NamedTuple
 
-from .visual import VisualPage, group_text
+from .visual import VisualPage, decode_json, group_text
 
 
 class AnnotationLabel(str, Enum):
@@ -266,7 +265,7 @@ class Gazetteer:
     @classmethod
     def from_json(cls, data: "bytes | str | dict") -> "Gazetteer":
         if isinstance(data, (bytes, str)):
-            data = json.loads(data)
+            data = decode_json(data)
         if not isinstance(data, dict):
             raise GazetteerError("gazetteer file must be a JSON object")
         kwargs = {}

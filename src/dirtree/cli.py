@@ -14,12 +14,11 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
-from . import forest
-from .annotate import Gazetteer, annotate as annotate_page
-from .features import extract_features, read_features_csv, write_features_csv
+from . import forest, pipeline
+from .annotate import Gazetteer
+from .features import read_features_csv, write_features_csv
 from .metrics import (
     check_page_sets,
     eval_classifier,
@@ -28,21 +27,13 @@ from .metrics import (
     gold_page_labels,
     gold_tree_for_page,
     load_gold,
+    read_predictions,
     span_keys,
     PRF,
 )
-from .segment import EmptyPageError, segment_page, spans_to_json
-from .tree import (
-    TreeInvariantError,
-    TreeParams,
-    blocks_to_json,
-    build_tree,
-    directory_blocks,
-    tree_from_json,
-    tree_to_json,
-    validate_tree,
-)
-from .visual import VisualPage, parse_document
+from .segment import spans_to_json
+from .tree import TreeInvariantError, TreeParams, blocks_to_json, tree_to_json
+from .visual import decode_json, parse_document
 
 CONFIG_ENV = "DIRTREE_CONFIG"
 
@@ -51,8 +42,8 @@ EXIT_INPUT = 1
 EXIT_INTERNAL = 2
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """Bad arguments; reported, like any input error, with exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,7 +69,7 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, data: "bytes | str | dict") -> "PipelineConfig":
         if isinstance(data, (bytes, str)):
-            data = json.loads(data)
+            data = decode_json(data)
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
         known = {"gazetteer", "model", "tree_params", "threshold", "output_dir"}
@@ -147,116 +138,31 @@ def _threshold(args, cfg: PipelineConfig) -> float:
     return value
 
 
-@dataclass
-class PageRun:
-    """One page's pass through the pipeline.
+def _runs(args, cfg: PipelineConfig, skip_empty: bool = True):
+    """Read the document and resolve the flags and config to page runs.
 
-    Each stage runs at most once, when a command first reads it, and later
-    stages reuse earlier ones.  Stages are called through this module's
-    names so that tracing and tests can substitute them.
-    """
-
-    page: VisualPage
-    index: int
-    gaz: Gazetteer
-    model: "forest.ForestModel | None" = None
-    params: "TreeParams | None" = None
-
-    @cached_property
-    def annotations(self):
-        return annotate_page(self.page, self.gaz)
-
-    @cached_property
-    def features(self):
-        return extract_features(self.page, self.annotations)
-
-    @cached_property
-    def score(self) -> float:
-        return forest.predict_score(self.model, self.features)
-
-    @cached_property
-    def spans(self):
-        return segment_page(self.page, self.annotations, page_index=self.index)
-
-    @cached_property
-    def tree(self):
-        t = build_tree(self.spans, self.params)
-        validate_tree(t)
-        return t
-
-    @cached_property
-    def blocks(self):
-        return directory_blocks(self.tree)
-
-
-def _scored(args, cfg: PipelineConfig, pages, gaz):
-    """Yield (run, label) for every page.  The model is loaded and the
-    threshold checked before any page is scored."""
-    model = _load_model(args, cfg)
-    threshold = _threshold(args, cfg)
-    for i, page in enumerate(pages):
-        run = PageRun(page, i, gaz, model)
-        yield run, 1 if run.score >= threshold else 0
-
-
-def _page_runs(args, cfg: PipelineConfig):
-    """Read the document and resolve --pages to runs.
-
-    "all" keeps every page; "auto" keeps classifier positives (model
-    required) with the annotations made to score them; an explicit comma
-    list is taken verbatim and must be in range.  Returns the runs and
-    whether the pages were named explicitly.
+    --pages is "auto" (model required), "all" or a comma list of page
+    indexes.  Errors come in the order: model, threshold, page range, tree
+    parameters; the runs then raise segmentation errors as they are read.
     """
     pages = _read_doc(args.doc)
     gaz = _load_gazetteer(args, cfg)
-    spec = args.pages
-    explicit = spec not in ("all", "auto")
-    if spec == "all":
-        runs = [PageRun(page, i, gaz) for i, page in enumerate(pages)]
-    elif spec == "auto":
-        runs = [run for run, label in _scored(args, cfg, pages, gaz) if label == 1]
-    else:
+    which = getattr(args, "pages", "all")
+    model, threshold = None, cfg.threshold
+    if which == "auto":
+        model, threshold = _load_model(args, cfg), _threshold(args, cfg)
+    elif which != "all":
         try:
-            indexes = [int(tok) for tok in spec.split(",") if tok.strip() != ""]
+            which = [int(tok) for tok in which.split(",") if tok.strip() != ""]
         except ValueError:
-            raise UsageError(f"--pages must be auto, all or a comma list: {spec!r}")
-        if not indexes:
+            raise UsageError(f"--pages must be auto, all or a comma list: {args.pages!r}")
+        if not which:
             raise UsageError("--pages list is empty")
-        for i in indexes:
-            if i < 0 or i >= len(pages):
-                raise ValueError(f"page {i} out of range (document has {len(pages)})")
-        runs = [PageRun(pages[i], i, gaz) for i in indexes]
-    # Resolved after scoring: a bad parameter is reported only once the
-    # pages are known, and before any page is segmented.
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(TreeParams)
-        if getattr(args, f.name, None) is not None
-    }
-    params = dataclasses.replace(cfg.tree_params, **overrides)
-    for run in runs:
-        run.params = params
-    return runs, explicit
-
-
-def _drain(runs: "list[PageRun]"):
-    """Yield the runs in order, removing each from the list first so that
-    its stages are freed once the caller has projected it."""
-    while runs:
-        yield runs.pop(0)
-
-
-def _segmented(runs: "list[PageRun]", explicit: bool):
-    """Drain the runs, keeping those whose page segments.  A page with no
-    scorable text is an error when named explicitly and skipped otherwise."""
-    for run in _drain(runs):
-        try:
-            run.spans
-        except EmptyPageError:
-            if explicit:
-                raise
-            continue
-        yield run
+        pipeline.check_indexes(which, len(pages))
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(TreeParams)}
+    params = dataclasses.replace(
+        cfg.tree_params, **{k: v for k, v in flags.items() if v is not None})
+    return pipeline.page_runs(pages, gaz, which, model, threshold, params, skip_empty)
 
 
 def _out_path(args, cfg: PipelineConfig, attr: str = "out") -> "str | None":
@@ -282,41 +188,29 @@ def _emit(payload: dict, args, cfg: PipelineConfig) -> None:
 
 def _cmd_validate(args, cfg):
     pages = _read_doc(args.doc)
-    _emit(
-        {"pages": len(pages), "groups": sum(len(p.groups) for p in pages)},
-        args,
-        cfg,
-    )
+    _emit({"pages": len(pages), "groups": sum(len(p.groups) for p in pages)}, args, cfg)
     return EXIT_OK
 
 
 def _cmd_annotate(args, cfg):
-    runs, _ = _page_runs(args, cfg)
     out = [
         {
             "page": run.index,
             "annotations": [
-                {
-                    "group": gi,
-                    "label": a.label.value,
-                    "start": a.start,
-                    "end": a.end,
-                    "surface": a.surface,
-                }
+                {"group": gi, "label": a.label.value, "start": a.start, "end": a.end,
+                 "surface": a.surface}
                 for gi, anns in enumerate(run.annotations)
                 for a in anns
             ],
         }
-        for run in _drain(runs)
+        for run in _runs(args, cfg, skip_empty=False)
     ]
     _emit({"pages": out}, args, cfg)
     return EXIT_OK
 
 
 def _cmd_features(args, cfg):
-    pages = _read_doc(args.doc)
-    gaz = _load_gazetteer(args, cfg)
-    rows = [(PageRun(page, i, gaz).features, None) for i, page in enumerate(pages)]
+    rows = [(run.features, None) for run in _runs(args, cfg, skip_empty=False)]
     path = _out_path(args, cfg, attr="csv")
     if path is None:
         write_features_csv(sys.stdout, rows)
@@ -343,52 +237,43 @@ def _cmd_train(args, cfg):
     model = forest.train(balanced, hp)
     out = _out_path(args, cfg)
     forest.save_model(model, out)
-    _print_line(
-        json.dumps(
-            {
-                "rows": len(balanced.rows),
-                "trees": hp.n_trees,
-                "model": out,
-                "importances": dict(zip(model.feature_order, model.importances)),
-            }
-        )
-    )
+    print(json.dumps({
+        "rows": len(balanced.rows),
+        "trees": hp.n_trees,
+        "model": out,
+        "importances": dict(zip(model.feature_order, model.importances)),
+    }))
     return EXIT_OK
 
 
 def _cmd_classify(args, cfg):
     pages = _read_doc(args.doc)
     gaz = _load_gazetteer(args, cfg)
+    model, threshold = _load_model(args, cfg), _threshold(args, cfg)
     out = [
-        {"page": run.index, "score": run.score, "label": label}
-        for run, label in _scored(args, cfg, pages, gaz)
+        {"page": run.index, "score": run.score, "label": run.label}
+        for run in pipeline.page_runs(pages, gaz, "all", model, threshold, skip_empty=False)
     ]
     _emit({"pages": out}, args, cfg)
     return EXIT_OK
 
 
 def _cmd_segment(args, cfg):
-    runs, explicit = _page_runs(args, cfg)
-    out = [spans_to_json(run.index, run.spans) for run in _segmented(runs, explicit)]
+    out = [spans_to_json(run.index, run.spans) for run in _runs(args, cfg)]
     _emit({"pages": out}, args, cfg)
     return EXIT_OK
 
 
 def _cmd_tree(args, cfg):
-    runs, explicit = _page_runs(args, cfg)
-    out = [
-        {"page": run.index, "tree": tree_to_json(run.tree)}
-        for run in _segmented(runs, explicit)
-    ]
+    out = [{"page": run.index, "tree": tree_to_json(run.tree)} for run in _runs(args, cfg)]
     _emit({"pages": out}, args, cfg)
     return EXIT_OK
 
 
 def _cmd_blocks(args, cfg):
-    runs, explicit = _page_runs(args, cfg)
     out = [
         block
-        for run in _segmented(runs, explicit)
+        for run in _runs(args, cfg)
         for block in blocks_to_json(run.blocks, page_index=run.index)
     ]
     _emit({"blocks": out}, args, cfg)
@@ -399,7 +284,7 @@ def _cmd_blocks(args, cfg):
 
 def _load_json_file(path: str):
     try:
-        return json.loads(Path(path).read_text())
+        return decode_json(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise ValueError(f"{path} is not valid JSON: {e}") from e
 
@@ -419,10 +304,7 @@ def _combine(prfs: "list[PRF]") -> PRF:
 def _eval_classifier(args) -> dict:
     pred = _pred_pages(_load_json_file(args.pred), args.pred)
     gold = gold_page_labels(load_gold(_load_json_file(args.gold)))
-    try:
-        pred_labels = {int(p["page"]): int(p["label"]) for p in pred}
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"{args.pred}: every page needs 'page' and 'label'") from e
+    pred_labels = dict(read_predictions(pred, "label", args.pred))
     check_page_sets(set(gold), set(pred_labels))
     ordered = sorted(gold)
     prf = eval_classifier([gold[i] for i in ordered], [pred_labels[i] for i in ordered])
@@ -432,17 +314,11 @@ def _eval_classifier(args) -> dict:
 def _eval_segmentation(args) -> dict:
     pred_pages = _pred_pages(_load_json_file(args.pred), args.pred)
     gold = load_gold(_load_json_file(args.gold))
-    pred = set()
-    for p in pred_pages:
-        try:
-            pred |= span_keys(int(p["page"]), p["spans"])
-        except (KeyError, TypeError) as e:
-            raise ValueError(f"{args.pred}: malformed span record: {e}") from e
-    gold_keys = set()
-    for p in gold["pages"]:
-        gold_keys |= span_keys(p["page"], p.get("spans", []))
+    preds = read_predictions(pred_pages, "spans", args.pred)
+    pred = set().union(*(keys for _, keys in preds))
+    gold_keys = set().union(*(span_keys(p["page"], p.get("spans", [])) for p in gold["pages"]))
     gold_set = {p["page"] for p in gold["pages"] if "spans" in p}
-    check_page_sets(gold_set, {int(p["page"]) for p in pred_pages})
+    check_page_sets(gold_set, {page for page, _ in preds})
     per_page = {
         page: eval_span_keys(
             {k for k in gold_keys if k[0] == page}, {k for k in pred if k[0] == page}
@@ -463,17 +339,7 @@ def _eval_tree(args) -> dict:
     pred_pages = _pred_pages(_load_json_file(args.pred), args.pred)
     gold = load_gold(_load_json_file(args.gold))
     doc = _read_doc(args.doc)
-    pred_trees = {}
-    for p in pred_pages:
-        try:
-            page, tree_obj = int(p["page"]), p["tree"]
-        except (KeyError, TypeError) as e:
-            raise ValueError(f"{args.pred}: every page needs 'page' and 'tree'") from e
-        try:
-            pred_trees[page] = tree_from_json(tree_obj)
-            validate_tree(pred_trees[page])
-        except (ValueError, TreeInvariantError) as e:
-            raise ValueError(f"{args.pred}: page {page}: invalid tree: {e}") from e
+    pred_trees = dict(read_predictions(pred_pages, "tree", args.pred))
     gold_records = {p["page"]: p for p in gold["pages"] if "spans" in p}
     check_page_sets(set(gold_records), set(pred_trees))
     per_page = {}
@@ -493,15 +359,8 @@ def _eval_tree(args) -> dict:
     return report
 
 
-def _print_line(text: str) -> None:
-    sys.stdout.write(text + "\n")
-
-
 def _report_table(report: dict) -> "list[str]":
-    rows = []
-    for key, value in report.items():
-        if isinstance(value, dict) and "precision" in value:
-            rows.append((key, value))
+    rows = [(k, v) for k, v in report.items() if isinstance(v, dict) and "precision" in v]
     lines = [f"{'metric':<14} {'P':>7} {'R':>7} {'F1':>7} {'tp':>5} {'fp':>5} {'fn':>5}"]
     for name, v in rows:
         lines.append(
@@ -510,17 +369,15 @@ def _report_table(report: dict) -> "list[str]":
         )
     return lines
 
+
+_EVALS = {"classifier": _eval_classifier, "segmentation": _eval_segmentation, "tree": _eval_tree}
+
+
 def _cmd_eval(args, cfg):
-    if args.stage == "classifier":
-        report = _eval_classifier(args)
-    elif args.stage == "segmentation":
-        report = _eval_segmentation(args)
-    else:
-        report = _eval_tree(args)
+    report = _EVALS[args.stage](args)
     # Line 1 is the machine-readable report; the table below it is for eyes.
-    _print_line(json.dumps(report, sort_keys=True))
-    for line in _report_table(report):
-        _print_line(line)
+    print(json.dumps(report, sort_keys=True))
+    print("\n".join(_report_table(report)))
     return EXIT_OK
 
 
@@ -548,11 +405,8 @@ def _add_model(p):
 
 
 def _add_tree_params(p):
-    p.add_argument("--band-overlap-frac", type=float, dest="band_overlap_frac")
-    p.add_argument("--align-tol", type=float, dest="align_tol")
-    p.add_argument("--gap-factor", type=float, dest="gap_factor")
-    p.add_argument("--min-x-overlap-frac", type=float, dest="min_x_overlap_frac")
-    p.add_argument("--size-cluster-tol", type=float, dest="size_cluster_tol")
+    for f in dataclasses.fields(TreeParams):
+        p.add_argument("--" + f.name.replace("_", "-"), type=float, dest=f.name)
 
 
 def _add_out(p):
@@ -630,11 +484,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="score predictions against gold")
     p.add_argument("--pred", required=True, help="prediction JSON from this tool")
     p.add_argument("--gold", required=True, help="gold JSON")
-    p.add_argument(
-        "--stage",
-        required=True,
-        choices=["classifier", "segmentation", "tree"],
-    )
+    p.add_argument("--stage", required=True, choices=list(_EVALS))
     p.add_argument("--doc", help="source document (required for --stage tree)")
     p.set_defaults(func=_cmd_eval)
 
@@ -656,9 +506,6 @@ def run(argv: "list[str] | None" = None) -> int:
     try:
         cfg = PipelineConfig.from_environment()
         return args.func(args, cfg)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     except TreeInvariantError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL

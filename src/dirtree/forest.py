@@ -18,6 +18,7 @@ from itertools import accumulate
 from operator import itemgetter
 
 from .features import FEATURE_NAMES
+from .visual import decode_json
 
 
 class EmptyClassError(ValueError):
@@ -327,7 +328,7 @@ def model_to_json(model: ForestModel) -> dict:
 def model_from_json(data: "bytes | str | dict") -> ForestModel:
     """Parse and check a model; a malformed one raises ValueError."""
     if isinstance(data, (bytes, str)):
-        data = json.loads(data)
+        data = decode_json(data)
     if not isinstance(data, dict):
         raise ValueError("model must be a JSON object")
     if data.get("version") != 1:

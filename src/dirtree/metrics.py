@@ -8,7 +8,6 @@ after aligning predicted to gold blocks by body overlap.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 
@@ -18,8 +17,13 @@ from .tree import (
     NodeLabel,
     ReadingTree,
     ROOT_ID,
+    TreeInvariantError,
+    TreeNode,
     directory_blocks,
+    tree_from_json,
+    validate_tree,
 )
+from .visual import decode_json, group_text
 
 ROOT_MARKER = "<ROOT>"
 
@@ -83,12 +87,9 @@ def _span_keys(spans: "list[LabeledSpan]") -> "set[tuple]":
 
 
 def span_keys(page: int, records: list) -> "set[tuple]":
-    """Match keys of span records as gold and prediction files hold them,
-    in the form ``_span_keys`` gives LabeledSpans; Neither spans are left out."""
-    spans = (
-        (page, int(s["group"]), int(s["start"]), int(s["end"]), SpanLabel(s["label"]))
-        for s in records
-    )
+    """Match keys of checked span records (see ``check_span_record``), in
+    the form ``_span_keys`` gives LabeledSpans; Neither spans are left out."""
+    spans = ((page, s["group"], s["start"], s["end"], SpanLabel(s["label"])) for s in records)
     return {(*k[:4], k[4].value) for k in spans if k[4] is not SpanLabel.NEITHER}
 
 
@@ -187,7 +188,23 @@ def eval_tree(gold: ReadingTree, pred: ReadingTree) -> "dict[str, PRF]":
     }
 
 
-# --- gold files ------------------------------------------------------------
+# --- gold and prediction files ----------------------------------------------
+
+def _is_int(value) -> bool:
+    """JSON integer: ``true`` and ``false`` are ints to Python, not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_span_record(s, where: str) -> None:
+    """A gold or predicted span record: an object with integer "group",
+    "start" and "end" and a span "label"; ``where`` begins each message."""
+    if not isinstance(s, dict):
+        raise ValueError(f"{where}: must be an object")
+    for key in ("group", "start", "end"):
+        if not _is_int(s.get(key)):
+            raise ValueError(f"{where}: missing integer '{key}'")
+    SpanLabel(s.get("label"))
+
 
 def load_gold(data: "bytes | str | dict") -> dict:
     """Parse and validate a gold file.
@@ -199,11 +216,11 @@ def load_gold(data: "bytes | str | dict") -> dict:
     point into the same page's spans array and define the gold tree.
     """
     if isinstance(data, (bytes, str)):
-        data = json.loads(data)
+        data = decode_json(data)
     if not isinstance(data, dict) or not isinstance(data.get("pages"), list):
         raise ValueError("gold file must be an object with a 'pages' array")
     for p in data["pages"]:
-        if not isinstance(p, dict) or not isinstance(p.get("page"), int):
+        if not isinstance(p, dict) or not _is_int(p.get("page")):
             raise ValueError("every gold page needs an integer 'page' index")
         if "is_directory" in p and not isinstance(p["is_directory"], bool):
             raise ValueError(f"gold page {p['page']}: is_directory must be a bool")
@@ -211,20 +228,45 @@ def load_gold(data: "bytes | str | dict") -> dict:
         if not isinstance(spans, list):
             raise ValueError(f"gold page {p['page']}: spans must be an array")
         for i, s in enumerate(spans):
-            if not isinstance(s, dict):
-                raise ValueError(f"gold page {p['page']} span {i}: must be an object")
-            for key in ("group", "start", "end"):
-                if not isinstance(s.get(key), int):
-                    raise ValueError(
-                        f"gold page {p['page']} span {i}: missing integer '{key}'"
-                    )
-            SpanLabel(s.get("label"))
+            check_span_record(s, f"gold page {p['page']} span {i}")
             parent = s.get("parent")
-            if parent is not None and not isinstance(parent, int):
+            if parent is not None and not _is_int(parent):
                 raise ValueError(
                     f"gold page {p['page']} span {i}: parent must be an index or null"
                 )
     return data
+
+
+def read_predictions(pages: list, key: str, name: str) -> "list[tuple[int, object]]":
+    """Check a prediction file's page records the way gold files are checked
+    and pair each integer "page" with its ``key`` value: a "label" of 0 or
+    1, the match keys of its "spans", or its validated "tree".  ``name``
+    (the file) begins each message."""
+    out = []
+    for p in pages:
+        if not isinstance(p, dict) or "page" not in p or key not in p:
+            raise ValueError(f"{name}: every page needs 'page' and '{key}'")
+        page, value = p["page"], p[key]
+        where = f"{name}: page {page!r}"
+        if not _is_int(page):
+            raise ValueError(f"{where}: page must be an integer")
+        if key == "label":
+            if not _is_int(value) or value not in (0, 1):
+                raise ValueError(f"{where}: label must be 0 or 1, got {value!r}")
+        elif key == "spans":
+            if not isinstance(value, list):
+                raise ValueError(f"{where}: spans must be an array")
+            for i, s in enumerate(value):
+                check_span_record(s, f"{where} span {i}")
+            value = span_keys(page, value)
+        else:
+            try:
+                value = tree_from_json(value)
+                validate_tree(value)
+            except (ValueError, TreeInvariantError) as e:
+                raise ValueError(f"{where}: invalid tree: {e}") from e
+        out.append((page, value))
+    return out
 
 
 def gold_page_labels(gold: dict) -> "dict[int, int]":
@@ -243,9 +285,6 @@ def gold_tree_for_page(gold_page: dict, visual_page) -> ReadingTree:
     texts are sliced out of the visual page's group text, which is why the
     caller must supply the source document.
     """
-    from .tree import TreeNode, validate_tree, TreeInvariantError
-    from .visual import group_text
-
     spans = gold_page.get("spans", [])
     page_no = gold_page["page"]
     labels = [SpanLabel(s["label"]) for s in spans]

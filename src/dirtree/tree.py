@@ -10,13 +10,12 @@ which is what keeps sibling sections from swallowing one another.
 
 from __future__ import annotations
 
-import json
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .segment import LabeledSpan, SpanLabel
-from .visual import BBox, v_gap, x_overlap, y_overlap
+from .visual import BBox, decode_json, v_gap, x_overlap, y_overlap
 
 
 class TreeParamError(ValueError):
@@ -541,7 +540,7 @@ def tree_from_json(data: "bytes | str | dict") -> ReadingTree:
     result carries labels, texts and structure, which is all evaluation
     needs.  A malformed node raises ValueError."""
     if isinstance(data, (bytes, str)):
-        data = json.loads(data)
+        data = decode_json(data)
     node_objs = data.get("nodes") if isinstance(data, dict) else None
     if not isinstance(node_objs, list):
         raise ValueError("tree must be an object with a 'nodes' array")

@@ -26,6 +26,15 @@ class GeometryError(ValueError):
     """A structural invariant of the page geometry is violated."""
 
 
+def decode_json(data: "bytes | str"):
+    """``json.loads`` for input files: JSON nested too deeply for the decoder
+    raises ValueError, as malformed JSON does, not RecursionError."""
+    try:
+        return json.loads(data)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 class BBox(NamedTuple):
     left: float
     top: float
@@ -339,10 +348,10 @@ def parse_document(data: "bytes | str | dict") -> list[VisualPage]:
     violations (message carries page/group indices).
     """
     if isinstance(data, (bytes, str)):
-        # JSONDecodeError, bytes in no UTF encoding, and integers past the
-        # interpreter's digit limit are all ValueErrors.
+        # JSONDecodeError, bytes in no UTF encoding, integers past the
+        # interpreter's digit limit and deep nesting are all ValueErrors.
         try:
-            data = json.loads(data)
+            data = decode_json(data)
         except ValueError as exc:
             raise SchemaError("$", f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):

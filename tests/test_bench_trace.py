@@ -25,15 +25,28 @@ STAGE_SPANS = {
 COUNTERS = {"tree.same_entry", "tree.can_parent"}
 
 
-def test_traced_blocks_emits_every_stage_name(tmp_path):
+def traced(tmp_path, *argv):
+    """Span names and counters of one traced ``dirtree`` run."""
     spans_file = tmp_path / "spans.jsonl"
     proc = subprocess.run(
         [sys.executable, "bench/trace.py", "--spans", str(spans_file), "--trace", "1",
-         "--", "blocks", "tests/fixtures/fig1a.json", "--pages", "all"],
+         "--", *argv],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     head, *spans, tail = [json.loads(l) for l in spans_file.read_text().splitlines()]
     assert head["exit"] == 0
-    assert STAGE_SPANS <= {s["name"] for s in spans}
-    assert COUNTERS <= set(tail["counts"])
+    return {s["name"] for s in spans}, set(tail["counts"])
+
+
+def test_traced_blocks_emits_every_stage_name(tmp_path):
+    names, counters = traced(tmp_path, "blocks", "tests/fixtures/fig1a.json", "--pages", "all")
+    assert STAGE_SPANS <= names
+    assert COUNTERS <= counters
+
+
+def test_traced_auto_blocks_emits_classifier_spans(tmp_path, trained_model_path):
+    names, counters = traced(tmp_path, "blocks", "tests/fixtures/fig1a.json",
+                             "--pages", "auto", "--model", str(trained_model_path))
+    assert STAGE_SPANS | {"features", "forest.load", "forest.predict"} <= names
+    assert COUNTERS <= counters

@@ -1,11 +1,12 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
-from dirtree import cli
+from dirtree import cli, pipeline
 from dirtree.features import FeatureVector, write_features_csv
 from dirtree.tree import (
     NodeLabel,
@@ -66,6 +67,32 @@ def test_validate_rejects_undecodable_json(raw, tmp_path, capsys):
     bad.write_bytes(raw)
     assert run_cli("validate", str(bad)) == 1
     assert capsys.readouterr().err.startswith("error: $: invalid JSON")
+
+
+@pytest.mark.parametrize(
+    "kind", ["document", "gazetteer", "model", "config", "gold", "pred"])
+def test_deeply_nested_json_is_an_input_error(kind, fig1a_path, fig1a_gold_path, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(b"[" * 200_000 + b"]" * 200_000)
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"pages": [{"page": 0, "label": 1}]}))
+    doc, gold = str(fig1a_path), str(fig1a_gold_path)
+    argv = {
+        "document": ["validate", str(deep)],
+        "gazetteer": ["blocks", doc, "--pages", "all", "--gazetteer", str(deep)],
+        "model": ["classify", doc, "--model", str(deep)],
+        "config": ["validate", doc],
+        "gold": ["eval", "--stage", "classifier", "--pred", str(pred), "--gold", str(deep)],
+        "pred": ["eval", "--stage", "classifier", "--pred", str(deep), "--gold", gold],
+    }[kind]
+    env = {k: v for k, v in os.environ.items() if k != cli.CONFIG_ENV}
+    if kind == "config":
+        env[cli.CONFIG_ENV] = str(deep)
+    proc = subprocess.run([sys.executable, "-m", "dirtree", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error:") and "nested too deeply" in line
 
 
 @pytest.mark.parametrize("flag", ["--align-tol", "--gap-factor", "--size-cluster-tol"])
@@ -330,7 +357,7 @@ def test_invariant_violation_exits_2(fig1a_path, capsys, monkeypatch):
     def broken_build(spans, params):
         return ReadingTree({1: TreeNode(1, NodeLabel.BODY, "orphan", None)})
 
-    monkeypatch.setattr(cli, "build_tree", broken_build)
+    monkeypatch.setattr(pipeline, "build_tree", broken_build)
     assert run_cli("tree", str(fig1a_path), "--pages", "0") == 2
     assert "internal error" in capsys.readouterr().err
 
@@ -340,13 +367,13 @@ def test_auto_annotates_each_page_once(
     command, fig1a_path, trained_model_path, monkeypatch, capsys
 ):
     calls = []
-    real = cli.annotate_page
+    real = pipeline.annotate
 
     def counting(page, gaz):
         calls.append(page)
         return real(page, gaz)
 
-    monkeypatch.setattr(cli, "annotate_page", counting)
+    monkeypatch.setattr(pipeline, "annotate", counting)
     rc = run_cli(command, str(fig1a_path), "--pages", "auto",
                  "--model", str(trained_model_path))
     assert rc == 0
@@ -451,6 +478,39 @@ def test_eval_rejects_malformed_gold_span(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "gold page 0 span 0" in err
+
+
+@pytest.mark.parametrize(
+    "page, label, gold_page, reason",
+    [(0, 7, 0, "label must be 0 or 1"), (True, 1, 1, "page must be an integer"),
+     (0.7, 1, 0, "page must be an integer")],
+    ids=["label_7", "page_true", "page_fraction"],
+)
+def test_eval_classifier_rejects_malformed_pred(page, label, gold_page, reason, tmp_path, capsys):
+    # Each prediction would read as a gold page if coerced with int().
+    pred, gold = tmp_path / "pred.json", tmp_path / "gold.json"
+    pred.write_text(json.dumps({"pages": [{"page": page, "label": label}]}))
+    gold.write_text(json.dumps({"pages": [{"page": gold_page, "is_directory": True}]}))
+    rc = run_cli("eval", "--stage", "classifier", "--pred", str(pred), "--gold", str(gold))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and reason in err
+
+
+@pytest.mark.parametrize("key, value", [("group", 0.9), ("start", "0")])
+def test_eval_segmentation_rejects_non_integer_span_field(
+    key, value, fig1a_path, fig1a_gold_path, tmp_path, capsys
+):
+    pred = tmp_path / "seg.json"
+    assert run_cli("segment", str(fig1a_path), "--pages", "0", "--out", str(pred)) == 0
+    seg = json.loads(pred.read_text())
+    seg["pages"][0]["spans"][0][key] = value
+    pred.write_text(json.dumps(seg))
+    rc = run_cli("eval", "--stage", "segmentation",
+                 "--pred", str(pred), "--gold", str(fig1a_gold_path))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"page 0 span 0: missing integer '{key}'" in err
 
 
 def tree_json(*nodes):
