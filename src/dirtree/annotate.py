@@ -16,7 +16,7 @@ from functools import cached_property
 from importlib import resources
 from typing import NamedTuple
 
-from .visual import VisualPage, decode_json, group_text
+from .visual import VisualPage, decode_json, group_text, load_json
 
 
 class AnnotationLabel(str, Enum):
@@ -283,8 +283,7 @@ class Gazetteer:
 
     @classmethod
     def load(cls, path: str) -> "Gazetteer":
-        with open(path, "rb") as f:
-            return cls.from_json(f.read())
+        return cls.from_json(load_json(path))
 
     @classmethod
     def default(cls) -> "Gazetteer":

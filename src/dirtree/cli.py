@@ -33,7 +33,7 @@ from .metrics import (
 )
 from .segment import spans_to_json
 from .tree import TreeInvariantError, TreeParams, blocks_to_json, tree_to_json
-from .visual import decode_json, parse_document
+from .visual import load_json, parse_document
 
 CONFIG_ENV = "DIRTREE_CONFIG"
 
@@ -67,9 +67,7 @@ class PipelineConfig:
     output_dir: "str | None" = None
 
     @classmethod
-    def from_json(cls, data: "bytes | str | dict") -> "PipelineConfig":
-        if isinstance(data, (bytes, str)):
-            data = decode_json(data)
+    def from_json(cls, data) -> "PipelineConfig":
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
         known = {"gazetteer", "model", "tree_params", "threshold", "output_dir"}
@@ -105,10 +103,10 @@ class PipelineConfig:
         if not path:
             return cls()
         try:
-            raw = Path(path).read_text()
+            data = load_json(path)
         except OSError as e:
             raise ValueError(f"cannot read {CONFIG_ENV} file: {e}") from e
-        return cls.from_json(raw)
+        return cls.from_json(data)
 
 
 # --- shared plumbing -------------------------------------------------------
@@ -282,13 +280,6 @@ def _cmd_blocks(args, cfg):
 
 # --- eval ------------------------------------------------------------------
 
-def _load_json_file(path: str):
-    try:
-        return decode_json(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path} is not valid JSON: {e}") from e
-
-
 def _pred_pages(pred: dict, path: str) -> list:
     if not isinstance(pred, dict) or not isinstance(pred.get("pages"), list):
         raise ValueError(f"{path} must be an object with a 'pages' array")
@@ -302,8 +293,8 @@ def _combine(prfs: "list[PRF]") -> PRF:
 
 
 def _eval_classifier(args) -> dict:
-    pred = _pred_pages(_load_json_file(args.pred), args.pred)
-    gold = gold_page_labels(load_gold(_load_json_file(args.gold)))
+    pred = _pred_pages(load_json(args.pred), args.pred)
+    gold = gold_page_labels(load_gold(load_json(args.gold)))
     pred_labels = dict(read_predictions(pred, "label", args.pred))
     check_page_sets(set(gold), set(pred_labels))
     ordered = sorted(gold)
@@ -312,8 +303,8 @@ def _eval_classifier(args) -> dict:
 
 
 def _eval_segmentation(args) -> dict:
-    pred_pages = _pred_pages(_load_json_file(args.pred), args.pred)
-    gold = load_gold(_load_json_file(args.gold))
+    pred_pages = _pred_pages(load_json(args.pred), args.pred)
+    gold = load_gold(load_json(args.gold))
     preds = read_predictions(pred_pages, "spans", args.pred)
     pred = set().union(*(keys for _, keys in preds))
     gold_keys = set().union(*(span_keys(p["page"], p.get("spans", [])) for p in gold["pages"]))
@@ -336,8 +327,8 @@ def _eval_segmentation(args) -> dict:
 def _eval_tree(args) -> dict:
     if not args.doc:
         raise UsageError("--doc is required for --stage tree (gold texts live there)")
-    pred_pages = _pred_pages(_load_json_file(args.pred), args.pred)
-    gold = load_gold(_load_json_file(args.gold))
+    pred_pages = _pred_pages(load_json(args.pred), args.pred)
+    gold = load_gold(load_json(args.gold))
     doc = _read_doc(args.doc)
     pred_trees = dict(read_predictions(pred_pages, "tree", args.pred))
     gold_records = {p["page"]: p for p in gold["pages"] if "spans" in p}

@@ -3,6 +3,18 @@
 Everything is deterministic given (data, hyperparameters, seed): bootstrap
 draws, per-split feature subsets and tie-breaking all follow fixed rules, so
 two training runs serialize to byte-identical JSON.
+
+Split search works on histograms: for one feature at one node, the distinct
+values ascending with the number of negative and positive rows at each.  A
+node's rows are kept split by class, so its class counts are two list
+lengths.  A node builds a histogram only for a feature it draws, and the
+larger of two children takes it as its parent's histogram minus its smaller
+sibling's (the histogram-subtraction trick of LightGBM, Ke et al., 2017),
+so only the smaller child's rows are read for it.  Where the parent did not
+draw the feature, the child counts its own rows.  Either way a node reads
+no more feature values than counting its own rows would, and a split
+partitions the rows with one read each.  The thresholds are then swept in
+ascending order with running class counts (see ``_best_split``).
 """
 
 from __future__ import annotations
@@ -14,11 +26,11 @@ import sys
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, compress, islice, repeat
+from operator import itemgetter, not_, or_, sub
 
 from .features import FEATURE_NAMES
-from .visual import decode_json
+from .visual import decode_json, load_json
 
 
 class EmptyClassError(ValueError):
@@ -46,7 +58,9 @@ class Dataset:
         return len(self.rows[0][0]) if self.rows else 0
 
     def class_counts(self) -> tuple[int, int]:
-        return _class_counts(self.rows)
+        """(negatives, positives)."""
+        pos = sum(y for _, y in self.rows)
+        return len(self.rows) - pos, pos
 
 
 @dataclass(frozen=True)
@@ -140,81 +154,164 @@ def resample(d: Dataset, target_pos: int, target_neg: int, seed: int) -> Dataset
     return Dataset(rows=draw(pos, target_pos) + draw(neg, target_neg))
 
 
+def _count(neg, pos, f):
+    """Histogram of feature ``f``: its distinct values ascending, with the
+    number of negative and of positive rows at each."""
+    value_of = itemgetter(f)
+    neg_counts = Counter(map(value_of, neg))
+    pos_counts = Counter(map(value_of, pos))
+    values = sorted(neg_counts.keys() | pos_counts.keys())
+    return (values, list(map(neg_counts.get, values, repeat(0))),
+            list(map(pos_counts.get, values, repeat(0))))
+
+
+def _subtract(parent, sibling):
+    """A child's histogram: its parent's minus its sibling's, without the
+    values no row of the child has."""
+    values, neg, pos = parent
+    sib_values, sib_neg, sib_pos = sibling
+    neg = list(map(sub, neg, map(dict(zip(sib_values, sib_neg)).get, values, repeat(0))))
+    pos = list(map(sub, pos, map(dict(zip(sib_values, sib_pos)).get, values, repeat(0))))
+    keep = list(map(or_, neg, pos))
+    if all(keep):
+        return values, neg, pos
+    return list(compress(values, keep)), list(compress(neg, keep)), list(compress(pos, keep))
+
+
+class _Rows:
+    """One node's feature vectors split by class, with the histograms built
+    for it so far.
+
+    Of two children, the larger keeps its ``parent`` and smaller ``sibling``:
+    where the parent has a feature's histogram, the larger child's is the
+    parent's minus the sibling's, so only the smaller child's rows are read.
+    """
+
+    __slots__ = ("neg", "pos", "hists", "parent", "sibling")
+
+    def __init__(self, neg, pos):
+        self.neg, self.pos, self.hists = neg, pos, {}
+        self.parent = self.sibling = None
+
+    def histogram(self, f):
+        h = self.hists.get(f)
+        if h is None:
+            parent = self.parent
+            if parent is not None and f in parent.hists:
+                h = _subtract(parent.hists[f], self.sibling.histogram(f))
+            else:
+                h = _count(self.neg, self.pos, f)
+            self.hists[f] = h
+        return h
+
+    def __len__(self):
+        return len(self.neg) + len(self.pos)
+
+    def counts(self) -> tuple[int, int]:
+        return len(self.neg), len(self.pos)
+
+    def split(self, f, thr):
+        """(left, right) children: the rows with ``x[f] <= thr`` and the rest."""
+        value_of = itemgetter(f)
+        halves = []
+        for xs in (self.neg, self.pos):
+            go_left = [value_of(x) <= thr for x in xs]
+            halves.append((list(compress(xs, go_left)), list(compress(xs, map(not_, go_left)))))
+        (neg_left, neg_right), (pos_left, pos_right) = halves
+        left, right = _Rows(neg_left, pos_left), _Rows(neg_right, pos_right)
+        small, large = (left, right) if len(left) <= len(right) else (right, left)
+        large.parent, large.sibling = self, small
+        return left, right
+
+    def search(self, feature_ids, min_leaf):
+        """Lowest weighted-Gini split as ``(weighted_gini, feature,
+        threshold)``, or None; see ``_best_split``."""
+        n_neg, n_pos = self.counts()
+        n = n_neg + n_pos
+        best_w, best = math.inf, None
+        for f in sorted(feature_ids):
+            values, neg, pos = self.histogram(f)
+            # For adjacent values lo < hi the rows at or below lo go left,
+            # unless the midpoint rounds to hi or overflows.
+            for lo, hi, ln, lp in zip(values, islice(values, 1, None),
+                                      accumulate(neg), accumulate(pos)):
+                thr = (lo + hi) / 2.0
+                if not lo <= thr < hi:
+                    k = bisect_right(values, thr)
+                    ln, lp = sum(neg[:k]), sum(pos[:k])
+                left_total = ln + lp
+                if left_total < min_leaf:
+                    continue
+                right_total = n - left_total
+                if right_total < min_leaf:
+                    break  # the left side only grows from here
+                rn, rp = n_neg - ln, n_pos - lp
+                # gini() of each side, inlined.
+                p0, p1 = ln / left_total, lp / left_total
+                q0, q1 = rn / right_total, rp / right_total
+                weighted = ((left_total / n) * (1.0 - p0 * p0 - p1 * p1)
+                            + (right_total / n) * (1.0 - q0 * q0 - q1 * q1))
+                # Features and thresholds come in ascending order, so only a
+                # strictly lower Gini beats the (weighted, f, thr) best.
+                if weighted < best_w:
+                    best_w, best = weighted, (weighted, f, thr)
+        return best
+
+
+def _by_class(rows):
+    return _Rows([x for x, y in rows if not y], [x for x, y in rows if y])
+
+
 def _best_split(rows, feature_ids, min_leaf):
     """Lowest weighted-Gini split over the candidate features.
 
     Candidate thresholds are midpoints of consecutive distinct values.  Ties
     break toward the lowest feature index, then the lowest threshold.
 
-    Each feature's values are counted per class once, then the thresholds
-    are swept in ascending order with running (negative, positive) counts.
-    A row goes left when its value is ``<= thr``, so the left counts are the
-    prefix up to ``bisect_right(values, thr)``: a midpoint of two adjacent
-    floats may round up to the upper value, and one whose sum overflows is
-    ``inf`` and sends every row left.
+    Each feature's histogram (its distinct values ascending, with per-class
+    row counts) is read once, then the thresholds are swept in ascending
+    order with running (negative, positive) counts, and Gini is computed
+    inline by the same float expression as ``gini``.  A row goes left when
+    its value is ``<= thr``, so the left counts are the prefix through the
+    lower value, except where the midpoint rounds: a midpoint of two
+    adjacent floats may round up to the upper value, and one whose sum
+    overflows is ``inf`` (every row left) or ``-inf`` (none), so only then is
+    the prefix found by ``bisect_right(values, thr)``.  Because features and
+    thresholds come in ascending order, only a strictly lower Gini replaces
+    the best so far.  This entry point counts every feature over ``rows``;
+    training takes histograms from the parent where it can (see ``_Rows``).
     """
-    n = len(rows)
-    neg = [x for x, y in rows if not y]
-    pos = [x for x, y in rows if y]
-    n_neg, n_pos = len(neg), len(pos)
-    best = None  # (weighted_gini, feature, threshold)
-    for f in sorted(feature_ids):
-        value_of = itemgetter(f)
-        neg_counts = Counter(map(value_of, neg))
-        pos_counts = Counter(map(value_of, pos))
-        values = sorted(neg_counts.keys() | pos_counts.keys())
-        below_neg = [0, *accumulate(neg_counts[v] for v in values)]
-        below_pos = [0, *accumulate(pos_counts[v] for v in values)]
-        for lo, hi in zip(values, values[1:]):
-            thr = (lo + hi) / 2.0
-            k = bisect_right(values, thr)
-            ln, lp = below_neg[k], below_pos[k]
-            rn, rp = n_neg - ln, n_pos - lp
-            left_total = ln + lp
-            right_total = rn + rp
-            if left_total < min_leaf or right_total < min_leaf:
-                continue
-            weighted = (left_total / n) * gini((ln, lp)) + (right_total / n) * gini((rn, rp))
-            key = (weighted, f, thr)
-            if best is None or key < best:
-                best = key
-    return best
+    return _by_class(rows).search(feature_ids, min_leaf)
 
 
-def _class_counts(rows) -> tuple[int, int]:
-    """(negatives, positives) of labeled rows."""
-    pos = sum(y for _, y in rows)
-    return len(rows) - pos, pos
-
-
-def _grow(rows, depth, hp, n_features, n_root, rng, importance_acc):
-    counts = _class_counts(rows)
+def _grow(node, depth, hp, n_features, n_root, rng, importance_acc):
+    counts = node.counts()
+    n = len(node)
     node_gini = gini(counts)
     if (
         node_gini == 0.0
         or (hp.max_depth is not None and depth >= hp.max_depth)
-        or len(rows) < 2 * hp.min_samples_leaf
+        or n < 2 * hp.min_samples_leaf
     ):
         return LeafNode(counts=counts)
     k = math.ceil(hp.max_features_fraction * n_features)
     feature_ids = rng.sample(range(n_features), k)
-    best = _best_split(rows, feature_ids, hp.min_samples_leaf)
+    best = node.search(feature_ids, hp.min_samples_leaf)
     if best is None:
         return LeafNode(counts=counts)
     _, f, thr = best
-    left_rows = [row for row in rows if row[0][f] <= thr]
-    right_rows = [row for row in rows if row[0][f] > thr]
-    decrease = (len(rows) / n_root) * (
+    left, right = node.split(f, thr)
+    decrease = (n / n_root) * (
         node_gini
-        - (len(left_rows) / len(rows)) * gini(_class_counts(left_rows))
-        - (len(right_rows) / len(rows)) * gini(_class_counts(right_rows))
+        - (len(left) / n) * gini(left.counts())
+        - (len(right) / n) * gini(right.counts())
     )
     importance_acc[f] += decrease
     return SplitNode(
         feature=f,
         threshold=thr,
-        left=_grow(left_rows, depth + 1, hp, n_features, n_root, rng, importance_acc),
-        right=_grow(right_rows, depth + 1, hp, n_features, n_root, rng, importance_acc),
+        left=_grow(left, depth + 1, hp, n_features, n_root, rng, importance_acc),
+        right=_grow(right, depth + 1, hp, n_features, n_root, rng, importance_acc),
     )
 
 
@@ -238,7 +335,7 @@ def train(d: Dataset, hp: "ForestHyperparams | None" = None) -> ForestModel:
     for i in range(hp.n_trees):
         rng = random.Random(splitmix64(hp.seed + i))
         sample = [d.rows[rng.randrange(n)] for _ in range(n)]
-        trees.append(_grow(sample, 0, hp, n_features, len(sample), rng, per_feature))
+        trees.append(_grow(_by_class(sample), 0, hp, n_features, n, rng, per_feature))
     total = sum(per_feature)
     if total > 0:
         importances = [v / total for v in per_feature]
@@ -364,8 +461,7 @@ def save_model(model: ForestModel, path: str) -> None:
 
 
 def load_model(path: str) -> ForestModel:
-    with open(path, "rb") as f:
-        return model_from_json(f.read())
+    return model_from_json(load_json(path))
 
 
 def dumps_model(model: ForestModel) -> str:

@@ -35,6 +35,17 @@ def decode_json(data: "bytes | str"):
         raise ValueError("JSON nested too deeply") from None
 
 
+def load_json(path: str):
+    """Read and decode a JSON input file.  A file that is not JSON raises
+    ValueError naming it; one that cannot be read raises OSError."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return decode_json(data)
+    except ValueError as e:
+        raise ValueError(f"{path} is not valid JSON: {e}") from e
+
+
 class BBox(NamedTuple):
     left: float
     top: float

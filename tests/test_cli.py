@@ -95,6 +95,39 @@ def test_deeply_nested_json_is_an_input_error(kind, fig1a_path, fig1a_gold_path,
     assert line.startswith("error:") and "nested too deeply" in line
 
 
+@pytest.mark.parametrize(
+    "kind, raw",
+    [
+        ("gazetteer", b"{not json"),
+        ("model", b"{not json"),
+        ("config", b"{not json"),
+        ("gold", b"[" * 200_000 + b"]" * 200_000),
+        ("pred", b"[" * 200_000 + b"]" * 200_000),
+    ],
+    ids=["gazetteer", "model", "config", "gold", "pred"],
+)
+def test_json_decode_error_names_the_file(kind, raw, fig1a_path, fig1a_gold_path, tmp_path,
+                                          monkeypatch, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"pages": [{"page": 0, "label": 1}]}))
+    doc, gold = str(fig1a_path), str(fig1a_gold_path)
+    argv = {
+        "gazetteer": ["blocks", doc, "--pages", "all", "--gazetteer", str(bad)],
+        "model": ["classify", doc, "--model", str(bad)],
+        "config": ["validate", doc],
+        "gold": ["eval", "--stage", "classifier", "--pred", str(pred), "--gold", str(bad)],
+        "pred": ["eval", "--stage", "classifier", "--pred", str(bad), "--gold", gold],
+    }[kind]
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+    if kind == "config":
+        monkeypatch.setenv(cli.CONFIG_ENV, str(bad))
+    assert run_cli(*argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {bad} is not valid JSON: ")
+
+
 @pytest.mark.parametrize("flag", ["--align-tol", "--gap-factor", "--size-cluster-tol"])
 def test_nan_tree_param_flag_rejected(flag, fig1a_path, capsys):
     assert run_cli("blocks", str(fig1a_path), "--pages", "all", flag, "nan") == 1

@@ -522,3 +522,27 @@ def test_segment_calls_do_not_grow_with_text_length():
         assert triples(spans)[1] == (SpanLabel.HEADER, RULE_ENTITY_HEADER, "Acme Capital S.A.")
         counts.append(_python_calls(lambda: segment_page(vp, anns)))
     assert counts[0] == counts[1]
+
+
+def _grid_page(cells, columns=5):
+    """A title above ``cells`` entries, each a bold organisation header over
+    a two-line address body."""
+    groups = [text_group("DIRECTORY OF ADVISERS", 40, 20, 400, 36, size=16.0, bold=True)]
+    for i in range(cells):
+        left, top = 40 + (i % columns) * 110.0, 60 + (i // columns) * 50.0
+        groups.append(text_group("Acme Capital S.A.", left, top, left + 100, top + 10, bold=True))
+        groups.append(group(line(seg("12 Main Street", left, top + 14, left + 100, top + 24)),
+                            line(seg("London EC2A 1AA", left, top + 26, left + 100, top + 36))))
+    return parse_page(*groups, width=640, height=120 + 50 * (cells // columns))
+
+
+def test_segment_calls_grow_linearly_with_span_count():
+    counts = []
+    for cells in (112, 225, 450):
+        vp = _grid_page(cells)
+        anns = annotate(vp, GAZ)
+        spans = segment_page(vp, anns)
+        assert [s.label for s in spans] == [SpanLabel.HEADER] + [SpanLabel.HEADER, SpanLabel.BODY] * cells
+        counts.append(_python_calls(lambda: segment_page(vp, anns)))
+    # Doubling the cells at most roughly doubles the work.
+    assert counts[1] <= 2.2 * counts[0] and counts[2] <= 2.2 * counts[1]
