@@ -9,7 +9,8 @@ statistical NER is involved, so recall is bounded by the gazetteer.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
@@ -168,53 +169,62 @@ class _PhraseIndex:
     "?", or a "?" itself, is looked up instead by its first character in a
     bucket of the phrases whose first character ``re.IGNORECASE`` equates
     with it, filled on first use.
+
+    Building the index compiles no phrase regex: each bucket's regexes are
+    compiled when a pass first finds its key, so a process pays only for
+    the phrases its text can reach.
     """
 
     def __init__(self, lists: "dict[str, tuple[str, ...]]"):
         self.names = tuple(lists)
-        # Per list: (first character, phrase regex), longest phrase first.
-        self._lists: "list[list[tuple[str, re.Pattern]]]" = []
-        # Key -> {list: its phrase regexes under that key, longest first}.
-        self._by_key: "dict[str, dict[int, list[re.Pattern]]]" = {}
-        self._by_char: "dict[str, dict[int, list[re.Pattern]]]" = {}
-        for slot, phrases in enumerate(lists.values()):
-            entries = []
-            for phrase in sorted(phrases, key=len, reverse=True):
-                pattern = _phrase_pattern(phrase)
-                entries.append((phrase[0], pattern))
+        # Per list: its phrases, longest first.
+        self._lists = [sorted(phrases, key=len, reverse=True) for phrases in lists.values()]
+        # Key -> {list: its phrases under that key, longest first}.
+        self._keyed: "dict[str, dict[int, list[str]]]" = {}
+        for slot, phrases in enumerate(self._lists):
+            for phrase in phrases:
                 key = _ascii_key(phrase)
                 if key is not None and key != "?":  # every "?" goes to a bucket
-                    self._by_key.setdefault(key, {}).setdefault(slot, []).append(pattern)
-            self._lists.append(entries)
-        words = {k for k in self._by_key if _LEADING_WORD_RE.fullmatch(k)}
-        symbols = "".join(re.escape(k) for k in self._by_key if k not in words)
+                    self._keyed.setdefault(key, {}).setdefault(slot, []).append(phrase)
+        # The buckets of phrase regexes, each compiled on its first hit.
+        self._by_key: "dict[str, dict[int, list[re.Pattern]]]" = {}
+        self._by_char: "dict[str, dict[int, list[re.Pattern]]]" = {}
+        words = {k for k in self._keyed if _LEADING_WORD_RE.fullmatch(k)}
+        symbols = "".join(re.escape(k) for k in self._keyed if k not in words)
         starts = [_trie_pattern(words) + r"(?![\w?])"] if words else []
         if symbols:
             starts.append(f"[{symbols}]")
         starts.append(r"\w*\?")
         self._start_re = re.compile(r"(?<!\w)(?:" + "|".join(starts) + ")")
 
+    def _compile_key(self, key: str) -> "dict[int, list[re.Pattern]]":
+        """Compile, and keep, the bucket of phrases filed under key."""
+        found = self._by_key[key] = _compile_bucket(self._keyed[key])
+        return found
+
     def _char_candidates(self, ch: str) -> "dict[int, list[re.Pattern]]":
         """The bucket of phrases whose first character may be ch."""
         found = self._by_char.get(ch)
         if found is None:
-            found = self._by_char[ch] = {}
-            for slot, entries in enumerate(self._lists):
-                for first, pattern in entries:
-                    if re.fullmatch(re.escape(first), ch, re.IGNORECASE):
-                        found.setdefault(slot, []).append(pattern)
+            bucket: "dict[int, list[str]]" = {}
+            for slot, phrases in enumerate(self._lists):
+                for phrase in phrases:
+                    if re.fullmatch(re.escape(phrase[0]), ch, re.IGNORECASE):
+                        bucket.setdefault(slot, []).append(phrase)
+            found = self._by_char[ch] = _compile_bucket(bucket)
         return found
 
     def find(self, text: str) -> "dict[str, list[tuple[int, int]]]":
         spans: "list[list[tuple[int, int]]]" = [[] for _ in self.names]
         next_allowed = [0] * len(self.names)
+        by_key = self._by_key
         scan = text.encode("ascii", "replace").decode("ascii").lower()
         for m in self._start_re.finditer(scan):
-            pos = m.start()
-            if m[0].endswith("?"):
+            pos, key = m.start(), m[0]
+            if key.endswith("?"):
                 candidates = self._char_candidates(text[pos])
-            else:
-                candidates = self._by_key[m[0]]
+            else:  # a key's bucket is never empty
+                candidates = by_key.get(key) or self._compile_key(key)
             for slot, patterns in candidates.items():
                 if pos < next_allowed[slot]:
                     continue
@@ -225,6 +235,10 @@ class _PhraseIndex:
                         next_allowed[slot] = hit.end()
                         break
         return dict(zip(self.names, spans))
+
+
+def _compile_bucket(bucket: "dict[int, list[str]]") -> "dict[int, list[re.Pattern]]":
+    return {slot: [_phrase_pattern(p) for p in phrases] for slot, phrases in bucket.items()}
 
 
 class GazetteerError(ValueError):
@@ -315,35 +329,44 @@ def _is_linker(token: str) -> bool:
 def _suffix_orgs(text: str, suffix_spans: "list[tuple[int, int]]") -> list[tuple[int, int]]:
     """Spans of capitalized runs that terminate in an organization suffix.
 
-    The work is linear in the number of tokens.  The walk back from a suffix
-    stops at the token before the previous suffix, whose run start is
-    remembered, so each token is tested once; the search for a run's first
-    name token resumes where it last stopped.
+    The walk back from a suffix reads the tokens before it, nearest first,
+    from a reversed copy of the text: a run of non-space characters reads
+    the same either way.  It stops at the token before the previous suffix,
+    whose run's first name token is remembered under the token's start, so
+    each token is tested once and no token after the last suffix is read.
     """
     if not suffix_spans:
         return []
-    # Tokens past the last suffix's first character are never read.
-    tokens = [m.span() for m in _TOKEN_RE.finditer(text, 0, suffix_spans[-1][0] + 1)]
-    ends = [end for _, end in tokens]
-    run_start: "dict[int, int]" = {}   # token -> first token of its qualifying run
-    name_start: "dict[int, int]" = {}  # run start -> first non-linker found so far
+    n = len(text)
+    rev = text[::-1]
+    # start of a token before a suffix -> start of the first name token of
+    # the qualifying run that ends there, or None when the run has none
+    name_start: "dict[int, int | None]" = {}
     spans = []
     for start, end in suffix_spans:
-        i = bisect_right(ends, start)  # the token holding the suffix's start
-        if i == 0:
-            continue
-        j = i - 1
-        while j >= 0 and j not in run_start and _token_qualifies(text[slice(*tokens[j])]):
-            j -= 1
-        r = 0 if j < 0 else run_start.get(j, j + 1)
-        run_start[i - 1] = r
-        k = name_start.get(r, r)
-        while k < i and _is_linker(text[slice(*tokens[k])]):
-            k += 1
-        name_start[r] = k
-        if k >= i:
-            continue  # no name tokens before the suffix
-        spans.append((tokens[k][0], end))
+        pos = n - start
+        own = _TOKEN_RE.match(rev, pos)  # the suffix's token, before the suffix
+        if own:
+            pos = own.end()
+        before = name = None
+        for m in _TOKEN_RE.finditer(rev, pos):
+            token_start = n - m.end()
+            if before is None:
+                before = token_start
+            if token_start in name_start:
+                if name_start[token_start] is not None:
+                    name = name_start[token_start]
+                break
+            token = m[0][::-1]
+            if not _token_qualifies(token):
+                break
+            if not _is_linker(token):
+                name = token_start
+        if before is None:
+            continue  # no token before the suffix's
+        name_start[before] = name
+        if name is not None:
+            spans.append((name, end))
     return spans
 
 
@@ -370,33 +393,86 @@ _SURFACE_RES = (
 )
 
 
-def _annotate_text(text: str, index: _PhraseIndex) -> list[Annotation]:
-    """Each label's spans, sorted by (start, end, label).  Labels may overlap
-    one another, so every label has a scan of its own."""
+class GroupAnnotations(Sequence):
+    """One group's annotations, held as each label's spans from the scan.
+
+    ``counts`` reads how many annotations each label has from the span lists.
+    Reading the annotations themselves (iterating, indexing or comparing
+    with a list) builds the ``Annotation`` list, sorted by (start, end,
+    label) and with surfaces, once.  A page that is only scored never
+    builds it.
+    """
+
+    __slots__ = ("text", "spans", "_built")
+
+    def __init__(self, text: str, spans: "dict[AnnotationLabel, list[tuple[int, int]]]"):
+        self.text = text
+        self.spans = spans  # non-empty lists only
+        self._built: "list[Annotation] | None" = None
+
+    @property
+    def counts(self) -> "dict[AnnotationLabel, int]":
+        """The number of annotations of each label that occurs."""
+        return {label: len(spans) for label, spans in self.spans.items()}
+
+    def _list(self) -> "list[Annotation]":
+        if self._built is None:
+            text = self.text
+            found = [(start, end, label)
+                     for label, spans in self.spans.items() for start, end in spans]
+            found.sort()  # a label compares as its value, being a str
+            self._built = [Annotation(label, start, end, text[start:end])
+                           for start, end, label in found]
+        return self._built
+
+    def __len__(self) -> int:
+        return sum(map(len, self.spans.values()))
+
+    def __getitem__(self, i):
+        return self._list()[i]
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __eq__(self, other):
+        if isinstance(other, (list, GroupAnnotations)):
+            return self._list() == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"GroupAnnotations({self._list()!r})"
+
+
+def _annotate_text(text: str, index: _PhraseIndex) -> GroupAnnotations:
+    """Each label's spans, found by a scan of their own, because labels may
+    overlap one another."""
     phrases = index.find(text)
     # A phrase list's spans, like one regex's, are sorted and disjoint; only
     # ORG, which has two sources, needs the longest of overlapping spans kept.
-    by_label = (
-        (AnnotationLabel.ORG, _dedupe_longest(
-            phrases["orgs"] + _suffix_orgs(text, phrases["org_suffixes"]))),
-        (AnnotationLabel.PERSON, phrases["persons"]),
-        (AnnotationLabel.ROLE, phrases["roles"]),
-        (AnnotationLabel.ADDRESS_TYPE, phrases["address_types"]),
-        (AnnotationLabel.GPE, phrases["gpe"]),
-        (AnnotationLabel.FAC, phrases["fac"]),
-    )
-    found = [(start, end, label) for label, spans in by_label for start, end in spans]
+    orgs = phrases["orgs"]
+    suffixed = _suffix_orgs(text, phrases["org_suffixes"])
+    if suffixed:
+        orgs = _dedupe_longest(orgs + suffixed)
+    found = {
+        AnnotationLabel.ORG: orgs,
+        AnnotationLabel.PERSON: phrases["persons"],
+        AnnotationLabel.ROLE: phrases["roles"],
+        AnnotationLabel.ADDRESS_TYPE: phrases["address_types"],
+        AnnotationLabel.GPE: phrases["gpe"],
+        AnnotationLabel.FAC: phrases["fac"],
+    }
     for label, regex in _SURFACE_RES:
-        found += [(*m.span(), label) for m in regex.finditer(text)]
+        found[label] = [m.span() for m in regex.finditer(text)]
     if "@" in text:
-        found += [(*m.span(), AnnotationLabel.EMAIL) for m in EMAIL_RE.finditer(text)]
-    found.sort()  # a label compares as its value, being a str
-    return [Annotation(label, start, end, text[start:end]) for start, end, label in found]
+        found[AnnotationLabel.EMAIL] = [m.span() for m in EMAIL_RE.finditer(text)]
+    return GroupAnnotations(text, {label: spans for label, spans in found.items() if spans})
 
 
-def annotate(page: VisualPage, gaz: Gazetteer) -> "list[list[Annotation]]":
-    """Annotate every group of a page (furniture groups included): one list
-    per group, in group order."""
+def annotate(page: VisualPage, gaz: Gazetteer) -> "list[GroupAnnotations]":
+    """Annotate every group of a page (furniture groups included): one
+    sequence of annotations per group, in group order.  Each is built into
+    ``Annotation``s only when it is read; ``extract_features`` counts its
+    labels without that."""
     index = gaz.phrase_index
     return [_annotate_text(group_text(g), index) for g in page.groups]
 

@@ -302,19 +302,24 @@ def _eval_classifier(args) -> dict:
     return {"stage": "classifier", "overall": prf.to_json()}
 
 
+def _keys_by_page(pages: "list[tuple[int, set[tuple]]]") -> "dict[int, set[tuple]]":
+    """Each page's span keys, from records that may name a page twice."""
+    out: "dict[int, set[tuple]]" = {}
+    for page, keys in pages:
+        out.setdefault(page, set()).update(keys)
+    return out
+
+
 def _eval_segmentation(args) -> dict:
     pred_pages = _pred_pages(load_json(args.pred), args.pred)
     gold = load_gold(load_json(args.gold))
     preds = read_predictions(pred_pages, "spans", args.pred)
-    pred = set().union(*(keys for _, keys in preds))
-    gold_keys = set().union(*(span_keys(p["page"], p.get("spans", [])) for p in gold["pages"]))
-    gold_set = {p["page"] for p in gold["pages"] if "spans" in p}
-    check_page_sets(gold_set, {page for page, _ in preds})
+    golds = [(p["page"], span_keys(p["page"], p["spans"])) for p in gold["pages"] if "spans" in p]
+    check_page_sets({page for page, _ in golds}, {page for page, _ in preds})
+    gold_keys, pred_keys = _keys_by_page(golds), _keys_by_page(preds)
     per_page = {
-        page: eval_span_keys(
-            {k for k in gold_keys if k[0] == page}, {k for k in pred if k[0] == page}
-        )
-        for page in sorted(gold_set)
+        page: eval_span_keys(gold_keys[page], pred_keys[page])
+        for page in sorted(gold_keys)
     }
     overall = _combine(list(per_page.values()))
     return {

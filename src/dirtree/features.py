@@ -9,9 +9,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .annotate import ADDRESS_INDICATOR_LABELS, Annotation, AnnotationLabel
+from .annotate import ADDRESS_INDICATOR_LABELS, Annotation, AnnotationLabel, GroupAnnotations
 from .visual import VisualPage, group_text
 
 FEATURE_NAMES = (
@@ -48,21 +50,24 @@ class FeatureVector:
         return cls(**{name: float(v) for name, v in zip(FEATURE_NAMES, values)})
 
 
-def extract_features(page: VisualPage, per_group: "list[list[Annotation]]") -> FeatureVector:
-    """``per_group`` holds the page's annotations, one list per group."""
+def extract_features(page: VisualPage, per_group: "list[Sequence[Annotation]]") -> FeatureVector:
+    """``per_group`` holds the page's annotations, one sequence per group:
+    what ``annotate`` returns, whose labels are counted without building
+    ``Annotation``s, or plain lists."""
     groups = page.groups
     if len(per_group) != len(groups):
         raise ValueError(
             f"{len(per_group)} annotation lists for a page of {len(groups)} groups")
 
-    # One pass over each group's annotations counts its labels.
+    # What annotate returns holds each label's count; a plain list is counted.
     org, role = AnnotationLabel.ORG, AnnotationLabel.ROLE
     totals: "dict[AnnotationLabel, int]" = {}
     f10 = f12 = f13 = 0
     for anns in per_group:
-        counts: "dict[AnnotationLabel, int]" = {}
-        for a in anns:
-            counts[a.label] = counts.get(a.label, 0) + 1
+        if isinstance(anns, GroupAnnotations):
+            counts = anns.counts
+        else:
+            counts = Counter(a.label for a in anns)
         for label, n in counts.items():
             totals[label] = totals.get(label, 0) + n
         f10 += len(ADDRESS_INDICATOR_LABELS.intersection(counts)) >= 2  # as is_address_candidate

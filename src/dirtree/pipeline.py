@@ -3,7 +3,9 @@
 ``page_runs`` selects a document's pages and yields a ``PageRun`` for each.
 A run computes each stage (annotations, features, classifier score, spans,
 tree, blocks) when it is first read and reuses the earlier ones, so no stage
-runs twice on a page.
+runs twice on a page.  Annotations stay as each label's spans until
+something reads them as ``Annotation``s: features only count them, so a page
+that is scored and not selected never builds one.
 
 The stages are called through this module's names so that tests can
 substitute them.  The package ``__init__`` must not import this module:

@@ -1,6 +1,8 @@
+import importlib
 import random
 import re
 import sys
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import fields
 
@@ -8,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dirtree.annotate import (
+    EMAIL_RE as _EMAIL_RE,
+    _SURFACE_RES,
     Annotation,
     AnnotationLabel,
     Gazetteer,
@@ -15,12 +19,16 @@ from dirtree.annotate import (
     _annotate_text,
     _dedupe_longest,
     _is_linker,
+    _suffix_orgs,
     _token_qualifies,
     annotate,
     is_address_candidate,
 )
 
 from conftest import parse_page, text_group
+
+# The package exports the function ``annotate`` under the module's name.
+annotate_module = importlib.import_module("dirtree.annotate")
 
 GAZ = Gazetteer.default()
 
@@ -494,3 +502,124 @@ def test_annotation_calls_linear_in_group_length(group, n):
     # match: per-phrase checks.
     for name in ("all", "_token_qualifies", "bisect_left", "match"):
         assert large[name] <= 2.1 * small[name] + 20, (name, small[name], large[name])
+
+
+# --- count-first annotation against the eager scan it replaced ---
+#
+# Reference copies of ``_annotate_text`` and ``_suffix_orgs`` as they were
+# before annotation became count-first: every group's spans were built into
+# sorted ``Annotation`` tuples at once, and the walk back from each suffix
+# read tokens from a forward tokenization up to the last suffix.
+
+def _suffix_orgs_forward(text, suffix_spans):
+    if not suffix_spans:
+        return []
+    tokens = [m.span() for m in re.compile(r"\S+").finditer(text, 0, suffix_spans[-1][0] + 1)]
+    ends = [end for _, end in tokens]
+    run_start = {}
+    name_start = {}
+    spans = []
+    for start, end in suffix_spans:
+        i = bisect_right(ends, start)
+        if i == 0:
+            continue
+        j = i - 1
+        while j >= 0 and j not in run_start and _token_qualifies(text[slice(*tokens[j])]):
+            j -= 1
+        r = 0 if j < 0 else run_start.get(j, j + 1)
+        run_start[i - 1] = r
+        k = name_start.get(r, r)
+        while k < i and _is_linker(text[slice(*tokens[k])]):
+            k += 1
+        name_start[r] = k
+        if k >= i:
+            continue
+        spans.append((tokens[k][0], end))
+    return spans
+
+
+def _annotate_text_eager(text, index):
+    phrases = index.find(text)
+    by_label = (
+        (AnnotationLabel.ORG, _dedupe_longest(
+            phrases["orgs"] + _suffix_orgs_forward(text, phrases["org_suffixes"]))),
+        (AnnotationLabel.PERSON, phrases["persons"]),
+        (AnnotationLabel.ROLE, phrases["roles"]),
+        (AnnotationLabel.ADDRESS_TYPE, phrases["address_types"]),
+        (AnnotationLabel.GPE, phrases["gpe"]),
+        (AnnotationLabel.FAC, phrases["fac"]),
+    )
+    found = [(start, end, label) for label, spans in by_label for start, end in spans]
+    for label, regex in _SURFACE_RES:
+        found += [(*m.span(), label) for m in regex.finditer(text)]
+    if "@" in text:
+        found += [(*m.span(), AnnotationLabel.EMAIL) for m in _EMAIL_RE.finditer(text)]
+    found.sort()
+    return [Annotation(label, start, end, text[start:end]) for start, end, label in found]
+
+
+# Capitalised names (some non-ASCII), linkers, lowercase words, suffixes
+# (one of them two words long, one led by "&"), entities of every label,
+# and text that reverses differently from itself.
+_TOKEN_WORDS = [
+    "Alpha", "Beta", "KPMG", "Zürich", "Ωmega", "Ärzte", "(Suisse)", "Deutsche", "Bank",
+    "of", "de", "the", "and", "&", "van", "OF", "(the)",
+    "managed", "by", "daily", "ßtraße", "ı",
+    "S.A.", "SA", "Limited", "Ltd", "GmbH", "Société anonyme", "& Co.", "Co.",
+    "Custodian", "Administrator", "Registered Office", "Luxembourg", "Jane Doe", "Tower",
+    "info@fund.lu", "a@b", "@", "12", "2021", "L-2449", "EUR 1,000", "+352 26 12 34 56",
+    "1 January 2021", "9/11", "4th",
+]
+# "" runs tokens together; the rest are ASCII and Unicode whitespace and
+# punctuation.
+_TOKEN_SEPARATORS = ["", " ", " ", "  ", " ", "　", "\x1c", "\t", "\n", "-", ",", "(", "."]
+_TOKEN_GAZ = Gazetteer(
+    orgs=("Alpha Beta", "KPMG", "Deutsche Bank"),
+    org_suffixes=("S.A.", "SA", "Limited", "Ltd", "GmbH", "Société anonyme", "& Co.",
+                  "Beta Limited"),
+    roles=("Custodian", "Administrator"),
+    address_types=("Registered Office",),
+    gpe=("Luxembourg", "Zürich"),
+    persons=("Jane Doe",),
+    fac=("Tower",),
+)
+
+
+def _token_rich_text():
+    words = st.one_of(st.sampled_from(_TOKEN_WORDS), st.text(
+        alphabet="AZaz&.() 　\x1c 1@Ωß", min_size=1, max_size=4))
+    return st.lists(st.tuples(words, st.sampled_from(_TOKEN_SEPARATORS)), max_size=30).map(
+        lambda items: "".join(word + sep for word, sep in items))
+
+
+@settings(max_examples=400)
+@given(text=_token_rich_text())
+@example(text="Alpha Beta Limited Alpha Beta LimitedAlpha Beta　Limited")
+@example(text="and of the S.A. Alpha\x1cS.A. Beta-S.A. Co.,Co. & Co.")
+def test_built_annotations_match_eager_scan(text):
+    index = _TOKEN_GAZ.phrase_index
+    suffixes = index.find(text)["org_suffixes"]
+    assert _suffix_orgs(text, suffixes) == _suffix_orgs_forward(text, suffixes)
+    got = _annotate_text(text, index)
+    built = list(got)
+    assert built == _annotate_text_eager(text, index)
+    assert len(got) == len(built)
+    assert got.counts == Counter(a.label for a in built)
+
+
+def test_phrase_index_compiles_phrases_on_first_hit(monkeypatch):
+    compiled = []
+    real = annotate_module._phrase_pattern
+
+    def counting(phrase):
+        compiled.append(phrase)
+        return real(phrase)
+
+    monkeypatch.setattr(annotate_module, "_phrase_pattern", counting)
+    index = Gazetteer(roles=("Custodian", "Chief Custodian"), gpe=("Luxembourg", "Zürich")).phrase_index
+    assert compiled == []
+    assert index.find("The custodian in Zürich")["roles"] == [(4, 13)]
+    # The "custodian" bucket, then the bucket of phrases led by "z" or "Z".
+    assert compiled == ["Custodian", "Zürich"]
+    index.find("Custodian, Zürich, custodian")
+    assert compiled == ["Custodian", "Zürich"]

@@ -1,6 +1,8 @@
+import dataclasses
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirtree.annotate import Gazetteer, annotate
 from dirtree.features import (
@@ -181,3 +183,34 @@ def test_write_features_csv_to_real_file(tmp_path):
         write_features_csv(f, [(FeatureVector(f6=1.0), 0)])
     with open(p, newline="") as f:
         assert len(read_features_csv(f)) == 1
+
+
+# Every label the classifier counts, with runs of names, linkers and
+# suffixes, and tokens that run together.
+_LABELLED_WORDS = [
+    "EUR 1,000", "$5", "12/31/2021", "1 January 2021", "info@fund.lu", "+352 26 12 34 56",
+    "Tower", "Custodian", "Administrator", "Registered Office", "Luxembourg", "Zurich",
+    "L-2449", "75440", "39", "Acme Capital S.A.", "KPMG Luxembourg Société Coopérative",
+    "Banque de Commerce S.A.", "Jane Doe", "of", "the", "and", "managed", "by", "Page",
+]
+_FULL_GAZ = dataclasses.replace(GAZ, persons=("Jane Doe",), fac=("Tower",))
+
+
+def _group_texts():
+    text = st.lists(st.tuples(st.sampled_from(_LABELLED_WORDS), st.sampled_from(["", " ", ", "])),
+                    min_size=1, max_size=12).map(lambda items: "".join(w + s for w, s in items))
+    return st.lists(st.tuples(text, st.sampled_from([{}, {"footer": True}, {"border": 4}])),
+                    min_size=1, max_size=6)
+
+
+@settings(max_examples=200)
+@given(groups=_group_texts())
+def test_features_from_counts_match_features_from_lists(groups):
+    vp = parse_page(*(text_group(text, 0, 20 * i, 590, 20 * i + 10, **kw)
+                      for i, (text, kw) in enumerate(groups)))
+    anns = annotate(vp, _FULL_GAZ)
+    counted = extract_features(vp, anns)
+    assert counted == extract_features(vp, [list(group) for group in anns])
+    with pytest.raises(ValueError, match=f"{len(anns) - 1} annotation lists for a page of "
+                                         f"{len(anns)} groups"):
+        extract_features(vp, [list(group) for group in anns[1:]])

@@ -468,7 +468,7 @@ def _page_and_annotations(draw):
         groups.append(group(*lines, footer=draw(st.integers(0, 7)) == 0))
     groups.append(BALLAST)
     vp = parse_document(doc(page(*groups)))[0]
-    anns = annotate(vp, GAZ)
+    anns = [list(a) for a in annotate(vp, GAZ)]
     # Extra annotations on token boundaries put entities at the start, in
     # the middle and at the end of groups, and role mentions in any gap.
     for gi, g in enumerate(vp.groups):
