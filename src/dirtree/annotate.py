@@ -40,11 +40,11 @@ ADDRESS_INDICATOR_LABELS = frozenset(
     {AnnotationLabel.GPE, AnnotationLabel.POSTCODE, AnnotationLabel.CARDINAL}
 )
 
-# The surface regexes are scanned over every group, so each is written so
-# that ``re`` rejects most positions at their first character: a boundary
-# test on the character before a match is made after the match's first
-# character (``\d(?<!X\d)`` rather than ``(?<!X)\d``), and a boundary
-# shared by every alternative is tested once.
+# A surface regex is scanned over every group whose label is read, so each
+# is written so that ``re`` rejects most positions at their first
+# character: a boundary test on the character before a match is made after
+# the match's first character (``\d(?<!X\d)`` rather than ``(?<!X)\d``),
+# and a boundary shared by every alternative is tested once.
 
 EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")
 
@@ -393,40 +393,70 @@ _SURFACE_RES = (
 )
 
 
-class GroupAnnotations(Sequence):
-    """One group's annotations, held as each label's spans from the scan.
+# Every surface label's regex: the five of the table above, and EMAIL.
+_SURFACE_SCANS = {**dict(_SURFACE_RES), AnnotationLabel.EMAIL: EMAIL_RE}
 
-    ``counts`` reads how many annotations each label has from the span lists.
-    Reading the annotations themselves (iterating, indexing or comparing
-    with a list) builds the ``Annotation`` list, sorted by (start, end,
-    label) and with surfaces, once.  A page that is only scored never
-    builds it.
+
+class GroupAnnotations(Sequence):
+    """One group's annotations, held as each label's spans.
+
+    The phrase labels' spans come from the phrase pass.  A surface label's
+    spans are found the first time something reads that label, and kept.
+    ``spans_of`` and ``has`` read one label, and ``has`` may stop at the
+    first match; ``select`` builds the ``Annotation``s of a few labels.
+    ``counts``, ``len``, iterating, indexing and comparing with a list read
+    every label; the last three build the ``Annotation`` list, sorted by
+    (start, end, label) and with surfaces, once.
     """
 
-    __slots__ = ("text", "spans", "_built")
+    __slots__ = ("text", "_spans", "_built")
 
-    def __init__(self, text: str, spans: "dict[AnnotationLabel, list[tuple[int, int]]]"):
+    def __init__(self, text: str, phrase_spans: "dict[AnnotationLabel, list[tuple[int, int]]]"):
         self.text = text
-        self.spans = spans  # non-empty lists only
+        self._spans = phrase_spans  # label -> its spans, for each label read so far
+        if "@" not in text:
+            self._spans[AnnotationLabel.EMAIL] = []  # an email needs an "@"
         self._built: "list[Annotation] | None" = None
+
+    def spans_of(self, label: AnnotationLabel) -> "list[tuple[int, int]]":
+        """The label's (start, end) spans, in order."""
+        spans = self._spans.get(label)
+        if spans is None:
+            spans = self._spans[label] = [
+                m.span() for m in _SURFACE_SCANS[label].finditer(self.text)]
+        return spans
+
+    def has(self, label: AnnotationLabel) -> bool:
+        """Whether the label occurs, found by a search that stops at the first
+        match when its spans have not been read."""
+        spans = self._spans.get(label)
+        if spans is not None:
+            return bool(spans)
+        if _SURFACE_SCANS[label].search(self.text):
+            return True
+        self._spans[label] = []
+        return False
+
+    def select(self, *labels: AnnotationLabel) -> "list[Annotation]":
+        """The annotations of these labels, as the full list holds them."""
+        text = self.text
+        found = [(start, end, label) for label in labels for start, end in self.spans_of(label)]
+        found.sort()  # a label compares as its value, being a str
+        return [Annotation(label, start, end, text[start:end]) for start, end, label in found]
 
     @property
     def counts(self) -> "dict[AnnotationLabel, int]":
         """The number of annotations of each label that occurs."""
-        return {label: len(spans) for label, spans in self.spans.items()}
+        return {label: len(spans) for label in AnnotationLabel
+                if (spans := self.spans_of(label))}
 
     def _list(self) -> "list[Annotation]":
         if self._built is None:
-            text = self.text
-            found = [(start, end, label)
-                     for label, spans in self.spans.items() for start, end in spans]
-            found.sort()  # a label compares as its value, being a str
-            self._built = [Annotation(label, start, end, text[start:end])
-                           for start, end, label in found]
+            self._built = self.select(*AnnotationLabel)
         return self._built
 
     def __len__(self) -> int:
-        return sum(map(len, self.spans.values()))
+        return sum(len(self.spans_of(label)) for label in AnnotationLabel)
 
     def __getitem__(self, i):
         return self._list()[i]
@@ -444,8 +474,8 @@ class GroupAnnotations(Sequence):
 
 
 def _annotate_text(text: str, index: _PhraseIndex) -> GroupAnnotations:
-    """Each label's spans, found by a scan of their own, because labels may
-    overlap one another."""
+    """The phrase labels' spans, each found by a pass of its own because
+    labels may overlap one another; the surface labels wait to be read."""
     phrases = index.find(text)
     # A phrase list's spans, like one regex's, are sorted and disjoint; only
     # ORG, which has two sources, needs the longest of overlapping spans kept.
@@ -453,31 +483,35 @@ def _annotate_text(text: str, index: _PhraseIndex) -> GroupAnnotations:
     suffixed = _suffix_orgs(text, phrases["org_suffixes"])
     if suffixed:
         orgs = _dedupe_longest(orgs + suffixed)
-    found = {
+    return GroupAnnotations(text, {
         AnnotationLabel.ORG: orgs,
         AnnotationLabel.PERSON: phrases["persons"],
         AnnotationLabel.ROLE: phrases["roles"],
         AnnotationLabel.ADDRESS_TYPE: phrases["address_types"],
         AnnotationLabel.GPE: phrases["gpe"],
         AnnotationLabel.FAC: phrases["fac"],
-    }
-    for label, regex in _SURFACE_RES:
-        found[label] = [m.span() for m in regex.finditer(text)]
-    if "@" in text:
-        found[AnnotationLabel.EMAIL] = [m.span() for m in EMAIL_RE.finditer(text)]
-    return GroupAnnotations(text, {label: spans for label, spans in found.items() if spans})
+    })
 
 
 def annotate(page: VisualPage, gaz: Gazetteer) -> "list[GroupAnnotations]":
     """Annotate every group of a page (furniture groups included): one
-    sequence of annotations per group, in group order.  Each is built into
-    ``Annotation``s only when it is read; ``extract_features`` counts its
-    labels without that."""
+    sequence of annotations per group, in group order.  The phrase pass
+    runs here; each surface label is scanned when something first reads
+    it, so a reader pays only for the labels it asks for."""
     index = gaz.phrase_index
     return [_annotate_text(group_text(g), index) for g in page.groups]
 
 
-def is_address_candidate(annotations: "list[Annotation]") -> bool:
-    """True when at least two distinct address-indicator labels occur."""
+def is_address_candidate(annotations: "Sequence[Annotation]") -> bool:
+    """True when at least two distinct address-indicator labels occur.
+
+    What ``annotate`` returns is asked label by label, GPE (from the phrase
+    pass) first, and stops once the answer is known: POSTCODE is searched
+    for only when it would decide."""
+    if isinstance(annotations, GroupAnnotations):
+        gpe = annotations.has(AnnotationLabel.GPE)
+        if annotations.has(AnnotationLabel.CARDINAL):
+            return gpe or annotations.has(AnnotationLabel.POSTCODE)
+        return gpe and annotations.has(AnnotationLabel.POSTCODE)
     labels = {a.label for a in annotations if a.label in ADDRESS_INDICATOR_LABELS}
     return len(labels) >= 2

@@ -13,7 +13,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .annotate import ADDRESS_INDICATOR_LABELS, Annotation, AnnotationLabel, GroupAnnotations
+from .annotate import Annotation, AnnotationLabel, GroupAnnotations, is_address_candidate
 from .visual import VisualPage, group_text
 
 FEATURE_NAMES = (
@@ -50,35 +50,41 @@ class FeatureVector:
         return cls(**{name: float(v) for name, v in zip(FEATURE_NAMES, values)})
 
 
+# The labels whose counts the features read.
+_COUNTED_LABELS = (
+    AnnotationLabel.CURRENCY, AnnotationLabel.DATE, AnnotationLabel.EMAIL,
+    AnnotationLabel.PHONE, AnnotationLabel.FAC, AnnotationLabel.ROLE, AnnotationLabel.ORG,
+)
+
+
 def extract_features(page: VisualPage, per_group: "list[Sequence[Annotation]]") -> FeatureVector:
     """``per_group`` holds the page's annotations, one sequence per group:
-    what ``annotate`` returns, whose labels are counted without building
-    ``Annotation``s, or plain lists."""
+    what ``annotate`` returns, of which only the counted labels are read
+    and no ``Annotation`` is built, or plain lists."""
     groups = page.groups
     if len(per_group) != len(groups):
         raise ValueError(
             f"{len(per_group)} annotation lists for a page of {len(groups)} groups")
 
-    # What annotate returns holds each label's count; a plain list is counted.
     org, role = AnnotationLabel.ORG, AnnotationLabel.ROLE
-    totals: "dict[AnnotationLabel, int]" = {}
+    totals = dict.fromkeys(_COUNTED_LABELS, 0)
     f10 = f12 = f13 = 0
     for anns in per_group:
         if isinstance(anns, GroupAnnotations):
-            counts = anns.counts
+            counts = {label: len(anns.spans_of(label)) for label in _COUNTED_LABELS}
         else:
             counts = Counter(a.label for a in anns)
-        for label, n in counts.items():
-            totals[label] = totals.get(label, 0) + n
-        f10 += len(ADDRESS_INDICATOR_LABELS.intersection(counts)) >= 2  # as is_address_candidate
-        f12 += 1 <= counts.get(org, 0) <= 3
-        f13 += 1 <= counts.get(role, 0) <= 4
+        for label in _COUNTED_LABELS:  # a Counter reads 0 for a missing label
+            totals[label] += counts[label]
+        f10 += is_address_candidate(anns)
+        f12 += 1 <= counts[org] <= 3
+        f13 += 1 <= counts[role] <= 4
 
-    f1 = totals.get(AnnotationLabel.CURRENCY, 0)
-    f2 = totals.get(AnnotationLabel.DATE, 0)
-    f3 = totals.get(AnnotationLabel.EMAIL, 0)
-    f4 = totals.get(AnnotationLabel.PHONE, 0)
-    f5 = totals.get(AnnotationLabel.FAC, 0)
+    f1 = totals[AnnotationLabel.CURRENCY]
+    f2 = totals[AnnotationLabel.DATE]
+    f3 = totals[AnnotationLabel.EMAIL]
+    f4 = totals[AnnotationLabel.PHONE]
+    f5 = totals[AnnotationLabel.FAC]
     f6 = len(groups)
 
     # Table regions may overlap each other or hang off the page; only the
@@ -90,7 +96,7 @@ def extract_features(page: VisualPage, per_group: "list[Sequence[Annotation]]") 
         table_area += w * h
     f7 = min(1.0, table_area / (page.width * page.height))
 
-    f8 = totals.get(role, 0)
+    f8 = totals[role]
     f9 = sum(
         len(group_text(g).split()) for g in groups if not g.is_furniture
     )

@@ -3,9 +3,13 @@
 ``page_runs`` selects a document's pages and yields a ``PageRun`` for each.
 A run computes each stage (annotations, features, classifier score, spans,
 tree, blocks) when it is first read and reuses the earlier ones, so no stage
-runs twice on a page.  Annotations stay as each label's spans until
-something reads them as ``Annotation``s: features only count them, so a page
-that is scored and not selected never builds one.
+runs twice on a page.  ``annotate`` runs the phrase pass; each surface
+label (postcode, number, amount, date, phone, email) is scanned when a
+later stage first reads it.  Features read the counts of the labels they
+use and test numbers and postcodes by presence; segmentation reads
+organizations, persons, roles and address types.  So a page that is scored
+and not selected lists no numbers or postcodes and builds no
+``Annotation``, and no stage builds the full sorted annotation list.
 
 The stages are called through this module's names so that tests can
 substitute them.  The package ``__init__`` must not import this module:

@@ -11,10 +11,11 @@ Spans always tile the full group text exactly.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .annotate import Annotation, AnnotationLabel
+from .annotate import Annotation, AnnotationLabel, GroupAnnotations
 from .visual import BBox, Group, StyleInfo, VisualPage, group_layout, group_text, union_all
 
 
@@ -140,34 +141,39 @@ def _span_geometry(group: Group, layout, start: int, end: int) -> tuple[BBox, St
     return union_all(boxes), style
 
 
+_ENTITY_LABELS = (AnnotationLabel.ORG, AnnotationLabel.PERSON)
+_HEADER_LABELS = (AnnotationLabel.ROLE, AnnotationLabel.ADDRESS_TYPE)
+
+
+def _of(anns, labels) -> "list[Annotation]":
+    """The annotations of these labels: selected from what ``annotate``
+    returns, which reads no other label, or filtered from a plain list."""
+    if isinstance(anns, GroupAnnotations):
+        return anns.select(*labels)
+    return [a for a in anns if a.label in labels]
+
+
 def _first_entity(anns):
-    candidates = [
-        a for a in anns
-        if a.label in (AnnotationLabel.ORG, AnnotationLabel.PERSON)
-    ]
+    candidates = _of(anns, _ENTITY_LABELS)
     if not candidates:
         return None
     return min(candidates, key=lambda a: (a.start, a.end, a.label.value))
 
 
 def _has_role_or_address(anns, start: int, end: int) -> bool:
-    return any(
-        a.label in (AnnotationLabel.ROLE, AnnotationLabel.ADDRESS_TYPE)
-        and a.start < end
-        and a.end > start
-        for a in anns
-    )
+    return any(a.start < end and a.end > start for a in _of(anns, _HEADER_LABELS))
 
 
 def segment_page(
     page: VisualPage,
-    anns: "list[list[Annotation]]",
+    anns: "list[Sequence[Annotation]]",
     page_index: int = 0,
 ) -> list[LabeledSpan]:
     """Apply the rule cascade to every group of an (already classified) page.
 
-    ``anns`` holds the page's annotations, one list per group; ``page_index``
-    is only stamped on the spans.
+    ``anns`` holds the page's annotations, one sequence per group: what
+    ``annotate`` returns, of which only ORG, PERSON, ROLE and ADDRESS_TYPE
+    are read, or plain lists.  ``page_index`` is only stamped on the spans.
 
     Per group: (1) page furniture is Neither; (2) an ORG/PERSON entity with
     text following it turns [entity start, group end] into Body, an entity

@@ -10,7 +10,6 @@ which is what keeps sibling sections from swallowing one another.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -256,8 +255,13 @@ def median_line_height(spans: "list[LabeledSpan]") -> float:
     Most spans on a directory page are single lines, so the median is robust
     to the occasional multi-line body box.
     """
-    heights = [s.bbox.height for s in spans]
-    return statistics.median(heights) if heights else 0.0
+    heights = sorted(s.bbox.height for s in spans)
+    if not heights:
+        return 0.0
+    i = len(heights) // 2
+    # The middle height, or the mean of the two middle ones, as
+    # statistics.median computes it.
+    return heights[i] if len(heights) % 2 else (heights[i - 1] + heights[i]) / 2
 
 
 def same_entry(

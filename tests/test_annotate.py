@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from dirtree.annotate import (
     EMAIL_RE as _EMAIL_RE,
     _SURFACE_RES,
+    GroupAnnotations,
     Annotation,
     AnnotationLabel,
     Gazetteer,
@@ -605,6 +606,42 @@ def test_built_annotations_match_eager_scan(text):
     assert built == _annotate_text_eager(text, index)
     assert len(got) == len(built)
     assert got.counts == Counter(a.label for a in built)
+
+
+_L = AnnotationLabel
+# One read of a GroupAnnotations: a label's presence or spans, the labels
+# segmentation selects, the address test, or the whole sequence.
+_READS = st.one_of(
+    st.tuples(st.sampled_from(["has", "spans_of"]), st.sampled_from(list(_L))),
+    st.tuples(st.just("select"), st.sampled_from(
+        [(_L.ORG, _L.PERSON), (_L.ROLE, _L.ADDRESS_TYPE), (_L.CARDINAL, _L.POSTCODE, _L.GPE)])),
+    st.tuples(st.sampled_from(["address", "counts", "all"]), st.none()),
+)
+
+
+@settings(max_examples=300)
+@given(text=_token_rich_text(), reads=st.lists(_READS, max_size=8))
+@example(text="L-2449 Luxembourg 12", reads=[("has", _L.POSTCODE), ("spans_of", _L.POSTCODE)])
+@example(text="a@b 12", reads=[("has", _L.EMAIL), ("all", None)])
+def test_reads_in_any_order_match_eager_scan(text, reads):
+    index = _TOKEN_GAZ.phrase_index
+    want = _annotate_text_eager(text, index)
+    got = _annotate_text(text, index)
+    assert isinstance(got, GroupAnnotations)
+    for read, arg in reads:
+        if read == "has":
+            assert got.has(arg) == any(a.label == arg for a in want)
+        elif read == "spans_of":
+            assert got.spans_of(arg) == [(a.start, a.end) for a in want if a.label == arg]
+        elif read == "select":
+            assert got.select(*arg) == [a for a in want if a.label in arg]
+        elif read == "address":
+            assert is_address_candidate(got) == is_address_candidate(want)
+        elif read == "counts":
+            assert got.counts == Counter(a.label for a in want)
+        else:
+            assert list(got) == want and len(got) == len(want) and got[-1:] == want[-1:]
+    assert got == want
 
 
 def test_phrase_index_compiles_phrases_on_first_hit(monkeypatch):

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -167,6 +168,28 @@ def test_help_via_module():
     )
     assert proc.returncode == 0
     assert "usage" in proc.stdout
+
+
+# Modules that would pull in ``fractions``, ``decimal`` and ``numbers`` on
+# every command.
+_HEAVY_MODULES = {"statistics", "fractions", "decimal"}
+
+
+def test_cli_imports_only_the_standard_library():
+    # A fresh interpreter without site-packages: every module the import adds
+    # is the package's own or the standard library's.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import dirtree.cli; print(sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = ast.literal_eval(proc.stdout)
+    assert "dirtree.cli" in added
+    outside = [m for m in added if m.split(".")[0] not in sys.stdlib_module_names
+               and m.split(".")[0] != "dirtree"]
+    assert outside == []
+    assert _HEAVY_MODULES.isdisjoint(added)
 
 
 def test_out_writes_file(fig1a_path, tmp_path, capsys):

@@ -9,11 +9,14 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirtree import cli
 from dirtree.annotate import Gazetteer, annotate
 from dirtree.features import extract_features
+from dirtree.pipeline import page_runs
 from dirtree.segment import RULE_ENTITY_BODY, RULE_ROLE_ADDRESS, segment_page
+from dirtree.tree import blocks_to_json
 from dirtree.visual import parse_document
 
 from conftest import EXPECTED_BLOCKS, FIXTURES, doc, group, line, page, seg, text_group
@@ -219,3 +222,55 @@ def test_cli_bytes_pinned(pages, command, capsys, tmp_path):
     out = _stdout(capsys, tmp_path, PINNED_PAGES[pages], *command)
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == PINNED[(pages, command[0])]
+
+
+# --- group order ---
+
+def _blocks_json(page_dict) -> str:
+    (run,) = page_runs(parse_document(doc(page_dict)), GAZ, "all")
+    return json.dumps(blocks_to_json(run.blocks, page_index=run.index))
+
+
+def _with_groups_in_order(page_dict, order):
+    groups = page_dict["groups"]
+    return dict(page_dict, groups=[groups[i] for i in order])
+
+
+_GRID_TITLES = ["Registered Office", "Administrator", "Auditor", "Acme Capital S.A.",
+                "Custodian:", "KPMG Luxembourg"]
+_GRID_LINES = ["12 Main Street", "London EC2A 1AA", "L-2449 Luxembourg", "Tel: +352 26 12 34 56"]
+
+
+def _grid(entries, columns):
+    """A title above a grid of entries, each a bold title over a body of one
+    or two lines."""
+    groups = [text_group("DIRECTORY OF ADVISERS", 40, 20, 400, 36, size=16.0, bold=True)]
+    for i, (title, body) in enumerate(entries):
+        left, top = 40 + (i % columns) * 110.0, 60 + (i // columns) * 50.0
+        groups.append(text_group(title, left, top, left + 100, top + 10, bold=True))
+        groups.append(group(*(line(seg(text, left, top + 14 + 12 * k, left + 100, top + 24 + 12 * k))
+                              for k, text in enumerate(body))))
+    return page(*groups, width=640, height=120 + 50 * (len(entries) // columns + 1))
+
+
+@st.composite
+def _grid_and_order(draw):
+    entries = draw(st.lists(st.tuples(
+        st.sampled_from(_GRID_TITLES),
+        st.lists(st.sampled_from(_GRID_LINES), min_size=1, max_size=2)), min_size=1, max_size=12))
+    grid = _grid(entries, draw(st.integers(1, 5)))
+    return grid, draw(st.permutations(range(len(grid["groups"]))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.permutations(range(len(_fig1a()["groups"]))))
+def test_fig1a_blocks_independent_of_group_order(order):
+    fig1a = _fig1a()
+    assert _blocks_json(_with_groups_in_order(fig1a, order)) == _blocks_json(fig1a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_grid_and_order())
+def test_grid_blocks_independent_of_group_order(case):
+    grid, order = case
+    assert _blocks_json(_with_groups_in_order(grid, order)) == _blocks_json(grid)

@@ -3,7 +3,7 @@
 import importlib
 
 from dirtree import pipeline
-from dirtree.annotate import Gazetteer
+from dirtree.annotate import AnnotationLabel, Gazetteer
 from dirtree.features import FEATURE_NAMES
 from dirtree.forest import ForestHyperparams, ForestModel, LeafNode
 from dirtree.visual import parse_document
@@ -73,3 +73,43 @@ def test_features_then_spans_annotate_once(fig1a_page, monkeypatch):
     assert built == []
     assert run.spans
     assert built and len(calls) == 1
+
+
+# The labels a regex finds, not the phrase pass.
+SURFACE_LABELS = {AnnotationLabel.POSTCODE, AnnotationLabel.CARDINAL, AnnotationLabel.CURRENCY,
+                  AnnotationLabel.DATE, AnnotationLabel.PHONE, AnnotationLabel.EMAIL}
+
+
+class _CountingRegex:
+    def __init__(self, label, regex, calls):
+        self.label, self.regex, self.calls = label, regex, calls
+
+    def finditer(self, text):
+        self.calls.append((self.label, "finditer"))
+        return self.regex.finditer(text)
+
+    def search(self, text):
+        self.calls.append((self.label, "search"))
+        return self.regex.search(text)
+
+
+def test_scored_only_page_lists_no_numbers_or_postcodes(monkeypatch):
+    calls = []
+    scans = {label: _CountingRegex(label, regex, calls)
+             for label, regex in annotate_module._SURFACE_SCANS.items()}
+    assert set(scans) == SURFACE_LABELS
+    monkeypatch.setattr(annotate_module, "_SURFACE_SCANS", scans)
+    pages = parse_document(doc(NARRATIVE))
+    assert list(pipeline.page_runs(pages, GAZ, "auto", _constant_model(0))) == []
+    listed = {label for label, how in calls if how == "finditer"}
+    assert listed == SURFACE_LABELS - {AnnotationLabel.CARDINAL, AnnotationLabel.POSTCODE}
+    # The page's numbers and its postcode were asked for by search alone.
+    assert (AnnotationLabel.CARDINAL, "search") in calls
+    assert (AnnotationLabel.POSTCODE, "search") in calls
+
+
+def test_segmenting_builds_no_surface_annotations(fig1a_page, monkeypatch):
+    built = _counting_annotations(monkeypatch)
+    run = pipeline.PageRun(fig1a_page, 0, GAZ)
+    assert run.spans
+    assert built and {args[0] for args in built}.isdisjoint(SURFACE_LABELS)

@@ -546,3 +546,10 @@ def test_segment_calls_grow_linearly_with_span_count():
         counts.append(_python_calls(lambda: segment_page(vp, anns)))
     # Doubling the cells at most roughly doubles the work.
     assert counts[1] <= 2.2 * counts[0] and counts[2] <= 2.2 * counts[1]
+
+
+@pytest.mark.parametrize("cells", [0, 7, 112])
+def test_segment_reads_annotate_output_as_plain_lists(cells, fig1a_page):
+    vp = _grid_page(cells) if cells else fig1a_page
+    got = segment_page(vp, annotate(vp, GAZ))
+    assert got == segment_page(vp, [list(a) for a in annotate(vp, GAZ)])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import statistics
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -327,6 +328,13 @@ def test_median_line_height():
     assert median_line_height(spans) == 14.0
     assert median_line_height(spans[:2]) == 20.0
     assert median_line_height([]) == 0.0
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=9))
+def test_median_line_height_matches_statistics_median(heights):
+    # A box from 0 to h has height h exactly, for any finite h.
+    spans = [mkspan("x", 0, 0, 10, h) for h in heights]
+    assert median_line_height(spans) == statistics.median(heights)
 
 
 # --- entry membership ---
