@@ -24,7 +24,7 @@ import math
 import random
 import sys
 from bisect import bisect_right
-from collections import Counter
+from collections import _count_elements  # the C helper Counter counts with
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, islice, repeat
 from operator import itemgetter, not_, or_, sub
@@ -158,8 +158,9 @@ def _count(neg, pos, f):
     """Histogram of feature ``f``: its distinct values ascending, with the
     number of negative and of positive rows at each."""
     value_of = itemgetter(f)
-    neg_counts = Counter(map(value_of, neg))
-    pos_counts = Counter(map(value_of, pos))
+    neg_counts, pos_counts = {}, {}
+    _count_elements(neg_counts, map(value_of, neg))
+    _count_elements(pos_counts, map(value_of, pos))
     values = sorted(neg_counts.keys() | pos_counts.keys())
     return (values, list(map(neg_counts.get, values, repeat(0))),
             list(map(pos_counts.get, values, repeat(0))))

@@ -146,6 +146,12 @@ def _same_band(a: BBox, b: BBox, p: TreeParams) -> bool:
     return overlap > 0 and overlap >= p.band_overlap_frac * shorter
 
 
+def _tie_key(s: LabeledSpan, i: int) -> tuple:
+    """Left edge first, then the rest of the geometry and the text, so that
+    the index (the order of groups in the JSON) breaks only full ties."""
+    return (*s.bbox, s.text, i)
+
+
 def reading_sequence(spans: "list[LabeledSpan]", p: "TreeParams | None" = None) -> "list[LabeledSpan]":
     """Spans in natural reading order: bands top to bottom, left to right
     within a band.  ``reversed()`` of the result walks the page bottom-up,
@@ -188,7 +194,7 @@ def reading_sequence(spans: "list[LabeledSpan]", p: "TreeParams | None" = None) 
 
     ordered = []
     for members in sorted(bands.values(), key=band_key):
-        members.sort(key=lambda i: (spans[i].bbox.left, spans[i].bbox.top, i))
+        members.sort(key=lambda i: _tie_key(spans[i], i))
         ordered.extend(spans[i] for i in members)
     return ordered
 
@@ -242,7 +248,7 @@ def nearest_header_above(
             continue
         if x_overlap(h.bbox, x.bbox) < p.min_x_overlap_frac * x.bbox.width:
             continue
-        key = (x.bbox.top - h.bbox.bottom, -h.bbox.top, h.bbox.left, idx)
+        key = (x.bbox.top - h.bbox.bottom, -h.bbox.top, _tie_key(h, idx))
         if best_key is None or key < best_key:
             best = h
             best_key = key

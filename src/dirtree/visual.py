@@ -3,11 +3,21 @@
 The input format is a JSON rendering of a visually laid-out document.
 Coordinates use a top-left origin with y growing downward, so ``top < bottom``
 for any box with positive height.
+
+``parse_document`` checks every value it reads.  Each group is first read by
+``_accept_group``, which checks and builds a well-formed group in one pass and
+declines (returns None) at the first value it does not accept.  A declined
+group is parsed again by the checked path (``_parse_group`` and the functions
+below it), which makes the checks one at a time in a fixed order and raises
+the first that fails, with the JSON path of the value.  The page's own values
+(its size, its table regions, each group lying inside it) are always checked
+one at a time.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from math import inf, isfinite
 from operator import attrgetter
@@ -176,18 +186,13 @@ def _require(obj: dict, key: str, where: tuple):
 
 def _number(obj: dict, key: str, where: tuple) -> float:
     """``obj[key]`` as a finite float."""
-    # _require is inlined, and an exact float skips the type tests: a segment
-    # holds five numbers, usually floats.
-    if key not in obj:
-        raise _missing(key, where)
-    value = obj[key]
-    if value.__class__ is not float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise _expected("number", value, where + (key,))
-        try:
-            value = float(value)
-        except OverflowError:  # an integer beyond the float range
-            value = inf
+    value = _require(obj, key, where)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _expected("number", value, where + (key,))
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = inf
     if not isfinite(value):
         raise GeometryError(f"{_path(where + (key,))}: coordinates must be finite")
     return value
@@ -258,13 +263,7 @@ def _parse_segment(obj, where: tuple) -> Segment:
 
 def _is_union(box: BBox, parts: "list[BBox]") -> bool:
     """Whether ``box`` is the union of ``parts``, to within _BOX_EPS."""
-    lefts, tops, rights, bottoms = zip(*parts)
-    return (
-        abs(box.left - min(lefts)) <= _BOX_EPS
-        and abs(box.top - min(tops)) <= _BOX_EPS
-        and abs(box.right - max(rights)) <= _BOX_EPS
-        and abs(box.bottom - max(bottoms)) <= _BOX_EPS
-    )
+    return all(abs(a - b) <= _BOX_EPS for a, b in zip(box, union_all(parts)))
 
 
 _LEFT = attrgetter("bbox.left")
@@ -320,6 +319,105 @@ def _parse_group(obj, where: tuple, page_i: int, group_i: int) -> Group:
     )
 
 
+# --- fast accept -------------------------------------------------------------
+
+_MAX_FLOAT = sys.float_info.max
+_NUMBER_TYPES = frozenset((int, float))
+_new = tuple.__new__
+
+
+def _accept_box(box) -> "BBox | None":
+    """``box`` as _parse_bbox returns it, or None if it is not plainly well
+    formed.  Never raises.
+
+    Each edge must be an exact int or float (a bool is neither), and an
+    integer is taken only up to the largest float.  The chained comparison
+    ``0 <= l <= r <= _MAX_FLOAT`` is false for NaN and the infinities, so it
+    tests finite, non-negative and in order at once.
+    """
+    if box.__class__ is not dict:
+        return None
+    l, t, r, b = box.get("l"), box.get("t"), box.get("r"), box.get("b")
+    numeric = _NUMBER_TYPES
+    if not (l.__class__ in numeric and t.__class__ in numeric
+            and r.__class__ in numeric and b.__class__ in numeric
+            and 0 <= l <= r <= _MAX_FLOAT and 0 <= t <= b <= _MAX_FLOAT):
+        return None
+    return _new(BBox, (float(l), float(t), float(r), float(b)))
+
+
+def _accept_group(obj) -> "Group | None":
+    """The group ``obj`` as _parse_group returns it, or None at the first
+    value that is not plainly well formed.  Never raises.
+
+    One pass reads the flags, lines, segments, boxes and styles, with the
+    same number rules as _accept_box.  The union checks use running minima
+    and maxima of the children's edges.
+    """
+    if obj.__class__ is not dict:
+        return None
+    header, footer = obj.get("is_page_header"), obj.get("is_page_footer")
+    border, line_objs = obj.get("border_sides", 0), obj.get("lines")
+    if not (header.__class__ is bool and footer.__class__ is bool
+            and border.__class__ is int and 0 <= border <= 4
+            and line_objs.__class__ is list and line_objs):
+        return None
+    numeric = _NUMBER_TYPES
+    gl = gt = inf  # the union of the line boxes so far
+    gr = gb = -inf
+    lines = []
+    for line_obj in line_objs:
+        seg_objs = line_obj.get("segments") if line_obj.__class__ is dict else None
+        if seg_objs.__class__ is not list or not seg_objs:
+            return None
+        ul = ut = inf  # the union of this line's segment boxes so far
+        ur = ub = -inf
+        segments = []
+        for seg_obj in seg_objs:
+            if seg_obj.__class__ is not dict:
+                return None
+            text, style = seg_obj.get("text"), seg_obj.get("style")
+            box = _accept_box(seg_obj.get("bbox"))
+            if not (text.__class__ is str and text
+                    and box is not None and style.__class__ is dict):
+                return None
+            l, t, r, b = box
+            ul, ut = l if l < ul else ul, t if t < ut else ut
+            ur, ub = r if r > ur else ur, b if b > ub else ub
+            size, color = style.get("font_size"), style.get("color")
+            family, bold, italic = style.get("font_family"), style.get("bold"), style.get("italic")
+            if not (family.__class__ is str
+                    and size.__class__ in numeric and 0 < size <= _MAX_FLOAT
+                    and color.__class__ is int and 0 <= color <= 0xFFFFFF
+                    and bold.__class__ is bool and italic.__class__ is bool):
+                return None
+            segments.append(_new(Segment, (
+                text, box, _new(StyleInfo, (family, float(size), bold, italic, color)),
+            )))
+        box = _accept_box(line_obj.get("bbox"))
+        if box is None:
+            return None
+        l, t, r, b = box
+        if not (abs(l - ul) <= _BOX_EPS and abs(t - ut) <= _BOX_EPS
+                and abs(r - ur) <= _BOX_EPS and abs(b - ub) <= _BOX_EPS):
+            return None
+        gl, gt = l if l < gl else gl, t if t < gt else gt
+        gr, gb = r if r > gr else gr, b if b > gb else gb
+        if len(segments) > 1:
+            segments.sort(key=_LEFT)
+        lines.append(_new(Line, (tuple(segments), box)))
+    box = _accept_box(obj.get("bbox"))
+    if box is None:
+        return None
+    l, t, r, b = box
+    if not (abs(l - gl) <= _BOX_EPS and abs(t - gt) <= _BOX_EPS
+            and abs(r - gr) <= _BOX_EPS and abs(b - gb) <= _BOX_EPS):
+        return None
+    if len(lines) > 1:
+        lines.sort(key=_TOP)
+    return _new(Group, (tuple(lines), box, header, footer, border))
+
+
 def _parse_page(obj, where: tuple, page_i: int) -> VisualPage:
     if not isinstance(obj, dict):
         raise _expected("object", obj, where)
@@ -333,7 +431,7 @@ def _parse_page(obj, where: tuple, page_i: int) -> VisualPage:
     ]
     groups = []
     for i, g in enumerate(_array(_require(obj, "groups", where), where + ("groups",))):
-        group = _parse_group(g, where + ("groups", i), page_i, i)
+        group = _accept_group(g) or _parse_group(g, where + ("groups", i), page_i, i)
         box = group.bbox
         if (
             box.left < -_BOX_EPS

@@ -6,11 +6,12 @@ every test page also exercises the ingestion path.
 
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from dirtree.forest import Dataset, ForestHyperparams, save_model, train
 from dirtree.segment import LabeledSpan, SpanLabel
@@ -189,6 +190,96 @@ def random_page_dict(rng: random.Random):
             )
         )
     return page(*groups, width=600, height=800)
+
+
+# --- faulty documents --------------------------------------------------------
+#
+# Random valid pages with one to four faults, for the parser's reference test
+# and the CLI fuzz test.
+
+def json_nodes(value, where=()):
+    """Every value of a JSON document with its steps from the root."""
+    yield where, value
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from json_nodes(child, where + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from json_nodes(child, where + (i,))
+
+
+def parent_of(document, where):
+    """The array or object holding the value at ``where``."""
+    for step in where[:-1]:
+        document = document[step]
+    return document
+
+
+# Values swapped in for any value (a bool for an int, a string for a number,
+# an object for an array), and for a number: NaN, infinities, negative
+# numbers, zero, integers beyond the float range and beyond 24 bits.
+_ODD_VALUES = [True, False, None, "7", "", {}, [], 3, 0.5]
+_ODD_NUMBERS = [math.nan, math.inf, -math.inf, -1, -2.5, 0, 0.0, 5, 0x1000000,
+                10**400, -(10**400), True, "7"]
+
+
+@st.composite
+def faulty_documents(draw):
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    pages = [random_page_dict(rng) for _ in range(rng.randint(1, 2))]
+    for p in pages:
+        if rng.random() < 0.5:
+            p["table_regions"] = [{"l": 10, "t": 10, "r": 200, "b": 300}]
+    document = doc(*pages)
+    # Faults go into one object and what it holds (a page, a group, a line,
+    # a segment, a box), so that several faults often meet in one object and
+    # the order of its checks shows.
+    focus = draw(st.sampled_from([w for w, v in json_nodes(document) if isinstance(v, dict)]))
+    for _ in range(draw(st.integers(1, 4))):
+        fault = draw(st.sampled_from(sorted(_FAULTS)))
+        nodes = [(where, value) for where, value in json_nodes(document)
+                 if where[:len(focus)] == focus and _FAULTS[fault](where, value)]
+        if not nodes:
+            continue
+        where, value = draw(st.sampled_from(nodes))
+        if fault == "drop":
+            del value[draw(st.sampled_from(sorted(value)))]
+        elif fault == "swap":
+            parent_of(document, where)[where[-1]] = draw(st.sampled_from(_ODD_VALUES))
+        elif fault == "number":
+            parent_of(document, where)[where[-1]] = draw(st.sampled_from(_ODD_NUMBERS))
+        elif fault == "empty":
+            value.clear()
+        elif fault == "edges":
+            a, b = draw(st.sampled_from([("l", "r"), ("t", "b")]))
+            value[a], value[b] = value[b], value[a]
+        else:
+            edge = draw(st.sampled_from("ltrb"))
+            value[edge] += draw(st.sampled_from([-3, -1e-7, 1e-7, 0.5, 900]))
+    return document
+
+
+def _is_number(value):
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
+def _is_box(value):
+    """An object whose four edges are numbers that a shift keeps finite."""
+    return isinstance(value, dict) and all(
+        _is_number(value.get(k)) and abs(value[k]) < 1e300 for k in "ltrb")
+
+
+# Which values each fault applies to: drop a key of an object, swap any value
+# but the document, swap a number, empty an array, swap a box's edges or move
+# one edge (so that a box is no longer the union of its children).
+_FAULTS = {
+    "drop": lambda where, value: isinstance(value, dict) and bool(value),
+    "swap": lambda where, value: bool(where),
+    "number": lambda where, value: _is_number(value),
+    "empty": lambda where, value: isinstance(value, list) and bool(value),
+    "edges": lambda where, value: _is_box(value),
+    "shift": lambda where, value: _is_box(value),
+}
 
 
 def make_margin_rows(n_pos, n_neg, seed):

@@ -1,11 +1,16 @@
 import ast
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import time
 
 import pytest
+from hypothesis import given, settings
 
 from dirtree import cli, pipeline
 from dirtree.features import FeatureVector, write_features_csv
@@ -19,7 +24,7 @@ from dirtree.tree import (
     validate_tree,
 )
 
-from conftest import EXPECTED_BLOCKS, make_margin_rows
+from conftest import EXPECTED_BLOCKS, faulty_documents, make_margin_rows
 
 
 def run_cli(*argv):
@@ -158,6 +163,27 @@ def test_blocks_rejects_integer_beyond_float_range(where, fig1a_path, tmp_path):
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error:") and "coordinates must be finite" in line
+
+
+@settings(max_examples=100)
+@given(faulty_documents())
+def test_cli_fuzzed_documents_fail_cleanly(document):
+    # A document with one to four faults either runs or exits 1 with one
+    # error line; no exception escapes and no example hangs.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as f:
+            json.dump(document, f)
+        for argv in (["validate", path], ["blocks", path, "--pages", "all"]):
+            err = io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run_cli(*argv)
+            assert time.perf_counter() - start < 10
+            assert code in (0, 1)
+            if code == 1:
+                (line,) = err.getvalue().splitlines()
+                assert line.startswith("error:")
 
 
 def test_help_via_module():

@@ -243,11 +243,15 @@ _GRID_LINES = ["12 Main Street", "London EC2A 1AA", "L-2449 Luxembourg", "Tel: +
 
 def _grid(entries, columns):
     """A title above a grid of entries, each a bold title over a body of one
-    or two lines."""
+    or two lines.  An entry may have a second bold title stacked at the same
+    top-left corner, narrower or wider than the first."""
     groups = [text_group("DIRECTORY OF ADVISERS", 40, 20, 400, 36, size=16.0, bold=True)]
-    for i, (title, body) in enumerate(entries):
+    for i, (title, body, stacked) in enumerate(entries):
         left, top = 40 + (i % columns) * 110.0, 60 + (i // columns) * 50.0
         groups.append(text_group(title, left, top, left + 100, top + 10, bold=True))
+        if stacked is not None:
+            other, width = stacked
+            groups.append(text_group(other, left, top, left + width, top + 10, bold=True))
         groups.append(group(*(line(seg(text, left, top + 14 + 12 * k, left + 100, top + 24 + 12 * k))
                               for k, text in enumerate(body))))
     return page(*groups, width=640, height=120 + 50 * (len(entries) // columns + 1))
@@ -257,7 +261,9 @@ def _grid(entries, columns):
 def _grid_and_order(draw):
     entries = draw(st.lists(st.tuples(
         st.sampled_from(_GRID_TITLES),
-        st.lists(st.sampled_from(_GRID_LINES), min_size=1, max_size=2)), min_size=1, max_size=12))
+        st.lists(st.sampled_from(_GRID_LINES), min_size=1, max_size=2),
+        st.none() | st.tuples(st.sampled_from(_GRID_TITLES), st.sampled_from([60, 100]))),
+        min_size=1, max_size=12))
     grid = _grid(entries, draw(st.integers(1, 5)))
     return grid, draw(st.permutations(range(len(grid["groups"]))))
 
@@ -274,3 +280,15 @@ def test_fig1a_blocks_independent_of_group_order(order):
 def test_grid_blocks_independent_of_group_order(case):
     grid, order = case
     assert _blocks_json(_with_groups_in_order(grid, order)) == _blocks_json(grid)
+
+
+def test_stacked_headers_at_one_corner_independent_of_group_order():
+    # Two bold headers share a top-left corner; geometry and text, not the
+    # order of the groups, decide which of them heads the body below.
+    title = text_group("DIRECTORY", 40, 20, 200, 36, size=16.0, bold=True)
+    office = text_group("Registered Office", 40, 60, 140, 70, bold=True)
+    auditor = text_group("Auditor", 40, 60, 100, 70, bold=True)
+    body = text_group("KPMG Luxembourg 39, Avenue John F. Kennedy", 40, 80, 300, 90)
+    first = _blocks_json(page(title, office, auditor, body))
+    assert first == _blocks_json(page(title, auditor, office, body))
+    assert json.loads(first)[0]["body"] == "KPMG Luxembourg 39, Avenue John F. Kennedy"

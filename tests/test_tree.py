@@ -183,7 +183,7 @@ def _reading_sequence_all_pairs(spans, p):
         bands.values(),
         key=lambda m: (min(spans[i].bbox.top for i in m), min(spans[i].bbox.left for i in m)),
     ):
-        members.sort(key=lambda i: (spans[i].bbox.left, spans[i].bbox.top, i))
+        members.sort(key=lambda i: (*spans[i].bbox, spans[i].text, i))
         ordered.extend(spans[i] for i in members)
     return ordered
 

@@ -1,10 +1,13 @@
 import json
 import math
 import random
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dirtree import visual
 from dirtree.visual import (
     BBox,
     GeometryError,
@@ -24,7 +27,10 @@ from dirtree.visual import (
     y_overlap,
 )
 
-from conftest import doc, group, line, page, parse_page, random_page_dict, seg, text_group
+from conftest import (
+    doc, faulty_documents, group, json_nodes, line, page, parent_of, parse_page,
+    random_page_dict, seg, text_group,
+)
 
 
 # --- bbox helpers ---
@@ -484,91 +490,6 @@ def _parse_document_reference(data):
     return [_parse_page_reference(p, f"$.pages[{i}]", i) for i, p in enumerate(pages)]
 
 
-def _nodes(value, where=()):
-    """Every value of a JSON document with its steps from the root."""
-    yield where, value
-    if isinstance(value, dict):
-        for key, child in value.items():
-            yield from _nodes(child, where + (key,))
-    elif isinstance(value, list):
-        for i, child in enumerate(value):
-            yield from _nodes(child, where + (i,))
-
-
-def _parent(document, where):
-    """The array or object holding the value at ``where``."""
-    for step in where[:-1]:
-        document = document[step]
-    return document
-
-
-# Values swapped in for any value (a bool for an int, a string for a number,
-# an object for an array), and for a number: NaN, infinities, negative
-# numbers, zero, integers beyond the float range and beyond 24 bits.
-_ODD_VALUES = [True, False, None, "7", "", {}, [], 3, 0.5]
-_ODD_NUMBERS = [math.nan, math.inf, -math.inf, -1, -2.5, 0, 0.0, 5, 0x1000000,
-                10**400, -(10**400), True, "7"]
-
-
-@st.composite
-def _faulty_documents(draw):
-    rng = random.Random(draw(st.integers(0, 10**6)))
-    pages = [random_page_dict(rng) for _ in range(rng.randint(1, 2))]
-    for p in pages:
-        if rng.random() < 0.5:
-            p["table_regions"] = [{"l": 10, "t": 10, "r": 200, "b": 300}]
-    document = doc(*pages)
-    # Faults go into one object and what it holds (a page, a group, a line,
-    # a segment, a box), so that several faults often meet in one object and
-    # the order of its checks shows.
-    focus = draw(st.sampled_from([w for w, v in _nodes(document) if isinstance(v, dict)]))
-    for _ in range(draw(st.integers(1, 4))):
-        fault = draw(st.sampled_from(sorted(_FAULTS)))
-        nodes = [(where, value) for where, value in _nodes(document)
-                 if where[:len(focus)] == focus and _FAULTS[fault](where, value)]
-        if not nodes:
-            continue
-        where, value = draw(st.sampled_from(nodes))
-        if fault == "drop":
-            del value[draw(st.sampled_from(sorted(value)))]
-        elif fault == "swap":
-            _parent(document, where)[where[-1]] = draw(st.sampled_from(_ODD_VALUES))
-        elif fault == "number":
-            _parent(document, where)[where[-1]] = draw(st.sampled_from(_ODD_NUMBERS))
-        elif fault == "empty":
-            value.clear()
-        elif fault == "edges":
-            a, b = draw(st.sampled_from([("l", "r"), ("t", "b")]))
-            value[a], value[b] = value[b], value[a]
-        else:
-            edge = draw(st.sampled_from("ltrb"))
-            value[edge] += draw(st.sampled_from([-3, -1e-7, 1e-7, 0.5, 900]))
-    return document
-
-
-def _is_number(value):
-    return not isinstance(value, bool) and isinstance(value, (int, float))
-
-
-def _is_box(value):
-    """An object whose four edges are numbers that a shift keeps finite."""
-    return isinstance(value, dict) and all(
-        _is_number(value.get(k)) and abs(value[k]) < 1e300 for k in "ltrb")
-
-
-# Which values each fault applies to: drop a key of an object, swap any value
-# but the document, swap a number, empty an array, swap a box's edges or move
-# one edge (so that a box is no longer the union of its children).
-_FAULTS = {
-    "drop": lambda where, value: isinstance(value, dict) and bool(value),
-    "swap": lambda where, value: bool(where),
-    "number": lambda where, value: _is_number(value),
-    "empty": lambda where, value: isinstance(value, list) and bool(value),
-    "edges": lambda where, value: _is_box(value),
-    "shift": lambda where, value: _is_box(value),
-}
-
-
 def _outcome(parse, document):
     try:
         return document_to_json(parse(document))
@@ -577,7 +498,7 @@ def _outcome(parse, document):
 
 
 @settings(max_examples=400)
-@given(_faulty_documents())
+@given(faulty_documents())
 def test_parse_matches_reference_parser(document):
     text = json.dumps(document)
     new = _outcome(parse_document, json.loads(text))
@@ -623,9 +544,9 @@ def test_parse_reports_first_fault_like_reference(edits):
     p["table_regions"] = []
     for where, value in edits:
         if value is _DROP:
-            del _parent(p, where)[where[-1]]
+            del parent_of(p, where)[where[-1]]
         else:
-            _parent(p, where)[where[-1]] = value
+            parent_of(p, where)[where[-1]] = value
     new = _outcome(parse_document, doc(p))
     old = _outcome(_parse_document_reference, doc(p))
     assert isinstance(new, tuple)
@@ -633,3 +554,162 @@ def test_parse_reports_first_fault_like_reference(edits):
         assert new == (GeometryError, "$.pages[0].height: coordinates must be finite", None)
     else:
         assert new == old
+
+
+# --- the one-pass parse of well-formed groups ---
+#
+# parse_document reads each group in one pass and hands a group it declines
+# to the checked parser.  On valid documents with JSON integers as well as
+# floats it must return what the reference returns, to the type and sign of
+# every number, and only an integer beyond the float range may send a group
+# to the checked parser.
+
+_MAX = sys.float_info.max
+_small = st.one_of(st.integers(0, 700), st.floats(0, 700), st.just(-0.0))
+# Each document draws its numbers from one of three ranges: small numbers;
+# with the largest float, as a float, as an integer and as the integer one
+# past it (both read as the largest float); and with an integer beyond the
+# float range as well.
+_NEAR_MAX = [_MAX, int(_MAX), int(_MAX) + 1]
+_RANGES = [
+    (_small, st.integers(1, 40) | st.floats(5e-324, 40)),
+    (_small | st.sampled_from(_NEAR_MAX), st.integers(1, 40) | st.sampled_from(_NEAR_MAX)),
+    (_small | st.sampled_from(_NEAR_MAX + [2**1024]), st.integers(1, 40) | st.just(2**1024)),
+]
+
+
+def _retyped(draw, value):
+    """``value``, or the same number as the other JSON number type."""
+    if draw(st.booleans()):
+        if isinstance(value, int) and value <= _MAX:
+            return float(value)
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+    return value
+
+
+def _union_of(draw, boxes):
+    return {edge: _retyped(draw, pick(b[edge] for b in boxes))
+            for edge, pick in (("l", min), ("t", min), ("r", max), ("b", max))}
+
+
+@st.composite
+def _boxes(draw, coords):
+    l, r = sorted([draw(coords), draw(coords)])
+    t, b = sorted([draw(coords), draw(coords)])
+    return {"l": l, "t": t, "r": r, "b": b}
+
+
+@st.composite
+def _segments(draw, coords, sizes):
+    return {
+        "text": draw(st.text(min_size=1, max_size=6)),
+        "bbox": draw(_boxes(coords)),
+        "style": {
+            "font_family": draw(st.sampled_from(["Serif", "Times New Roman", ""])),
+            "font_size": draw(sizes),
+            "bold": draw(st.booleans()),
+            "italic": draw(st.booleans()),
+            "color": draw(st.integers(0, 0xFFFFFF)),
+        },
+    }
+
+
+@st.composite
+def _groups(draw, coords, sizes):
+    lines = []
+    for segments in draw(st.lists(st.lists(_segments(coords, sizes), min_size=1, max_size=3),
+                                  min_size=1, max_size=3)):
+        lines.append({"bbox": _union_of(draw, [s["bbox"] for s in segments]),
+                      "segments": segments})
+    out = {"bbox": _union_of(draw, [l["bbox"] for l in lines]),
+           "is_page_header": draw(st.booleans()), "is_page_footer": draw(st.booleans()),
+           "lines": lines}
+    border = draw(st.none() | st.integers(0, 4))
+    if border is not None:
+        out["border_sides"] = border
+    return out
+
+
+@st.composite
+def _valid_documents(draw):
+    coords, sizes = draw(st.sampled_from(_RANGES))
+    pages = []
+    for _ in range(draw(st.integers(1, 2))):
+        groups = draw(st.lists(_groups(coords, sizes), max_size=4))
+        size = [max([draw(st.integers(1, 800) | st.floats(1, 800))]
+                    + [g["bbox"][edge] for g in groups]) for edge in "rb"]
+        p = page(*groups, width=_retyped(draw, size[0]), height=_retyped(draw, size[1]))
+        if draw(st.booleans()):
+            p["table_regions"] = draw(st.lists(_boxes(coords), max_size=2))
+        pages.append(p)
+    return doc(*pages)
+
+
+def _beyond_float_range(value):
+    return value.__class__ is int and value > _MAX
+
+
+@settings(max_examples=300)
+@given(_valid_documents())
+def test_valid_documents_parse_like_reference(document):
+    with mock.patch.object(visual, "_parse_group", wraps=visual._parse_group) as checked:
+        new = _outcome(parse_document, document)
+    try:
+        old = repr(_parse_document_reference(document))
+    except OverflowError:
+        # The documented difference: an integer beyond the float range.
+        assert new[0] is GeometryError and new[1].endswith(": coordinates must be finite")
+    else:
+        assert repr(parse_document(document)) == old
+        assert _outcome(parse_document, json.dumps(document)) == new
+    groups = [g for p in document["pages"] for g in p["groups"]]
+    if not any(_beyond_float_range(v) for _, v in json_nodes(groups)):
+        assert checked.call_count == 0
+
+
+def _narrative_page():
+    """Shaped like a benchmark prospectus page: float boxes, an integer font
+    size, paragraphs of several lines and a page footer."""
+    groups, top = [], 60.0
+    for k in range(4):
+        groups.append(group(*(
+            line(seg(f"Paragraph {k}, line {i}, of running prose.", 72.0, top + 12.0 * i,
+                     72.0 + 5.5 * 38, top + 12.0 * i + 10.0, family="Times New Roman", size=10))
+            for i in range(5))))
+        top += 70.0
+    groups.append(text_group("Page 3", 280.0, 780.0, 310.0, 790.0, size=10, footer=True))
+    return page(*groups, width=595.0, height=842.0)
+
+
+def _grid_page():
+    """Bold titles over two-line bodies on a grid at a half-point offset."""
+    groups = [text_group("DIRECTORY", 50.5, 55.5, 140.5, 75.5, size=16, bold=True)]
+    for i in range(12):
+        left, top = 60.5 + (i % 3) * 170.0, 110.5 + (i // 3) * 80.0
+        groups.append(text_group("Auditor", left, top, left + 60.0, top + 12.0, bold=True))
+        groups.append(group(line(seg("KPMG Luxembourg", left, top + 14.0, left + 90.0, top + 24.0),
+                                 seg("S.A.", left + 95.0, top + 14.0, left + 120.0, top + 24.0)),
+                            line(seg("39, Avenue John F. Kennedy", left, top + 26.0, left + 150.0,
+                                     top + 36.0))))
+    return page(*groups, width=595.0, height=842.0)
+
+
+@pytest.mark.parametrize("name", ["fig1a", "narrative", "grid"])
+def test_well_formed_groups_skip_the_checked_parser(name, fig1a_path, monkeypatch):
+    # Common input must stay on the one-pass path: a check there that
+    # declines too much would send every group through both parsers.
+    document = {"fig1a": lambda: json.loads(fig1a_path.read_text()),
+                "narrative": lambda: doc(_narrative_page()),
+                "grid": lambda: doc(_grid_page())}[name]()
+    calls = []
+    checked = visual._parse_group
+    monkeypatch.setattr(visual, "_parse_group", lambda *a: calls.append(a) or checked(*a))
+    pages = parse_document(json.dumps(document))
+    assert calls == []
+    assert sum(len(p.groups) for p in pages) == sum(len(p["groups"]) for p in document["pages"])
+    # A group that fails a check goes to the checked parser, which raises.
+    document["pages"][0]["groups"][-1]["lines"][0]["segments"][0]["style"]["font_size"] = 0
+    with pytest.raises(GeometryError, match="font_size: must be positive"):
+        parse_document(document)
+    assert len(calls) == 1
