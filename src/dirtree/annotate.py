@@ -397,11 +397,16 @@ _SURFACE_RES = (
 _SURFACE_SCANS = {**dict(_SURFACE_RES), AnnotationLabel.EMAIL: EMAIL_RE}
 
 
+# The labels the phrase pass finds, all in one pass.
+_PHRASE_LABELS = frozenset(AnnotationLabel).difference(_SURFACE_SCANS)
+
+
 class GroupAnnotations(Sequence):
     """One group's annotations, held as each label's spans.
 
-    The phrase labels' spans come from the phrase pass.  A surface label's
-    spans are found the first time something reads that label, and kept.
+    A label's spans are found the first time something reads it, and kept:
+    a surface label's by its regex, a phrase label's by the phrase pass,
+    which finds all six phrase labels at once.
     ``spans_of`` and ``has`` read one label, and ``has`` may stop at the
     first match; ``select`` builds the ``Annotation``s of a few labels.
     ``counts``, ``len``, iterating, indexing and comparing with a list read
@@ -409,11 +414,13 @@ class GroupAnnotations(Sequence):
     (start, end, label) and with surfaces, once.
     """
 
-    __slots__ = ("text", "_spans", "_built")
+    __slots__ = ("text", "_gaz", "_spans", "_built")
 
-    def __init__(self, text: str, phrase_spans: "dict[AnnotationLabel, list[tuple[int, int]]]"):
+    def __init__(self, text: str, gaz: Gazetteer):
         self.text = text
-        self._spans = phrase_spans  # label -> its spans, for each label read so far
+        self._gaz = gaz
+        # label -> its spans, for each label read so far
+        self._spans: "dict[AnnotationLabel, list[tuple[int, int]]]" = {}
         if "@" not in text:
             self._spans[AnnotationLabel.EMAIL] = []  # an email needs an "@"
         self._built: "list[Annotation] | None" = None
@@ -422,16 +429,22 @@ class GroupAnnotations(Sequence):
         """The label's (start, end) spans, in order."""
         spans = self._spans.get(label)
         if spans is None:
-            spans = self._spans[label] = [
-                m.span() for m in _SURFACE_SCANS[label].finditer(self.text)]
+            if label in _PHRASE_LABELS:
+                self._spans.update(_phrase_spans(self.text, self._gaz.phrase_index))
+                spans = self._spans[label]
+            else:
+                spans = self._spans[label] = [
+                    m.span() for m in _SURFACE_SCANS[label].finditer(self.text)]
         return spans
 
     def has(self, label: AnnotationLabel) -> bool:
-        """Whether the label occurs, found by a search that stops at the first
-        match when its spans have not been read."""
+        """Whether the label occurs.  A surface label whose spans have not
+        been read is tested by a search that stops at the first match."""
         spans = self._spans.get(label)
         if spans is not None:
             return bool(spans)
+        if label in _PHRASE_LABELS:
+            return bool(self.spans_of(label))
         if _SURFACE_SCANS[label].search(self.text):
             return True
         self._spans[label] = []
@@ -473,9 +486,9 @@ class GroupAnnotations(Sequence):
         return f"GroupAnnotations({self._list()!r})"
 
 
-def _annotate_text(text: str, index: _PhraseIndex) -> GroupAnnotations:
+def _phrase_spans(text: str, index: _PhraseIndex) -> "dict[AnnotationLabel, list[tuple[int, int]]]":
     """The phrase labels' spans, each found by a pass of its own because
-    labels may overlap one another; the surface labels wait to be read."""
+    labels may overlap one another."""
     phrases = index.find(text)
     # A phrase list's spans, like one regex's, are sorted and disjoint; only
     # ORG, which has two sources, needs the longest of overlapping spans kept.
@@ -483,23 +496,24 @@ def _annotate_text(text: str, index: _PhraseIndex) -> GroupAnnotations:
     suffixed = _suffix_orgs(text, phrases["org_suffixes"])
     if suffixed:
         orgs = _dedupe_longest(orgs + suffixed)
-    return GroupAnnotations(text, {
+    return {
         AnnotationLabel.ORG: orgs,
         AnnotationLabel.PERSON: phrases["persons"],
         AnnotationLabel.ROLE: phrases["roles"],
         AnnotationLabel.ADDRESS_TYPE: phrases["address_types"],
         AnnotationLabel.GPE: phrases["gpe"],
         AnnotationLabel.FAC: phrases["fac"],
-    })
+    }
 
 
 def annotate(page: VisualPage, gaz: Gazetteer) -> "list[GroupAnnotations]":
     """Annotate every group of a page (furniture groups included): one
-    sequence of annotations per group, in group order.  The phrase pass
-    runs here; each surface label is scanned when something first reads
-    it, so a reader pays only for the labels it asks for."""
-    index = gaz.phrase_index
-    return [_annotate_text(group_text(g), index) for g in page.groups]
+    sequence of annotations per group, in group order.  Nothing is scanned
+    here: a group runs the phrase pass when something first reads a phrase
+    label, and scans a surface label when something first reads that
+    label, so a reader pays only for the labels it asks for.  The
+    gazetteer's phrase index is built by the first phrase pass."""
+    return [GroupAnnotations(group_text(g), gaz) for g in page.groups]
 
 
 def is_address_candidate(annotations: "Sequence[Annotation]") -> bool:

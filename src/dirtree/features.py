@@ -1,7 +1,9 @@
 """Page-level feature extraction for the directory-page classifier.
 
 Fifteen counts and ratios per page.  The order of the vector is frozen:
-serialized models and CSV exports both depend on it.
+serialized models and CSV exports both depend on it.  A page's features
+are computed when first read, so a classifier that tests a few of them
+costs the page only the annotations those few read.
 """
 
 from __future__ import annotations
@@ -9,9 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .annotate import Annotation, AnnotationLabel, GroupAnnotations, is_address_candidate
 from .visual import VisualPage, group_text
@@ -22,71 +23,76 @@ FEATURE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
 class FeatureVector:
-    f1: float = 0.0   # currency mentions
-    f2: float = 0.0   # date mentions
-    f3: float = 0.0   # email addresses
-    f4: float = 0.0   # phone numbers
-    f5: float = 0.0   # facility mentions
-    f6: float = 0.0   # groups on the page
-    f7: float = 0.0   # fraction of page area covered by tables
-    f8: float = 0.0   # role mentions
-    f9: float = 0.0   # words outside page header/footer groups
-    f10: float = 0.0  # groups that look like address blocks
-    f11: float = 0.0  # groups boxed on all four sides
-    f12: float = 0.0  # groups with 1..3 organization mentions
-    f13: float = 0.0  # groups with 1..4 role mentions
-    f14: float = 0.0  # f12 / f6
-    f15: float = 0.0  # f13 / f6
+    """A page's fifteen features, read by name (``vec.f1``) or by position
+    in ``FEATURE_NAMES`` order (``vec[0]``).
+
+    A vector made from values (``FeatureVector(f6=2.0)``, ``from_list``)
+    holds them, 0.0 for each one not given.  The vector ``extract_features``
+    returns computes each value the first time something reads it, and
+    keeps it.
+    """
+
+    __slots__ = ("_values", "_page", "_per_group")
+
+    f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14, f15 = map(
+        property, map(itemgetter, range(len(FEATURE_NAMES))))
+
+    def __init__(self, *values: float, **named: float):
+        rest = FEATURE_NAMES[len(values):]
+        if len(values) > len(FEATURE_NAMES) or not named.keys() <= set(rest):
+            raise TypeError(f"FeatureVector takes up to {len(FEATURE_NAMES)} values, "
+                            f"by position or by the names {', '.join(FEATURE_NAMES)}")
+        self._values = [*values, *(named.get(name, 0.0) for name in rest)]
+        self._page = self._per_group = None
+
+    def __getitem__(self, i: int) -> float:
+        value = self._values[i]
+        if value is None:
+            value = self._values[i] = _FEATURES[i](self._page, self._per_group, self)
+        return value
 
     def as_list(self) -> list[float]:
-        return [getattr(self, name) for name in FEATURE_NAMES]
+        return [self[i] for i in range(len(FEATURE_NAMES))]
 
     @classmethod
     def from_list(cls, values: "list[float]") -> "FeatureVector":
         if len(values) != len(FEATURE_NAMES):
             raise ValueError(f"expected {len(FEATURE_NAMES)} values, got {len(values)}")
-        return cls(**{name: float(v) for name, v in zip(FEATURE_NAMES, values)})
+        return cls(*map(float, values))
+
+    def __eq__(self, other):
+        if isinstance(other, FeatureVector):
+            return self.as_list() == other.as_list()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.as_list()))
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={v!r}" for name, v in zip(FEATURE_NAMES, self.as_list()))
+        return f"FeatureVector({values})"
 
 
-# The labels whose counts the features read.
-_COUNTED_LABELS = (
-    AnnotationLabel.CURRENCY, AnnotationLabel.DATE, AnnotationLabel.EMAIL,
-    AnnotationLabel.PHONE, AnnotationLabel.FAC, AnnotationLabel.ROLE, AnnotationLabel.ORG,
-)
+def _count(anns: "Sequence[Annotation]", label: AnnotationLabel) -> int:
+    """The number of a group's annotations of the label: read from what
+    ``annotate`` returns, which builds no ``Annotation``, or counted in a
+    plain list."""
+    if isinstance(anns, GroupAnnotations):
+        return len(anns.spans_of(label))
+    return sum(a.label == label for a in anns)
 
 
-def extract_features(page: VisualPage, per_group: "list[Sequence[Annotation]]") -> FeatureVector:
-    """``per_group`` holds the page's annotations, one sequence per group:
-    what ``annotate`` returns, of which only the counted labels are read
-    and no ``Annotation`` is built, or plain lists."""
-    groups = page.groups
-    if len(per_group) != len(groups):
-        raise ValueError(
-            f"{len(per_group)} annotation lists for a page of {len(groups)} groups")
+def _mentions(label: AnnotationLabel):
+    return lambda page, per_group, vec: float(sum(_count(anns, label) for anns in per_group))
 
-    org, role = AnnotationLabel.ORG, AnnotationLabel.ROLE
-    totals = dict.fromkeys(_COUNTED_LABELS, 0)
-    f10 = f12 = f13 = 0
-    for anns in per_group:
-        if isinstance(anns, GroupAnnotations):
-            counts = {label: len(anns.spans_of(label)) for label in _COUNTED_LABELS}
-        else:
-            counts = Counter(a.label for a in anns)
-        for label in _COUNTED_LABELS:  # a Counter reads 0 for a missing label
-            totals[label] += counts[label]
-        f10 += is_address_candidate(anns)
-        f12 += 1 <= counts[org] <= 3
-        f13 += 1 <= counts[role] <= 4
 
-    f1 = totals[AnnotationLabel.CURRENCY]
-    f2 = totals[AnnotationLabel.DATE]
-    f3 = totals[AnnotationLabel.EMAIL]
-    f4 = totals[AnnotationLabel.PHONE]
-    f5 = totals[AnnotationLabel.FAC]
-    f6 = len(groups)
+def _groups_mentioning(label: AnnotationLabel, most: int):
+    return lambda page, per_group, vec: float(
+        sum(1 <= _count(anns, label) <= most for anns in per_group))
 
+
+def _table_fraction(page: VisualPage, per_group, vec) -> float:
     # Table regions may overlap each other or hang off the page; only the
     # on-page portion counts and the fraction is capped at 1.
     table_area = 0.0
@@ -94,21 +100,47 @@ def extract_features(page: VisualPage, per_group: "list[Sequence[Annotation]]") 
         w = max(0.0, min(r.right, page.width) - max(r.left, 0.0))
         h = max(0.0, min(r.bottom, page.height) - max(r.top, 0.0))
         table_area += w * h
-    f7 = min(1.0, table_area / (page.width * page.height))
+    return min(1.0, table_area / (page.width * page.height))
 
-    f8 = totals[role]
-    f9 = sum(
-        len(group_text(g).split()) for g in groups if not g.is_furniture
-    )
-    f11 = sum(1 for g in groups if g.border_sides == 4)
-    f14 = f12 / f6 if f6 else 0.0
-    f15 = f13 / f6 if f6 else 0.0
 
-    return FeatureVector(
-        f1=float(f1), f2=float(f2), f3=float(f3), f4=float(f4), f5=float(f5),
-        f6=float(f6), f7=f7, f8=float(f8), f9=float(f9), f10=float(f10),
-        f11=float(f11), f12=float(f12), f13=float(f13), f14=f14, f15=f15,
-    )
+_L = AnnotationLabel
+
+# Each feature as a function of (page, per-group annotations, vector), in
+# FEATURE_NAMES order.
+_FEATURES = (
+    _mentions(_L.CURRENCY),  # f1 currency mentions
+    _mentions(_L.DATE),  # f2 date mentions
+    _mentions(_L.EMAIL),  # f3 email addresses
+    _mentions(_L.PHONE),  # f4 phone numbers
+    _mentions(_L.FAC),  # f5 facility mentions
+    lambda page, per_group, vec: float(len(page.groups)),  # f6 groups on the page
+    _table_fraction,  # f7 fraction of page area covered by tables
+    _mentions(_L.ROLE),  # f8 role mentions
+    lambda page, per_group, vec: float(sum(  # f9 words outside page header/footer groups
+        len(group_text(g).split()) for g in page.groups if not g.is_furniture)),
+    lambda page, per_group, vec: float(sum(  # f10 groups that look like address blocks
+        map(is_address_candidate, per_group))),
+    lambda page, per_group, vec: float(sum(  # f11 groups boxed on all four sides
+        g.border_sides == 4 for g in page.groups)),
+    _groups_mentioning(_L.ORG, 3),  # f12 groups with 1..3 organization mentions
+    _groups_mentioning(_L.ROLE, 4),  # f13 groups with 1..4 role mentions
+    lambda page, per_group, vec: vec.f12 / vec.f6 if vec.f6 else 0.0,  # f14 f12 / f6
+    lambda page, per_group, vec: vec.f13 / vec.f6 if vec.f6 else 0.0,  # f15 f13 / f6
+)
+
+
+def extract_features(page: VisualPage, per_group: "list[Sequence[Annotation]]") -> FeatureVector:
+    """The page's features, each computed when first read.  ``per_group``
+    holds the page's annotations, one sequence per group: what ``annotate``
+    returns, of which a feature reads only the labels it counts, or plain
+    lists."""
+    if len(per_group) != len(page.groups):
+        raise ValueError(
+            f"{len(per_group)} annotation lists for a page of {len(page.groups)} groups")
+    vec = FeatureVector()
+    vec._values = [None] * len(FEATURE_NAMES)
+    vec._page, vec._per_group = page, per_group
+    return vec
 
 
 def write_features_csv(f, rows: "list[tuple[FeatureVector, int | None]]") -> None:

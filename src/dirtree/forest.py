@@ -361,9 +361,9 @@ def _leaf_for(node, x):
 
 
 def predict_score(model: ForestModel, x) -> float:
-    """Mean positive fraction over the leaves the vector lands in."""
-    if hasattr(x, "as_list"):
-        x = x.as_list()
+    """Mean positive fraction over the leaves the vector lands in.  ``x`` is
+    read by feature index, so a ``FeatureVector`` computes only the features
+    that the paths taken test."""
     return sum(_leaf_for(t, x).positive_fraction for t in model.trees) / len(model.trees)
 
 

@@ -3,13 +3,16 @@
 ``page_runs`` selects a document's pages and yields a ``PageRun`` for each.
 A run computes each stage (annotations, features, classifier score, spans,
 tree, blocks) when it is first read and reuses the earlier ones, so no stage
-runs twice on a page.  ``annotate`` runs the phrase pass; each surface
-label (postcode, number, amount, date, phone, email) is scanned when a
-later stage first reads it.  Features read the counts of the labels they
-use and test numbers and postcodes by presence; segmentation reads
-organizations, persons, roles and address types.  So a page that is scored
-and not selected lists no numbers or postcodes and builds no
-``Annotation``, and no stage builds the full sorted annotation list.
+runs twice on a page.  Within a stage, too, values are computed when first
+read: ``annotate`` scans nothing, and a group runs the phrase pass or a
+surface label's regex when a later stage first reads one of those labels.
+The features are computed one by one as the classifier's trees read them,
+each reading only the labels it counts, and the address-block feature
+tests numbers and postcodes by presence.  Segmentation reads
+organizations, persons, roles and address types.  So a page that is
+scored and not selected computes only the features its trees test, lists
+no numbers or postcodes and builds no ``Annotation``, and no stage builds
+the full sorted annotation list.
 
 The stages are called through this module's names so that tests can
 substitute them.  The package ``__init__`` must not import this module:

@@ -16,6 +16,7 @@ one at a time.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from dataclasses import dataclass
@@ -455,18 +456,28 @@ def parse_document(data: "bytes | str | dict") -> list[VisualPage]:
     Unknown fields are ignored.  Raises SchemaError for missing or mistyped
     fields (message carries the JSON path) and GeometryError for invariant
     violations (message carries page/group indices).
+
+    Parsing makes no reference cycles, so the cyclic garbage collector is
+    paused for the call: otherwise the tuples it builds set off collections
+    that walk every container of the decoded JSON.
     """
-    if isinstance(data, (bytes, str)):
-        # JSONDecodeError, bytes in no UTF encoding, integers past the
-        # interpreter's digit limit and deep nesting are all ValueErrors.
-        try:
-            data = decode_json(data)
-        except ValueError as exc:
-            raise SchemaError("$", f"invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise _expected("object", data, ())
-    pages = _array(_require(data, "pages", ()), ("pages",))
-    return [_parse_page(p, ("pages", i), i) for i, p in enumerate(pages)]
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if isinstance(data, (bytes, str)):
+            # JSONDecodeError, bytes in no UTF encoding, integers past the
+            # interpreter's digit limit and deep nesting are all ValueErrors.
+            try:
+                data = decode_json(data)
+            except ValueError as exc:
+                raise SchemaError("$", f"invalid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise _expected("object", data, ())
+        pages = _array(_require(data, "pages", ()), ("pages",))
+        return [_parse_page(p, ("pages", i), i) for i, p in enumerate(pages)]
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def document_to_json(pages: "list[VisualPage]") -> dict:

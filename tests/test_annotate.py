@@ -17,7 +17,6 @@ from dirtree.annotate import (
     AnnotationLabel,
     Gazetteer,
     GazetteerError,
-    _annotate_text,
     _dedupe_longest,
     _is_linker,
     _suffix_orgs,
@@ -437,7 +436,7 @@ def _prose(pieces):
 @example(case=(Gazetteer(gpe=("Rich", "Sigma")), "Zürich ΣSigma ſigma"))
 def test_annotate_text_matches_alternation_scan(case):
     gaz, text = case
-    assert _annotate_text(text, gaz.phrase_index) == _annotate_text_reference(text, gaz)
+    assert GroupAnnotations(text, gaz) == _annotate_text_reference(text, gaz)
 
 
 @given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 8)).map(lambda s: (s[0], s[0] + s[1]))))
@@ -449,7 +448,7 @@ def test_dedupe_longest_matches_all_pairs(spans):
 @given(text=st.one_of(_prose(_respelled(_TEXT_WORDS)), st.text(alphabet=_CHARACTERS)))
 def test_surface_labels_match_alternation_scan(text):
     gaz = Gazetteer(roles=("Custodian",), org_suffixes=("Limited", "S.A."))
-    assert _annotate_text(text, gaz.phrase_index) == _annotate_text_reference(text, gaz)
+    assert GroupAnnotations(text, gaz) == _annotate_text_reference(text, gaz)
 
 
 def test_ascii_case_classes():
@@ -601,7 +600,7 @@ def test_built_annotations_match_eager_scan(text):
     index = _TOKEN_GAZ.phrase_index
     suffixes = index.find(text)["org_suffixes"]
     assert _suffix_orgs(text, suffixes) == _suffix_orgs_forward(text, suffixes)
-    got = _annotate_text(text, index)
+    got = GroupAnnotations(text, _TOKEN_GAZ)
     built = list(got)
     assert built == _annotate_text_eager(text, index)
     assert len(got) == len(built)
@@ -626,7 +625,7 @@ _READS = st.one_of(
 def test_reads_in_any_order_match_eager_scan(text, reads):
     index = _TOKEN_GAZ.phrase_index
     want = _annotate_text_eager(text, index)
-    got = _annotate_text(text, index)
+    got = GroupAnnotations(text, _TOKEN_GAZ)
     assert isinstance(got, GroupAnnotations)
     for read, arg in reads:
         if read == "has":

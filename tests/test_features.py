@@ -1,10 +1,11 @@
 import dataclasses
 import io
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirtree.annotate import Gazetteer, annotate
+from dirtree.annotate import AnnotationLabel, Gazetteer, annotate, is_address_candidate
 from dirtree.features import (
     FEATURE_NAMES,
     FeatureVector,
@@ -14,9 +15,10 @@ from dirtree.features import (
     write_features_csv,
 )
 
-from conftest import page, parse_page, text_group
-from dirtree.visual import parse_document
-from conftest import doc
+from dirtree.forest import ForestHyperparams, ForestModel, LeafNode, SplitNode, predict_score
+from dirtree.visual import group_text, parse_document
+
+from conftest import FIXTURES, doc, page, parse_page, text_group
 
 GAZ = Gazetteer.default()
 
@@ -214,3 +216,95 @@ def test_features_from_counts_match_features_from_lists(groups):
     with pytest.raises(ValueError, match=f"{len(anns) - 1} annotation lists for a page of "
                                          f"{len(anns)} groups"):
         extract_features(vp, [list(group) for group in anns[1:]])
+
+
+# --- features computed when read, against the eager extraction they replaced ---
+#
+# Reference copy of ``extract_features`` as it was before features were
+# computed when first read: every count and ratio at once, from one pass
+# over the groups' label counts.
+
+_COUNTED_LABELS = (
+    AnnotationLabel.CURRENCY, AnnotationLabel.DATE, AnnotationLabel.EMAIL,
+    AnnotationLabel.PHONE, AnnotationLabel.FAC, AnnotationLabel.ROLE, AnnotationLabel.ORG,
+)
+
+
+def _extract_features_eager(page, per_group):
+    groups = page.groups
+    totals = dict.fromkeys(_COUNTED_LABELS, 0)
+    f10 = f12 = f13 = 0
+    for anns in per_group:
+        counts = Counter(a.label for a in anns)
+        for label in _COUNTED_LABELS:
+            totals[label] += counts[label]
+        f10 += is_address_candidate(anns)
+        f12 += 1 <= counts[AnnotationLabel.ORG] <= 3
+        f13 += 1 <= counts[AnnotationLabel.ROLE] <= 4
+    f6 = len(groups)
+    table_area = 0.0
+    for r in page.table_regions:
+        w = max(0.0, min(r.right, page.width) - max(r.left, 0.0))
+        h = max(0.0, min(r.bottom, page.height) - max(r.top, 0.0))
+        table_area += w * h
+    f7 = min(1.0, table_area / (page.width * page.height))
+    f9 = sum(len(group_text(g).split()) for g in groups if not g.is_furniture)
+    f11 = sum(1 for g in groups if g.border_sides == 4)
+    return [
+        float(totals[AnnotationLabel.CURRENCY]), float(totals[AnnotationLabel.DATE]),
+        float(totals[AnnotationLabel.EMAIL]), float(totals[AnnotationLabel.PHONE]),
+        float(totals[AnnotationLabel.FAC]), float(f6), f7,
+        float(totals[AnnotationLabel.ROLE]), float(f9), float(f10), float(f11),
+        float(f12), float(f13), f12 / f6 if f6 else 0.0, f13 / f6 if f6 else 0.0,
+    ]
+
+
+# Prose with amounts, dates, emails and phones in different numbers; a
+# bordered grid of directory entries under a table region; and the paper's
+# directory page.
+_SCORED_PAGES = parse_document(doc(
+    page(
+        text_group("Annual Report 2020", 40, 20, 300, 32, header=True),
+        text_group("The Custodian, Acme Capital S.A. of Luxembourg, L-2449, received",
+                   40, 60, 560, 70),
+        text_group("EUR 1,000 on 15 March 2021, $5 on 12/31/2021 and £7 or USD 20 on "
+                   "1 June 2021; write to info@fund.lu, help@fund.lu or +352 26 12 34 56.",
+                   40, 80, 560, 90),
+        text_group("Page 3", 280, 780, 320, 790, footer=True),
+    ),
+    page(
+        text_group("DIRECTORY OF ADVISERS", 40, 20, 400, 36, size=16.0, bold=True),
+        *(text_group(text, 40 + 180 * (i % 3), 60 + 40 * (i // 3),
+                     200 + 180 * (i % 3), 90 + 40 * (i // 3), border=4 * (i % 2))
+          for i, text in enumerate([
+              "Registered Office 12 Main Street L-2449 Luxembourg",
+              "Custodian: Deutsche Bank (Suisse) S.A. Tel: +352 26 12 34 56",
+              "Auditor KPMG Luxembourg Société Coopérative 39, Avenue John F. Kennedy",
+              "Administrator Acme Capital Holdings Limited, London EC2A 1AA",
+              "Jane Doe, Director and Company Secretary, info@fund.lu",
+              "Paying Agent and Transfer Agent Banque de Commerce S.A."])),
+        tables=[{"l": 20, "t": 50, "r": 620, "b": 150}],
+    ),
+)) + [parse_document((FIXTURES / "fig1a.json").read_bytes())[0]]
+
+_thresholds = st.sampled_from([-1.0, 0.0, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 20.0, 100.0])
+_trees = st.recursive(
+    st.builds(LeafNode, st.tuples(st.integers(0, 4), st.integers(0, 4))),
+    lambda nodes: st.builds(SplitNode, st.integers(0, len(FEATURE_NAMES) - 1), _thresholds,
+                            nodes, nodes),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.integers(0, len(_SCORED_PAGES) - 1), trees=st.lists(_trees, min_size=1, max_size=5),
+       order=st.permutations(range(len(FEATURE_NAMES))))
+def test_scores_and_reads_match_eager_extraction(which, trees, order):
+    vp = _SCORED_PAGES[which]
+    want = _extract_features_eager(vp, list(map(list, annotate(vp, _FULL_GAZ))))
+    model = ForestModel(ForestHyperparams(n_trees=len(trees)), FEATURE_NAMES, trees)
+    vec = extract_features(vp, annotate(vp, _FULL_GAZ))
+    assert predict_score(model, vec) == predict_score(model, want)
+    # A fresh vector's fields, read by name in any order.
+    fresh = extract_features(vp, annotate(vp, _FULL_GAZ))
+    assert [getattr(fresh, FEATURE_NAMES[i]) for i in order] == [want[i] for i in order]
+    assert vec.as_list() == fresh.as_list() == want

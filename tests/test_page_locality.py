@@ -207,6 +207,20 @@ PINNED = {
         "198860a03e8ccc070c7eadd45fc701cb5fcb9d62db41f97b7796234d0f492db2",
     ("long_narrative", "blocks"):
         "23258ff162d82b113d428897aca7a52c438dcf32d681ea7b0f086a6e62a6cf4f",
+    # Scored with the ``trained_model_path`` model; computed before features
+    # were computed when first read.
+    ("fig1a", "classify"):
+        "6e9b43f0642b8b221ca2cea936abb1bbe54ac428d7e8317d1d24472511bf03da",
+    ("fig1a", "blocks --pages auto"):
+        "a9598624d83755e6c3c79965b3d7ad486da8398afd968d95dd02576b85716144",
+    ("three_pages", "classify"):
+        "e6c154e82eae024fba279ee19910e9cddae5c8025588511a023edb315ac3029f",
+    ("three_pages", "blocks --pages auto"):
+        "8c1c75d87ff2d7e4ea2d667bd0d11f182bda22fb0e7f4160e504a041c91761da",
+    ("long_narrative", "classify"):
+        "6e9b43f0642b8b221ca2cea936abb1bbe54ac428d7e8317d1d24472511bf03da",
+    ("long_narrative", "blocks --pages auto"):
+        "23258ff162d82b113d428897aca7a52c438dcf32d681ea7b0f086a6e62a6cf4f",
 }
 
 PINNED_PAGES = {
@@ -222,6 +236,16 @@ def test_cli_bytes_pinned(pages, command, capsys, tmp_path):
     out = _stdout(capsys, tmp_path, PINNED_PAGES[pages], *command)
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == PINNED[(pages, command[0])]
+
+
+@pytest.mark.parametrize("pages", list(PINNED_PAGES))
+@pytest.mark.parametrize("command", [("classify",), ("blocks", "--pages", "auto")],
+                         ids=lambda c: c[0])
+def test_scored_cli_bytes_pinned(pages, command, capsys, tmp_path, trained_model_path):
+    out = _stdout(capsys, tmp_path, PINNED_PAGES[pages], *command,
+                  "--model", str(trained_model_path))
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == PINNED[(pages, " ".join(command))]
 
 
 # --- group order ---

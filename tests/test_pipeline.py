@@ -5,8 +5,8 @@ import importlib
 from dirtree import pipeline
 from dirtree.annotate import AnnotationLabel, Gazetteer
 from dirtree.features import FEATURE_NAMES
-from dirtree.forest import ForestHyperparams, ForestModel, LeafNode
-from dirtree.visual import parse_document
+from dirtree.forest import ForestHyperparams, ForestModel, LeafNode, SplitNode
+from dirtree.visual import group_text, parse_document
 
 from conftest import doc, page, text_group
 
@@ -29,6 +29,13 @@ def _constant_model(score):
     """A one-leaf forest that gives every page ``score``, 0 or 1."""
     return ForestModel(ForestHyperparams(n_trees=1), FEATURE_NAMES,
                        [LeafNode((1 - score, score))])
+
+
+def _split_model(*features):
+    """A forest of one tree per feature index, each splitting there and
+    giving 0 on both sides."""
+    return ForestModel(ForestHyperparams(n_trees=len(features)), FEATURE_NAMES,
+                       [SplitNode(f, 0.5, LeafNode((1, 0)), LeafNode((1, 0))) for f in features])
 
 
 def _counting_annotations(monkeypatch):
@@ -93,19 +100,54 @@ class _CountingRegex:
         return self.regex.search(text)
 
 
-def test_scored_only_page_lists_no_numbers_or_postcodes(monkeypatch):
+def _counting_scans(monkeypatch):
     calls = []
     scans = {label: _CountingRegex(label, regex, calls)
              for label, regex in annotate_module._SURFACE_SCANS.items()}
     assert set(scans) == SURFACE_LABELS
     monkeypatch.setattr(annotate_module, "_SURFACE_SCANS", scans)
+    return calls
+
+
+def _counting_phrase_passes(monkeypatch):
+    texts = []
+    real = annotate_module._PhraseIndex.find
+
+    def counting(index, text):
+        texts.append(text)
+        return real(index, text)
+
+    monkeypatch.setattr(annotate_module._PhraseIndex, "find", counting)
+    return texts
+
+
+def test_scored_only_page_lists_no_numbers_or_postcodes(monkeypatch):
+    calls = _counting_scans(monkeypatch)
     pages = parse_document(doc(NARRATIVE))
+    # A one-leaf model reads no feature, so nothing is scanned.
     assert list(pipeline.page_runs(pages, GAZ, "auto", _constant_model(0))) == []
+    assert calls == []
+    # A model testing phones (f4) and address blocks (f10) lists the phones.
+    assert list(pipeline.page_runs(pages, GAZ, "auto", _split_model(3, 9))) == []
     listed = {label for label, how in calls if how == "finditer"}
-    assert listed == SURFACE_LABELS - {AnnotationLabel.CARDINAL, AnnotationLabel.POSTCODE}
+    assert listed == {AnnotationLabel.PHONE}
     # The page's numbers and its postcode were asked for by search alone.
     assert (AnnotationLabel.CARDINAL, "search") in calls
     assert (AnnotationLabel.POSTCODE, "search") in calls
+
+
+def test_scoring_on_currency_and_date_scans_only_those(monkeypatch):
+    calls, passes = _counting_scans(monkeypatch), _counting_phrase_passes(monkeypatch)
+    pages, gaz = parse_document(doc(NARRATIVE)), Gazetteer.default()
+    assert list(pipeline.page_runs(pages, gaz, "auto", _split_model(0, 1))) == []
+    assert passes == [] and "phrase_index" not in vars(gaz)  # the index was not built
+    groups = len(NARRATIVE["groups"])
+    assert sorted(calls) == sorted([(AnnotationLabel.CURRENCY, "finditer"),
+                                    (AnnotationLabel.DATE, "finditer")] * groups)
+    # Named, the page is segmented, which runs the phrase pass once on each
+    # group that is not page furniture.
+    (run,) = pipeline.page_runs(pages, gaz, [0], _split_model(0, 1))
+    assert passes == [group_text(g) for g in run.page.groups if not g.is_furniture]
 
 
 def test_segmenting_builds_no_surface_annotations(fig1a_page, monkeypatch):

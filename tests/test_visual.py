@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -142,6 +143,35 @@ def test_wrong_types_rejected():
     p["groups"][0]["lines"][0]["segments"][0]["style"]["color"] = True
     with pytest.raises(SchemaError):
         parse_document(doc(p))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_enabled", "gc_disabled"])
+@pytest.mark.parametrize("data, error", [
+    (json.dumps(doc(page(text_group("x", 0, 0, 10, 10)))), None),
+    ({"pages": [{"height": 100, "groups": []}]}, SchemaError),
+    ("{not json", SchemaError),
+], ids=["parsed", "bad_page", "bad_json"])
+def test_parse_pauses_gc_and_restores_its_state(enabled, data, error, monkeypatch):
+    seen = []
+    real = visual._parse_page
+
+    def watching(*args):
+        seen.append(gc.isenabled())
+        return real(*args)
+
+    monkeypatch.setattr(visual, "_parse_page", watching)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        if error:
+            with pytest.raises(error):
+                parse_document(data)
+        else:
+            parse_document(data)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert seen == ([] if data == "{not json" else [False])
 
 
 def test_invalid_json_text():
