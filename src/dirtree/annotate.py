@@ -84,10 +84,14 @@ DATE_RE = re.compile(
     + _words_after_boundary(_MONTHS, r"\.?\s+\d{1,2}(?:st|nd|rd|th)?,?\s+\d{4}\b")
 )
 
+# A symbol, or a code (USD, EUR, GBP, CHF, CAD, JPY, HKD, SGD, AUD) as a
+# whole word, then an amount.  One leading class holds the symbols and each
+# code's first letter, so ``re`` skips to candidates in C; a lookbehind then
+# tells which character the class matched, and that no word character comes
+# before a code.
 CURRENCY_RE = re.compile(
-    r"(?:[$€£¥]|"
-    + _words_after_boundary("USD|EUR|GBP|CHF|JPY|HKD|SGD|AUD|CAD", r"\b")
-    + r")\s?\d[\d,]*(?:\.\d+)?"
+    r"[$€£¥UEGCJHSA](?:(?<=[$€£¥])|(?:(?<=\bU)SD|(?<=\bE)UR|(?<=\bG)BP|(?<=\bC)(?:HF|AD)"
+    r"|(?<=\bJ)PY|(?<=\bH)KD|(?<=\bS)GD|(?<=\bA)UD)\b)\s?\d[\d,]*(?:\.\d+)?"
 )
 
 # Standalone integer tokens.  Digits glued to letters, decimals, slashes or

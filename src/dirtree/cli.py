@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -488,6 +489,20 @@ def build_parser() -> _Parser:
 
 
 def run(argv: "list[str] | None" = None) -> int:
+    """Run one command; its exit code.  The cyclic garbage collector is
+    paused for the command, and its earlier state restored: what a command
+    builds stays alive until it returns, so a collection during it would
+    walk those objects and free next to nothing."""
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run(argv: "list[str] | None") -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -3,7 +3,10 @@
 Fifteen counts and ratios per page.  The order of the vector is frozen:
 serialized models and CSV exports both depend on it.  A page's features
 are computed when first read, so a classifier that tests a few of them
-costs the page only the annotations those few read.
+costs the page only the annotations those few read.  Eleven are sums of a
+non-negative count over the page's groups, and a classifier split asks
+only whether one is at most its threshold: the sum stops at the group that
+passes the threshold, so a split decided early reads no more groups.
 """
 
 from __future__ import annotations
@@ -30,10 +33,12 @@ class FeatureVector:
     A vector made from values (``FeatureVector(f6=2.0)``, ``from_list``)
     holds them, 0.0 for each one not given.  The vector ``extract_features``
     returns computes each value the first time something reads it, and
-    keeps it.
+    keeps it.  ``at_most(i, t)`` answers ``vec[i] <= t``: a feature that
+    sums a count over the groups is summed only until the answer is known,
+    and a later read resumes where that sum stopped.
     """
 
-    __slots__ = ("_values", "_page", "_per_group")
+    __slots__ = ("_values", "_page", "_per_group", "_partial")
 
     f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14, f15 = map(
         property, map(itemgetter, range(len(FEATURE_NAMES))))
@@ -44,13 +49,39 @@ class FeatureVector:
             raise TypeError(f"FeatureVector takes up to {len(FEATURE_NAMES)} values, "
                             f"by position or by the names {', '.join(FEATURE_NAMES)}")
         self._values = [*values, *(named.get(name, 0.0) for name in rest)]
-        self._page = self._per_group = None
+        self._page = self._per_group = self._partial = None
 
     def __getitem__(self, i: int) -> float:
         value = self._values[i]
         if value is None:
-            value = self._values[i] = _FEATURES[i](self._page, self._per_group, self)
+            if _TERMS[i] is not None:
+                value = float(self._sum_past(i, math.inf))
+            else:
+                value = self._values[i] = _PAGE_FEATURES[i](self._page, self)
         return value
+
+    def at_most(self, i: int, t: float) -> bool:
+        """Whether ``self[i] <= t``."""
+        if self._values[i] is None and _TERMS[i] is not None:
+            return self._sum_past(i, t) <= t
+        return self[i] <= t
+
+    def _sum_past(self, i: int, t: float) -> int:
+        """Add feature i's per-group terms, in group order, from where its
+        sum last stopped, until the sum exceeds t or the groups run out;
+        the sum so far.  The terms are non-negative, so a sum past t stays
+        past it.  A finished sum is kept as the feature's value."""
+        term, groups, per_group = _TERMS[i], self._page.groups, self._per_group
+        k, total = self._partial[i]
+        n = len(groups)
+        while k < n and total <= t:
+            total += term(groups[k], per_group[k])
+            k += 1
+        if k == n:
+            self._values[i] = float(total)
+        else:
+            self._partial[i] = (k, total)
+        return total
 
     def as_list(self) -> list[float]:
         return [self[i] for i in range(len(FEATURE_NAMES))]
@@ -84,15 +115,14 @@ def _count(anns: "Sequence[Annotation]", label: AnnotationLabel) -> int:
 
 
 def _mentions(label: AnnotationLabel):
-    return lambda page, per_group, vec: float(sum(_count(anns, label) for anns in per_group))
+    return lambda group, anns: _count(anns, label)
 
 
-def _groups_mentioning(label: AnnotationLabel, most: int):
-    return lambda page, per_group, vec: float(
-        sum(1 <= _count(anns, label) <= most for anns in per_group))
+def _mentioned(label: AnnotationLabel, most: int):
+    return lambda group, anns: 1 <= _count(anns, label) <= most
 
 
-def _table_fraction(page: VisualPage, per_group, vec) -> float:
+def _table_fraction(page: VisualPage, vec) -> float:
     # Table regions may overlap each other or hang off the page; only the
     # on-page portion counts and the fraction is capped at 1.
     table_area = 0.0
@@ -105,27 +135,33 @@ def _table_fraction(page: VisualPage, per_group, vec) -> float:
 
 _L = AnnotationLabel
 
-# Each feature as a function of (page, per-group annotations, vector), in
-# FEATURE_NAMES order.
-_FEATURES = (
+# Eleven features are sums over the page's groups of a non-negative integer
+# term of (group, its annotations); the other four are functions of (page,
+# vector).  Both tables are in FEATURE_NAMES order, with None where a
+# feature is of the other kind.
+_TERMS = (
     _mentions(_L.CURRENCY),  # f1 currency mentions
     _mentions(_L.DATE),  # f2 date mentions
     _mentions(_L.EMAIL),  # f3 email addresses
     _mentions(_L.PHONE),  # f4 phone numbers
     _mentions(_L.FAC),  # f5 facility mentions
-    lambda page, per_group, vec: float(len(page.groups)),  # f6 groups on the page
-    _table_fraction,  # f7 fraction of page area covered by tables
+    None, None,  # f6, f7
     _mentions(_L.ROLE),  # f8 role mentions
-    lambda page, per_group, vec: float(sum(  # f9 words outside page header/footer groups
-        len(group_text(g).split()) for g in page.groups if not g.is_furniture)),
-    lambda page, per_group, vec: float(sum(  # f10 groups that look like address blocks
-        map(is_address_candidate, per_group))),
-    lambda page, per_group, vec: float(sum(  # f11 groups boxed on all four sides
-        g.border_sides == 4 for g in page.groups)),
-    _groups_mentioning(_L.ORG, 3),  # f12 groups with 1..3 organization mentions
-    _groups_mentioning(_L.ROLE, 4),  # f13 groups with 1..4 role mentions
-    lambda page, per_group, vec: vec.f12 / vec.f6 if vec.f6 else 0.0,  # f14 f12 / f6
-    lambda page, per_group, vec: vec.f13 / vec.f6 if vec.f6 else 0.0,  # f15 f13 / f6
+    lambda group, anns: (  # f9 words outside page header/footer groups
+        0 if group.is_furniture else len(group_text(group).split())),
+    lambda group, anns: is_address_candidate(anns),  # f10 groups that look like address blocks
+    lambda group, anns: group.border_sides == 4,  # f11 groups boxed on all four sides
+    _mentioned(_L.ORG, 3),  # f12 groups with 1..3 organization mentions
+    _mentioned(_L.ROLE, 4),  # f13 groups with 1..4 role mentions
+    None, None,  # f14, f15
+)
+_PAGE_FEATURES = (
+    None, None, None, None, None,  # f1 to f5
+    lambda page, vec: float(len(page.groups)),  # f6 groups on the page
+    _table_fraction,  # f7 fraction of page area covered by tables
+    None, None, None, None, None, None,  # f8 to f13
+    lambda page, vec: vec.f12 / vec.f6 if vec.f6 else 0.0,  # f14 f12 / f6
+    lambda page, vec: vec.f13 / vec.f6 if vec.f6 else 0.0,  # f15 f13 / f6
 )
 
 
@@ -140,6 +176,7 @@ def extract_features(page: VisualPage, per_group: "list[Sequence[Annotation]]") 
     vec = FeatureVector()
     vec._values = [None] * len(FEATURE_NAMES)
     vec._page, vec._per_group = page, per_group
+    vec._partial = [(0, 0)] * len(FEATURE_NAMES)
     return vec
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import reprlib
 import sys
 from bisect import bisect_right
 from collections import _count_elements  # the C helper Counter counts with
@@ -30,7 +31,7 @@ from itertools import accumulate, compress, islice, repeat
 from operator import itemgetter, not_, or_, sub
 
 from .features import FEATURE_NAMES
-from .visual import decode_json, load_json
+from .visual import decode_json, is_json_int, load_json
 
 
 class EmptyClassError(ValueError):
@@ -355,15 +356,18 @@ def train(d: Dataset, hp: "ForestHyperparams | None" = None) -> ForestModel:
 
 
 def _leaf_for(node, x):
+    at_most = getattr(x, "at_most", None) or (lambda f, t: x[f] <= t)
     while isinstance(node, SplitNode):
-        node = node.left if x[node.feature] <= node.threshold else node.right
+        node = node.left if at_most(node.feature, node.threshold) else node.right
     return node
 
 
 def predict_score(model: ForestModel, x) -> float:
     """Mean positive fraction over the leaves the vector lands in.  ``x`` is
-    read by feature index, so a ``FeatureVector`` computes only the features
-    that the paths taken test."""
+    read by feature index, or asked ``x.at_most(feature, threshold)`` when
+    it has that method, so a ``FeatureVector`` computes only the features
+    that the paths taken test, and sums a count only until its split is
+    decided."""
     return sum(_leaf_for(t, x).positive_fraction for t in model.trees) / len(model.trees)
 
 
@@ -386,7 +390,13 @@ def _node_to_json(node) -> dict:
 
 
 def _nonneg_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+    return is_json_int(v) and v >= 0
+
+
+def _is_finite(v) -> bool:
+    """JSON number within the float range: bounded by the largest float, so
+    NaN, infinities, booleans and integers too large to convert are not."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _node_from_json(obj):
@@ -394,17 +404,15 @@ def _node_from_json(obj):
     if kind == "leaf":
         counts = obj.get("counts")
         if not (isinstance(counts, list) and len(counts) == 2 and all(map(_nonneg_int, counts))):
-            raise ValueError(f"model leaf counts must be two non-negative integers: {counts!r}")
+            raise ValueError(f"model leaf counts must be two non-negative integers: {reprlib.repr(counts)}")
         return LeafNode(counts=tuple(counts))
     if kind != "split":
-        raise ValueError(f"model node kind must be 'leaf' or 'split', got {kind!r}")
+        raise ValueError(f"model node kind must be 'leaf' or 'split', got {reprlib.repr(kind)}")
     feature, threshold = obj.get("feature"), obj.get("threshold")
     if not (_nonneg_int(feature) and feature < len(FEATURE_NAMES)):
-        raise ValueError(f"model split feature out of range: {feature!r}")
-    # Bounded by the largest float: rejects NaN, infinities and integers
-    # too large to convert.
-    if not (isinstance(threshold, (int, float)) and abs(threshold) <= sys.float_info.max):
-        raise ValueError(f"model split threshold must be a finite number: {threshold!r}")
+        raise ValueError(f"model split feature out of range: {reprlib.repr(feature)}")
+    if not _is_finite(threshold):
+        raise ValueError(f"model split threshold must be a finite number: {reprlib.repr(threshold)}")
     return SplitNode(
         feature=feature,
         threshold=float(threshold),
@@ -423,6 +431,16 @@ def model_to_json(model: ForestModel) -> dict:
     }
 
 
+# Each hyperparameter a model file holds, and what it must be.
+_HYPERPARAMS = {
+    "n_trees": "an integer",
+    "max_depth": "an integer or null",
+    "max_features_fraction": "a finite number",
+    "min_samples_leaf": "an integer",
+    "seed": "an integer",
+}
+
+
 def model_from_json(data: "bytes | str | dict") -> ForestModel:
     """Parse and check a model; a malformed one raises ValueError."""
     if isinstance(data, (bytes, str)):
@@ -430,29 +448,29 @@ def model_from_json(data: "bytes | str | dict") -> ForestModel:
     if not isinstance(data, dict):
         raise ValueError("model must be a JSON object")
     if data.get("version") != 1:
-        raise ValueError(f"unsupported model version: {data.get('version')!r}")
+        raise ValueError(f"unsupported model version: {reprlib.repr(data.get('version'))}")
     try:
-        hp_obj = data["hyperparams"]
-        hp = ForestHyperparams(
-            n_trees=int(hp_obj["n_trees"]),
-            max_depth=None if hp_obj["max_depth"] is None else int(hp_obj["max_depth"]),
-            max_features_fraction=float(hp_obj["max_features_fraction"]),
-            min_samples_leaf=int(hp_obj["min_samples_leaf"]),
-            seed=int(hp_obj["seed"]),
-        )
-        importances = [float(v) for v in data["importances"]]
-        feature_order, trees = data["feature_order"], data["trees"]
+        hp = {name: data["hyperparams"][name] for name in _HYPERPARAMS}
+        importances, feature_order, trees = data["importances"], data["feature_order"], data["trees"]
     except (KeyError, TypeError) as e:
         raise ValueError(f"malformed model, missing or mistyped: {e}") from e
+    for name, value in hp.items():
+        if not (_is_finite(value) if name == "max_features_fraction"
+                else is_json_int(value) or (name == "max_depth" and value is None)):
+            raise ValueError(f"model hyperparams.{name} must be "
+                             f"{_HYPERPARAMS[name]}, got {reprlib.repr(value)}")
+    if not (isinstance(importances, list) and all(map(_is_finite, importances))):
+        raise ValueError("model importances must be an array of finite numbers")
     if feature_order != list(FEATURE_NAMES):
         raise ValueError(f"model feature_order must be {list(FEATURE_NAMES)}")
     if not isinstance(trees, list) or not trees:
         raise ValueError("model must have at least one tree")
+    hp["max_features_fraction"] = float(hp["max_features_fraction"])
     return ForestModel(
-        hyperparams=hp,
+        hyperparams=ForestHyperparams(**hp),
         feature_order=FEATURE_NAMES,
         trees=[_node_from_json(t) for t in trees],
-        importances=importances,
+        importances=list(map(float, importances)),
     )
 
 

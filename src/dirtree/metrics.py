@@ -8,6 +8,7 @@ after aligning predicted to gold blocks by body overlap.
 
 from __future__ import annotations
 
+import reprlib
 from collections import Counter
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ from .tree import (
     tree_from_json,
     validate_tree,
 )
-from .visual import decode_json, group_text
+from .visual import decode_json, group_text, is_json_int
 
 ROOT_MARKER = "<ROOT>"
 
@@ -190,18 +191,13 @@ def eval_tree(gold: ReadingTree, pred: ReadingTree) -> "dict[str, PRF]":
 
 # --- gold and prediction files ----------------------------------------------
 
-def _is_int(value) -> bool:
-    """JSON integer: ``true`` and ``false`` are ints to Python, not here."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def check_span_record(s, where: str) -> None:
     """A gold or predicted span record: an object with integer "group",
     "start" and "end" and a span "label"; ``where`` begins each message."""
     if not isinstance(s, dict):
         raise ValueError(f"{where}: must be an object")
     for key in ("group", "start", "end"):
-        if not _is_int(s.get(key)):
+        if not is_json_int(s.get(key)):
             raise ValueError(f"{where}: missing integer '{key}'")
     SpanLabel(s.get("label"))
 
@@ -220,7 +216,7 @@ def load_gold(data: "bytes | str | dict") -> dict:
     if not isinstance(data, dict) or not isinstance(data.get("pages"), list):
         raise ValueError("gold file must be an object with a 'pages' array")
     for p in data["pages"]:
-        if not isinstance(p, dict) or not _is_int(p.get("page")):
+        if not isinstance(p, dict) or not is_json_int(p.get("page")):
             raise ValueError("every gold page needs an integer 'page' index")
         if "is_directory" in p and not isinstance(p["is_directory"], bool):
             raise ValueError(f"gold page {p['page']}: is_directory must be a bool")
@@ -230,7 +226,7 @@ def load_gold(data: "bytes | str | dict") -> dict:
         for i, s in enumerate(spans):
             check_span_record(s, f"gold page {p['page']} span {i}")
             parent = s.get("parent")
-            if parent is not None and not _is_int(parent):
+            if parent is not None and not is_json_int(parent):
                 raise ValueError(
                     f"gold page {p['page']} span {i}: parent must be an index or null"
                 )
@@ -247,12 +243,12 @@ def read_predictions(pages: list, key: str, name: str) -> "list[tuple[int, objec
         if not isinstance(p, dict) or "page" not in p or key not in p:
             raise ValueError(f"{name}: every page needs 'page' and '{key}'")
         page, value = p["page"], p[key]
-        where = f"{name}: page {page!r}"
-        if not _is_int(page):
+        where = f"{name}: page {reprlib.repr(page)}"
+        if not is_json_int(page):
             raise ValueError(f"{where}: page must be an integer")
         if key == "label":
-            if not _is_int(value) or value not in (0, 1):
-                raise ValueError(f"{where}: label must be 0 or 1, got {value!r}")
+            if not is_json_int(value) or value not in (0, 1):
+                raise ValueError(f"{where}: label must be 0 or 1, got {reprlib.repr(value)}")
         elif key == "spans":
             if not isinstance(value, list):
                 raise ValueError(f"{where}: spans must be an array")

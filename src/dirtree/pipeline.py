@@ -8,11 +8,13 @@ read: ``annotate`` scans nothing, and a group runs the phrase pass or a
 surface label's regex when a later stage first reads one of those labels.
 The features are computed one by one as the classifier's trees read them,
 each reading only the labels it counts, and the address-block feature
-tests numbers and postcodes by presence.  Segmentation reads
-organizations, persons, roles and address types.  So a page that is
-scored and not selected computes only the features its trees test, lists
-no numbers or postcodes and builds no ``Annotation``, and no stage builds
-the full sorted annotation list.
+tests numbers and postcodes by presence.  A split on a count sums it over
+the groups in order only until the sum passes the split's threshold, and
+a later read resumes the sum.  Segmentation reads organizations, persons,
+roles and address types.  So a page that is scored and not selected
+computes only the features its trees test, scans a group for a count only
+while a split on it is undecided, lists no numbers or postcodes and builds
+no ``Annotation``, and no stage builds the full sorted annotation list.
 
 The stages are called through this module's names so that tests can
 substitute them.  The package ``__init__`` must not import this module:

@@ -10,11 +10,12 @@ which is what keeps sibling sections from swallowing one another.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .segment import LabeledSpan, SpanLabel
-from .visual import BBox, decode_json, v_gap, x_overlap, y_overlap
+from .visual import BBox, decode_json, is_json_int, v_gap, x_overlap, y_overlap
 
 
 class TreeParamError(ValueError):
@@ -559,17 +560,22 @@ def tree_from_json(data: "bytes | str | dict") -> ReadingTree:
         if not isinstance(obj, dict):
             raise ValueError(f"node {i} must be an object")
         if not isinstance(obj.get("text"), str):
-            raise ValueError(f"node {i}: text must be a string, got {obj.get('text')!r}")
+            raise ValueError(f"node {i}: text must be a string, got {reprlib.repr(obj.get('text'))}")
         if not isinstance(obj.get("children"), list):
-            raise ValueError(f"node {i}: children must be an array, got {obj.get('children')!r}")
+            raise ValueError(f"node {i}: children must be an array, got {reprlib.repr(obj.get('children'))}")
+        parent = obj.get("parent")  # a missing id or parent is reported below
+        if not (all(map(is_json_int, (obj.get("id", 0), *obj["children"])))
+                and (parent is None or is_json_int(parent))):
+            raise ValueError(f"node {i}: id, parent and children must be integers "
+                             f"(a null parent is the root's)")
         bbox = obj.get("bbox")
         try:
-            nodes[int(obj["id"])] = TreeNode(
-                node_id=int(obj["id"]),
+            nodes[obj["id"]] = TreeNode(
+                node_id=obj["id"],
                 label=NodeLabel(obj["label"]),
                 text=obj["text"],
-                parent=None if obj["parent"] is None else int(obj["parent"]),
-                children=[int(c) for c in obj["children"]],
+                parent=obj["parent"],
+                children=list(obj["children"]),
                 cluster_id=obj.get("cluster"),
                 bbox=None if bbox is None else BBox(bbox["l"], bbox["t"], bbox["r"], bbox["b"]),
             )

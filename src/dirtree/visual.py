@@ -46,6 +46,11 @@ def decode_json(data: "bytes | str"):
         raise ValueError("JSON nested too deeply") from None
 
 
+def is_json_int(value) -> bool:
+    """JSON integer: ``true`` and ``false`` are ints to Python, not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_json(path: str):
     """Read and decode a JSON input file.  A file that is not JSON raises
     ValueError naming it; one that cannot be read raises OSError."""

@@ -4,6 +4,7 @@ Pages are assembled as plain JSON dicts and pushed through parse_document so
 every test page also exercises the ingestion path.
 """
 
+import copy
 import itertools
 import json
 import math
@@ -195,7 +196,7 @@ def random_page_dict(rng: random.Random):
 # --- faulty documents --------------------------------------------------------
 #
 # Random valid pages with one to four faults, for the parser's reference test
-# and the CLI fuzz test.
+# and the CLI fuzz test; ``with_faults`` puts faults into any JSON input.
 
 def json_nodes(value, where=()):
     """Every value of a JSON document with its steps from the root."""
@@ -222,6 +223,22 @@ _ODD_VALUES = [True, False, None, "7", "", {}, [], 3, 0.5]
 _ODD_NUMBERS = [math.nan, math.inf, -math.inf, -1, -2.5, 0, 0.0, 5, 0x1000000,
                 10**400, -(10**400), True, "7"]
 
+# Stand-ins that ``fault_text`` writes as JSON no encoder writes: the number
+# 1e400, past the float range, and arrays nested 500 deep (which decode) and
+# 2,000 deep (which do not).
+FLOAT_PAST_RANGE = "\x00 1e400"
+NESTED_ARRAY = "\x00 nested"
+DEEP_ARRAY = "\x00 deep"
+ODD_JSON = [FLOAT_PAST_RANGE, NESTED_ARRAY, DEEP_ARRAY, 2.9, 2**64, -(2**64), 1e308]
+
+
+def fault_text(document) -> str:
+    """The document as JSON text, with the stand-ins above written out."""
+    return (json.dumps(document)
+            .replace(json.dumps(FLOAT_PAST_RANGE), "1e400")
+            .replace(json.dumps(NESTED_ARRAY), "[" * 500 + "]" * 500)
+            .replace(json.dumps(DEEP_ARRAY), "[" * 2000 + "]" * 2000))
+
 
 @st.composite
 def faulty_documents(draw):
@@ -230,7 +247,15 @@ def faulty_documents(draw):
     for p in pages:
         if rng.random() < 0.5:
             p["table_regions"] = [{"l": 10, "t": 10, "r": 200, "b": 300}]
-    document = doc(*pages)
+    return draw(with_faults(doc(*pages)))
+
+
+@st.composite
+def with_faults(draw, document, odd=(), grow=False):
+    """A copy of ``document`` with one to four faults.  ``odd`` adds to the
+    values swapped in; with ``grow`` an array may then be repeated 2,001
+    times."""
+    document = copy.deepcopy(document)
     # Faults go into one object and what it holds (a page, a group, a line,
     # a segment, a box), so that several faults often meet in one object and
     # the order of its checks shows.
@@ -245,9 +270,9 @@ def faulty_documents(draw):
         if fault == "drop":
             del value[draw(st.sampled_from(sorted(value)))]
         elif fault == "swap":
-            parent_of(document, where)[where[-1]] = draw(st.sampled_from(_ODD_VALUES))
+            parent_of(document, where)[where[-1]] = draw(st.sampled_from(_ODD_VALUES + [*odd]))
         elif fault == "number":
-            parent_of(document, where)[where[-1]] = draw(st.sampled_from(_ODD_NUMBERS))
+            parent_of(document, where)[where[-1]] = draw(st.sampled_from(_ODD_NUMBERS + [*odd]))
         elif fault == "empty":
             value.clear()
         elif fault == "edges":
@@ -256,6 +281,11 @@ def faulty_documents(draw):
         else:
             edge = draw(st.sampled_from("ltrb"))
             value[edge] += draw(st.sampled_from([-3, -1e-7, 1e-7, 0.5, 900]))
+    arrays = [value for where, value in json_nodes(document)
+              if where[:len(focus)] == focus and isinstance(value, list) and value]
+    if grow and arrays and draw(st.booleans()):
+        value = draw(st.sampled_from(arrays))
+        value.extend(value * 2000)
     return document
 
 

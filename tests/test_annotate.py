@@ -451,6 +451,31 @@ def test_surface_labels_match_alternation_scan(text):
     assert GroupAnnotations(text, gaz) == _annotate_text_reference(text, gaz)
 
 
+# CURRENCY_RE as it was before it began with one character class: an
+# alternative per symbol class and per code's first letter, each letter's
+# boundary tested after the letter.
+_CURRENCY_RE_PER_LETTER = re.compile(
+    r"(?:[$€£¥]|U(?<!\wU)(?:SD)\b|E(?<!\wE)(?:UR)\b|G(?<!\wG)(?:BP)\b|C(?<!\wC)(?:HF|AD)\b"
+    r"|J(?<!\wJ)(?:PY)\b|H(?<!\wH)(?:KD)\b|S(?<!\wS)(?:GD)\b|A(?<!\wA)(?:UD)\b)"
+    r"\s?\d[\d,]*(?:\.\d+)?"
+)
+# Codes, near-codes and code letters, symbols, amounts, and characters that
+# are word characters (or not) on either side of a code.
+_CURRENCY_WORDS = [
+    "USD", "EUR", "GBP", "CHF", "JPY", "HKD", "SGD", "AUD", "CAD", "US", "CHFX", "xEUR",
+    "ÉUR", "_", "$", "€", "£", "¥", "12", "1,000", "0.5", ".5", "S", "A", "U", "C", "é",
+]
+
+
+@settings(max_examples=500)
+@given(text=st.one_of(_prose(st.sampled_from(_CURRENCY_WORDS)),
+                      st.text(alphabet="$€£¥UEGCJHSADPYBRFKé_ 1,.x\xa0")))
+@example(text="USD 5 xUSD 5 _EUR5 €5 CHF1,000.5 CAD 12 ÉUR 3 SGD\xa05 $ 7")
+def test_currency_spans_match_per_letter_alternation(text):
+    got = [m.span() for m in annotate_module.CURRENCY_RE.finditer(text)]
+    assert got == [m.span() for m in _CURRENCY_RE_PER_LETTER.finditer(text)]
+
+
 def test_ascii_case_classes():
     """The phrase index files an ASCII word only under ASCII keys.  That holds
     because re.IGNORECASE equates an ASCII word character only with word

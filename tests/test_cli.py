@@ -1,5 +1,7 @@
 import ast
 import contextlib
+import copy
+import gc
 import io
 import json
 import math
@@ -8,12 +10,15 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from dirtree import cli, pipeline
+from dirtree.annotate import Gazetteer
 from dirtree.features import FeatureVector, write_features_csv
+from dirtree.forest import Dataset, ForestHyperparams, model_to_json, train
 from dirtree.tree import (
     NodeLabel,
     ROOT_ID,
@@ -21,10 +26,23 @@ from dirtree.tree import (
     TreeNode,
     directory_blocks,
     tree_from_json,
+    tree_to_json,
     validate_tree,
 )
+from dirtree.visual import parse_document
 
-from conftest import EXPECTED_BLOCKS, faulty_documents, make_margin_rows
+from conftest import (
+    DEEP_ARRAY,
+    EXPECTED_BLOCKS,
+    FIXTURES,
+    FLOAT_PAST_RANGE,
+    ODD_JSON,
+    fault_text,
+    faulty_documents,
+    make_margin_rows,
+    parent_of,
+    with_faults,
+)
 
 
 def run_cli(*argv):
@@ -165,6 +183,19 @@ def test_blocks_rejects_integer_beyond_float_range(where, fig1a_path, tmp_path):
     assert line.startswith("error:") and "coordinates must be finite" in line
 
 
+def _fails_cleanly(*argv):
+    """Run a command: it exits 0, or 1 with one short error line, within 10 s."""
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_cli(*argv)
+    assert time.perf_counter() - start < 10
+    assert code in (0, 1)
+    if code == 1:
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith("error:") and len(line) < 1000
+
+
 @settings(max_examples=100)
 @given(faulty_documents())
 def test_cli_fuzzed_documents_fail_cleanly(document):
@@ -175,15 +206,64 @@ def test_cli_fuzzed_documents_fail_cleanly(document):
         with open(path, "w") as f:
             json.dump(document, f)
         for argv in (["validate", path], ["blocks", path, "--pages", "all"]):
-            err = io.StringIO()
-            start = time.perf_counter()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = run_cli(*argv)
-            assert time.perf_counter() - start < 10
-            assert code in (0, 1)
-            if code == 1:
-                (line,) = err.getvalue().splitlines()
-                assert line.startswith("error:")
+            _fails_cleanly(*argv)
+
+
+FIG1A = str(FIXTURES / "fig1a.json")
+# A small model (two trees) and the fig1a page's predicted tree, as files
+# hold them.
+_MODEL = model_to_json(train(Dataset(make_margin_rows(20, 20, seed=5)),
+                             ForestHyperparams(n_trees=2)))
+_PREDICTED = {"pages": [{"page": 0, "tree": tree_to_json(
+    pipeline.PageRun(parse_document(Path(FIG1A).read_bytes())[0], 0, Gazetteer.default()).tree)}]}
+
+
+def _with(document, path, value):
+    """A copy of ``document`` with ``value`` at ``path``."""
+    document = copy.deepcopy(document)
+    parent_of(document, path)[path[-1]] = value
+    return document
+
+
+@settings(max_examples=100, deadline=None)
+@given(with_faults(_MODEL, ODD_JSON, grow=True))
+@example(_with(_MODEL, ("hyperparams", "n_trees"), FLOAT_PAST_RANGE))
+@example(_with(_MODEL, ("hyperparams", "max_depth"), FLOAT_PAST_RANGE))
+@example(_with(_MODEL, ("hyperparams", "seed"), True))
+@example(_with(_MODEL, ("hyperparams", "min_samples_leaf"), "20"))
+@example(_with(_MODEL, ("importances", 0), math.nan))
+@example(_with(_MODEL, ("trees",), []))
+@example(_with(_MODEL, ("trees",), _MODEL["trees"] * 2001))
+@example(_with(_MODEL, ("trees", 0, "left"), DEEP_ARRAY))
+@example(_with(_MODEL, ("hyperparams", "n_trees"), list(range(10_000))))
+@example(_with(_MODEL, ("trees", 0, "left"), {"kind": "leaf", "counts": list(range(10_000))}))
+def test_cli_fuzzed_models_fail_cleanly(model):
+    # A model with one to four faults: classify and blocks --pages auto run
+    # or exit 1 with one error line.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w") as f:
+            f.write(fault_text(model))
+        for argv in (["classify", FIG1A], ["blocks", FIG1A, "--pages", "auto"]):
+            _fails_cleanly(*argv, "--model", path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(with_faults(_PREDICTED, ODD_JSON, grow=True))
+@example(_with(_PREDICTED, ("pages", 0, "tree", "nodes", 1, "id"), FLOAT_PAST_RANGE))
+@example(_with(_PREDICTED, ("pages", 0, "tree", "nodes", 1, "parent"), FLOAT_PAST_RANGE))
+@example(_with(_PREDICTED, ("pages", 0, "tree", "nodes", 0, "children", 0), 2.5))
+@example(_with(_PREDICTED, ("pages", 0, "tree", "nodes", 1, "children"), "x" * 10_000))
+@example(_with(_PREDICTED, ("pages", 0, "page"), list(range(10_000))))
+def test_cli_fuzzed_predicted_trees_fail_cleanly(pred):
+    # Predicted trees with one to four faults: eval --stage tree runs or
+    # exits 1 with one error line.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pred.json")
+        with open(path, "w") as f:
+            f.write(fault_text(pred))
+        _fails_cleanly("eval", "--stage", "tree", "--gold", str(FIXTURES / "fig1a_gold.json"),
+                       "--pred", path, "--doc", FIG1A)
 
 
 def test_help_via_module():
@@ -442,6 +522,44 @@ def test_invariant_violation_exits_2(fig1a_path, capsys, monkeypatch):
     monkeypatch.setattr(pipeline, "build_tree", broken_build)
     assert run_cli("tree", str(fig1a_path), "--pages", "0") == 2
     assert "internal error" in capsys.readouterr().err
+
+
+# (arguments after the document, an invalid tree built, exit code)
+_GC_CASES = [(["--pages", "0"], False, 0), (["--pages", "7"], False, 1),
+             (["--pages", "0", "--no-such-flag"], False, 1), (["--pages", "0"], True, 2)]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("args, invalid_tree, code", _GC_CASES)
+def test_run_pauses_gc_and_restores_its_state(enabled, args, invalid_tree, code, fig1a_path,
+                                              capsys, monkeypatch):
+    seen = []  # the collector's state wherever the command reached
+    real_read, real_build = cli._read_doc, pipeline.build_tree
+
+    def reading(path):
+        seen.append(gc.isenabled())
+        return real_read(path)
+
+    def building(spans, params):
+        seen.append(gc.isenabled())
+        if invalid_tree:
+            return ReadingTree({1: TreeNode(1, NodeLabel.BODY, "orphan", None)})
+        return real_build(spans, params)
+
+    monkeypatch.setattr(cli, "_read_doc", reading)
+    monkeypatch.setattr(pipeline, "build_tree", building)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert run_cli("tree", str(fig1a_path), *args) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert ("error" in capsys.readouterr().err) == bool(code)
+    if "--no-such-flag" in args:
+        assert seen == []  # a usage error stops before the document is read
+    else:
+        assert seen and not any(seen)
 
 
 @pytest.mark.parametrize("command", ["annotate", "segment", "blocks"])

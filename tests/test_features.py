@@ -308,3 +308,31 @@ def test_scores_and_reads_match_eager_extraction(which, trees, order):
     fresh = extract_features(vp, annotate(vp, _FULL_GAZ))
     assert [getattr(fresh, FEATURE_NAMES[i]) for i in order] == [want[i] for i in order]
     assert vec.as_list() == fresh.as_list() == want
+
+
+def _at_most_threshold(exact):
+    """Below zero, at an integer the running sum can take, or half a count
+    either side of one."""
+    return st.one_of(
+        st.sampled_from([-1.0, -0.5]),
+        st.builds(float.__add__, st.integers(0, int(exact) + 1).map(float),
+                  st.sampled_from([-0.5, 0.0, 0.5])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.integers(0, len(_SCORED_PAGES) - 1), data=st.data())
+def test_at_most_answers_as_the_exact_value_would(which, data):
+    vp = _SCORED_PAGES[which]
+    want = _extract_features_eager(vp, list(map(list, annotate(vp, _FULL_GAZ))))
+    vec = extract_features(vp, annotate(vp, _FULL_GAZ))
+    # Questions and exact reads of any features, interleaved in any order:
+    # a sum stopped by one question is resumed by the next or by a read.
+    for _ in range(data.draw(st.integers(1, 40))):
+        i = data.draw(st.integers(0, len(FEATURE_NAMES) - 1))
+        if data.draw(st.integers(0, 3)):
+            t = data.draw(_at_most_threshold(want[i]))
+            assert vec.at_most(i, t) == (want[i] <= t), (FEATURE_NAMES[i], t)
+        else:
+            assert vec[i] == want[i]
+    assert vec.as_list() == want
+    assert all(type(v) is float for v in vec.as_list())

@@ -536,10 +536,21 @@ def test_model_version_rejected():
         (lambda m: m["trees"][0].update(threshold=-math.inf), "threshold"),
         (lambda m: m["trees"][0].update(threshold=10**400), "threshold"),
         (lambda m: m["hyperparams"].pop("seed"), "seed"),
+        (lambda m: m["hyperparams"].update(n_trees=math.inf), "n_trees must be an integer"),
+        (lambda m: m["hyperparams"].update(n_trees=True), "n_trees must be an integer"),
+        (lambda m: m["hyperparams"].update(max_depth="20"), "max_depth must be an integer or null"),
+        (lambda m: m["hyperparams"].update(min_samples_leaf=2.9), "min_samples_leaf"),
+        (lambda m: m["hyperparams"].update(seed=-math.inf), "seed must be an integer"),
+        (lambda m: m["hyperparams"].update(max_features_fraction=math.nan), "finite number"),
+        (lambda m: m["hyperparams"].update(max_features_fraction=10**400), "finite number"),
+        (lambda m: m["importances"].append(math.inf), "importances"),
+        (lambda m: m.update(importances="0.5"), "importances"),
     ],
     ids=[
         "feature_order", "kind", "negative_count", "float_count", "threshold",
         "nan_threshold", "inf_threshold", "huge_threshold", "no_seed",
+        "inf_trees", "bool_trees", "string_depth", "float_leaf", "inf_seed", "nan_fraction",
+        "huge_fraction", "inf_importance", "string_importances",
     ],
 )
 def test_model_schema_rejected(mutate, message):

@@ -88,11 +88,12 @@ SURFACE_LABELS = {AnnotationLabel.POSTCODE, AnnotationLabel.CARDINAL, Annotation
 
 
 class _CountingRegex:
-    def __init__(self, label, regex, calls):
-        self.label, self.regex, self.calls = label, regex, calls
+    def __init__(self, label, regex, calls, texts):
+        self.label, self.regex, self.calls, self.texts = label, regex, calls, texts
 
     def finditer(self, text):
         self.calls.append((self.label, "finditer"))
+        self.texts.append((self.label, text))
         return self.regex.finditer(text)
 
     def search(self, text):
@@ -100,9 +101,12 @@ class _CountingRegex:
         return self.regex.search(text)
 
 
-def _counting_scans(monkeypatch):
+def _counting_scans(monkeypatch, texts=None):
+    """The surface scans made, as (label, "finditer" or "search"); each
+    text a ``finditer`` reads is added to ``texts`` as (label, text)."""
     calls = []
-    scans = {label: _CountingRegex(label, regex, calls)
+    texts = [] if texts is None else texts
+    scans = {label: _CountingRegex(label, regex, calls, texts)
              for label, regex in annotate_module._SURFACE_SCANS.items()}
     assert set(scans) == SURFACE_LABELS
     monkeypatch.setattr(annotate_module, "_SURFACE_SCANS", scans)
@@ -137,13 +141,18 @@ def test_scored_only_page_lists_no_numbers_or_postcodes(monkeypatch):
 
 
 def test_scoring_on_currency_and_date_scans_only_those(monkeypatch):
-    calls, passes = _counting_scans(monkeypatch), _counting_phrase_passes(monkeypatch)
+    texts = []
+    calls = _counting_scans(monkeypatch, texts)
+    passes = _counting_phrase_passes(monkeypatch)
     pages, gaz = parse_document(doc(NARRATIVE)), Gazetteer.default()
     assert list(pipeline.page_runs(pages, gaz, "auto", _split_model(0, 1))) == []
     assert passes == [] and "phrase_index" not in vars(gaz)  # the index was not built
-    groups = len(NARRATIVE["groups"])
-    assert sorted(calls) == sorted([(AnnotationLabel.CURRENCY, "finditer"),
-                                    (AnnotationLabel.DATE, "finditer")] * groups)
+    # Each tree's split (f1, then f2, at 0.5) is decided at group 2, which
+    # holds the page's one amount and one date, so the footer is never read.
+    decided = [group_text(g) for g in pages[0].groups[:3]]
+    assert texts == ([(AnnotationLabel.CURRENCY, text) for text in decided]
+                     + [(AnnotationLabel.DATE, text) for text in decided])
+    assert calls == [(label, "finditer") for label, _ in texts]
     # Named, the page is segmented, which runs the phrase pass once on each
     # group that is not page furniture.
     (run,) = pipeline.page_runs(pages, gaz, [0], _split_model(0, 1))

@@ -847,8 +847,14 @@ def test_tree_json_round_trip(fig1a_page):
         (lambda d: d["nodes"][1].pop("parent"), "node 1: missing or mistyped"),
         (lambda d: d["nodes"].append([]), "must be an object"),
         (lambda d: d.update(nodes={}), "'nodes' array"),
+        (lambda d: d["nodes"][1].update(id=math.inf), "node 1: id, parent and children"),
+        (lambda d: d["nodes"][1].update(id=2.5), "node 1: id, parent and children"),
+        (lambda d: d["nodes"][1].update(parent="0"), "node 1: id, parent and children"),
+        (lambda d: d["nodes"][1].update(parent=True), "node 1: id, parent and children"),
+        (lambda d: d["nodes"][0]["children"].append(1.0), "node 0: id, parent and children"),
     ],
-    ids=["text", "children", "no_parent", "node_not_object", "nodes_not_array"],
+    ids=["text", "children", "no_parent", "node_not_object", "nodes_not_array",
+         "inf_id", "float_id", "string_parent", "bool_parent", "float_child"],
 )
 def test_tree_from_json_rejects_malformed(mutate, message):
     data = tree_to_json(make_valid_tree())
