@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
@@ -34,11 +33,6 @@ class AnnotationLabel(str, Enum):
     EMAIL = "EMAIL"
     PHONE = "PHONE"
 
-
-#: Labels whose co-occurrence in a group marks it as a probable address block.
-ADDRESS_INDICATOR_LABELS = frozenset(
-    {AnnotationLabel.GPE, AnnotationLabel.POSTCODE, AnnotationLabel.CARDINAL}
-)
 
 # A surface regex is scanned over every group whose label is read, so each
 # is written so that ``re`` rejects most positions at their first
@@ -249,6 +243,12 @@ class GazetteerError(ValueError):
     pass
 
 
+#: The longest first word a phrase may have.  The phrase index files each
+#: phrase under its first word in a regex trie that nests one group per
+#: character, and ``re.compile`` recurses once per group.
+MAX_FIRST_WORD = 100
+
+
 @dataclass(frozen=True)
 class Gazetteer:
     """Phrase lists backing the vocabulary-driven labels.
@@ -273,6 +273,10 @@ class Gazetteer:
             for p in phrases:
                 if not isinstance(p, str) or not p.strip():
                     raise GazetteerError(f"{name}: phrases must be non-empty strings")
+                first = _LEADING_WORD_RE.match(p.strip())
+                if first and len(first[0]) > MAX_FIRST_WORD:
+                    raise GazetteerError(
+                        f"{name}: a phrase's first word is over {MAX_FIRST_WORD} characters long")
                 key = " ".join(p.split()).lower()
                 if key in seen:
                     continue
@@ -405,20 +409,18 @@ _SURFACE_SCANS = {**dict(_SURFACE_RES), AnnotationLabel.EMAIL: EMAIL_RE}
 _PHRASE_LABELS = frozenset(AnnotationLabel).difference(_SURFACE_SCANS)
 
 
-class GroupAnnotations(Sequence):
+class GroupAnnotations:
     """One group's annotations, held as each label's spans.
 
     A label's spans are found the first time something reads it, and kept:
     a surface label's by its regex, a phrase label's by the phrase pass,
     which finds all six phrase labels at once.
     ``spans_of`` and ``has`` read one label, and ``has`` may stop at the
-    first match; ``select`` builds the ``Annotation``s of a few labels.
-    ``counts``, ``len``, iterating, indexing and comparing with a list read
-    every label; the last three build the ``Annotation`` list, sorted by
-    (start, end, label) and with surfaces, once.
+    first match; ``select`` builds the ``Annotation``s of the labels it is
+    given, so ``select(*AnnotationLabel)`` is the group's full list.
     """
 
-    __slots__ = ("text", "_gaz", "_spans", "_built")
+    __slots__ = ("text", "_gaz", "_spans")
 
     def __init__(self, text: str, gaz: Gazetteer):
         self.text = text
@@ -427,7 +429,6 @@ class GroupAnnotations(Sequence):
         self._spans: "dict[AnnotationLabel, list[tuple[int, int]]]" = {}
         if "@" not in text:
             self._spans[AnnotationLabel.EMAIL] = []  # an email needs an "@"
-        self._built: "list[Annotation] | None" = None
 
     def spans_of(self, label: AnnotationLabel) -> "list[tuple[int, int]]":
         """The label's (start, end) spans, in order."""
@@ -455,39 +456,15 @@ class GroupAnnotations(Sequence):
         return False
 
     def select(self, *labels: AnnotationLabel) -> "list[Annotation]":
-        """The annotations of these labels, as the full list holds them."""
+        """The annotations of these labels, sorted by (start, end, label),
+        with their surfaces."""
         text = self.text
         found = [(start, end, label) for label in labels for start, end in self.spans_of(label)]
         found.sort()  # a label compares as its value, being a str
         return [Annotation(label, start, end, text[start:end]) for start, end, label in found]
 
-    @property
-    def counts(self) -> "dict[AnnotationLabel, int]":
-        """The number of annotations of each label that occurs."""
-        return {label: len(spans) for label in AnnotationLabel
-                if (spans := self.spans_of(label))}
-
-    def _list(self) -> "list[Annotation]":
-        if self._built is None:
-            self._built = self.select(*AnnotationLabel)
-        return self._built
-
-    def __len__(self) -> int:
-        return sum(len(self.spans_of(label)) for label in AnnotationLabel)
-
-    def __getitem__(self, i):
-        return self._list()[i]
-
-    def __iter__(self):
-        return iter(self._list())
-
-    def __eq__(self, other):
-        if isinstance(other, (list, GroupAnnotations)):
-            return self._list() == list(other)
-        return NotImplemented
-
     def __repr__(self) -> str:
-        return f"GroupAnnotations({self._list()!r})"
+        return f"GroupAnnotations({self.select(*AnnotationLabel)!r})"
 
 
 def _phrase_spans(text: str, index: _PhraseIndex) -> "dict[AnnotationLabel, list[tuple[int, int]]]":
@@ -512,7 +489,7 @@ def _phrase_spans(text: str, index: _PhraseIndex) -> "dict[AnnotationLabel, list
 
 def annotate(page: VisualPage, gaz: Gazetteer) -> "list[GroupAnnotations]":
     """Annotate every group of a page (furniture groups included): one
-    sequence of annotations per group, in group order.  Nothing is scanned
+    ``GroupAnnotations`` per group, in group order.  Nothing is scanned
     here: a group runs the phrase pass when something first reads a phrase
     label, and scans a surface label when something first reads that
     label, so a reader pays only for the labels it asks for.  The
@@ -520,16 +497,14 @@ def annotate(page: VisualPage, gaz: Gazetteer) -> "list[GroupAnnotations]":
     return [GroupAnnotations(group_text(g), gaz) for g in page.groups]
 
 
-def is_address_candidate(annotations: "Sequence[Annotation]") -> bool:
-    """True when at least two distinct address-indicator labels occur.
+def is_address_candidate(annotations: GroupAnnotations) -> bool:
+    """True when at least two of GPE, POSTCODE and CARDINAL occur: the
+    group is a probable address block.
 
-    What ``annotate`` returns is asked label by label, GPE (from the phrase
-    pass) first, and stops once the answer is known: POSTCODE is searched
-    for only when it would decide."""
-    if isinstance(annotations, GroupAnnotations):
-        gpe = annotations.has(AnnotationLabel.GPE)
-        if annotations.has(AnnotationLabel.CARDINAL):
-            return gpe or annotations.has(AnnotationLabel.POSTCODE)
-        return gpe and annotations.has(AnnotationLabel.POSTCODE)
-    labels = {a.label for a in annotations if a.label in ADDRESS_INDICATOR_LABELS}
-    return len(labels) >= 2
+    The labels are asked one by one, GPE (from the phrase pass) first, and
+    the test stops once the answer is known: POSTCODE is searched for only
+    when it would decide."""
+    gpe = annotations.has(AnnotationLabel.GPE)
+    if annotations.has(AnnotationLabel.CARDINAL):
+        return gpe or annotations.has(AnnotationLabel.POSTCODE)
+    return gpe and annotations.has(AnnotationLabel.POSTCODE)

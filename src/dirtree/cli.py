@@ -18,20 +18,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import forest, pipeline
-from .annotate import Gazetteer
+from .annotate import AnnotationLabel, Gazetteer
 from .features import read_features_csv, write_features_csv
-from .metrics import (
-    check_page_sets,
-    eval_classifier,
-    eval_span_keys,
-    eval_tree,
-    gold_page_labels,
-    gold_tree_for_page,
-    load_gold,
-    read_predictions,
-    span_keys,
-    PRF,
-)
+from .metrics import EVAL_STAGES, evaluate
 from .segment import spans_to_json
 from .tree import TreeInvariantError, TreeParams, blocks_to_json, tree_to_json
 from .visual import load_json, parse_document
@@ -75,6 +64,9 @@ class PipelineConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key in ("gazetteer", "model", "output_dir"):
+            if not isinstance(data.get(key, ""), (str, type(None))):
+                raise ValueError(f"config {key} must be a path string")
         for key in ("gazetteer", "model"):
             path = data.get(key)
             if path is not None and not os.path.exists(path):
@@ -199,7 +191,7 @@ def _cmd_annotate(args, cfg):
                 {"group": gi, "label": a.label.value, "start": a.start, "end": a.end,
                  "surface": a.surface}
                 for gi, anns in enumerate(run.annotations)
-                for a in anns
+                for a in anns.select(*AnnotationLabel)
             ],
         }
         for run in _runs(args, cfg, skip_empty=False)
@@ -281,81 +273,6 @@ def _cmd_blocks(args, cfg):
 
 # --- eval ------------------------------------------------------------------
 
-def _pred_pages(pred: dict, path: str) -> list:
-    if not isinstance(pred, dict) or not isinstance(pred.get("pages"), list):
-        raise ValueError(f"{path} must be an object with a 'pages' array")
-    return pred["pages"]
-
-
-def _combine(prfs: "list[PRF]") -> PRF:
-    return PRF.from_counts(
-        sum(p.tp for p in prfs), sum(p.fp for p in prfs), sum(p.fn for p in prfs)
-    )
-
-
-def _eval_classifier(args) -> dict:
-    pred = _pred_pages(load_json(args.pred), args.pred)
-    gold = gold_page_labels(load_gold(load_json(args.gold)))
-    pred_labels = dict(read_predictions(pred, "label", args.pred))
-    check_page_sets(set(gold), set(pred_labels))
-    ordered = sorted(gold)
-    prf = eval_classifier([gold[i] for i in ordered], [pred_labels[i] for i in ordered])
-    return {"stage": "classifier", "overall": prf.to_json()}
-
-
-def _keys_by_page(pages: "list[tuple[int, set[tuple]]]") -> "dict[int, set[tuple]]":
-    """Each page's span keys, from records that may name a page twice."""
-    out: "dict[int, set[tuple]]" = {}
-    for page, keys in pages:
-        out.setdefault(page, set()).update(keys)
-    return out
-
-
-def _eval_segmentation(args) -> dict:
-    pred_pages = _pred_pages(load_json(args.pred), args.pred)
-    gold = load_gold(load_json(args.gold))
-    preds = read_predictions(pred_pages, "spans", args.pred)
-    golds = [(p["page"], span_keys(p["page"], p["spans"])) for p in gold["pages"] if "spans" in p]
-    check_page_sets({page for page, _ in golds}, {page for page, _ in preds})
-    gold_keys, pred_keys = _keys_by_page(golds), _keys_by_page(preds)
-    per_page = {
-        page: eval_span_keys(gold_keys[page], pred_keys[page])
-        for page in sorted(gold_keys)
-    }
-    overall = _combine(list(per_page.values()))
-    return {
-        "stage": "segmentation",
-        "overall": overall.to_json(),
-        "pages": {str(k): v.to_json() for k, v in per_page.items()},
-    }
-
-
-def _eval_tree(args) -> dict:
-    if not args.doc:
-        raise UsageError("--doc is required for --stage tree (gold texts live there)")
-    pred_pages = _pred_pages(load_json(args.pred), args.pred)
-    gold = load_gold(load_json(args.gold))
-    doc = _read_doc(args.doc)
-    pred_trees = dict(read_predictions(pred_pages, "tree", args.pred))
-    gold_records = {p["page"]: p for p in gold["pages"] if "spans" in p}
-    check_page_sets(set(gold_records), set(pred_trees))
-    per_page = {}
-    for page in sorted(gold_records):
-        if page < 0 or page >= len(doc):
-            raise ValueError(f"gold page {page} not present in --doc")
-        gold_t = gold_tree_for_page(gold_records[page], doc[page])
-        per_page[page] = eval_tree(gold_t, pred_trees[page])
-    metric_names = ("blocks", "parents", "aligned_nodes")
-    report = {"stage": "tree"}
-    for name in metric_names:
-        report[name] = _combine([m[name] for m in per_page.values()]).to_json()
-    report["pages"] = {
-        str(k): {name: m[name].to_json() for name in metric_names}
-        for k, m in per_page.items()
-    }
-    return report
-
-
 def _report_table(report: dict) -> "list[str]":
     rows = [(k, v) for k, v in report.items() if isinstance(v, dict) and "precision" in v]
     lines = [f"{'metric':<14} {'P':>7} {'R':>7} {'F1':>7} {'tp':>5} {'fp':>5} {'fn':>5}"]
@@ -367,11 +284,12 @@ def _report_table(report: dict) -> "list[str]":
     return lines
 
 
-_EVALS = {"classifier": _eval_classifier, "segmentation": _eval_segmentation, "tree": _eval_tree}
-
-
 def _cmd_eval(args, cfg):
-    report = _EVALS[args.stage](args)
+    if args.stage == "tree" and not args.doc:
+        raise UsageError("--doc is required for --stage tree (gold texts live there)")
+    pred, gold = load_json(args.pred), load_json(args.gold)
+    doc = _read_doc(args.doc) if args.stage == "tree" else None
+    report = evaluate(args.stage, pred, gold, doc, name=args.pred)
     # Line 1 is the machine-readable report; the table below it is for eyes.
     print(json.dumps(report, sort_keys=True))
     print("\n".join(_report_table(report)))
@@ -481,7 +399,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="score predictions against gold")
     p.add_argument("--pred", required=True, help="prediction JSON from this tool")
     p.add_argument("--gold", required=True, help="gold JSON")
-    p.add_argument("--stage", required=True, choices=list(_EVALS))
+    p.add_argument("--stage", required=True, choices=EVAL_STAGES)
     p.add_argument("--doc", help="source document (required for --stage tree)")
     p.set_defaults(func=_cmd_eval)
 

@@ -12,12 +12,10 @@ passes the threshold, so a split decided early reads no more groups.
 from __future__ import annotations
 
 import csv
-import io
 import math
-from collections.abc import Sequence
 from operator import itemgetter
 
-from .annotate import Annotation, AnnotationLabel, GroupAnnotations, is_address_candidate
+from .annotate import AnnotationLabel, GroupAnnotations, is_address_candidate
 from .visual import VisualPage, group_text
 
 FEATURE_NAMES = (
@@ -105,13 +103,10 @@ class FeatureVector:
         return f"FeatureVector({values})"
 
 
-def _count(anns: "Sequence[Annotation]", label: AnnotationLabel) -> int:
-    """The number of a group's annotations of the label: read from what
-    ``annotate`` returns, which builds no ``Annotation``, or counted in a
-    plain list."""
-    if isinstance(anns, GroupAnnotations):
-        return len(anns.spans_of(label))
-    return sum(a.label == label for a in anns)
+def _count(anns: GroupAnnotations, label: AnnotationLabel) -> int:
+    """The number of a group's annotations of the label; builds no
+    ``Annotation``."""
+    return len(anns.spans_of(label))
 
 
 def _mentions(label: AnnotationLabel):
@@ -165,11 +160,10 @@ _PAGE_FEATURES = (
 )
 
 
-def extract_features(page: VisualPage, per_group: "list[Sequence[Annotation]]") -> FeatureVector:
+def extract_features(page: VisualPage, per_group: "list[GroupAnnotations]") -> FeatureVector:
     """The page's features, each computed when first read.  ``per_group``
-    holds the page's annotations, one sequence per group: what ``annotate``
-    returns, of which a feature reads only the labels it counts, or plain
-    lists."""
+    is what ``annotate`` returns for the page, of which a feature reads
+    only the labels it counts."""
     if len(per_group) != len(page.groups):
         raise ValueError(
             f"{len(per_group)} annotation lists for a page of {len(page.groups)} groups")
@@ -224,9 +218,3 @@ def _csv_value(text: str, name: str, lineno: int) -> float:
     if not math.isfinite(value):
         raise ValueError(f"line {lineno}: {name} must be finite, got {text!r}")
     return value
-
-
-def features_csv_text(rows) -> str:
-    buf = io.StringIO()
-    write_features_csv(buf, rows)
-    return buf.getvalue()

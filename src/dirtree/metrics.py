@@ -3,7 +3,9 @@ tree builder.
 
 Tree quality is scored three ways: recovered blocks (header path plus body,
 order-insensitive), parent assignment per body node, and node-level accuracy
-after aligning predicted to gold blocks by body overlap.
+after aligning predicted to gold blocks by body overlap.  ``evaluate`` scores
+a prediction file against a gold file for one stage: the report ``dirtree
+eval`` prints.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import reprlib
 from collections import Counter
 from dataclasses import dataclass
 
-from .segment import LabeledSpan, SpanLabel
+from .segment import SpanLabel
 from .tree import (
     DirectoryBlock,
     NodeLabel,
@@ -79,30 +81,16 @@ def eval_classifier(gold: "list[int]", pred: "list[int]") -> PRF:
 
 # --- span segmentation -----------------------------------------------------
 
-def _span_keys(spans: "list[LabeledSpan]") -> "set[tuple]":
-    return {
-        (s.page_index, s.group_index, s.start, s.end, s.label.value)
-        for s in spans
-        if s.label is not SpanLabel.NEITHER
-    }
-
-
-def span_keys(page: int, records: list) -> "set[tuple]":
-    """Match keys of checked span records (see ``check_span_record``), in
-    the form ``_span_keys`` gives LabeledSpans; Neither spans are left out."""
-    spans = ((page, s["group"], s["start"], s["end"], SpanLabel(s["label"])) for s in records)
-    return {(*k[:4], k[4].value) for k in spans if k[4] is not SpanLabel.NEITHER}
+def span_keys(records: list) -> "set[tuple]":
+    """Match keys (group, start, end, label) of checked span records (see
+    ``check_span_record``); Neither spans are left out."""
+    return {(s["group"], s["start"], s["end"], s["label"])
+            for s in records if s["label"] != SpanLabel.NEITHER.value}
 
 
 def eval_span_keys(gold: "set[tuple]", pred: "set[tuple]") -> PRF:
     """Scores of predicted against gold span keys; only exact matches count."""
     return PRF.from_counts(len(gold & pred), len(pred - gold), len(gold - pred))
-
-
-def eval_segmentation(gold: "list[LabeledSpan]", pred: "list[LabeledSpan]") -> PRF:
-    """Exact-match spans: same group, offsets and label.  Neither spans are
-    background and do not count."""
-    return eval_span_keys(_span_keys(gold), _span_keys(pred))
 
 
 # --- tree quality ----------------------------------------------------------
@@ -199,7 +187,10 @@ def check_span_record(s, where: str) -> None:
     for key in ("group", "start", "end"):
         if not is_json_int(s.get(key)):
             raise ValueError(f"{where}: missing integer '{key}'")
-    SpanLabel(s.get("label"))
+    try:
+        SpanLabel(s.get("label"))
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
 
 
 def load_gold(data: "bytes | str | dict") -> dict:
@@ -254,7 +245,7 @@ def read_predictions(pages: list, key: str, name: str) -> "list[tuple[int, objec
                 raise ValueError(f"{where}: spans must be an array")
             for i, s in enumerate(value):
                 check_span_record(s, f"{where} span {i}")
-            value = span_keys(page, value)
+            value = span_keys(value)
         else:
             try:
                 value = tree_from_json(value)
@@ -332,3 +323,77 @@ def check_page_sets(gold_pages: "set[int]", pred_pages: "set[int]") -> None:
         raise PageSetMismatch(
             f"gold and prediction cover different pages: missing={missing} extra={extra}"
         )
+
+
+# --- one call per eval stage -----------------------------------------------
+
+EVAL_STAGES = ("classifier", "segmentation", "tree")
+
+
+def _combine(prfs: "list[PRF]") -> PRF:
+    return PRF.from_counts(
+        sum(p.tp for p in prfs), sum(p.fp for p in prfs), sum(p.fn for p in prfs))
+
+
+def _keys_by_page(pages: "list[tuple[int, set[tuple]]]") -> "dict[int, set[tuple]]":
+    """Each page's span keys, from records that may name a page twice."""
+    out: "dict[int, set[tuple]]" = {}
+    for page, keys in pages:
+        out.setdefault(page, set()).update(keys)
+    return out
+
+
+def evaluate(stage: str, pred, gold, doc=None, *, name: str = "prediction") -> dict:
+    """Score a prediction file against a gold file: the report ``dirtree
+    eval`` prints.
+
+    ``pred`` and ``gold`` are the decoded JSON files; ``stage`` is one of
+    ``EVAL_STAGES``.  The tree stage also needs ``doc``, the parsed
+    document whose group texts the gold spans index.  ``name`` (the
+    prediction file) begins each message about it.  Bad input raises
+    ValueError.
+    """
+    if stage not in EVAL_STAGES:
+        raise ValueError(f"unknown eval stage {stage!r}")
+    if stage == "tree" and doc is None:
+        raise ValueError("the tree stage needs the source document")
+    if not isinstance(pred, dict) or not isinstance(pred.get("pages"), list):
+        raise ValueError(f"{name} must be an object with a 'pages' array")
+    gold = load_gold(gold)
+    if stage == "classifier":
+        labels = gold_page_labels(gold)
+        pred_labels = dict(read_predictions(pred["pages"], "label", name))
+        check_page_sets(set(labels), set(pred_labels))
+        ordered = sorted(labels)
+        prf = eval_classifier([labels[i] for i in ordered], [pred_labels[i] for i in ordered])
+        return {"stage": "classifier", "overall": prf.to_json()}
+    if stage == "segmentation":
+        preds = read_predictions(pred["pages"], "spans", name)
+        golds = [(p["page"], span_keys(p["spans"])) for p in gold["pages"] if "spans" in p]
+        check_page_sets({page for page, _ in golds}, {page for page, _ in preds})
+        gold_keys, pred_keys = _keys_by_page(golds), _keys_by_page(preds)
+        per_page = {page: eval_span_keys(gold_keys[page], pred_keys[page])
+                    for page in sorted(gold_keys)}
+        return {
+            "stage": "segmentation",
+            "overall": _combine(list(per_page.values())).to_json(),
+            "pages": {str(k): v.to_json() for k, v in per_page.items()},
+        }
+    pred_trees = dict(read_predictions(pred["pages"], "tree", name))
+    gold_records = {p["page"]: p for p in gold["pages"] if "spans" in p}
+    check_page_sets(set(gold_records), set(pred_trees))
+    per_page = {}
+    for page in sorted(gold_records):
+        if page < 0 or page >= len(doc):
+            raise ValueError(f"gold page {page} not present in --doc")
+        per_page[page] = eval_tree(gold_tree_for_page(gold_records[page], doc[page]),
+                                   pred_trees[page])
+    metric_names = ("blocks", "parents", "aligned_nodes")
+    report = {"stage": "tree"}
+    for metric in metric_names:
+        report[metric] = _combine([m[metric] for m in per_page.values()]).to_json()
+    report["pages"] = {
+        str(k): {metric: m[metric].to_json() for metric in metric_names}
+        for k, m in per_page.items()
+    }
+    return report

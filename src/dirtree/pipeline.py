@@ -65,7 +65,7 @@ class PageRun:
 
     @cached_property
     def spans(self):
-        return segment_page(self.page, self.annotations, page_index=self.index)
+        return segment_page(self.page, self.annotations)
 
     @cached_property
     def tree(self):

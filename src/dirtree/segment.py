@@ -11,11 +11,10 @@ Spans always tile the full group text exactly.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .annotate import Annotation, AnnotationLabel, GroupAnnotations
+from .annotate import AnnotationLabel, GroupAnnotations
 from .visual import BBox, Group, StyleInfo, VisualPage, group_layout, group_text, union_all
 
 
@@ -68,7 +67,6 @@ class PageStyleStats:
 
 @dataclass(frozen=True)
 class LabeledSpan:
-    page_index: int
     group_index: int
     start: int
     end: int
@@ -145,35 +143,22 @@ _ENTITY_LABELS = (AnnotationLabel.ORG, AnnotationLabel.PERSON)
 _HEADER_LABELS = (AnnotationLabel.ROLE, AnnotationLabel.ADDRESS_TYPE)
 
 
-def _of(anns, labels) -> "list[Annotation]":
-    """The annotations of these labels: selected from what ``annotate``
-    returns, which reads no other label, or filtered from a plain list."""
-    if isinstance(anns, GroupAnnotations):
-        return anns.select(*labels)
-    return [a for a in anns if a.label in labels]
-
-
-def _first_entity(anns):
-    candidates = _of(anns, _ENTITY_LABELS)
+def _first_entity(anns: GroupAnnotations):
+    candidates = anns.select(*_ENTITY_LABELS)
     if not candidates:
         return None
     return min(candidates, key=lambda a: (a.start, a.end, a.label.value))
 
 
-def _has_role_or_address(anns, start: int, end: int) -> bool:
-    return any(a.start < end and a.end > start for a in _of(anns, _HEADER_LABELS))
+def _has_role_or_address(anns: GroupAnnotations, start: int, end: int) -> bool:
+    return any(a.start < end and a.end > start for a in anns.select(*_HEADER_LABELS))
 
 
-def segment_page(
-    page: VisualPage,
-    anns: "list[Sequence[Annotation]]",
-    page_index: int = 0,
-) -> list[LabeledSpan]:
+def segment_page(page: VisualPage, anns: "list[GroupAnnotations]") -> list[LabeledSpan]:
     """Apply the rule cascade to every group of an (already classified) page.
 
-    ``anns`` holds the page's annotations, one sequence per group: what
-    ``annotate`` returns, of which only ORG, PERSON, ROLE and ADDRESS_TYPE
-    are read, or plain lists.  ``page_index`` is only stamped on the spans.
+    ``anns`` is what ``annotate`` returns for the page, of which only ORG,
+    PERSON, ROLE and ADDRESS_TYPE are read.
 
     Per group: (1) page furniture is Neither; (2) an ORG/PERSON entity with
     text following it turns [entity start, group end] into Body, an entity
@@ -194,11 +179,11 @@ def segment_page(
     stats = page_style_stats(page)
     spans: list[LabeledSpan] = []
     for gi, group in enumerate(page.groups):
-        spans.extend(_segment_group(group, anns[gi], stats, page_index, gi))
+        spans.extend(_segment_group(group, anns[gi], stats, gi))
     return spans
 
 
-def _segment_group(group, anns, stats: PageStyleStats, page_index: int, gi: int):
+def _segment_group(group, anns, stats: PageStyleStats, gi: int):
     text = group_text(group)
     layout = group_layout(group)
     n = len(text)
@@ -243,8 +228,8 @@ def _segment_group(group, anns, stats: PageStyleStats, page_index: int, gi: int)
     for start, end, label, rule in merged:
         bbox, style = _span_geometry(group, layout, start, end)
         spans.append(LabeledSpan(
-            page_index=page_index, group_index=gi, start=start, end=end, label=label,
-            text=text[start:end], bbox=bbox, style_summary=style, fired_rule=rule,
+            group_index=gi, start=start, end=end, label=label, text=text[start:end],
+            bbox=bbox, style_summary=style, fired_rule=rule,
         ))
     return spans
 

@@ -66,7 +66,6 @@ class TreeNode:
     children: list[int] = field(default_factory=list)
     cluster_id: "int | None" = None
     bbox: "BBox | None" = None
-    span: "LabeledSpan | None" = None
 
 
 @dataclass
@@ -285,7 +284,7 @@ def same_entry(
     height, and have no admissible header between them.
     """
     p = p or TreeParams()
-    if c.page_index == b.page_index and c.group_index == b.group_index:
+    if c.group_index == b.group_index:
         return True
     if line_height is None:
         line_height = median_line_height(spans)
@@ -337,7 +336,6 @@ def build_tree(spans: "list[LabeledSpan]", p: "TreeParams | None" = None) -> Rea
             parent=None,
             cluster_id=clusters.get(s),
             bbox=s.bbox,
-            span=s,
         )
 
     # Unclaimed earlier spans, bucketed: bodies under None, headers under
@@ -398,7 +396,7 @@ def validate_tree(tree: ReadingTree) -> None:
 
     Leaves are Body nodes (childless headers may hang off the root); headers
     never have a Body parent; a header's parent is never in its own cluster;
-    Neither spans do not appear; body subtrees partition cleanly into blocks.
+    body subtrees partition cleanly into blocks.
     """
     nodes = tree.nodes
     if ROOT_ID not in nodes or nodes[ROOT_ID].label is not NodeLabel.ROOT:
@@ -414,8 +412,6 @@ def validate_tree(tree: ReadingTree) -> None:
             raise TreeInvariantError(
                 f"node {node.node_id} missing from its parent's children"
             )
-        if node.span is not None and node.span.label is SpanLabel.NEITHER:
-            raise TreeInvariantError("Neither span present in tree")
 
     seen_children: set = set()
     for node in nodes.values():

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings, strategies as st
 
+from dirtree.annotate import AnnotationLabel
 from dirtree.forest import Dataset, ForestHyperparams, save_model, train
 from dirtree.segment import LabeledSpan, SpanLabel
 from dirtree.visual import BBox, StyleInfo, parse_document
@@ -62,13 +63,12 @@ WALKTHROUGH_REVERSED = [
 _GROUP_COUNTER = itertools.count(100)
 
 
-def mkspan(text, l, t, r, b, label=SpanLabel.BODY, *, page=0, gi=None, size=10.0,
+def mkspan(text, l, t, r, b, label=SpanLabel.BODY, *, gi=None, size=10.0,
            bold=False, italic=False, color=0, family=DEFAULT_FAMILY, rule="default_body"):
     """A labeled span with direct geometry, bypassing the page parser."""
     if gi is None:
         gi = next(_GROUP_COUNTER)
     return LabeledSpan(
-        page_index=page,
         group_index=gi,
         start=0,
         end=len(text),
@@ -78,6 +78,13 @@ def mkspan(text, l, t, r, b, label=SpanLabel.BODY, *, page=0, gi=None, size=10.0
         style_summary=StyleInfo(family, size, bold, italic, color),
         fired_rule=rule,
     )
+
+
+def address_candidate_reference(anns):
+    """``is_address_candidate`` on a plain list of annotations: at least two
+    of GPE, POSTCODE and CARDINAL occur."""
+    indicators = {AnnotationLabel.GPE, AnnotationLabel.POSTCODE, AnnotationLabel.CARDINAL}
+    return len({a.label for a in anns} & indicators) >= 2
 
 
 def seg(text, l, t, r, b, *, family=DEFAULT_FAMILY, size=10.0, bold=False,

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import copy
 import gc
+import hashlib
 import io
 import json
 import math
@@ -16,9 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 
 from dirtree import cli, pipeline
-from dirtree.annotate import Gazetteer
+from dirtree.annotate import MAX_FIRST_WORD, Gazetteer
 from dirtree.features import FeatureVector, write_features_csv
 from dirtree.forest import Dataset, ForestHyperparams, model_to_json, train
+from dirtree.metrics import evaluate
 from dirtree.tree import (
     NodeLabel,
     ROOT_ID,
@@ -181,6 +183,21 @@ def test_blocks_rejects_integer_beyond_float_range(where, fig1a_path, tmp_path):
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error:") and "coordinates must be finite" in line
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["at_bound", "past_bound"])
+def test_gazetteer_first_word_length_is_bounded(extra, fig1a_path, tmp_path, capsys):
+    # The phrase index nests one regex group per character of a first word.
+    gaz = tmp_path / "gazetteer.json"
+    gaz.write_text(json.dumps({"roles": ["x" * (MAX_FIRST_WORD + extra) + " of the Fund"]}))
+    rc = run_cli("blocks", str(fig1a_path), "--pages", "all", "--gazetteer", str(gaz))
+    err = capsys.readouterr().err
+    if extra:
+        assert rc == 1
+        (line,) = err.splitlines()
+        assert line == f"error: roles: a phrase's first word is over {MAX_FIRST_WORD} characters long"
+    else:
+        assert (rc, err) == (0, "")
 
 
 def _fails_cleanly(*argv):
@@ -713,6 +730,78 @@ def test_eval_segmentation_rejects_non_integer_span_field(
     assert err.startswith("error:") and f"page 0 span 0: missing integer '{key}'" in err
 
 
+@pytest.mark.parametrize("where", ["gold", "pred"])
+@pytest.mark.parametrize("label", ["Bogus", ["Body"], None])
+def test_eval_bad_span_label_names_its_record(where, label, fig1a_gold, tmp_path, capsys):
+    gold_page = copy.deepcopy(fig1a_gold["pages"][0])
+    pred_page = {"page": 0, "spans": copy.deepcopy(gold_page["spans"])}
+    (gold_page if where == "gold" else pred_page)["spans"][2]["label"] = label
+    pred, gold = tmp_path / "pred.json", tmp_path / "gold.json"
+    pred.write_text(json.dumps({"pages": [pred_page]}))
+    gold.write_text(json.dumps({"pages": [gold_page]}))
+    rc = run_cli("eval", "--stage", "segmentation", "--pred", str(pred), "--gold", str(gold))
+    assert rc == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    record = "gold page 0 span 2" if where == "gold" else f"{pred}: page 0 span 2"
+    assert line == f"error: {record}: {label!r} is not a valid SpanLabel"
+
+
+def _eval_prediction(stage, kind, fig1a_path, capsys):
+    """A perfect prediction for the fig1a gold, or one with a single fault:
+    a flipped page label, a span start shifted by one, or body 5 moved from
+    header 3 to header 2 (header 3, left childless, then hangs off the root)."""
+    if stage == "classifier":
+        return {"pages": [{"page": 0, "label": 1 if kind == "perfect" else 0}]}
+    command = "segment" if stage == "segmentation" else "tree"
+    assert run_cli(command, str(fig1a_path), "--pages", "0") == 0
+    pred = json.loads(capsys.readouterr().out)
+    if kind == "perfect":
+        return pred
+    if stage == "segmentation":
+        pred["pages"][0]["spans"][3]["start"] += 1
+        return pred
+    nodes = {n["id"]: n for n in pred["pages"][0]["tree"]["nodes"]}
+    nodes[5]["parent"], nodes[2]["children"] = 2, [4, 5]
+    nodes[3]["parent"], nodes[3]["children"] = 0, []
+    nodes[1]["children"].remove(3)
+    nodes[0]["children"] = [1, 3]
+    return pred
+
+
+# SHA-256 of the stdout of ``eval`` on the fig1a gold, computed while the
+# eval logic still lived in the CLI.
+EVAL_PINNED = {
+    ("classifier", "perfect"):
+        "a886c29c5e0ddfad483d25e824f29f536602669875dfc84bcb1177ba7fef0f1a",
+    ("classifier", "imperfect"):
+        "225a5cb617d9fd4984d45140094157a16f1311fc77d0292d177a5adbe554b43e",
+    ("segmentation", "perfect"):
+        "ed8dab5d373ac252555802cfc9ef65d5a045a3ad78ba945b9f69bf1c97878dc8",
+    ("segmentation", "imperfect"):
+        "2a3b71d7651b8a2ff5395cc9aa28da7b848f01b359962078dbcb5ed356577d29",
+    ("tree", "perfect"):
+        "cbd2744d0268a28437619b4d43d0ab074c49fd343b2975128692d829e190f0e6",
+    ("tree", "imperfect"):
+        "1e15f63158512747b07a9058a4a422c695c45dd1b6c743de13557d9b99907cf0",
+}
+
+
+@pytest.mark.parametrize("stage, kind", list(EVAL_PINNED))
+def test_eval_bytes_pinned(stage, kind, fig1a_path, fig1a_gold_path, tmp_path, capsys):
+    prediction = _eval_prediction(stage, kind, fig1a_path, capsys)
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps(prediction))
+    rc = run_cli("eval", "--stage", stage, "--doc", str(fig1a_path),
+                 "--pred", str(pred), "--gold", str(fig1a_gold_path))
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == EVAL_PINNED[(stage, kind)]
+    # The report line is the library's report.
+    doc = parse_document(fig1a_path.read_bytes())
+    gold = json.loads(fig1a_gold_path.read_text())
+    assert json.loads(out.splitlines()[0]) == evaluate(stage, prediction, gold, doc)
+
+
 def tree_json(*nodes):
     return {"nodes": [
         {"id": i, "label": label, "text": label.lower(), "parent": parent, "children": children}
@@ -787,6 +876,17 @@ def test_config_unreadable(fig1a_path, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.CONFIG_ENV, str(tmp_path / "gone.json"))
     assert run_cli("validate", str(fig1a_path)) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["gazetteer", "model", "output_dir"])
+@pytest.mark.parametrize("value", [["a"], True, 0], ids=["array", "true", "zero"])
+def test_config_paths_must_be_strings(key, value, fig1a_path, tmp_path, monkeypatch, capsys):
+    # true and 0 would pass os.path.exists as file descriptors, and 0 was
+    # read as "no gazetteer given".
+    set_config(monkeypatch, tmp_path, {key: value})
+    assert run_cli("validate", str(fig1a_path)) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: config {key} must be a path string"
 
 
 def test_config_output_dir(fig1a_path, tmp_path, monkeypatch):

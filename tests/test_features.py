@@ -5,12 +5,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirtree.annotate import AnnotationLabel, Gazetteer, annotate, is_address_candidate
+from dirtree.annotate import AnnotationLabel, Gazetteer, annotate
 from dirtree.features import (
     FEATURE_NAMES,
     FeatureVector,
     extract_features,
-    features_csv_text,
     read_features_csv,
     write_features_csv,
 )
@@ -18,7 +17,7 @@ from dirtree.features import (
 from dirtree.forest import ForestHyperparams, ForestModel, LeafNode, SplitNode, predict_score
 from dirtree.visual import group_text, parse_document
 
-from conftest import FIXTURES, doc, page, parse_page, text_group
+from conftest import FIXTURES, address_candidate_reference, doc, page, parse_page, text_group
 
 GAZ = Gazetteer.default()
 
@@ -143,7 +142,9 @@ def test_csv_round_trip():
         (FeatureVector(f7=0.123456789012345), 0),
         (FeatureVector(f6=2.0), None),
     ]
-    text = features_csv_text(rows)
+    buf = io.StringIO()
+    write_features_csv(buf, rows)
+    text = buf.getvalue()
     assert text.splitlines()[0] == ",".join(FEATURE_NAMES) + ",label"
     back = read_features_csv(io.StringIO(text))
     # the unlabeled row is dropped, floats come back exactly
@@ -212,10 +213,10 @@ def test_features_from_counts_match_features_from_lists(groups):
                       for i, (text, kw) in enumerate(groups)))
     anns = annotate(vp, _FULL_GAZ)
     counted = extract_features(vp, anns)
-    assert counted == extract_features(vp, [list(group) for group in anns])
+    assert counted.as_list() == _extract_features_eager(vp, _full_lists(anns))
     with pytest.raises(ValueError, match=f"{len(anns) - 1} annotation lists for a page of "
                                          f"{len(anns)} groups"):
-        extract_features(vp, [list(group) for group in anns[1:]])
+        extract_features(vp, anns[1:])
 
 
 # --- features computed when read, against the eager extraction they replaced ---
@@ -230,6 +231,11 @@ _COUNTED_LABELS = (
 )
 
 
+def _full_lists(per_group):
+    """Each group's full annotation list."""
+    return [anns.select(*AnnotationLabel) for anns in per_group]
+
+
 def _extract_features_eager(page, per_group):
     groups = page.groups
     totals = dict.fromkeys(_COUNTED_LABELS, 0)
@@ -238,7 +244,7 @@ def _extract_features_eager(page, per_group):
         counts = Counter(a.label for a in anns)
         for label in _COUNTED_LABELS:
             totals[label] += counts[label]
-        f10 += is_address_candidate(anns)
+        f10 += address_candidate_reference(anns)
         f12 += 1 <= counts[AnnotationLabel.ORG] <= 3
         f13 += 1 <= counts[AnnotationLabel.ROLE] <= 4
     f6 = len(groups)
@@ -300,7 +306,7 @@ _trees = st.recursive(
        order=st.permutations(range(len(FEATURE_NAMES))))
 def test_scores_and_reads_match_eager_extraction(which, trees, order):
     vp = _SCORED_PAGES[which]
-    want = _extract_features_eager(vp, list(map(list, annotate(vp, _FULL_GAZ))))
+    want = _extract_features_eager(vp, _full_lists(annotate(vp, _FULL_GAZ)))
     model = ForestModel(ForestHyperparams(n_trees=len(trees)), FEATURE_NAMES, trees)
     vec = extract_features(vp, annotate(vp, _FULL_GAZ))
     assert predict_score(model, vec) == predict_score(model, want)
@@ -323,7 +329,7 @@ def _at_most_threshold(exact):
 @given(which=st.integers(0, len(_SCORED_PAGES) - 1), data=st.data())
 def test_at_most_answers_as_the_exact_value_would(which, data):
     vp = _SCORED_PAGES[which]
-    want = _extract_features_eager(vp, list(map(list, annotate(vp, _FULL_GAZ))))
+    want = _extract_features_eager(vp, _full_lists(annotate(vp, _FULL_GAZ)))
     vec = extract_features(vp, annotate(vp, _FULL_GAZ))
     # Questions and exact reads of any features, interleaved in any order:
     # a sum stopped by one question is resumed by the next or by a read.

@@ -12,8 +12,8 @@ from dirtree.metrics import (
     eval_blocks,
     eval_classifier,
     eval_parents,
-    eval_segmentation,
     eval_tree,
+    evaluate,
     gold_page_labels,
     gold_tree_for_page,
     load_gold,
@@ -30,7 +30,7 @@ from dirtree.tree import (
     validate_tree,
 )
 
-from conftest import EXPECTED_BLOCKS, mkspan
+from conftest import EXPECTED_BLOCKS
 
 
 # --- scores ---
@@ -71,8 +71,15 @@ def test_eval_classifier():
 
 # --- segmentation ---
 
-def make_spans(n, label=SpanLabel.BODY):
-    return [mkspan("x" * 10, 0, i * 20, 50, i * 20 + 10, label, gi=i) for i in range(n)]
+def make_spans(n, label="Body"):
+    return [{"group": i, "start": 0, "end": 10, "label": label} for i in range(n)]
+
+
+def eval_segmentation(gold, pred):
+    """Scores of one page's predicted span records against its gold ones."""
+    report = evaluate("segmentation", {"pages": [{"page": 0, "spans": pred}]},
+                      {"pages": [{"page": 0, "spans": gold}]})
+    return PRF(**report["overall"])
 
 
 def test_eval_segmentation_exact_match():
@@ -84,8 +91,7 @@ def test_eval_segmentation_exact_match():
 def test_eval_segmentation_boundary_error():
     gold = make_spans(10)
     pred = list(gold)
-    moved = gold[0]
-    pred[0] = mkspan(moved.text + "y", 0, 0, 50, 10, moved.label, gi=moved.group_index)
+    pred[0] = dict(gold[0], end=11)
     m = eval_segmentation(gold, pred)
     assert (m.tp, m.fp, m.fn) == (9, 1, 1)
     assert m.precision == pytest.approx(0.9)
@@ -93,19 +99,13 @@ def test_eval_segmentation_boundary_error():
 
 def test_eval_segmentation_label_matters():
     gold = make_spans(4)
-    pred = make_spans(4, SpanLabel.HEADER)
-    # rebuild with matching group ids but flipped labels
-    pred = [
-        mkspan(g.text, g.bbox.left, g.bbox.top, g.bbox.right, g.bbox.bottom,
-               SpanLabel.HEADER, gi=g.group_index)
-        for g in gold
-    ]
+    pred = [dict(g, label="Header") for g in gold]
     m = eval_segmentation(gold, pred)
     assert m.tp == 0
 
 
 def test_eval_segmentation_ignores_neither():
-    gold = make_spans(3) + [mkspan("Page 1", 0, 700, 60, 710, SpanLabel.NEITHER, gi=50)]
+    gold = make_spans(3) + [{"group": 50, "start": 0, "end": 6, "label": "Neither"}]
     pred = make_spans(3)
     m = eval_segmentation(gold, pred)
     assert (m.precision, m.recall) == (1.0, 1.0)
@@ -325,3 +325,15 @@ def test_check_page_sets():
         check_page_sets({0, 1, 2}, {1, 3})
     assert "missing=[0, 2]" in str(e.value)
     assert "extra=[3]" in str(e.value)
+
+
+# --- one call per stage ---
+
+def test_evaluate_checks_stage_and_document(fig1a_gold):
+    with pytest.raises(ValueError, match="unknown eval stage 'blocks'"):
+        evaluate("blocks", {"pages": []}, fig1a_gold)
+    with pytest.raises(ValueError, match="tree stage needs the source document"):
+        evaluate("tree", {"pages": []}, fig1a_gold)
+    with pytest.raises(ValueError, match="^preds.json must be an object with a 'pages' array"):
+        evaluate("classifier", {"pages": 3}, fig1a_gold, name="preds.json")
+

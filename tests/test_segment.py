@@ -341,15 +341,15 @@ def test_spans_tile_random_pages():
 # was the per-character minimum in cascade order.  That design is kept here
 # as the reference the run-based one must match on every span field.
 
-def _reference_segment_page(vp, anns, page_index=0):
+def _reference_segment_page(vp, anns):
     stats = page_style_stats(vp)
     spans = []
     for gi, g in enumerate(vp.groups):
-        spans.extend(_reference_segment_group(g, anns[gi], stats, page_index, gi))
+        spans.extend(_reference_segment_group(g, anns[gi], stats, gi))
     return spans
 
 
-def _reference_segment_group(group, anns, stats, page_index, gi):
+def _reference_segment_group(group, anns, stats, gi):
     text = group_text(group)
     layout = group_layout(group)
     n = len(text)
@@ -410,8 +410,8 @@ def _reference_segment_group(group, anns, stats, page_index, gi):
         rule = min((rules[k] for k in range(i, j)), key=lambda r: _RULE_ORDER[r])
         bbox, style = _span_geometry(group, layout, i, j)
         spans.append(LabeledSpan(
-            page_index=page_index, group_index=gi, start=i, end=j, label=labels[i],
-            text=text[i:j], bbox=bbox, style_summary=style, fired_rule=rule,
+            group_index=gi, start=i, end=j, label=labels[i], text=text[i:j], bbox=bbox,
+            style_summary=style, fired_rule=rule,
         ))
         i = j
     return spans
@@ -468,7 +468,7 @@ def _page_and_annotations(draw):
         groups.append(group(*lines, footer=draw(st.integers(0, 7)) == 0))
     groups.append(BALLAST)
     vp = parse_document(doc(page(*groups)))[0]
-    anns = [list(a) for a in annotate(vp, GAZ)]
+    anns = [a.select(*AnnotationLabel) for a in annotate(vp, GAZ)]
     # Extra annotations on token boundaries put entities at the start, in
     # the middle and at the end of groups, and role mentions in any gap.
     for gi, g in enumerate(vp.groups):
@@ -480,15 +480,27 @@ def _page_and_annotations(draw):
                                           AnnotationLabel.ROLE, AnnotationLabel.GPE]))
             if start < end:
                 anns[gi].append(Annotation(label, start, end, text[start:end]))
-    return vp, anns
+    return vp, [_Annotations(a) for a in anns]
+
+
+class _Annotations:
+    """A group's annotations as a plain list, read through ``select`` the
+    way segmentation reads ``GroupAnnotations``."""
+
+    def __init__(self, anns):
+        self.anns = anns
+
+    def select(self, *labels):
+        return sorted((a for a in self.anns if a.label in labels),
+                      key=lambda a: (a.start, a.end, a.label))
 
 
 @settings(max_examples=300)
-@given(_page_and_annotations(), st.integers(0, 9))
-def test_run_cascade_matches_per_character_reference(case, page_index):
+@given(_page_and_annotations())
+def test_run_cascade_matches_per_character_reference(case):
     vp, anns = case
-    got = segment_page(vp, anns, page_index)
-    want = _reference_segment_page(vp, anns, page_index)
+    got = segment_page(vp, anns)
+    want = _reference_segment_page(vp, anns)
     # Dataclass equality compares every field, text, bbox and style included.
     assert got == want
 
@@ -552,4 +564,5 @@ def test_segment_calls_grow_linearly_with_span_count():
 def test_segment_reads_annotate_output_as_plain_lists(cells, fig1a_page):
     vp = _grid_page(cells) if cells else fig1a_page
     got = segment_page(vp, annotate(vp, GAZ))
-    assert got == segment_page(vp, [list(a) for a in annotate(vp, GAZ)])
+    lists = [_Annotations(a.select(*AnnotationLabel)) for a in annotate(vp, GAZ)]
+    assert got == _reference_segment_page(vp, lists)

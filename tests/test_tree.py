@@ -518,12 +518,12 @@ def _build_tree_all_pairs(spans, p):
     line_height = median_line_height(sequence)
     order = {id(s): i for i, s in enumerate(sequence)}
     node_of = {id(s): i + 1 for i, s in enumerate(sequence)}
+    span_of = {node_of[id(s)]: s for s in sequence}
     nodes = {ROOT_ID: TreeNode(ROOT_ID, NodeLabel.ROOT, "", None)}
     for s in sequence:
         label = NodeLabel.HEADER if s.label is H else NodeLabel.BODY
         nodes[node_of[id(s)]] = TreeNode(
-            node_of[id(s)], label, s.text, None,
-            cluster_id=clusters.get(s), bbox=s.bbox, span=s,
+            node_of[id(s)], label, s.text, None, cluster_id=clusters.get(s), bbox=s.bbox,
         )
     traversed = []
     for current in reversed(sequence):
@@ -556,9 +556,7 @@ def _build_tree_all_pairs(spans, p):
                 nodes[ROOT_ID].children.append(node.node_id)
                 changed = True
     for node in nodes.values():
-        node.children.sort(
-            key=lambda cid: order[id(nodes[cid].span)] if nodes[cid].span is not None else 0
-        )
+        node.children.sort(key=lambda cid: order[id(span_of[cid])])
     return ReadingTree(nodes=nodes)
 
 
@@ -596,7 +594,10 @@ def _tree_spans(draw):
     ),
 )
 def test_build_tree_matches_all_pairs_claim(spans, p):
-    assert tree_to_json(build_tree(spans, p)) == tree_to_json(_build_tree_all_pairs(spans, p))
+    tree = build_tree(spans, p)
+    assert tree_to_json(tree) == tree_to_json(_build_tree_all_pairs(spans, p))
+    # No Neither span becomes a node.
+    assert len(tree.nodes) == sum(s.label is not SpanLabel.NEITHER for s in spans) + 1
 
 
 def _grid_page(k, columns=5):
@@ -782,16 +783,6 @@ def test_validate_same_cluster_parent_child():
         3: TreeNode(3, NodeLabel.BODY, "leaf", 2, children=[]),
     }
     with pytest.raises(TreeInvariantError, match="cluster"):
-        validate_tree(ReadingTree(nodes))
-
-
-def test_validate_rejects_neither_spans():
-    span = mkspan("Page 4", 0, 0, 50, 10, SpanLabel.NEITHER)
-    nodes = {
-        ROOT_ID: TreeNode(ROOT_ID, NodeLabel.ROOT, "", None, children=[1]),
-        1: TreeNode(1, NodeLabel.BODY, "Page 4", ROOT_ID, children=[], span=span),
-    }
-    with pytest.raises(TreeInvariantError, match="Neither"):
         validate_tree(ReadingTree(nodes))
 
 
