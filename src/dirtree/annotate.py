@@ -16,7 +16,8 @@ from functools import cached_property
 from importlib import resources
 from typing import NamedTuple
 
-from .visual import VisualPage, decode_json, group_text, load_json
+from .jsonin import SchemaError, items, json_path, load_json, string, top
+from .visual import VisualPage, group_text
 
 
 class AnnotationLabel(str, Enum):
@@ -239,8 +240,9 @@ def _compile_bucket(bucket: "dict[int, list[str]]") -> "dict[int, list[re.Patter
     return {slot: [_phrase_pattern(p) for p in phrases] for slot, phrases in bucket.items()}
 
 
-class GazetteerError(ValueError):
-    pass
+GazetteerError = SchemaError  # each names the JSON path of the phrase at fault
+
+_WHERE = ("gazetteer: $",)
 
 
 #: The longest first word a phrase may have.  The phrase index files each
@@ -267,16 +269,15 @@ class Gazetteer:
 
     def __post_init__(self):
         for name in (f.name for f in fields(self)):
-            phrases = getattr(self, name)
             cleaned = []
             seen = set()
-            for p in phrases:
+            for i, p in enumerate(getattr(self, name)):
                 if not isinstance(p, str) or not p.strip():
-                    raise GazetteerError(f"{name}: phrases must be non-empty strings")
+                    raise SchemaError(json_path(_WHERE + (name, i)), "must be a non-empty string")
                 first = _LEADING_WORD_RE.match(p.strip())
                 if first and len(first[0]) > MAX_FIRST_WORD:
-                    raise GazetteerError(
-                        f"{name}: a phrase's first word is over {MAX_FIRST_WORD} characters long")
+                    raise SchemaError(json_path(_WHERE + (name, i)), "a phrase's first word "
+                                      f"is over {MAX_FIRST_WORD} characters long")
                 key = " ".join(p.split()).lower()
                 if key in seen:
                     continue
@@ -286,17 +287,8 @@ class Gazetteer:
 
     @classmethod
     def from_json(cls, data: "bytes | str | dict") -> "Gazetteer":
-        if isinstance(data, (bytes, str)):
-            data = decode_json(data)
-        if not isinstance(data, dict):
-            raise GazetteerError("gazetteer file must be a JSON object")
-        kwargs = {}
-        for name in (f.name for f in fields(cls)):
-            value = data.get(name, [])
-            if not isinstance(value, list):
-                raise GazetteerError(f"{name}: expected a list of phrases")
-            kwargs[name] = tuple(value)
-        return cls(**kwargs)
+        data = top(data, _WHERE)
+        return cls(**{f.name: tuple(items(string, data, f.name, _WHERE, ())) for f in fields(cls)})
 
     @cached_property
     def phrase_index(self) -> _PhraseIndex:

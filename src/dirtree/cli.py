@@ -20,10 +20,11 @@ from pathlib import Path
 from . import forest, pipeline
 from .annotate import AnnotationLabel, Gazetteer
 from .features import read_features_csv, write_features_csv
+from .jsonin import SchemaError, file_path, finite, json_path, load_json, nullable, obj, top
 from .metrics import EVAL_STAGES, evaluate
 from .segment import spans_to_json
-from .tree import TreeInvariantError, TreeParams, blocks_to_json, tree_to_json
-from .visual import load_json, parse_document
+from .tree import TreeInvariantError, TreeParamError, TreeParams, blocks_to_json, tree_to_json
+from .visual import parse_document
 
 CONFIG_ENV = "DIRTREE_CONFIG"
 
@@ -43,11 +44,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _is_number(value) -> bool:
-    """JSON number: ``true`` and ``false`` are ints to Python, not here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     gazetteer: "str | None" = None
@@ -58,37 +54,24 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, data) -> "PipelineConfig":
-        if not isinstance(data, dict):
-            raise ValueError("config must be a JSON object")
-        known = {"gazetteer", "model", "tree_params", "threshold", "output_dir"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("gazetteer", "model", "output_dir"):
-            if not isinstance(data.get(key, ""), (str, type(None))):
-                raise ValueError(f"config {key} must be a path string")
+        where = ("config: $",)
+        data = top(data, where, known={f.name for f in dataclasses.fields(cls)})
+        paths = {key: nullable(file_path, data, key, where, None)
+                 for key in ("gazetteer", "model", "output_dir")}
         for key in ("gazetteer", "model"):
-            path = data.get(key)
-            if path is not None and not os.path.exists(path):
-                raise ValueError(f"config {key} does not exist: {path}")
-        tp = data.get("tree_params", {})
-        if not isinstance(tp, dict):
-            raise ValueError("config tree_params must be an object")
-        names = {f.name for f in dataclasses.fields(TreeParams)}
-        for key, value in tp.items():
-            if key not in names or not _is_number(value):
-                raise ValueError(f"config tree_params.{key} is not a numeric tree parameter")
-        params = TreeParams(**tp)
-        threshold = data.get("threshold", 0.5)
-        if not _is_number(threshold) or not 0 <= threshold <= 1:
-            raise ValueError("config threshold must be in [0, 1]")
-        return cls(
-            gazetteer=data.get("gazetteer"),
-            model=data.get("model"),
-            tree_params=params,
-            threshold=float(threshold),
-            output_dir=data.get("output_dir"),
-        )
+            if paths[key] is not None and not os.path.exists(paths[key]):
+                raise SchemaError(json_path(where + (key,)), f"does not exist: {paths[key]}")
+        at = where + ("tree_params",)
+        tp = obj(data, "tree_params", where, {},
+                 known={f.name for f in dataclasses.fields(TreeParams)})
+        try:
+            params = TreeParams(**{key: finite(tp, key, at) for key in tp})
+        except TreeParamError as e:
+            raise SchemaError(json_path(at), str(e)) from None
+        threshold = finite(data, "threshold", where, 0.5)
+        if not 0 <= threshold <= 1:
+            raise SchemaError(json_path(where + ("threshold",)), "must be in [0, 1]")
+        return cls(paths["gazetteer"], paths["model"], params, threshold, paths["output_dir"])
 
     @classmethod
     def from_environment(cls) -> "PipelineConfig":

@@ -22,8 +22,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import reprlib
-import sys
 from bisect import bisect_right
 from collections import _count_elements  # the C helper Counter counts with
 from dataclasses import dataclass, field
@@ -31,7 +29,9 @@ from itertools import accumulate, compress, islice, repeat
 from operator import itemgetter, not_, or_, sub
 
 from .features import FEATURE_NAMES
-from .visual import decode_json, is_json_int, load_json
+from .jsonin import (
+    SchemaError, array, finite, integer, items, json_path, load_json, nullable, obj, one_of, top,
+)
 
 
 class EmptyClassError(ValueError):
@@ -389,35 +389,23 @@ def _node_to_json(node) -> dict:
     }
 
 
-def _nonneg_int(v) -> bool:
-    return is_json_int(v) and v >= 0
-
-
-def _is_finite(v) -> bool:
-    """JSON number within the float range: bounded by the largest float, so
-    NaN, infinities, booleans and integers too large to convert are not."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
-def _node_from_json(obj):
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind == "leaf":
-        counts = obj.get("counts")
-        if not (isinstance(counts, list) and len(counts) == 2 and all(map(_nonneg_int, counts))):
-            raise ValueError(f"model leaf counts must be two non-negative integers: {reprlib.repr(counts)}")
+def _node_from_json(holder, key, where: tuple):
+    node = obj(holder, key, where)
+    where += (key,)
+    if one_of(node, "kind", where, ("leaf", "split")) == "leaf":
+        counts = array(node, "counts", where)
+        at = where + ("counts",)
+        if len(counts) != 2 or min(integer(counts, 0, at), integer(counts, 1, at)) < 0:
+            raise SchemaError(json_path(at), "expected two non-negative integers")
         return LeafNode(counts=tuple(counts))
-    if kind != "split":
-        raise ValueError(f"model node kind must be 'leaf' or 'split', got {reprlib.repr(kind)}")
-    feature, threshold = obj.get("feature"), obj.get("threshold")
-    if not (_nonneg_int(feature) and feature < len(FEATURE_NAMES)):
-        raise ValueError(f"model split feature out of range: {reprlib.repr(feature)}")
-    if not _is_finite(threshold):
-        raise ValueError(f"model split threshold must be a finite number: {reprlib.repr(threshold)}")
+    feature = integer(node, "feature", where)
+    if not 0 <= feature < len(FEATURE_NAMES):
+        raise SchemaError(json_path(where + ("feature",)), f"must be in [0, {len(FEATURE_NAMES)})")
     return SplitNode(
         feature=feature,
-        threshold=float(threshold),
-        left=_node_from_json(obj.get("left")),
-        right=_node_from_json(obj.get("right")),
+        threshold=finite(node, "threshold", where),
+        left=_node_from_json(node, "left", where),
+        right=_node_from_json(node, "right", where),
     )
 
 
@@ -431,46 +419,39 @@ def model_to_json(model: ForestModel) -> dict:
     }
 
 
-# Each hyperparameter a model file holds, and what it must be.
-_HYPERPARAMS = {
-    "n_trees": "an integer",
-    "max_depth": "an integer or null",
-    "max_features_fraction": "a finite number",
-    "min_samples_leaf": "an integer",
-    "seed": "an integer",
-}
+_WHERE = ("model: $",)
 
 
 def model_from_json(data: "bytes | str | dict") -> ForestModel:
     """Parse and check a model; a malformed one raises ValueError."""
-    if isinstance(data, (bytes, str)):
-        data = decode_json(data)
-    if not isinstance(data, dict):
-        raise ValueError("model must be a JSON object")
-    if data.get("version") != 1:
-        raise ValueError(f"unsupported model version: {reprlib.repr(data.get('version'))}")
+    model = top(data, _WHERE)
+    version = integer(model, "version", _WHERE)
+    if version != 1:
+        raise SchemaError(json_path(_WHERE + ("version",)), "must be 1")
+    hp = obj(model, "hyperparams", _WHERE)
+    at = _WHERE + ("hyperparams",)
+    values = dict(
+        n_trees=integer(hp, "n_trees", at),
+        max_depth=nullable(integer, hp, "max_depth", at),
+        max_features_fraction=finite(hp, "max_features_fraction", at),
+        min_samples_leaf=integer(hp, "min_samples_leaf", at),
+        seed=integer(hp, "seed", at),
+    )
     try:
-        hp = {name: data["hyperparams"][name] for name in _HYPERPARAMS}
-        importances, feature_order, trees = data["importances"], data["feature_order"], data["trees"]
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"malformed model, missing or mistyped: {e}") from e
-    for name, value in hp.items():
-        if not (_is_finite(value) if name == "max_features_fraction"
-                else is_json_int(value) or (name == "max_depth" and value is None)):
-            raise ValueError(f"model hyperparams.{name} must be "
-                             f"{_HYPERPARAMS[name]}, got {reprlib.repr(value)}")
-    if not (isinstance(importances, list) and all(map(_is_finite, importances))):
-        raise ValueError("model importances must be an array of finite numbers")
-    if feature_order != list(FEATURE_NAMES):
-        raise ValueError(f"model feature_order must be {list(FEATURE_NAMES)}")
-    if not isinstance(trees, list) or not trees:
-        raise ValueError("model must have at least one tree")
-    hp["max_features_fraction"] = float(hp["max_features_fraction"])
+        hp = ForestHyperparams(**values)
+    except ValueError as e:
+        raise SchemaError(json_path(at), str(e)) from None
+    importances = items(finite, model, "importances", _WHERE)
+    if array(model, "feature_order", _WHERE) != list(FEATURE_NAMES):
+        raise SchemaError(json_path(_WHERE + ("feature_order",)), f"expected {list(FEATURE_NAMES)}")
+    trees = items(_node_from_json, model, "trees", _WHERE)
+    if not trees:
+        raise SchemaError(json_path(_WHERE + ("trees",)), "a model must have at least one tree")
     return ForestModel(
-        hyperparams=ForestHyperparams(**hp),
+        hyperparams=hp,
         feature_order=FEATURE_NAMES,
-        trees=[_node_from_json(t) for t in trees],
-        importances=list(map(float, importances)),
+        trees=trees,
+        importances=importances,
     )
 
 

@@ -26,7 +26,8 @@ from .tree import (
     tree_from_json,
     validate_tree,
 )
-from .visual import decode_json, group_text, is_json_int
+from .jsonin import SchemaError, boolean, integer, items, json_path, nullable, obj, one_of, top
+from .visual import group_text
 
 ROOT_MARKER = "<ROOT>"
 
@@ -83,7 +84,7 @@ def eval_classifier(gold: "list[int]", pred: "list[int]") -> PRF:
 
 def span_keys(records: list) -> "set[tuple]":
     """Match keys (group, start, end, label) of checked span records (see
-    ``check_span_record``); Neither spans are left out."""
+    ``span_record``); Neither spans are left out."""
     return {(s["group"], s["start"], s["end"], s["label"])
             for s in records if s["label"] != SpanLabel.NEITHER.value}
 
@@ -179,18 +180,17 @@ def eval_tree(gold: ReadingTree, pred: ReadingTree) -> "dict[str, PRF]":
 
 # --- gold and prediction files ----------------------------------------------
 
-def check_span_record(s, where: str) -> None:
+_GOLD = ("gold: $",)
+
+
+def span_record(holder, i: int, where: tuple) -> dict:
     """A gold or predicted span record: an object with integer "group",
-    "start" and "end" and a span "label"; ``where`` begins each message."""
-    if not isinstance(s, dict):
-        raise ValueError(f"{where}: must be an object")
+    "start" and "end" and a span "label"."""
+    record = obj(holder, i, where)
     for key in ("group", "start", "end"):
-        if not is_json_int(s.get(key)):
-            raise ValueError(f"{where}: missing integer '{key}'")
-    try:
-        SpanLabel(s.get("label"))
-    except ValueError as e:
-        raise ValueError(f"{where}: {e}") from None
+        integer(record, key, where + (i,))
+    one_of(record, "label", where + (i,), tuple(SpanLabel))
+    return record
 
 
 def load_gold(data: "bytes | str | dict") -> dict:
@@ -202,66 +202,63 @@ def load_gold(data: "bytes | str | dict") -> dict:
     so one file can carry gold for any subset of stages; "parent" indices
     point into the same page's spans array and define the gold tree.
     """
-    if isinstance(data, (bytes, str)):
-        data = decode_json(data)
-    if not isinstance(data, dict) or not isinstance(data.get("pages"), list):
-        raise ValueError("gold file must be an object with a 'pages' array")
-    for p in data["pages"]:
-        if not isinstance(p, dict) or not is_json_int(p.get("page")):
-            raise ValueError("every gold page needs an integer 'page' index")
-        if "is_directory" in p and not isinstance(p["is_directory"], bool):
-            raise ValueError(f"gold page {p['page']}: is_directory must be a bool")
-        spans = p.get("spans", [])
-        if not isinstance(spans, list):
-            raise ValueError(f"gold page {p['page']}: spans must be an array")
-        for i, s in enumerate(spans):
-            check_span_record(s, f"gold page {p['page']} span {i}")
-            parent = s.get("parent")
-            if parent is not None and not is_json_int(parent):
-                raise ValueError(
-                    f"gold page {p['page']} span {i}: parent must be an index or null"
-                )
-    return data
+    gold = top(data, _GOLD)
+    for i, page in enumerate(items(obj, gold, "pages", _GOLD)):
+        at = _GOLD + ("pages", i)
+        integer(page, "page", at)
+        boolean(page, "is_directory", at, None)
+        for j, record in enumerate(items(span_record, page, "spans", at, ())):
+            nullable(integer, record, "parent", at + ("spans", j), None)
+    return gold
 
 
-def read_predictions(pages: list, key: str, name: str) -> "list[tuple[int, object]]":
-    """Check a prediction file's page records the way gold files are checked
-    and pair each integer "page" with its ``key`` value: a "label" of 0 or
-    1, the match keys of its "spans", or its validated "tree".  ``name``
-    (the file) begins each message."""
-    out = []
-    for p in pages:
-        if not isinstance(p, dict) or "page" not in p or key not in p:
-            raise ValueError(f"{name}: every page needs 'page' and '{key}'")
-        page, value = p["page"], p[key]
-        where = f"{name}: page {reprlib.repr(page)}"
-        if not is_json_int(page):
-            raise ValueError(f"{where}: page must be an integer")
+def read_predictions(pred, key: str, name: str) -> dict:
+    """Check a prediction file the way gold files are checked and map each
+    integer "page" to its ``key`` value: a "label" of 0 or 1, the match keys
+    of its "spans", or its validated "tree".  The spans of records that name
+    one page are merged; a page given a label or a tree twice raises.
+    ``name`` (the file) begins each message."""
+    where = (f"{name}: $",)
+    out: dict = {}
+    for i, record in enumerate(items(obj, top(pred, where), "pages", where)):
+        at = where + ("pages", i)
+        page = integer(record, "page", at)
+        if key == "spans":
+            out.setdefault(page, set()).update(span_keys(items(span_record, record, "spans", at)))
+            continue
+        if page in out:
+            raise SchemaError(json_path(at), f"page {reprlib.repr(page)} has its {key} given twice")
         if key == "label":
-            if not is_json_int(value) or value not in (0, 1):
-                raise ValueError(f"{where}: label must be 0 or 1, got {reprlib.repr(value)}")
-        elif key == "spans":
-            if not isinstance(value, list):
-                raise ValueError(f"{where}: spans must be an array")
-            for i, s in enumerate(value):
-                check_span_record(s, f"{where} span {i}")
-            value = span_keys(value)
+            value = integer(record, "label", at)
+            if value not in (0, 1):
+                raise SchemaError(json_path(at + ("label",)),
+                                  f"must be 0 or 1, got {reprlib.repr(value)}")
         else:
+            value = tree_from_json(obj(record, "tree", at), at + ("tree",))
             try:
-                value = tree_from_json(value)
                 validate_tree(value)
-            except (ValueError, TreeInvariantError) as e:
-                raise ValueError(f"{where}: invalid tree: {e}") from e
-        out.append((page, value))
+            except TreeInvariantError as e:
+                raise SchemaError(json_path(at + ("tree",)), f"invalid tree: {e}") from e
+        out[page] = value
+    return out
+
+
+def _gold_records(gold: dict, key: str) -> dict:
+    """The checked gold file's page records that hold ``key``, by page; a
+    page given ``key`` twice raises."""
+    out = {}
+    for i, record in enumerate(gold["pages"]):
+        if key in record:
+            if record["page"] in out:
+                raise SchemaError(json_path(_GOLD + ("pages", i)),
+                                  f"page {reprlib.repr(record['page'])} has its {key} given twice")
+            out[record["page"]] = record
     return out
 
 
 def gold_page_labels(gold: dict) -> "dict[int, int]":
-    out = {}
-    for p in gold["pages"]:
-        if "is_directory" in p:
-            out[p["page"]] = 1 if p["is_directory"] else 0
-    return out
+    return {page: int(record["is_directory"])
+            for page, record in _gold_records(gold, "is_directory").items()}
 
 
 def gold_tree_for_page(gold_page: dict, visual_page) -> ReadingTree:
@@ -335,14 +332,6 @@ def _combine(prfs: "list[PRF]") -> PRF:
         sum(p.tp for p in prfs), sum(p.fp for p in prfs), sum(p.fn for p in prfs))
 
 
-def _keys_by_page(pages: "list[tuple[int, set[tuple]]]") -> "dict[int, set[tuple]]":
-    """Each page's span keys, from records that may name a page twice."""
-    out: "dict[int, set[tuple]]" = {}
-    for page, keys in pages:
-        out.setdefault(page, set()).update(keys)
-    return out
-
-
 def evaluate(stage: str, pred, gold, doc=None, *, name: str = "prediction") -> dict:
     """Score a prediction file against a gold file: the report ``dirtree
     eval`` prints.
@@ -357,37 +346,36 @@ def evaluate(stage: str, pred, gold, doc=None, *, name: str = "prediction") -> d
         raise ValueError(f"unknown eval stage {stage!r}")
     if stage == "tree" and doc is None:
         raise ValueError("the tree stage needs the source document")
-    if not isinstance(pred, dict) or not isinstance(pred.get("pages"), list):
-        raise ValueError(f"{name} must be an object with a 'pages' array")
+    key = {"classifier": "label", "segmentation": "spans"}.get(stage, "tree")
+    preds = read_predictions(pred, key, name)
     gold = load_gold(gold)
     if stage == "classifier":
         labels = gold_page_labels(gold)
-        pred_labels = dict(read_predictions(pred["pages"], "label", name))
-        check_page_sets(set(labels), set(pred_labels))
+        check_page_sets(set(labels), set(preds))
         ordered = sorted(labels)
-        prf = eval_classifier([labels[i] for i in ordered], [pred_labels[i] for i in ordered])
+        prf = eval_classifier([labels[i] for i in ordered], [preds[i] for i in ordered])
         return {"stage": "classifier", "overall": prf.to_json()}
     if stage == "segmentation":
-        preds = read_predictions(pred["pages"], "spans", name)
-        golds = [(p["page"], span_keys(p["spans"])) for p in gold["pages"] if "spans" in p]
-        check_page_sets({page for page, _ in golds}, {page for page, _ in preds})
-        gold_keys, pred_keys = _keys_by_page(golds), _keys_by_page(preds)
-        per_page = {page: eval_span_keys(gold_keys[page], pred_keys[page])
+        gold_keys: "dict[int, set[tuple]]" = {}
+        for record in gold["pages"]:
+            if "spans" in record:
+                gold_keys.setdefault(record["page"], set()).update(span_keys(record["spans"]))
+        check_page_sets(set(gold_keys), set(preds))
+        per_page = {page: eval_span_keys(gold_keys[page], preds[page])
                     for page in sorted(gold_keys)}
         return {
             "stage": "segmentation",
             "overall": _combine(list(per_page.values())).to_json(),
             "pages": {str(k): v.to_json() for k, v in per_page.items()},
         }
-    pred_trees = dict(read_predictions(pred["pages"], "tree", name))
-    gold_records = {p["page"]: p for p in gold["pages"] if "spans" in p}
-    check_page_sets(set(gold_records), set(pred_trees))
+    gold_records = _gold_records(gold, "spans")
+    check_page_sets(set(gold_records), set(preds))
     per_page = {}
     for page in sorted(gold_records):
         if page < 0 or page >= len(doc):
             raise ValueError(f"gold page {page} not present in --doc")
         per_page[page] = eval_tree(gold_tree_for_page(gold_records[page], doc[page]),
-                                   pred_trees[page])
+                                   preds[page])
     metric_names = ("blocks", "parents", "aligned_nodes")
     report = {"stage": "tree"}
     for metric in metric_names:

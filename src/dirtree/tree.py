@@ -10,12 +10,13 @@ which is what keeps sibling sections from swallowing one another.
 
 from __future__ import annotations
 
-import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
+from math import inf
 
+from .jsonin import ROOT, finite, integer, items, nullable, obj, one_of, string, top
 from .segment import LabeledSpan, SpanLabel
-from .visual import BBox, decode_json, is_json_int, v_gap, x_overlap, y_overlap
+from .visual import BBox, v_gap, x_overlap, y_overlap
 
 
 class TreeParamError(ValueError):
@@ -35,17 +36,18 @@ class TreeParams:
     size_cluster_tol: float = 0.5
 
     def __post_init__(self):
-        # Every check is written so that NaN, which compares False, fails it.
+        # Every check is written so that NaN, which compares False, and the
+        # infinities fail it.
         if not 0 < self.band_overlap_frac <= 1:
             raise TreeParamError("band_overlap_frac must be in (0, 1]")
-        if not self.align_tol >= 0:
-            raise TreeParamError("align_tol must be >= 0")
-        if not self.gap_factor >= 0:
-            raise TreeParamError("gap_factor must be >= 0")
+        if not 0 <= self.align_tol < inf:
+            raise TreeParamError("align_tol must be finite and >= 0")
+        if not 0 <= self.gap_factor < inf:
+            raise TreeParamError("gap_factor must be finite and >= 0")
         if not 0 < self.min_x_overlap_frac <= 1:
             raise TreeParamError("min_x_overlap_frac must be in (0, 1]")
-        if not self.size_cluster_tol >= 0:
-            raise TreeParamError("size_cluster_tol must be >= 0")
+        if not 0 <= self.size_cluster_tol < inf:
+            raise TreeParamError("size_cluster_tol must be finite and >= 0")
 
 
 ROOT_ID = 0
@@ -542,42 +544,28 @@ def tree_to_json(tree: ReadingTree) -> dict:
     return {"nodes": nodes}
 
 
-def tree_from_json(data: "bytes | str | dict") -> ReadingTree:
-    """Rebuild a tree from its JSON form.  Spans are not recoverable; the
-    result carries labels, texts and structure, which is all evaluation
-    needs.  A malformed node raises ValueError."""
-    if isinstance(data, (bytes, str)):
-        data = decode_json(data)
-    node_objs = data.get("nodes") if isinstance(data, dict) else None
-    if not isinstance(node_objs, list):
-        raise ValueError("tree must be an object with a 'nodes' array")
-    nodes: dict[int, TreeNode] = {}
-    for i, obj in enumerate(node_objs):
-        if not isinstance(obj, dict):
-            raise ValueError(f"node {i} must be an object")
-        if not isinstance(obj.get("text"), str):
-            raise ValueError(f"node {i}: text must be a string, got {reprlib.repr(obj.get('text'))}")
-        if not isinstance(obj.get("children"), list):
-            raise ValueError(f"node {i}: children must be an array, got {reprlib.repr(obj.get('children'))}")
-        parent = obj.get("parent")  # a missing id or parent is reported below
-        if not (all(map(is_json_int, (obj.get("id", 0), *obj["children"])))
-                and (parent is None or is_json_int(parent))):
-            raise ValueError(f"node {i}: id, parent and children must be integers "
-                             f"(a null parent is the root's)")
-        bbox = obj.get("bbox")
-        try:
-            nodes[obj["id"]] = TreeNode(
-                node_id=obj["id"],
-                label=NodeLabel(obj["label"]),
-                text=obj["text"],
-                parent=obj["parent"],
-                children=list(obj["children"]),
-                cluster_id=obj.get("cluster"),
-                bbox=None if bbox is None else BBox(bbox["l"], bbox["t"], bbox["r"], bbox["b"]),
-            )
-        except (KeyError, TypeError) as e:
-            raise ValueError(f"node {i}: missing or mistyped field: {e}") from e
-    return ReadingTree(nodes=nodes)
+def _tree_node(holder, i: int, where: tuple) -> TreeNode:
+    node = obj(holder, i, where)
+    where += (i,)
+    bbox = nullable(obj, node, "bbox", where, None)
+    return TreeNode(
+        node_id=integer(node, "id", where),
+        label=NodeLabel(one_of(node, "label", where, tuple(NodeLabel))),
+        text=string(node, "text", where),
+        parent=nullable(integer, node, "parent", where),
+        children=items(integer, node, "children", where),
+        cluster_id=nullable(integer, node, "cluster", where, None),
+        bbox=None if bbox is None else BBox(*[finite(bbox, e, where + ("bbox",)) for e in "ltrb"]),
+    )
+
+
+def tree_from_json(data: "bytes | str | dict", where: tuple = ROOT) -> ReadingTree:
+    """Rebuild a tree from its JSON form, found at ``where`` in its file.
+    Spans are not recoverable; the result carries labels, texts and
+    structure, which is all evaluation needs.  A malformed node raises
+    ValueError."""
+    nodes = items(_tree_node, top(data, where), "nodes", where)
+    return ReadingTree(nodes={node.node_id: node for node in nodes})
 
 
 def blocks_to_json(blocks: "list[DirectoryBlock]", page_index: "int | None" = None) -> list:

@@ -17,49 +17,18 @@ one at a time.
 from __future__ import annotations
 
 import gc
-import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 from math import inf, isfinite
 from operator import attrgetter
 from typing import NamedTuple
 
-
-class SchemaError(ValueError):
-    """A required field is missing or has the wrong JSON type."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
+from .jsonin import ROOT, SchemaError, array, boolean, field, items, json_path, number, obj, top
 
 
 class GeometryError(ValueError):
     """A structural invariant of the page geometry is violated."""
-
-
-def decode_json(data: "bytes | str"):
-    """``json.loads`` for input files: JSON nested too deeply for the decoder
-    raises ValueError, as malformed JSON does, not RecursionError."""
-    try:
-        return json.loads(data)
-    except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
-
-
-def is_json_int(value) -> bool:
-    """JSON integer: ``true`` and ``false`` are ints to Python, not here."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def load_json(path: str):
-    """Read and decode a JSON input file.  A file that is not JSON raises
-    ValueError naming it; one that cannot be read raises OSError."""
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        return decode_json(data)
-    except ValueError as e:
-        raise ValueError(f"{path} is not valid JSON: {e}") from e
 
 
 class BBox(NamedTuple):
@@ -166,105 +135,57 @@ class VisualPage:
 # their children; absorbs round-tripping noise in serialized floats.
 _BOX_EPS = 1e-6
 
-# Each parse function takes the JSON path of its value as ``where``, a tuple
-# of steps (keys and array indices), and formats it as a string only to
-# raise.  The field readers take an ``obj`` that the caller has checked is an
-# object.
+# Each parse function takes the object or array that holds its value, the
+# value's key or index there, and the holder's JSON path (see ``jsonin``).
 
 
-def _path(where: tuple) -> str:
-    return "$" + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in where)
-
-
-def _expected(kind: str, value, where: tuple) -> SchemaError:
-    return SchemaError(_path(where), f"expected {kind}, got {type(value).__name__}")
-
-
-def _missing(key: str, where: tuple) -> SchemaError:
-    return SchemaError(_path(where + (key,)), "missing required field")
-
-
-def _require(obj: dict, key: str, where: tuple):
-    if key not in obj:
-        raise _missing(key, where)
-    return obj[key]
-
-
-def _number(obj: dict, key: str, where: tuple) -> float:
-    """``obj[key]`` as a finite float."""
-    value = _require(obj, key, where)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _expected("number", value, where + (key,))
-    try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        value = inf
+def _number(holder, key, where: tuple) -> float:
+    """``holder[key]`` as a finite float."""
+    value = number(holder, key, where)
     if not isfinite(value):
-        raise GeometryError(f"{_path(where + (key,))}: coordinates must be finite")
+        raise GeometryError(f"{json_path(where + (key,))}: coordinates must be finite")
     return value
 
 
-def _boolean(obj: dict, key: str, where: tuple) -> bool:
-    value = _require(obj, key, where)
-    if not isinstance(value, bool):
-        raise _expected("boolean", value, where + (key,))
-    return value
-
-
-def _array(value, where: tuple) -> list:
-    if not isinstance(value, list):
-        raise _expected("array", value, where)
-    return value
-
-
-def _parse_bbox(obj, where: tuple) -> BBox:
-    if not isinstance(obj, dict):
-        raise _expected("object", obj, where)
-    box = BBox(
-        _number(obj, "l", where),
-        _number(obj, "t", where),
-        _number(obj, "r", where),
-        _number(obj, "b", where),
-    )
+def _parse_bbox(holder, key, where: tuple) -> BBox:
+    box = obj(holder, key, where)
+    where += (key,)
+    box = BBox(*[_number(box, edge, where) for edge in "ltrb"])
     if min(box) < 0:
-        raise GeometryError(f"{_path(where)}: coordinates must be non-negative")
+        raise GeometryError(f"{json_path(where)}: coordinates must be non-negative")
     if box.left > box.right or box.top > box.bottom:
-        raise GeometryError(f"{_path(where)}: box edges out of order (l<=r, t<=b required)")
+        raise GeometryError(f"{json_path(where)}: box edges out of order (l<=r, t<=b required)")
     return box
 
 
-def _parse_style(obj, where: tuple) -> StyleInfo:
-    if not isinstance(obj, dict):
-        raise _expected("object", obj, where)
-    family = _require(obj, "font_family", where)
+def _parse_style(holder, key, where: tuple) -> StyleInfo:
+    style = obj(holder, key, where)
+    where += (key,)
+    family = field(style, "font_family", where)
     if not isinstance(family, str):
-        raise SchemaError(_path(where + ("font_family",)), "expected string")
-    size = _number(obj, "font_size", where)
+        raise SchemaError(json_path(where + ("font_family",)), "expected string")
+    size = _number(style, "font_size", where)
     if size <= 0:
-        raise GeometryError(f"{_path(where + ('font_size',))}: must be positive")
-    color = _require(obj, "color", where)
+        raise GeometryError(f"{json_path(where + ('font_size',))}: must be positive")
+    color = field(style, "color", where)
     if isinstance(color, bool) or not isinstance(color, int):
-        raise SchemaError(_path(where + ("color",)), "expected integer")
+        raise SchemaError(json_path(where + ("color",)), "expected integer")
     if not 0 <= color <= 0xFFFFFF:
-        raise GeometryError(f"{_path(where + ('color',))}: must fit in 24 bits")
+        raise GeometryError(f"{json_path(where + ('color',))}: must fit in 24 bits")
     return StyleInfo(
-        family, size, _boolean(obj, "bold", where), _boolean(obj, "italic", where), color
+        family, size, boolean(style, "bold", where), boolean(style, "italic", where), color
     )
 
 
-def _parse_segment(obj, where: tuple) -> Segment:
-    if not isinstance(obj, dict):
-        raise _expected("object", obj, where)
-    text = _require(obj, "text", where)
+def _parse_segment(holder, key, where: tuple) -> Segment:
+    segment = obj(holder, key, where)
+    where += (key,)
+    text = field(segment, "text", where)
     if not isinstance(text, str):
-        raise SchemaError(_path(where + ("text",)), "expected string")
+        raise SchemaError(json_path(where + ("text",)), "expected string")
     if not text:
-        raise GeometryError(f"{_path(where + ('text',))}: must be non-empty")
-    return Segment(
-        text,
-        _parse_bbox(_require(obj, "bbox", where), where + ("bbox",)),
-        _parse_style(_require(obj, "style", where), where + ("style",)),
-    )
+        raise GeometryError(f"{json_path(where + ('text',))}: must be non-empty")
+    return Segment(text, _parse_bbox(segment, "bbox", where), _parse_style(segment, "style", where))
 
 
 def _is_union(box: BBox, parts: "list[BBox]") -> bool:
@@ -276,16 +197,15 @@ _LEFT = attrgetter("bbox.left")
 _TOP = attrgetter("bbox.top")
 
 
-def _parse_line(obj, where: tuple, page_i: int, group_i: int) -> Line:
-    if not isinstance(obj, dict):
-        raise _expected("object", obj, where)
-    seg_objs = _array(_require(obj, "segments", where), where + ("segments",))
-    if not seg_objs:
-        raise SchemaError(_path(where + ("segments",)), "must contain at least one segment")
-    segments = [_parse_segment(s, where + ("segments", i)) for i, s in enumerate(seg_objs)]
+def _parse_line(holder, key, where: tuple, page_i: int, group_i: int) -> Line:
+    line = obj(holder, key, where)
+    where += (key,)
+    segments = items(_parse_segment, line, "segments", where)
+    if not segments:
+        raise SchemaError(json_path(where + ("segments",)), "must contain at least one segment")
     # Ingestion establishes the left-to-right ordering invariant.
     segments.sort(key=_LEFT)
-    bbox = _parse_bbox(_require(obj, "bbox", where), where + ("bbox",))
+    bbox = _parse_bbox(line, "bbox", where)
     if not _is_union(bbox, [s.bbox for s in segments]):
         raise GeometryError(
             f"page {page_i}, group {group_i}: line bbox does not equal "
@@ -294,33 +214,29 @@ def _parse_line(obj, where: tuple, page_i: int, group_i: int) -> Line:
     return Line(tuple(segments), bbox)
 
 
-def _parse_group(obj, where: tuple, page_i: int, group_i: int) -> Group:
-    if not isinstance(obj, dict):
-        raise _expected("object", obj, where)
-    line_objs = _array(_require(obj, "lines", where), where + ("lines",))
-    if not line_objs:
-        raise SchemaError(_path(where + ("lines",)), "must contain at least one line")
-    lines = [
-        _parse_line(l, where + ("lines", i), page_i, group_i)
-        for i, l in enumerate(line_objs)
-    ]
+def _parse_group(holder, group_i: int, where: tuple, page_i: int) -> Group:
+    group = obj(holder, group_i, where)
+    where += (group_i,)
+    lines = items(partial(_parse_line, page_i=page_i, group_i=group_i), group, "lines", where)
+    if not lines:
+        raise SchemaError(json_path(where + ("lines",)), "must contain at least one line")
     lines.sort(key=_TOP)
-    bbox = _parse_bbox(_require(obj, "bbox", where), where + ("bbox",))
+    bbox = _parse_bbox(group, "bbox", where)
     if not _is_union(bbox, [l.bbox for l in lines]):
         raise GeometryError(
             f"page {page_i}, group {group_i}: group bbox does not equal "
             "the union of its line bboxes"
         )
-    border = obj.get("border_sides", 0)
+    border = group.get("border_sides", 0)
     if isinstance(border, bool) or not isinstance(border, int):
-        raise SchemaError(_path(where + ("border_sides",)), "expected integer")
+        raise SchemaError(json_path(where + ("border_sides",)), "expected integer")
     if not 0 <= border <= 4:
         raise GeometryError(f"page {page_i}, group {group_i}: border_sides must be 0..4")
     return Group(
         tuple(lines),
         bbox,
-        _boolean(obj, "is_page_header", where),
-        _boolean(obj, "is_page_footer", where),
+        boolean(group, "is_page_header", where),
+        boolean(group, "is_page_footer", where),
         border,
     )
 
@@ -424,20 +340,19 @@ def _accept_group(obj) -> "Group | None":
     return _new(Group, (tuple(lines), box, header, footer, border))
 
 
-def _parse_page(obj, where: tuple, page_i: int) -> VisualPage:
-    if not isinstance(obj, dict):
-        raise _expected("object", obj, where)
-    width = _number(obj, "width", where)
-    height = _number(obj, "height", where)
+def _parse_page(holder, page_i: int, where: tuple) -> VisualPage:
+    page = obj(holder, page_i, where)
+    where += (page_i,)
+    width = _number(page, "width", where)
+    height = _number(page, "height", where)
     if width <= 0 or height <= 0:
         raise GeometryError(f"page {page_i}: page dimensions must be positive")
-    region_objs = _array(obj.get("table_regions", []), where + ("table_regions",))
-    regions = [
-        _parse_bbox(r, where + ("table_regions", i)) for i, r in enumerate(region_objs)
-    ]
+    regions = items(_parse_bbox, page, "table_regions", where, ())
+    group_objs = array(page, "groups", where)
+    at = where + ("groups",)
     groups = []
-    for i, g in enumerate(_array(_require(obj, "groups", where), where + ("groups",))):
-        group = _accept_group(g) or _parse_group(g, where + ("groups", i), page_i, i)
+    for i, g in enumerate(group_objs):
+        group = _accept_group(g) or _parse_group(group_objs, i, at, page_i)
         box = group.bbox
         if (
             box.left < -_BOX_EPS
@@ -469,17 +384,7 @@ def parse_document(data: "bytes | str | dict") -> list[VisualPage]:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        if isinstance(data, (bytes, str)):
-            # JSONDecodeError, bytes in no UTF encoding, integers past the
-            # interpreter's digit limit and deep nesting are all ValueErrors.
-            try:
-                data = decode_json(data)
-            except ValueError as exc:
-                raise SchemaError("$", f"invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise _expected("object", data, ())
-        pages = _array(_require(data, "pages", ()), ("pages",))
-        return [_parse_page(p, ("pages", i), i) for i, p in enumerate(pages)]
+        return items(_parse_page, top(data), "pages", ROOT)
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -11,16 +11,19 @@ import subprocess
 import sys
 import tempfile
 import time
+from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from dirtree import cli, pipeline
 from dirtree.annotate import MAX_FIRST_WORD, Gazetteer
 from dirtree.features import FeatureVector, write_features_csv
 from dirtree.forest import Dataset, ForestHyperparams, model_to_json, train
 from dirtree.metrics import evaluate
+from dirtree.segment import spans_to_json
 from dirtree.tree import (
     NodeLabel,
     ROOT_ID,
@@ -160,6 +163,25 @@ def test_nan_tree_param_flag_rejected(flag, fig1a_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "tree_params, flags",
+    [({"align_tol": 10**399}, []), ({"align_tol": FLOAT_PAST_RANGE}, []),
+     ({}, ["--align-tol", "inf"])],
+    ids=["400_digit_config", "1e400_config", "inf_flag"],
+)
+def test_infinite_tree_param_rejected(tree_params, flags, fig1a_path, tmp_path, monkeypatch,
+                                      capsys):
+    # An infinite parameter would change the blocks.  Like NaN it is
+    # rejected, as 1e400, as an integer past the float range or as a flag.
+    config = tmp_path / "config.json"
+    config.write_text(fault_text({"tree_params": tree_params}))
+    monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+    assert run_cli("blocks", str(fig1a_path), "--pages", "all", *flags) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == ("error: align_tol must be finite and >= 0" if flags
+                    else "error: config: $.tree_params.align_tol: must be finite")
+
+
 def test_unknown_flag(fig1a_path, capsys):
     assert run_cli("validate", str(fig1a_path), "--bogus") == 1
     assert "error:" in capsys.readouterr().err
@@ -195,7 +217,8 @@ def test_gazetteer_first_word_length_is_bounded(extra, fig1a_path, tmp_path, cap
     if extra:
         assert rc == 1
         (line,) = err.splitlines()
-        assert line == f"error: roles: a phrase's first word is over {MAX_FIRST_WORD} characters long"
+        assert line == (f"error: gazetteer: $.roles[0]: a phrase's first word is over "
+                        f"{MAX_FIRST_WORD} characters long")
     else:
         assert (rc, err) == (0, "")
 
@@ -281,6 +304,61 @@ def test_cli_fuzzed_predicted_trees_fail_cleanly(pred):
             f.write(fault_text(pred))
         _fails_cleanly("eval", "--stage", "tree", "--gold", str(FIXTURES / "fig1a_gold.json"),
                        "--pred", path, "--doc", FIG1A)
+
+
+# Each kind of input file but the document, the model and the predicted tree
+# (fuzzed above): a small valid file, and the commands that read it.
+_GOLD = str(FIXTURES / "fig1a_gold.json")
+_SEGMENTED = {"pages": [spans_to_json(0, pipeline.PageRun(
+    parse_document(Path(FIG1A).read_bytes())[0], 0, Gazetteer.default()).spans)]}
+_FILES = {
+    "gazetteer": {"roles": ["Custodian", "Auditor"], "org_suffixes": ["S.A."],
+                  "gpe": ["Luxembourg"]},
+    "config": {"gazetteer": str(resources.files("dirtree") / "data" / "gazetteer.json"),
+               "output_dir": None, "threshold": 0.5,
+               "tree_params": {"align_tol": 5.0, "gap_factor": 1.5}},
+    "gold": json.loads(Path(_GOLD).read_text()),
+    "classifier": {"pages": [{"page": 0, "label": 1}]},
+    "segmentation": _SEGMENTED,
+}
+
+
+def _commands(kind, path):
+    if kind == "gazetteer":
+        return [["blocks", FIG1A, "--pages", "all", "--gazetteer", path]]
+    if kind == "config":
+        return [["blocks", FIG1A, "--pages", "all"]]
+    if kind == "gold":
+        preds = {"classifier": _FILES["classifier"], "segmentation": _SEGMENTED,
+                 "tree": _PREDICTED}
+        commands = []
+        for stage, pred in preds.items():
+            pred_path = os.path.join(os.path.dirname(path), f"{stage}.json")
+            with open(pred_path, "w") as f:
+                json.dump(pred, f)
+            commands.append(["eval", "--stage", stage, "--pred", pred_path, "--gold", path,
+                             "--doc", FIG1A])
+        return commands
+    return [["eval", "--stage", kind, "--pred", path, "--gold", _GOLD]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_FILES)).flatmap(
+    lambda kind: st.tuples(st.just(kind), with_faults(_FILES[kind], ODD_JSON, grow=True))))
+@example(("config", _with(_FILES["config"], ("tree_params", "align_tol"), 10**399)))
+@example(("classifier", {"pages": [{"page": 0, "label": 1}, {"page": 0, "label": 0}]}))
+def test_cli_fuzzed_input_files_fail_cleanly(kind_and_file):
+    # A gazetteer, config, gold or prediction file with one to four faults:
+    # every command that reads it runs or exits 1 with one error line.
+    kind, document = kind_and_file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"{kind}.json")
+        with open(path, "w") as f:
+            f.write(fault_text(document))
+        env = {cli.CONFIG_ENV: path} if kind == "config" else {}
+        with mock.patch.dict(os.environ, env):
+            for argv in _commands(kind, path):
+                _fails_cleanly(*argv)
 
 
 def test_help_via_module():
@@ -665,7 +743,7 @@ def test_eval_rejects_malformed_pred(fig1a_gold_path, tmp_path, capsys):
     rc = run_cli("eval", "--stage", "classifier",
                  "--pred", str(pred), "--gold", str(fig1a_gold_path))
     assert rc == 1
-    assert "'pages' array" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {pred}: $.pages: expected array, got int\n"
 
 
 def test_eval_segmentation_per_page(fig1a_path, fig1a_gold, tmp_path, capsys):
@@ -694,13 +772,14 @@ def test_eval_rejects_malformed_gold_span(tmp_path, capsys):
     rc = run_cli("eval", "--stage", "segmentation", "--pred", str(pred), "--gold", str(gold))
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "gold page 0 span 0" in err
+    assert err == "error: gold: $.pages[0].spans[0]: expected object, got int\n"
 
 
 @pytest.mark.parametrize(
     "page, label, gold_page, reason",
-    [(0, 7, 0, "label must be 0 or 1"), (True, 1, 1, "page must be an integer"),
-     (0.7, 1, 0, "page must be an integer")],
+    [(0, 7, 0, "$.pages[0].label: must be 0 or 1, got 7"),
+     (True, 1, 1, "$.pages[0].page: expected integer, got bool"),
+     (0.7, 1, 0, "$.pages[0].page: expected integer, got float")],
     ids=["label_7", "page_true", "page_fraction"],
 )
 def test_eval_classifier_rejects_malformed_pred(page, label, gold_page, reason, tmp_path, capsys):
@@ -710,8 +789,7 @@ def test_eval_classifier_rejects_malformed_pred(page, label, gold_page, reason, 
     gold.write_text(json.dumps({"pages": [{"page": gold_page, "is_directory": True}]}))
     rc = run_cli("eval", "--stage", "classifier", "--pred", str(pred), "--gold", str(gold))
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and reason in err
+    assert capsys.readouterr().err == f"error: {pred}: {reason}\n"
 
 
 @pytest.mark.parametrize("key, value", [("group", 0.9), ("start", "0")])
@@ -726,8 +804,8 @@ def test_eval_segmentation_rejects_non_integer_span_field(
     rc = run_cli("eval", "--stage", "segmentation",
                  "--pred", str(pred), "--gold", str(fig1a_gold_path))
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and f"page 0 span 0: missing integer '{key}'" in err
+    assert capsys.readouterr().err == (f"error: {pred}: $.pages[0].spans[0].{key}: "
+                                       f"expected integer, got {type(value).__name__}\n")
 
 
 @pytest.mark.parametrize("where", ["gold", "pred"])
@@ -742,8 +820,10 @@ def test_eval_bad_span_label_names_its_record(where, label, fig1a_gold, tmp_path
     rc = run_cli("eval", "--stage", "segmentation", "--pred", str(pred), "--gold", str(gold))
     assert rc == 1
     (line,) = capsys.readouterr().err.splitlines()
-    record = "gold page 0 span 2" if where == "gold" else f"{pred}: page 0 span 2"
-    assert line == f"error: {record}: {label!r} is not a valid SpanLabel"
+    root = "gold" if where == "gold" else pred
+    reason = ("expected one of Header, Body, Neither, got 'Bogus'" if label == "Bogus"
+              else f"expected string, got {type(label).__name__}")
+    assert line == f"error: {root}: $.pages[0].spans[2].label: {reason}"
 
 
 def _eval_prediction(stage, kind, fig1a_path, capsys):
@@ -821,10 +901,12 @@ def body_node_with(**fields):
         # Two headers parenting each other: walking up from the body never
         # reaches the root.
         (tree_json((0, "Root", None, []), (1, "Header", 2, [2]),
-                   (2, "Header", 1, [1, 3]), (3, "Body", 2, [])), "cycle"),
-        (tree_json((0, "Root", None, [1]), (1, "Body", 0, [7])), "unknown child 7"),
-        (body_node_with(text=5), "node 1: text must be a string"),
-        (body_node_with(children=None), "node 1: children must be an array"),
+                   (2, "Header", 1, [1, 3]), (3, "Body", 2, [])),
+         ": invalid tree: cycle involving node 1"),
+        (tree_json((0, "Root", None, [1]), (1, "Body", 0, [7])),
+         ": invalid tree: node 1 lists unknown child 7"),
+        (body_node_with(text=5), ".nodes[1].text: expected string, got int"),
+        (body_node_with(children=None), ".nodes[1].children: expected array, got NoneType"),
     ],
     ids=["cycle", "unknown_child", "text_not_string", "children_not_array"],
 )
@@ -838,8 +920,7 @@ def test_eval_tree_rejects_invalid_pred(tree, reason, fig1a_path, fig1a_gold_pat
         capture_output=True, text=True, timeout=30,
     )
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
-    assert "page 0" in proc.stderr and reason in proc.stderr
+    assert proc.stderr == f"error: {pred}: $.pages[0].tree{reason}\n"
 
 
 # --- config file ---
@@ -854,7 +935,7 @@ def set_config(monkeypatch, tmp_path, payload):
 def test_config_unknown_key(fig1a_path, tmp_path, monkeypatch, capsys):
     set_config(monkeypatch, tmp_path, {"bogus": 1})
     assert run_cli("validate", str(fig1a_path)) == 1
-    assert "unknown config keys" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: config: $: unknown key 'bogus'\n"
 
 
 def test_config_bad_threshold(fig1a_path, tmp_path, monkeypatch, capsys):
@@ -886,7 +967,7 @@ def test_config_paths_must_be_strings(key, value, fig1a_path, tmp_path, monkeypa
     set_config(monkeypatch, tmp_path, {key: value})
     assert run_cli("validate", str(fig1a_path)) == 1
     (line,) = capsys.readouterr().err.splitlines()
-    assert line == f"error: config {key} must be a path string"
+    assert line == f"error: config: $.{key}: expected string, got {type(value).__name__}"
 
 
 def test_config_output_dir(fig1a_path, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 import sys
 from bisect import bisect_right
 from collections import Counter
@@ -519,9 +520,12 @@ def test_model_json_round_trip(tmp_path):
 
 def test_model_version_rejected():
     obj = model_to_json(train(Dataset([((0.0,), 0), ((1.0,), 1)] * 2), ForestHyperparams(n_trees=1)))
-    obj["version"] = 2
-    with pytest.raises(ValueError, match="version"):
-        model_from_json(obj)
+    # true and 1.0 both equal 1 in Python; neither is the JSON integer 1.
+    for version, message in [(2, "must be 1"), (True, "expected integer, got bool"),
+                             (1.0, "expected integer, got float")]:
+        obj["version"] = version
+        with pytest.raises(ValueError, match=re.escape(f"model: $.version: {message}")):
+            model_from_json(obj)
 
 
 @pytest.mark.parametrize(
@@ -536,13 +540,19 @@ def test_model_version_rejected():
         (lambda m: m["trees"][0].update(threshold=-math.inf), "threshold"),
         (lambda m: m["trees"][0].update(threshold=10**400), "threshold"),
         (lambda m: m["hyperparams"].pop("seed"), "seed"),
-        (lambda m: m["hyperparams"].update(n_trees=math.inf), "n_trees must be an integer"),
-        (lambda m: m["hyperparams"].update(n_trees=True), "n_trees must be an integer"),
-        (lambda m: m["hyperparams"].update(max_depth="20"), "max_depth must be an integer or null"),
+        (lambda m: m["hyperparams"].update(n_trees=math.inf),
+         re.escape("model: $.hyperparams.n_trees: expected integer, got float")),
+        (lambda m: m["hyperparams"].update(n_trees=True),
+         re.escape("model: $.hyperparams.n_trees: expected integer, got bool")),
+        (lambda m: m["hyperparams"].update(max_depth="20"),
+         re.escape("model: $.hyperparams.max_depth: expected integer, got str")),
         (lambda m: m["hyperparams"].update(min_samples_leaf=2.9), "min_samples_leaf"),
-        (lambda m: m["hyperparams"].update(seed=-math.inf), "seed must be an integer"),
-        (lambda m: m["hyperparams"].update(max_features_fraction=math.nan), "finite number"),
-        (lambda m: m["hyperparams"].update(max_features_fraction=10**400), "finite number"),
+        (lambda m: m["hyperparams"].update(seed=-math.inf),
+         re.escape("model: $.hyperparams.seed: expected integer, got float")),
+        (lambda m: m["hyperparams"].update(max_features_fraction=math.nan),
+         re.escape("model: $.hyperparams.max_features_fraction: must be finite")),
+        (lambda m: m["hyperparams"].update(max_features_fraction=10**400),
+         re.escape("model: $.hyperparams.max_features_fraction: must be finite")),
         (lambda m: m["importances"].append(math.inf), "importances"),
         (lambda m: m.update(importances="0.5"), "importances"),
     ],

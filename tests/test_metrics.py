@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -27,6 +28,7 @@ from dirtree.tree import (
     ReadingTree,
     TreeNode,
     directory_blocks,
+    tree_to_json,
     validate_tree,
 )
 
@@ -334,6 +336,34 @@ def test_evaluate_checks_stage_and_document(fig1a_gold):
         evaluate("blocks", {"pages": []}, fig1a_gold)
     with pytest.raises(ValueError, match="tree stage needs the source document"):
         evaluate("tree", {"pages": []}, fig1a_gold)
-    with pytest.raises(ValueError, match="^preds.json must be an object with a 'pages' array"):
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape('preds.json: $.pages: expected array, got int')}$"):
         evaluate("classifier", {"pages": 3}, fig1a_gold, name="preds.json")
 
+
+
+@pytest.mark.parametrize("case", ["label", "tree", "is_directory", "spans"])
+def test_evaluate_rejects_a_page_given_twice(case, fig1a_gold, fig1a_page):
+    # Scoring one of the two records would hide the other.
+    gold_page = fig1a_gold["pages"][0]
+    tree = tree_to_json(gold_tree_for_page(gold_page, fig1a_page))
+    stage, pred, gold, where = {
+        "label": ("classifier", [{"page": 0, "label": 1}, {"page": 0, "label": 0}],
+                  fig1a_gold, "preds.json"),
+        "tree": ("tree", [{"page": 0, "tree": tree}] * 2, fig1a_gold, "preds.json"),
+        "is_directory": ("classifier", [{"page": 0, "label": 1}],
+                         {"pages": [dict(gold_page, is_directory=False), gold_page]}, "gold"),
+        "spans": ("tree", [{"page": 0, "tree": tree}], {"pages": [gold_page] * 2}, "gold"),
+    }[case]
+    message = f"{where}: $.pages[1]: page 0 has its {case} given twice"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluate(stage, {"pages": pred}, gold, [fig1a_page], name="preds.json")
+
+
+def test_segmentation_merges_the_records_of_a_page(fig1a_gold):
+    gold_page = fig1a_gold["pages"][0]
+    spans = gold_page["spans"]
+    pred = {"pages": [{"page": 0, "spans": spans[:4]}, {"page": 0, "spans": spans[4:]}]}
+    gold = {"pages": [dict(gold_page, spans=spans[:9]), dict(gold_page, spans=spans[9:])]}
+    overall = evaluate("segmentation", pred, gold)["overall"]
+    assert [overall[k] for k in ("tp", "fp", "fn")] == [14, 0, 0]
