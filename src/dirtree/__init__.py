@@ -28,14 +28,6 @@ from .forest import (
     save_model,
     train,
 )
-from .metrics import (
-    PRF,
-    PageSetMismatch,
-    eval_classifier,
-    eval_tree,
-    evaluate,
-    normalize_text,
-)
 from .segment import (
     EmptyPageError,
     LabeledSpan,
@@ -74,12 +66,31 @@ from .visual import (
 
 __version__ = "0.1.0"
 
+#: The stages ``metrics.evaluate`` scores.  They live here so that the CLI
+#: lists them without importing ``metrics``.
+EVAL_STAGES = ("classifier", "segmentation", "tree")
+
+# Only ``eval`` scores, so ``metrics`` is imported when one of its names is
+# first read.
+_METRICS_NAMES = frozenset(
+    {"PRF", "PageSetMismatch", "eval_classifier", "eval_tree", "evaluate", "normalize_text"})
+
+
+def __getattr__(name):
+    if name in _METRICS_NAMES:
+        from . import metrics
+
+        return getattr(metrics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "Annotation",
     "AnnotationLabel",
     "BBox",
     "Dataset",
     "DirectoryBlock",
+    "EVAL_STAGES",
     "EmptyClassError",
     "EmptyPageError",
     "FEATURE_NAMES",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from importlib import resources
@@ -251,27 +250,26 @@ _WHERE = ("gazetteer: $",)
 MAX_FIRST_WORD = 100
 
 
-@dataclass(frozen=True)
 class Gazetteer:
-    """Phrase lists backing the vocabulary-driven labels.
+    """Phrase lists backing the vocabulary-driven labels, one tuple per name
+    in ``_fields``.  Each list is cleaned on construction: phrases are
+    stripped and a repeat (up to case and spacing) is dropped.  The lists
+    cannot be reassigned, and two gazetteers with the same lists are equal
+    and hash alike.
 
     ``persons`` and ``fac`` are optional extension points; the bundled
     default leaves them empty.
     """
 
-    roles: tuple[str, ...] = ()
-    address_types: tuple[str, ...] = ()
-    orgs: tuple[str, ...] = ()
-    org_suffixes: tuple[str, ...] = ()
-    gpe: tuple[str, ...] = ()
-    persons: tuple[str, ...] = ()
-    fac: tuple[str, ...] = ()
+    _fields = ("roles", "address_types", "orgs", "org_suffixes", "gpe", "persons", "fac")
 
-    def __post_init__(self):
-        for name in (f.name for f in fields(self)):
+    def __init__(self, roles=(), address_types=(), orgs=(), org_suffixes=(), gpe=(),
+                 persons=(), fac=()):
+        lists = (roles, address_types, orgs, org_suffixes, gpe, persons, fac)
+        for name, phrases in zip(self._fields, lists):
             cleaned = []
             seen = set()
-            for i, p in enumerate(getattr(self, name)):
+            for i, p in enumerate(phrases):
                 if not isinstance(p, str) or not p.strip():
                     raise SchemaError(json_path(_WHERE + (name, i)), "must be a non-empty string")
                 first = _LEADING_WORD_RE.match(p.strip())
@@ -285,15 +283,29 @@ class Gazetteer:
                 cleaned.append(p.strip())
             object.__setattr__(self, name, tuple(cleaned))
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Gazetteer.{name}")
+
+    def _lists(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._lists() == other._lists()
+
+    def __hash__(self):
+        return hash(self._lists())
+
     @classmethod
     def from_json(cls, data: "bytes | str | dict") -> "Gazetteer":
         data = top(data, _WHERE)
-        return cls(**{f.name: tuple(items(string, data, f.name, _WHERE, ())) for f in fields(cls)})
+        return cls(**{name: tuple(items(string, data, name, _WHERE, ())) for name in cls._fields})
 
     @cached_property
     def phrase_index(self) -> _PhraseIndex:
         """The index of every phrase list, built on first use."""
-        return _PhraseIndex({f.name: getattr(self, f.name) for f in fields(self)})
+        return _PhraseIndex(dict(zip(self._fields, self._lists())))
 
     @classmethod
     def load(cls, path: str) -> "Gazetteer":

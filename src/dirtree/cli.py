@@ -9,19 +9,17 @@ violated.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from . import forest, pipeline
+from . import EVAL_STAGES, forest, pipeline
 from .annotate import AnnotationLabel, Gazetteer
 from .features import read_features_csv, write_features_csv
 from .jsonin import SchemaError, file_path, finite, json_path, load_json, nullable, obj, top
-from .metrics import EVAL_STAGES, evaluate
 from .segment import spans_to_json
 from .tree import TreeInvariantError, TreeParamError, TreeParams, blocks_to_json, tree_to_json
 from .visual import parse_document
@@ -44,8 +42,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     gazetteer: "str | None" = None
     model: "str | None" = None
     tree_params: TreeParams = TreeParams()
@@ -55,15 +52,14 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, data) -> "PipelineConfig":
         where = ("config: $",)
-        data = top(data, where, known={f.name for f in dataclasses.fields(cls)})
+        data = top(data, where, known=set(cls._fields))
         paths = {key: nullable(file_path, data, key, where, None)
                  for key in ("gazetteer", "model", "output_dir")}
         for key in ("gazetteer", "model"):
             if paths[key] is not None and not os.path.exists(paths[key]):
                 raise SchemaError(json_path(where + (key,)), f"does not exist: {paths[key]}")
         at = where + ("tree_params",)
-        tp = obj(data, "tree_params", where, {},
-                 known={f.name for f in dataclasses.fields(TreeParams)})
+        tp = obj(data, "tree_params", where, {}, known=set(TreeParams._fields))
         try:
             params = TreeParams(**{key: finite(tp, key, at) for key in tp})
         except TreeParamError as e:
@@ -133,9 +129,10 @@ def _runs(args, cfg: PipelineConfig, skip_empty: bool = True):
         if not which:
             raise UsageError("--pages list is empty")
         pipeline.check_indexes(which, len(pages))
-    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(TreeParams)}
-    params = dataclasses.replace(
-        cfg.tree_params, **{k: v for k, v in flags.items() if v is not None})
+    # Made anew from the merged values, so that a bad flag fails the checks.
+    merged = cfg.tree_params._asdict()
+    merged.update((k, v) for k in TreeParams._fields if (v := getattr(args, k, None)) is not None)
+    params = TreeParams(**merged)
     return pipeline.page_runs(pages, gaz, which, model, threshold, params, skip_empty)
 
 
@@ -268,6 +265,8 @@ def _report_table(report: dict) -> "list[str]":
 
 
 def _cmd_eval(args, cfg):
+    from .metrics import evaluate
+
     if args.stage == "tree" and not args.doc:
         raise UsageError("--doc is required for --stage tree (gold texts live there)")
     pred, gold = load_json(args.pred), load_json(args.gold)
@@ -303,8 +302,8 @@ def _add_model(p):
 
 
 def _add_tree_params(p):
-    for f in dataclasses.fields(TreeParams):
-        p.add_argument("--" + f.name.replace("_", "-"), type=float, dest=f.name)
+    for name in TreeParams._fields:
+        p.add_argument("--" + name.replace("_", "-"), type=float, dest=name)
 
 
 def _add_out(p):

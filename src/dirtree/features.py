@@ -11,7 +11,6 @@ passes the threshold, so a split decided early reads no more groups.
 
 from __future__ import annotations
 
-import csv
 import math
 from operator import itemgetter
 
@@ -177,6 +176,8 @@ def extract_features(page: VisualPage, per_group: "list[GroupAnnotations]") -> F
 def write_features_csv(f, rows: "list[tuple[FeatureVector, int | None]]") -> None:
     """Write rows as CSV with the frozen header.  ``label`` is 1 for a
     directory page, 0 otherwise, empty when unknown."""
+    import csv
+
     writer = csv.writer(f)
     writer.writerow(list(FEATURE_NAMES) + ["label"])
     for vec, label in rows:
@@ -185,6 +186,8 @@ def write_features_csv(f, rows: "list[tuple[FeatureVector, int | None]]") -> Non
 
 def read_features_csv(f) -> "list[tuple[list[float], int]]":
     """Read labeled feature rows; rows with an empty label are skipped."""
+    import csv
+
     reader = csv.reader(f)
     header = next(reader, None)
     expected = list(FEATURE_NAMES) + ["label"]

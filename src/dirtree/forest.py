@@ -24,9 +24,9 @@ import math
 import random
 from bisect import bisect_right
 from collections import _count_elements  # the C helper Counter counts with
-from dataclasses import dataclass, field
 from itertools import accumulate, compress, islice, repeat
 from operator import itemgetter, not_, or_, sub
+from typing import NamedTuple
 
 from .features import FEATURE_NAMES
 from .jsonin import (
@@ -38,21 +38,21 @@ class EmptyClassError(ValueError):
     """Raised when a dataset is missing one of the two classes."""
 
 
-@dataclass
 class Dataset:
     """Labeled feature rows; label 1 marks a directory page."""
 
-    rows: list[tuple[tuple[float, ...], int]]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
+    def __init__(self, rows: "list[tuple[tuple[float, ...], int]]"):
         arity = None
-        for x, y in self.rows:
+        for x, y in rows:
             if y not in (0, 1):
                 raise ValueError(f"labels must be 0 or 1, got {y!r}")
             if arity is None:
                 arity = len(x)
             elif len(x) != arity:
                 raise ValueError("all rows must have the same number of features")
+        self.rows = rows
 
     @property
     def n_features(self) -> int:
@@ -64,15 +64,22 @@ class Dataset:
         return len(self.rows) - pos, pos
 
 
-@dataclass(frozen=True)
-class ForestHyperparams:
+class _ForestHyperparamFields(NamedTuple):
     n_trees: int = 20
     max_depth: "int | None" = None  # None means unlimited
     max_features_fraction: float = 0.8
     min_samples_leaf: int = 2
     seed: int = 0
 
-    def __post_init__(self):
+
+class ForestHyperparams(_ForestHyperparamFields):
+    """Training settings, checked whenever a value is made: by position, by
+    keyword, through ``_make`` or ``_replace``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
         if self.max_depth is not None and self.max_depth < 1:
@@ -81,19 +88,15 @@ class ForestHyperparams:
             raise ValueError("max_features_fraction must be in (0, 1]")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
+        return self
 
-    def to_json(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "max_features_fraction": self.max_features_fraction,
-            "min_samples_leaf": self.min_samples_leaf,
-            "seed": self.seed,
-        }
+    @classmethod
+    def _make(cls, iterable):
+        # The base's ``_make`` (which ``_replace`` calls) skips ``__new__``.
+        return cls(*iterable)
 
 
-@dataclass
-class LeafNode:
+class LeafNode(NamedTuple):
     counts: tuple[int, int]  # (negatives, positives)
 
     @property
@@ -102,20 +105,18 @@ class LeafNode:
         return self.counts[1] / total if total else 0.0
 
 
-@dataclass
-class SplitNode:
+class SplitNode(NamedTuple):
     feature: int
     threshold: float
     left: "SplitNode | LeafNode"   # rows with x[feature] <= threshold
     right: "SplitNode | LeafNode"
 
 
-@dataclass
-class ForestModel:
+class ForestModel(NamedTuple):
     hyperparams: ForestHyperparams
     feature_order: tuple[str, ...]
     trees: list["SplitNode | LeafNode"]
-    importances: list[float] = field(default_factory=list)
+    importances: "list[float] | tuple[float, ...]" = ()
 
 
 def splitmix64(x: int) -> int:
@@ -412,7 +413,7 @@ def _node_from_json(holder, key, where: tuple):
 def model_to_json(model: ForestModel) -> dict:
     return {
         "version": 1,
-        "hyperparams": model.hyperparams.to_json(),
+        "hyperparams": model.hyperparams._asdict(),
         "feature_order": list(model.feature_order),
         "importances": list(model.importances),
         "trees": [_node_to_json(t) for t in model.trees],

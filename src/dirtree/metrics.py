@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import reprlib
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from . import EVAL_STAGES
 from .segment import SpanLabel
 from .tree import (
     DirectoryBlock,
@@ -36,8 +37,7 @@ class PageSetMismatch(ValueError):
     """Gold and predicted results cover different page sets."""
 
 
-@dataclass(frozen=True)
-class PRF:
+class PRF(NamedTuple):
     precision: float
     recall: float
     f1: float
@@ -54,14 +54,7 @@ class PRF:
         return cls(p, r, f, tp, fp, fn)
 
     def to_json(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-        }
+        return self._asdict()
 
 
 def normalize_text(s: str) -> str:
@@ -323,9 +316,6 @@ def check_page_sets(gold_pages: "set[int]", pred_pages: "set[int]") -> None:
 
 
 # --- one call per eval stage -----------------------------------------------
-
-EVAL_STAGES = ("classifier", "segmentation", "tree")
-
 
 def _combine(prfs: "list[PRF]") -> PRF:
     return PRF.from_counts(

@@ -24,7 +24,6 @@ dirtree``, and names bound here before that would bypass the wrappers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .annotate import Gazetteer, annotate
@@ -35,16 +34,14 @@ from .tree import TreeParams, build_tree, directory_blocks, validate_tree
 from .visual import VisualPage
 
 
-@dataclass
 class PageRun:
     """One page's pass through the pipeline."""
 
-    page: VisualPage
-    index: int
-    gaz: Gazetteer
-    model: "ForestModel | None" = None
-    threshold: float = 0.5
-    params: TreeParams = TreeParams()
+    def __init__(self, page: VisualPage, index: int, gaz: Gazetteer,
+                 model: "ForestModel | None" = None, threshold: float = 0.5,
+                 params: TreeParams = TreeParams()):
+        self.page, self.index, self.gaz = page, index, gaz
+        self.model, self.threshold, self.params = model, threshold, params
 
     @cached_property
     def annotations(self):

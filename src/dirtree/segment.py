@@ -11,8 +11,8 @@ Spans always tile the full group text exactly.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .annotate import AnnotationLabel, GroupAnnotations
 from .visual import BBox, Group, StyleInfo, VisualPage, group_layout, group_text, union_all
@@ -58,15 +58,13 @@ class EmptyPageError(ValueError):
     """Page has no text outside page header/footer groups."""
 
 
-@dataclass(frozen=True)
-class PageStyleStats:
+class PageStyleStats(NamedTuple):
     predominant_color: int
     majority_font_size: float  # binned to 0.5pt
     majority_font_family: str
 
 
-@dataclass(frozen=True)
-class LabeledSpan:
+class LabeledSpan(NamedTuple):
     group_index: int
     start: int
     end: int

@@ -10,11 +10,14 @@ which is what keeps sibling sections from swallowing one another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import reprlib
 from enum import Enum
 from math import inf
+from typing import NamedTuple
 
-from .jsonin import ROOT, finite, integer, items, nullable, obj, one_of, string, top
+from .jsonin import (
+    ROOT, SchemaError, finite, integer, items, json_path, nullable, obj, one_of, string, top,
+)
 from .segment import LabeledSpan, SpanLabel
 from .visual import BBox, v_gap, x_overlap, y_overlap
 
@@ -27,15 +30,22 @@ class TreeInvariantError(RuntimeError):
     """The constructed tree violates a structural invariant."""
 
 
-@dataclass(frozen=True)
-class TreeParams:
+class _TreeParamFields(NamedTuple):
     band_overlap_frac: float = 0.5
     align_tol: float = 5.0
     gap_factor: float = 1.5
     min_x_overlap_frac: float = 0.3
     size_cluster_tol: float = 0.5
 
-    def __post_init__(self):
+
+class TreeParams(_TreeParamFields):
+    """The tree builder's tolerances, checked whenever a value is made: by
+    position, by keyword, through ``_make`` or ``_replace``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # Every check is written so that NaN, which compares False, and the
         # infinities fail it.
         if not 0 < self.band_overlap_frac <= 1:
@@ -48,6 +58,12 @@ class TreeParams:
             raise TreeParamError("min_x_overlap_frac must be in (0, 1]")
         if not 0 <= self.size_cluster_tol < inf:
             raise TreeParamError("size_cluster_tol must be finite and >= 0")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # The base's ``_make`` (which ``_replace`` calls) skips ``__new__``.
+        return cls(*iterable)
 
 
 ROOT_ID = 0
@@ -59,19 +75,21 @@ class NodeLabel(str, Enum):
     BODY = "Body"
 
 
-@dataclass
 class TreeNode:
-    node_id: int
-    label: NodeLabel
-    text: str
-    parent: "int | None"
-    children: list[int] = field(default_factory=list)
-    cluster_id: "int | None" = None
-    bbox: "BBox | None" = None
+    """One node of a reading tree; building a tree sets ``parent`` and
+    appends to ``children`` in place."""
+
+    __slots__ = ("node_id", "label", "text", "parent", "children", "cluster_id", "bbox")
+
+    def __init__(self, node_id: int, label: NodeLabel, text: str, parent: "int | None",
+                 children: "list[int] | None" = None, cluster_id: "int | None" = None,
+                 bbox: "BBox | None" = None):
+        self.node_id, self.label, self.text, self.parent = node_id, label, text, parent
+        self.children = [] if children is None else children
+        self.cluster_id, self.bbox = cluster_id, bbox
 
 
-@dataclass
-class ReadingTree:
+class ReadingTree(NamedTuple):
     nodes: dict[int, TreeNode]
 
     @property
@@ -79,8 +97,7 @@ class ReadingTree:
         return self.nodes[ROOT_ID]
 
 
-@dataclass(frozen=True)
-class DirectoryBlock:
+class DirectoryBlock(NamedTuple):
     headers: tuple[str, ...]
     body: str
 
@@ -562,10 +579,15 @@ def _tree_node(holder, i: int, where: tuple) -> TreeNode:
 def tree_from_json(data: "bytes | str | dict", where: tuple = ROOT) -> ReadingTree:
     """Rebuild a tree from its JSON form, found at ``where`` in its file.
     Spans are not recoverable; the result carries labels, texts and
-    structure, which is all evaluation needs.  A malformed node raises
-    ValueError."""
-    nodes = items(_tree_node, top(data, where), "nodes", where)
-    return ReadingTree(nodes={node.node_id: node for node in nodes})
+    structure, which is all evaluation needs.  A malformed node, or one
+    whose id an earlier node has, raises ValueError."""
+    nodes: "dict[int, TreeNode]" = {}
+    for i, node in enumerate(items(_tree_node, top(data, where), "nodes", where)):
+        if node.node_id in nodes:
+            raise SchemaError(json_path(where + ("nodes", i, "id")),
+                              f"node id {reprlib.repr(node.node_id)} given twice")
+        nodes[node.node_id] = node
+    return ReadingTree(nodes=nodes)
 
 
 def blocks_to_json(blocks: "list[DirectoryBlock]", page_index: "int | None" = None) -> list:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import gc
 import sys
-from dataclasses import dataclass
 from functools import partial
 from math import inf, isfinite
 from operator import attrgetter
@@ -123,8 +122,7 @@ class Group(NamedTuple):
         return self.is_page_header or self.is_page_footer
 
 
-@dataclass(frozen=True)
-class VisualPage:
+class VisualPage(NamedTuple):
     width: float
     height: float
     groups: tuple[Group, ...] = ()

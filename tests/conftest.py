@@ -296,6 +296,32 @@ def with_faults(draw, document, odd=(), grow=False):
     return document
 
 
+@st.composite
+def with_cycle(draw, document):
+    """A copy of ``document`` in which the ``parent`` links of one to three
+    records of one array loop.  The records are a predicted tree's nodes,
+    which name a parent by its "id", or a gold page's spans, which name it by
+    its index; a node's ``children`` are relinked to match its new parent,
+    so that only the loop is wrong.  Only tree nodes loop: never the root,
+    nor a Neither span, which the gold tree leaves out."""
+    document = copy.deepcopy(document)
+    arrays = [value for where, value in json_nodes(document) if isinstance(value, list)
+              and any(isinstance(r, dict) and "parent" in r for r in value)]
+    records = draw(st.sampled_from(arrays))
+    keys = [r.get("id", i) for i, r in enumerate(records)]
+    loop = draw(st.lists(st.sampled_from([i for i, r in enumerate(records)
+                                          if r.get("label") not in ("Root", "Neither")]),
+                         min_size=1, max_size=3, unique=True))
+    for child, parent in zip(loop, loop[1:] + loop[:1]):
+        records[child]["parent"] = keys[parent]
+        if "children" in records[parent]:
+            for r in records:
+                if keys[child] in r["children"]:
+                    r["children"].remove(keys[child])
+            records[parent]["children"].append(keys[child])
+    return document
+
+
 def _is_number(value):
     return not isinstance(value, bool) and isinstance(value, (int, float))
 

@@ -4,7 +4,6 @@ import re
 import sys
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -233,6 +232,19 @@ def test_gazetteer_dedupes_case_insensitively():
     assert gaz.roles == ("Custodian",)
 
 
+def test_gazetteer_is_a_value():
+    # Equal after cleaning: equal, one dict key, and the lists stay put.
+    a = Gazetteer(roles=("Custodian", " custodian"), gpe=("Luxembourg",))
+    b = Gazetteer(("Custodian",), gpe=("Luxembourg", "LUXEMBOURG"))
+    assert a == b and hash(a) == hash(b) and len({a: 1, b: 2}) == 1
+    assert a != Gazetteer(roles=("Custodian",))
+    assert a != tuple(getattr(a, name) for name in Gazetteer._fields)
+    for name in Gazetteer._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, ())
+    assert a.phrase_index is a.phrase_index
+
+
 def test_gazetteer_unknown_keys_ignored():
     gaz = Gazetteer.from_json({"roles": ["Custodian"], "comment": "x"})
     assert gaz.roles == ("Custodian",)
@@ -328,7 +340,7 @@ def _regex_spans_reference(pattern, text):
 
 
 def _annotate_text_reference(text, gaz):
-    patterns = {f.name: _phrase_regex_reference(getattr(gaz, f.name)) for f in fields(gaz)}
+    patterns = {name: _phrase_regex_reference(getattr(gaz, name)) for name in gaz._fields}
     out = []
 
     def emit(label, spans):
@@ -406,9 +418,9 @@ def _gazetteer_and_text(draw):
     """A gazetteer of random phrases, and a text either of random characters
     or of words, respelled phrases of the gazetteer, and separators."""
     lists = {
-        f.name: [" ".join(draw(st.lists(st.sampled_from(_PHRASE_WORDS), min_size=1, max_size=3)))
-                 for _ in range(draw(st.integers(0, 3)))]
-        for f in fields(Gazetteer)
+        name: [" ".join(draw(st.lists(st.sampled_from(_PHRASE_WORDS), min_size=1, max_size=3)))
+               for _ in range(draw(st.integers(0, 3)))]
+        for name in Gazetteer._fields
     }
     gaz = Gazetteer(**{name: tuple(_respell(p, draw(st.integers(0, 2**32))) for p in phrases)
                        for name, phrases in lists.items()})

@@ -29,6 +29,7 @@ from dirtree.tree import (
     ROOT_ID,
     ReadingTree,
     TreeNode,
+    TreeParams,
     directory_blocks,
     tree_from_json,
     tree_to_json,
@@ -46,8 +47,10 @@ from conftest import (
     faulty_documents,
     make_margin_rows,
     parent_of,
+    with_cycle,
     with_faults,
 )
+from test_tree import BAD_TREE_PARAMS
 
 
 def run_cli(*argv):
@@ -224,7 +227,8 @@ def test_gazetteer_first_word_length_is_bounded(extra, fig1a_path, tmp_path, cap
 
 
 def _fails_cleanly(*argv):
-    """Run a command: it exits 0, or 1 with one short error line, within 10 s."""
+    """Run a command: it exits 0, or 1 with one short error line, within 10 s.
+    The exit code."""
     err = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -234,6 +238,7 @@ def _fails_cleanly(*argv):
     if code == 1:
         (line,) = err.getvalue().splitlines()
         assert line.startswith("error:") and len(line) < 1000
+    return code
 
 
 @settings(max_examples=100)
@@ -361,6 +366,25 @@ def test_cli_fuzzed_input_files_fail_cleanly(kind_and_file):
                 _fails_cleanly(*argv)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["pred", "gold"]).flatmap(lambda kind: st.tuples(
+    st.just(kind), with_cycle(_PREDICTED if kind == "pred" else _FILES["gold"]))))
+def test_cli_cyclic_trees_fail_cleanly(kind_and_file):
+    # A predicted tree whose parent and children links loop, or gold whose
+    # parent links loop: eval --stage tree exits 1 with one error line.
+    kind, document = kind_and_file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"{kind}.json")
+        with open(path, "w") as f:
+            json.dump(document, f)
+        pred, gold = (path, _GOLD) if kind == "pred" else (os.path.join(tmp, "pred.json"), path)
+        if kind == "gold":
+            with open(pred, "w") as f:
+                json.dump(_PREDICTED, f)
+        assert _fails_cleanly("eval", "--stage", "tree", "--pred", pred, "--gold", gold,
+                              "--doc", FIG1A) == 1
+
+
 def test_help_via_module():
     proc = subprocess.run(
         [sys.executable, "-m", "dirtree", "--help"],
@@ -374,6 +398,9 @@ def test_help_via_module():
 # Modules that would pull in ``fractions``, ``decimal`` and ``numbers`` on
 # every command.
 _HEAVY_MODULES = {"statistics", "fractions", "decimal"}
+# Modules only some commands use (``csv`` for CSV files, ``metrics`` for
+# ``eval``), and ``dataclasses`` with the ``inspect`` it imports.
+_DEFERRED_MODULES = {"dataclasses", "inspect", "csv", "dirtree.metrics"}
 
 
 def test_cli_imports_only_the_standard_library():
@@ -391,6 +418,31 @@ def test_cli_imports_only_the_standard_library():
                and m.split(".")[0] != "dirtree"]
     assert outside == []
     assert _HEAVY_MODULES.isdisjoint(added)
+    assert _DEFERRED_MODULES.isdisjoint(added)
+
+
+def test_eval_names_load_when_first_read(fig1a_gold_path, tmp_path):
+    # In a fresh interpreter, ``metrics`` loads when the package is asked
+    # for one of its names, and ``dirtree eval`` loads it to score.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dirtree; "
+            "assert 'dirtree.metrics' not in sys.modules; "
+            "from dirtree import evaluate; import dirtree.metrics; "
+            "assert evaluate is dirtree.metrics.evaluate is dirtree.evaluate; "
+            "assert dirtree.metrics.EVAL_STAGES is dirtree.EVAL_STAGES; "
+            "assert not hasattr(dirtree, 'no_such_name'); print('ok')")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"pages": [{"page": 0, "label": 1}]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dirtree", "eval", "--stage", "classifier",
+         "--pred", str(pred), "--gold", str(fig1a_gold_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout.splitlines()[0])["overall"]["f1"] == 1.0
 
 
 def test_out_writes_file(fig1a_path, tmp_path, capsys):
@@ -483,9 +535,16 @@ def test_train_rejects_non_finite_rows(tmp_path, capsys):
 def test_train_bad_hyperparams(tmp_path, capsys):
     csv = tmp_path / "rows.csv"
     write_csv(csv, make_margin_rows(10, 10, seed=2))
-    rc = run_cli("train", "--csv", str(csv), "--pos", "5", "--neg", "5",
-                 "--seed", "1", "--trees", "0", "--out", str(tmp_path / "m.json"))
-    assert rc == 1
+    for flag, value, message in [
+        ("--trees", "0", "n_trees must be >= 1"),
+        ("--depth", "0", "max_depth must be >= 1 or None"),
+        ("--max-features", "1.5", "max_features_fraction must be in (0, 1]"),
+        ("--min-leaf", "0", "min_samples_leaf must be >= 1"),
+    ]:
+        rc = run_cli("train", "--csv", str(csv), "--pos", "5", "--neg", "5",
+                     "--seed", "1", flag, value, "--out", str(tmp_path / "m.json"))
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # --- classify ---
@@ -907,8 +966,11 @@ def body_node_with(**fields):
          ": invalid tree: node 1 lists unknown child 7"),
         (body_node_with(text=5), ".nodes[1].text: expected string, got int"),
         (body_node_with(children=None), ".nodes[1].children: expected array, got NoneType"),
+        (tree_json((0, "Root", None, [1]), (1, "Header", 0, [2]), (2, "Body", 1, []),
+                   (2, "Body", 1, [])),
+         ".nodes[3].id: node id 2 given twice"),
     ],
-    ids=["cycle", "unknown_child", "text_not_string", "children_not_array"],
+    ids=["cycle", "unknown_child", "text_not_string", "children_not_array", "duplicate_id"],
 )
 def test_eval_tree_rejects_invalid_pred(tree, reason, fig1a_path, fig1a_gold_path, tmp_path):
     pred = tmp_path / "tree.json"
@@ -1005,3 +1067,27 @@ def test_config_bad_tree_params(tree_params, message, fig1a_path, tmp_path, monk
     assert run_cli("validate", str(fig1a_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("name, value, message", BAD_TREE_PARAMS,
+                         ids=[name for name, _, _ in BAD_TREE_PARAMS])
+def test_bad_tree_param_from_config_or_flag(name, value, message, fig1a_path, tmp_path,
+                                            monkeypatch, capsys):
+    # The same check and message, from a config file (which names where the
+    # value sits) or from a flag over a valid config.
+    set_config(monkeypatch, tmp_path, {"tree_params": {name: value}})
+    assert run_cli("blocks", str(fig1a_path), "--pages", "all") == 1
+    assert capsys.readouterr().err == f"error: config: $.tree_params: {message}\n"
+    set_config(monkeypatch, tmp_path, {"tree_params": {"align_tol": 4.0}})
+    flag = "--" + name.replace("_", "-")
+    assert run_cli("blocks", str(fig1a_path), "--pages", "all", flag, str(value)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_tree_param_flags_override_the_config(fig1a_path, tmp_path, monkeypatch):
+    seen = []
+    build_tree = pipeline.build_tree
+    monkeypatch.setattr(pipeline, "build_tree", lambda spans, p: seen.append(p) or build_tree(spans, p))
+    set_config(monkeypatch, tmp_path, {"tree_params": {"align_tol": 4.0, "gap_factor": 2.0}})
+    assert run_cli("blocks", str(fig1a_path), "--pages", "all", "--gap-factor", "1.25") == 0
+    assert seen == [TreeParams(align_tol=4.0, gap_factor=1.25)] and type(seen[0]) is TreeParams

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 from collections import Counter
 
@@ -196,7 +195,8 @@ _LABELLED_WORDS = [
     "L-2449", "75440", "39", "Acme Capital S.A.", "KPMG Luxembourg Société Coopérative",
     "Banque de Commerce S.A.", "Jane Doe", "of", "the", "and", "managed", "by", "Page",
 ]
-_FULL_GAZ = dataclasses.replace(GAZ, persons=("Jane Doe",), fac=("Tower",))
+_FULL_GAZ = Gazetteer(**{**{name: getattr(GAZ, name) for name in Gazetteer._fields},
+                        "persons": ("Jane Doe",), "fac": ("Tower",)})
 
 
 def _group_texts():

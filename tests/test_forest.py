@@ -466,6 +466,46 @@ def test_hyperparam_validation():
         ForestHyperparams(min_samples_leaf=0)
 
 
+# One bad value per checked hyperparameter, and the message it raises.
+BAD_HYPERPARAMS = [
+    ("n_trees", 0, "n_trees must be >= 1"),
+    ("max_depth", 0, "max_depth must be >= 1 or None"),
+    ("max_features_fraction", 1.5, "max_features_fraction must be in (0, 1]"),
+    ("min_samples_leaf", 0, "min_samples_leaf must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", BAD_HYPERPARAMS,
+                         ids=[name for name, _, _ in BAD_HYPERPARAMS])
+def test_hyperparams_are_checked_however_they_are_made(name, value, message):
+    values = list(ForestHyperparams())
+    values[ForestHyperparams._fields.index(name)] = value
+    makers = {
+        "keyword": lambda: ForestHyperparams(**{name: value}),
+        "position": lambda: ForestHyperparams(*values),
+        "_make": lambda: ForestHyperparams._make(values),
+        "_replace": lambda: ForestHyperparams()._replace(**{name: value}),
+    }
+    for make in makers.values():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+    # A model file names where the bad value sits.
+    model = model_to_json(train(Dataset(make_margin_rows(5, 5, seed=1)), ForestHyperparams(n_trees=1)))
+    model["hyperparams"][name] = value
+    with pytest.raises(ValueError, match=f"^{re.escape('model: $.hyperparams: ' + message)}$"):
+        model_from_json(model)
+
+
+def test_model_survives_json_equal():
+    model = train(Dataset(make_margin_rows(20, 20, seed=5)), ForestHyperparams(n_trees=4, seed=2))
+    again = model_from_json(model_to_json(model))
+    assert again == model and again is not model
+    assert type(again.hyperparams) is ForestHyperparams
+    assert again.trees == model.trees and type(again.trees[0]) is type(model.trees[0])
+    assert hash(again.hyperparams) == hash(model.hyperparams) == hash(tuple(model.hyperparams))
+    assert model._replace(importances=[]) != model
+
+
 # --- prediction ---
 
 def test_predict_score_and_label():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 import statistics
@@ -58,11 +57,58 @@ def test_param_validation():
     with pytest.raises(TreeParamError):
         TreeParams(size_cluster_tol=-1)
     # NaN compares False with everything, so it must fail every check.
-    for f in dataclasses.fields(TreeParams):
-        with pytest.raises(TreeParamError, match=f.name):
-            TreeParams(**{f.name: math.nan})
+    for name in TreeParams._fields:
+        with pytest.raises(TreeParamError, match=name):
+            TreeParams(**{name: math.nan})
     assert isinstance(TreeParamError("x"), ValueError)
     assert isinstance(TreeInvariantError("x"), RuntimeError)
+
+
+# One bad value per parameter, and the message it raises.
+BAD_TREE_PARAMS = [
+    ("band_overlap_frac", 0.0, "band_overlap_frac must be in (0, 1]"),
+    ("align_tol", -1.0, "align_tol must be finite and >= 0"),
+    ("gap_factor", -0.5, "gap_factor must be finite and >= 0"),
+    ("min_x_overlap_frac", 1.5, "min_x_overlap_frac must be in (0, 1]"),
+    ("size_cluster_tol", -1.0, "size_cluster_tol must be finite and >= 0"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", BAD_TREE_PARAMS,
+                         ids=[name for name, _, _ in BAD_TREE_PARAMS])
+def test_tree_params_are_checked_however_they_are_made(name, value, message):
+    values = list(TreeParams())
+    values[TreeParams._fields.index(name)] = value
+    makers = {
+        "keyword": lambda: TreeParams(**{name: value}),
+        "position": lambda: TreeParams(*values),
+        "_make": lambda: TreeParams._make(values),
+        "_replace": lambda: TreeParams()._replace(**{name: value}),
+    }
+    for make in makers.values():
+        with pytest.raises(TreeParamError, match=f"^{re.escape(message)}$"):
+            make()
+
+
+def test_tree_params_are_values():
+    p = TreeParams(align_tol=2.0)
+    assert p == TreeParams(0.5, 2.0) == TreeParams()._replace(align_tol=2.0)
+    assert hash(p) == hash(TreeParams(0.5, 2.0)) == hash(tuple(p))
+    assert type(p._replace(gap_factor=1.0)) is TreeParams
+    assert p._asdict()["align_tol"] == 2.0
+    with pytest.raises(AttributeError):
+        p.align_tol = 3.0
+
+
+def test_equal_labeled_spans_are_one_dict_key():
+    # A LabeledSpan is a dict key in ``cluster_headers``: two spans with the
+    # same values are one key, and hash as the tuple of their values.
+    a = mkspan("Head", 0, 0, 50, 10, H, gi=3)
+    twin = mkspan("Head", 0, 0, 50, 10, H, gi=3)
+    assert a == twin and a is not twin and hash(a) == hash(twin) == hash(tuple(a))
+    assert len({a: 1, twin: 2}) == 1
+    assert list(cluster_headers([a, twin], TreeParams()).values()) == [1]
+    assert a != mkspan("Head", 0, 0, 50, 10, H, gi=4)
 
 
 # --- casing and clustering ---
@@ -857,6 +903,25 @@ def test_tree_from_json_rejects_malformed(mutate, message):
     mutate(data)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         tree_from_json(data)
+
+
+def test_tree_from_json_rejects_a_node_id_given_twice():
+    # Keeping only the last of the two would drop "first" from a tree that
+    # still validates, with one block: H -> second.
+    data = {"nodes": [
+        {"id": 0, "label": "Root", "text": "", "parent": None, "children": [1]},
+        {"id": 1, "label": "Header", "text": "H", "parent": 0, "children": [2]},
+        {"id": 2, "label": "Body", "text": "first", "parent": 1, "children": []},
+        {"id": 2, "label": "Body", "text": "second", "parent": 1, "children": []},
+    ]}
+    with pytest.raises(ValueError, match=r"^\$\.nodes\[3\]\.id: node id 2 given twice$"):
+        tree_from_json(data)
+    with pytest.raises(ValueError, match=r"^pred\.json: \$\.pages\[0\]\.tree\.nodes\[3\]\.id: "):
+        tree_from_json(data, ("pred.json: $", "pages", 0, "tree"))
+    data["nodes"][3]["id"] = 10**400
+    with pytest.raises(ValueError) as raised:
+        tree_from_json(dict(data, nodes=data["nodes"] + data["nodes"][3:]))
+    assert len(str(raised.value)) < 100
 
 
 def test_blocks_to_json():
