@@ -108,11 +108,10 @@ _LEADING_WORD_RE = re.compile(r"\w+")
 _TOKEN_RE = re.compile(r"\S+")
 
 
-def _phrase_pattern(phrase: str) -> "re.Pattern":
-    """Word-boundary guarded and case-insensitive, tolerant of run-together
-    whitespace between the phrase's tokens."""
-    body = r"\s+".join(re.escape(tok) for tok in phrase.split())
-    return re.compile(r"(?<!\w)" + body + r"(?!\w)", re.IGNORECASE)
+def _phrase_pattern(phrase: str) -> str:
+    """A phrase's regex, tolerant of run-together whitespace between its
+    tokens."""
+    return r"\s+".join(re.escape(tok) for tok in phrase.split())
 
 
 def _ascii_key(phrase: str) -> "str | None":
@@ -133,42 +132,31 @@ def _ascii_key(phrase: str) -> "str | None":
     return "".join(key)
 
 
-def _trie_pattern(words: "set[str]") -> str:
-    """A regex for exactly these strings, factored by common prefixes so
-    that the engine gives up on other text after a character or two."""
-    tails: "dict[str, set[str]]" = {}
-    for w in words:
-        tails.setdefault(w[:1], set()).add(w[1:])
-    alts = [re.escape(c) + _trie_pattern(rest) for c, rest in sorted(tails.items()) if c]
-    if not alts:
-        return ""
-    return "(?:" + "|".join(alts) + ")" + ("?" if "" in tails else "")
-
-
 class _PhraseIndex:
     """Every phrase of a gazetteer, filed under its first word, in the spirit
     of Aho & Corasick, "Efficient string matching" (CACM 1975).
 
     ``find`` gives, per phrase list, the spans that one ``finditer`` of the
-    list's longest-first alternation would give.  One regex pass finds the
-    phrase starts whose first word is a key.  Each candidate phrase there is
-    checked by its own regex, in its list's longest-first order, and each
-    list keeps its own next allowed position, so a list's matches never
-    overlap.
+    list's longest-first alternation would give.  One regex pass finds where
+    a phrase may start, each place not after a word character: a whole
+    word, a non-ASCII character that is not a word character, or an ASCII
+    symbol that leads a phrase.  An ASCII word or symbol is looked up in
+    lowercase among the keys, each phrase's leading word (or symbol) as the
+    lowercase ASCII text that ``re.IGNORECASE`` equates with it.  No phrase
+    filed elsewhere can match there, because ``re.IGNORECASE`` equates an
+    ASCII word character only with word characters and an ASCII symbol only
+    with itself, so a phrase that matches at a whole ASCII word has that
+    word as its leading word.  Anything else is looked up by its first
+    character in a bucket of the phrases whose first character
+    ``re.IGNORECASE`` equates with it, filled on first use.
 
-    The pass reads a lowercase copy of the text in which each non-ASCII
-    character is a "?".  Positions stay put, and every real phrase start is
-    a start in the copy too; the copy also shows some starts that are not
-    real, which each phrase regex rejects by its own word-boundary check.
-    A whole ASCII word not followed by a "?", or an ASCII symbol, is looked
-    up by its text.  No phrase filed elsewhere can match there, because
-    ``re.IGNORECASE`` equates an ASCII word character only with word
-    characters and an ASCII symbol only with itself.  A word followed by a
-    "?", or a "?" itself, is looked up instead by its first character in a
-    bucket of the phrases whose first character ``re.IGNORECASE`` equates
-    with it, filled on first use.
+    A key's phrases of one list are tried by one word-boundary guarded,
+    case-insensitive alternation, longest first: ``re`` tries alternatives
+    left to right, so the first that matches is the longest.  Each list
+    keeps its own next allowed position, so a list's matches never overlap.
 
-    Building the index compiles no phrase regex: each bucket's regexes are
+    Building the index compiles only the word-start pattern, whose size
+    does not grow with the gazetteer: each bucket's alternations are
     compiled when a pass first finds its key, so a process pays only for
     the phrases its text can reach.
     """
@@ -182,25 +170,17 @@ class _PhraseIndex:
         for slot, phrases in enumerate(self._lists):
             for phrase in phrases:
                 key = _ascii_key(phrase)
-                if key is not None and key != "?":  # every "?" goes to a bucket
+                if key is not None:
                     self._keyed.setdefault(key, {}).setdefault(slot, []).append(phrase)
-        # The buckets of phrase regexes, each compiled on its first hit.
-        self._by_key: "dict[str, dict[int, list[re.Pattern]]]" = {}
-        self._by_char: "dict[str, dict[int, list[re.Pattern]]]" = {}
-        words = {k for k in self._keyed if _LEADING_WORD_RE.fullmatch(k)}
-        symbols = "".join(re.escape(k) for k in self._keyed if k not in words)
-        starts = [_trie_pattern(words) + r"(?![\w?])"] if words else []
-        if symbols:
-            starts.append(f"[{symbols}]")
-        starts.append(r"\w*\?")
-        self._start_re = re.compile(r"(?<!\w)(?:" + "|".join(starts) + ")")
+        # The buckets of (list, alternation) pairs, each compiled on its first hit.
+        self._by_key: "dict[str, tuple[tuple[int, re.Pattern], ...]]" = {}
+        self._by_char: "dict[str, tuple[tuple[int, re.Pattern], ...]]" = {}
+        # A symbol key is an ASCII symbol but "_": the class holds at most 31.
+        symbols = "".join(re.escape(k) for k in self._keyed if not _LEADING_WORD_RE.match(k))
+        self._start_re = re.compile(
+            r"(?<!\w)(?:\w+|[^\x00-\x7f]" + (f"|[{symbols}]" if symbols else "") + ")")
 
-    def _compile_key(self, key: str) -> "dict[int, list[re.Pattern]]":
-        """Compile, and keep, the bucket of phrases filed under key."""
-        found = self._by_key[key] = _compile_bucket(self._keyed[key])
-        return found
-
-    def _char_candidates(self, ch: str) -> "dict[int, list[re.Pattern]]":
+    def _char_candidates(self, ch: str) -> "tuple[tuple[int, re.Pattern], ...]":
         """The bucket of phrases whose first character may be ch."""
         found = self._by_char.get(ch)
         if found is None:
@@ -215,28 +195,33 @@ class _PhraseIndex:
     def find(self, text: str) -> "dict[str, list[tuple[int, int]]]":
         spans: "list[list[tuple[int, int]]]" = [[] for _ in self.names]
         next_allowed = [0] * len(self.names)
-        by_key = self._by_key
-        scan = text.encode("ascii", "replace").decode("ascii").lower()
-        for m in self._start_re.finditer(scan):
-            pos, key = m.start(), m[0]
-            if key.endswith("?"):
-                candidates = self._char_candidates(text[pos])
-            else:  # a key's bucket is never empty
-                candidates = by_key.get(key) or self._compile_key(key)
-            for slot, patterns in candidates.items():
-                if pos < next_allowed[slot]:
-                    continue
-                for pattern in patterns:
+        by_key, keyed = self._by_key, self._keyed
+        for m in self._start_re.finditer(text):
+            word = m[0]
+            if word.isascii():
+                key = word.lower()
+                candidates = by_key.get(key)
+                if candidates is None:
+                    if key not in keyed:
+                        continue
+                    candidates = by_key[key] = _compile_bucket(keyed[key])
+            else:
+                candidates = self._char_candidates(word[0])
+            pos = m.start()
+            for slot, pattern in candidates:
+                if pos >= next_allowed[slot]:
                     hit = pattern.match(text, pos)
                     if hit:
                         spans[slot].append((pos, hit.end()))
                         next_allowed[slot] = hit.end()
-                        break
         return dict(zip(self.names, spans))
 
 
-def _compile_bucket(bucket: "dict[int, list[str]]") -> "dict[int, list[re.Pattern]]":
-    return {slot: [_phrase_pattern(p) for p in phrases] for slot, phrases in bucket.items()}
+def _compile_bucket(bucket: "dict[int, list[str]]") -> "tuple[tuple[int, re.Pattern], ...]":
+    return tuple(
+        (slot, re.compile(r"(?<!\w)(?:" + "|".join(map(_phrase_pattern, phrases)) + r")(?!\w)",
+                          re.IGNORECASE))
+        for slot, phrases in bucket.items())
 
 
 GazetteerError = SchemaError  # each names the JSON path of the phrase at fault
@@ -244,9 +229,8 @@ GazetteerError = SchemaError  # each names the JSON path of the phrase at fault
 _WHERE = ("gazetteer: $",)
 
 
-#: The longest first word a phrase may have.  The phrase index files each
-#: phrase under its first word in a regex trie that nests one group per
-#: character, and ``re.compile`` recurses once per group.
+#: The longest first word a phrase may have, a documented limit of the
+#: gazetteer format.
 MAX_FIRST_WORD = 100
 
 

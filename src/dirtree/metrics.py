@@ -257,10 +257,11 @@ def gold_page_labels(gold: dict) -> "dict[int, int]":
 def gold_tree_for_page(gold_page: dict, visual_page) -> ReadingTree:
     """Materialize the gold tree for one page.
 
-    Span records become nodes (Neither spans are skipped); parent indices
-    refer to positions in the spans array, null meaning the root.  Node
-    texts are sliced out of the visual page's group text, which is why the
-    caller must supply the source document.
+    Span records become nodes (Neither spans are checked, then skipped);
+    parent indices refer to positions in the spans array, null meaning the
+    root, and a Neither span's parent must be null.  Node texts are sliced
+    out of the visual page's group text, which is why the caller must
+    supply the source document.
     """
     spans = gold_page.get("spans", [])
     page_no = gold_page["page"]
@@ -269,17 +270,20 @@ def gold_tree_for_page(gold_page: dict, visual_page) -> ReadingTree:
         ROOT_ID: TreeNode(ROOT_ID, NodeLabel.ROOT, "", None)
     }
     for i, s in enumerate(spans):
-        if labels[i] is SpanLabel.NEITHER:
-            continue
         gi = s["group"]
         if gi < 0 or gi >= len(visual_page.groups):
-            raise ValueError(f"gold page {page_no} span {i}: no group {gi}")
+            raise ValueError(f"gold page {page_no} span {i}: no group {reprlib.repr(gi)}")
         text = group_text(visual_page.groups[gi])
         if not 0 <= s["start"] < s["end"] <= len(text):
             raise ValueError(
                 f"gold page {page_no} span {i}: offsets outside group text"
             )
         parent = s.get("parent")
+        if labels[i] is SpanLabel.NEITHER:
+            if parent is not None:
+                raise ValueError(f"gold page {page_no} span {i}: a Neither span's parent "
+                                 "must be null")
+            continue
         if parent is not None:
             if not 0 <= parent < len(spans):
                 raise ValueError(f"gold page {page_no} span {i}: bad parent index")

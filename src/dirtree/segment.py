@@ -10,12 +10,11 @@ Spans always tile the full group text exactly.
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 from typing import NamedTuple
 
-from .annotate import AnnotationLabel, GroupAnnotations
-from .visual import BBox, Group, StyleInfo, VisualPage, group_layout, group_text, union_all
+from .annotate import Annotation, AnnotationLabel, GroupAnnotations
+from .visual import BBox, Group, StyleInfo, VisualPage, group_layout, union_all
 
 
 class SpanLabel(str, Enum):
@@ -86,22 +85,26 @@ def page_style_stats(page: VisualPage) -> PageStyleStats:
     Page header/footer groups are excluded.  Ties break toward the smaller
     size, the lexicographically smaller family, the numerically smaller color.
     """
-    colors: Counter = Counter()
-    sizes: Counter = Counter()
-    families: Counter = Counter()
+    # Characters per style first: a page has few styles and many segments.
+    by_style: "dict[StyleInfo, int]" = {}
     for g in page.groups:
         if g.is_furniture:
             continue
         for line in g.lines:
             for seg in line.segments:
-                weight = len(seg.text)
-                colors[seg.style.color] += weight
-                sizes[size_bin(seg.style.font_size)] += weight
-                families[seg.style.font_family] += weight
-    if not colors:
+                by_style[seg.style] = by_style.get(seg.style, 0) + len(seg.text)
+    if not by_style:
         raise EmptyPageError("page has no text outside header/footer groups")
+    colors: "dict[int, int]" = {}
+    sizes: "dict[float, int]" = {}
+    families: "dict[str, int]" = {}
+    for style, weight in by_style.items():
+        colors[style.color] = colors.get(style.color, 0) + weight
+        size = size_bin(style.font_size)
+        sizes[size] = sizes.get(size, 0) + weight
+        families[style.font_family] = families.get(style.font_family, 0) + weight
 
-    def mode(counter: Counter):
+    def mode(counter: dict):
         return min(counter.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
     return PageStyleStats(
@@ -118,23 +121,17 @@ def _span_geometry(group: Group, layout, start: int, end: int) -> tuple[BBox, St
     ties go to the earlier segment in reading order.
     """
     boxes = []
-    weights: dict[StyleInfo, int] = {}
-    order: dict[StyleInfo, int] = {}
-    for idx, (seg, s0, s1) in enumerate(layout):
+    weights: dict[StyleInfo, int] = {}  # in order of first appearance
+    for seg, s0, s1 in layout:
         overlap = min(end, s1) - max(start, s0)
-        if overlap <= 0:
-            continue
-        boxes.append(seg.bbox)
-        weights[seg.style] = weights.get(seg.style, 0) + overlap
-        order.setdefault(seg.style, idx)
+        if overlap > 0:
+            boxes.append(seg.bbox)
+            weights[seg.style] = weights.get(seg.style, 0) + overlap
     if not boxes:
         # Span covers only joining whitespace; fall back to the whole group.
-        boxes = [group.bbox]
-        first = layout[0][0].style
-        weights[first] = 1
-        order[first] = 0
-    style = min(weights, key=lambda st: (-weights[st], order[st]))
-    return union_all(boxes), style
+        return group.bbox, layout[0][0].style
+    # max keeps the first of equal weights, the style met first.
+    return union_all(boxes), max(weights, key=weights.__getitem__)
 
 
 _ENTITY_LABELS = (AnnotationLabel.ORG, AnnotationLabel.PERSON)
@@ -142,14 +139,15 @@ _HEADER_LABELS = (AnnotationLabel.ROLE, AnnotationLabel.ADDRESS_TYPE)
 
 
 def _first_entity(anns: GroupAnnotations):
+    """The first entity by (start, end, label): ``select``'s order."""
     candidates = anns.select(*_ENTITY_LABELS)
-    if not candidates:
-        return None
-    return min(candidates, key=lambda a: (a.start, a.end, a.label.value))
+    return candidates[0] if candidates else None
 
 
-def _has_role_or_address(anns: GroupAnnotations, start: int, end: int) -> bool:
-    return any(a.start < end and a.end > start for a in anns.select(*_HEADER_LABELS))
+def _has_role_or_address(marks: "list[Annotation]", start: int, end: int) -> bool:
+    """Whether one of a group's ROLE/ADDRESS_TYPE annotations overlaps
+    [start, end)."""
+    return any(a.start < end and a.end > start for a in marks)
 
 
 def segment_page(page: VisualPage, anns: "list[GroupAnnotations]") -> list[LabeledSpan]:
@@ -182,76 +180,80 @@ def segment_page(page: VisualPage, anns: "list[GroupAnnotations]") -> list[Label
 
 
 def _segment_group(group, anns, stats: PageStyleStats, gi: int):
-    text = group_text(group)
+    # A run is [start, end, label, rule, geometry]; the geometry, when a
+    # style rule computed it, is reused for a span made of that run alone.
+    text = anns.text  # the group's text, as annotated
     layout = group_layout(group)
     n = len(text)
     if group.is_furniture:
-        runs = [[0, n, SpanLabel.NEITHER, RULE_PAGE_FURNITURE]]
+        runs = [[0, n, SpanLabel.NEITHER, RULE_PAGE_FURNITURE, None]]
     else:
         # The first entity claims one run and leaves at most a gap on
         # either side; rules 3 to 6 label each gap whole.
-        runs = [[0, n, None, None]]
+        runs = [[0, n, None, None, None]]
         entity = _first_entity(anns)
         if entity is not None:
             if text[entity.end:].strip():
-                claim = [entity.start, n, SpanLabel.BODY, RULE_ENTITY_BODY]
+                claim = [entity.start, n, SpanLabel.BODY, RULE_ENTITY_BODY, None]
             else:
-                claim = [entity.start, entity.end, SpanLabel.HEADER, RULE_ENTITY_HEADER]
-            runs = [r for r in ([0, claim[0], None, None], claim, [claim[1], n, None, None])
-                    if r[0] < r[1]]
-        for run in runs:
-            if run[2] is None:
-                run[2:] = _gap_rule(group, layout, text, anns, stats, run[0], run[1])
+                claim = [entity.start, entity.end, SpanLabel.HEADER, RULE_ENTITY_HEADER, None]
+            runs = [r for r in ([0, claim[0], None, None, None], claim,
+                                [claim[1], n, None, None, None]) if r[0] < r[1]]
+        gaps = [run for run in runs if run[2] is None]
+        if gaps:
+            marks = anns.select(*_HEADER_LABELS)
+            for run in gaps:
+                run[2:] = _gap_rule(group, layout, text, marks, stats, run[0], run[1])
         # A whitespace-only gap joins the run before it, or at the start of
         # the group the run after it; an all-whitespace group is body filler.
         for k, run in enumerate(runs):
             if run[2] is None:
                 if k:
-                    run[2:] = runs[k - 1][2:]
+                    run[2:4] = runs[k - 1][2:4]
                 elif len(runs) > 1:
-                    run[2:] = runs[1][2:]
+                    run[2:4] = runs[1][2:4]
                 else:
-                    run[2:] = SpanLabel.BODY, RULE_DEFAULT_BODY
+                    run[2:4] = SpanLabel.BODY, RULE_DEFAULT_BODY
 
     # Adjacent runs with one label merge, keeping the earliest cascade rule.
     merged = []
-    for start, end, label, rule in runs:
-        if merged and merged[-1][2] is label:
+    for run in runs:
+        if merged and merged[-1][2] is run[2]:
             last = merged[-1]
-            last[1] = end
-            last[3] = min(last[3], rule, key=_RULE_ORDER.__getitem__)
+            last[1] = run[1]
+            last[3] = min(last[3], run[3], key=_RULE_ORDER.__getitem__)
+            last[4] = None
         else:
-            merged.append([start, end, label, rule])
+            merged.append(run)
     spans = []
-    for start, end, label, rule in merged:
-        bbox, style = _span_geometry(group, layout, start, end)
-        spans.append(LabeledSpan(
-            group_index=gi, start=start, end=end, label=label, text=text[start:end],
-            bbox=bbox, style_summary=style, fired_rule=rule,
-        ))
+    for start, end, label, rule, geometry in merged:
+        bbox, style = geometry or _span_geometry(group, layout, start, end)
+        spans.append(LabeledSpan(gi, start, end, label, text[start:end], bbox, style, rule))
     return spans
 
 
-def _gap_rule(group, layout, text, anns, stats: PageStyleStats, start: int, end: int):
-    """(label, rule) of rules 3 to 6 for text[start:end], or (None, None)
+def _gap_rule(group, layout, text, marks, stats: PageStyleStats, start: int, end: int):
+    """(label, rule, geometry) of rules 3 to 6 for text[start:end], with the
+    span's geometry when a style rule computed it, or (None, None, None)
     when the gap is whitespace only."""
     chunk = text[start:end].strip()
     if not chunk:
-        return None, None
+        return None, None, None
     if chunk.endswith((":", "-")) and chunk.split()[-1].lower() not in _CONTACT_TOKENS:
-        return SpanLabel.HEADER, RULE_COLON_DASH
-    if _has_role_or_address(anns, start, end):
-        return SpanLabel.HEADER, RULE_ROLE_ADDRESS
-    _, style = _span_geometry(group, layout, start, end)
+        return SpanLabel.HEADER, RULE_COLON_DASH, None
+    if _has_role_or_address(marks, start, end):
+        return SpanLabel.HEADER, RULE_ROLE_ADDRESS, None
+    geometry = _span_geometry(group, layout, start, end)
+    style = geometry[1]
     if style.color != stats.predominant_color:
-        return SpanLabel.HEADER, RULE_STYLE_COLOR
+        return SpanLabel.HEADER, RULE_STYLE_COLOR, geometry
     if style.bold or style.italic:
-        return SpanLabel.HEADER, RULE_STYLE_BOLD_ITALIC
+        return SpanLabel.HEADER, RULE_STYLE_BOLD_ITALIC, geometry
     if size_bin(style.font_size) > stats.majority_font_size:
-        return SpanLabel.HEADER, RULE_STYLE_SIZE
+        return SpanLabel.HEADER, RULE_STYLE_SIZE, geometry
     if style.font_family != stats.majority_font_family:
-        return SpanLabel.HEADER, RULE_STYLE_FAMILY
-    return SpanLabel.BODY, RULE_DEFAULT_BODY
+        return SpanLabel.HEADER, RULE_STYLE_FAMILY, geometry
+    return SpanLabel.BODY, RULE_DEFAULT_BODY, geometry
 
 
 def spans_to_json(page_index: int, spans: "list[LabeledSpan]") -> dict:

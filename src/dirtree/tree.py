@@ -19,7 +19,7 @@ from .jsonin import (
     ROOT, SchemaError, finite, integer, items, json_path, nullable, obj, one_of, string, top,
 )
 from .segment import LabeledSpan, SpanLabel
-from .visual import BBox, v_gap, x_overlap, y_overlap
+from .visual import BBox, v_gap, x_overlap
 
 
 class TreeParamError(ValueError):
@@ -110,13 +110,13 @@ _CASING_OTHER = "other"
 
 
 def casing_class(text: str) -> str:
-    letters = [c for c in text if c.isalpha()]
+    # filter and map test each character without a Python frame per character.
+    letters = "".join(filter(str.isalpha, text))
     if not letters:
         return _CASING_OTHER
-    if all(c.isupper() for c in letters):
+    if all(map(str.isupper, letters)):
         return _CASING_ALL_CAPS
-    first = letters[0]
-    return _CASING_TITLE if first.isupper() else _CASING_OTHER
+    return _CASING_TITLE if letters[0].isupper() else _CASING_OTHER
 
 
 def cluster_headers(spans: "list[LabeledSpan]", p: TreeParams) -> "dict[LabeledSpan, int]":
@@ -138,29 +138,23 @@ def cluster_headers(spans: "list[LabeledSpan]", p: TreeParams) -> "dict[LabeledS
             group += 1
         size_group_of[cur] = group
 
-    def style_key(s: LabeledSpan):
+    keys = []  # one per header: casing_class runs once per header
+    for s in headers:
         st = s.style_summary
-        return (st.bold, st.italic, st.color, casing_class(s.text))
-
-    keys = sorted(
-        {(size_group_of[s.style_summary.font_size], style_key(s)) for s in headers},
-        key=lambda k: (k[0], k[1][0], k[1][1], k[1][2], k[1][3]),
-    )
-    ids = {key: i + 1 for i, key in enumerate(keys)}
-    return {
-        s: ids[(size_group_of[s.style_summary.font_size], style_key(s))]
-        for s in headers
-    }
+        keys.append((size_group_of[st.font_size], st.bold, st.italic, st.color, casing_class(s.text)))
+    ids = {key: i + 1 for i, key in enumerate(sorted(set(keys)))}
+    return {s: ids[key] for s, key in zip(headers, keys)}
 
 
 # --- reading order ---------------------------------------------------------
 
 def _same_band(a: BBox, b: BBox, p: TreeParams) -> bool:
-    overlap = y_overlap(a, b)
-    shorter = min(a.height, b.height)
+    # y_overlap and the heights, written out: this runs once per pair.
+    shorter = min(a.bottom - a.top, b.bottom - b.top)
     if shorter <= 0:
         # Degenerate zero-height boxes: band together only when touching.
         return max(a.top, b.top) <= min(a.bottom, b.bottom)
+    overlap = min(a.bottom, b.bottom) - max(a.top, b.top)
     # overlap > 0 first: band_overlap_frac * shorter can underflow to 0.0.
     return overlap > 0 and overlap >= p.band_overlap_frac * shorter
 
@@ -192,12 +186,13 @@ def reading_sequence(spans: "list[LabeledSpan]", p: "TreeParams | None" = None) 
     # y-intervals meet (an inverted box meets nothing), so each span is
     # tested only against earlier spans whose bottom reaches its top.
     boxes = [s.bbox for s in spans]
+    tops = [b.top for b in boxes]
     open_spans: list[int] = []
-    for j in sorted(range(n), key=lambda i: boxes[i].top):
-        top = boxes[j].top
+    for j in sorted(range(n), key=tops.__getitem__):
+        top, box = tops[j], boxes[j]
         open_spans = [i for i in open_spans if boxes[i].bottom >= top]
         for i in open_spans:
-            if _same_band(boxes[i], boxes[j], p):
+            if _same_band(boxes[i], box, p):
                 union(i, j)
         open_spans.append(j)
 
@@ -206,14 +201,12 @@ def reading_sequence(spans: "list[LabeledSpan]", p: "TreeParams | None" = None) 
         bands.setdefault(find(i), []).append(i)
 
     def band_key(members):
-        return (
-            min(spans[i].bbox.top for i in members),
-            min(spans[i].bbox.left for i in members),
-        )
+        return min(tops[i] for i in members), min(boxes[i].left for i in members)
 
+    tie_keys = [_tie_key(s, i) for i, s in enumerate(spans)]
     ordered = []
     for members in sorted(bands.values(), key=band_key):
-        members.sort(key=lambda i: _tie_key(spans[i], i))
+        members.sort(key=tie_keys.__getitem__)
         ordered.extend(spans[i] for i in members)
     return ordered
 
@@ -233,11 +226,12 @@ def can_parent(
     left edge; and two headers from the same cluster are never related.
     """
     p = p or TreeParams()
-    if n.bbox.top <= c.bbox.top + p.align_tol:
+    cb, nb = c.bbox, n.bbox
+    if nb.top <= cb.top + p.align_tol:
         return False
     admissible = (
-        x_overlap(c.bbox, n.bbox) >= p.min_x_overlap_frac * n.bbox.width
-        or n.bbox.left >= c.bbox.left - p.align_tol
+        x_overlap(cb, nb) >= p.min_x_overlap_frac * (nb.right - nb.left)
+        or nb.left >= cb.left - p.align_tol
     )
     if not admissible:
         return False
@@ -343,49 +337,42 @@ def build_tree(spans: "list[LabeledSpan]", p: "TreeParams | None" = None) -> Rea
     clusters = cluster_headers(sequence, p)
     line_height = median_line_height(sequence)
 
-    node_of = {id(s): i + 1 for i, s in enumerate(sequence)}
-    nodes: dict[int, TreeNode] = {
-        ROOT_ID: TreeNode(ROOT_ID, NodeLabel.ROOT, "", None)
-    }
-    for s in sequence:
-        nodes[node_of[id(s)]] = TreeNode(
-            node_id=node_of[id(s)],
-            label=NodeLabel.HEADER if s.label is SpanLabel.HEADER else NodeLabel.BODY,
-            text=s.text,
-            parent=None,
-            cluster_id=clusters.get(s),
-            bbox=s.bbox,
-        )
+    # A span's node id is its reading position + 1, and a header's cluster
+    # id is looked up once, so the claim loop hashes no span.
+    root = TreeNode(ROOT_ID, NodeLabel.ROOT, "", None)
+    nodes: dict[int, TreeNode] = {ROOT_ID: root}
+    for node_id, s in enumerate(sequence, 1):
+        header = s.label is SpanLabel.HEADER
+        nodes[node_id] = TreeNode(node_id, NodeLabel.HEADER if header else NodeLabel.BODY, s.text,
+                                  None, None, clusters[s] if header else None, s.bbox)
 
-    # Unclaimed earlier spans, bucketed: bodies under None, headers under
+    # Unclaimed earlier node ids, bucketed: bodies under None, headers under
     # their cluster id.  A body can claim only bodies, and a header anything
     # outside its own cluster, so each scans only the buckets it could claim.
-    unclaimed: "dict[int | None, list[LabeledSpan]]" = {}
-    for current in reversed(sequence):
-        cur_node = nodes[node_of[id(current)]]
-        key = clusters.get(current)  # None for a body
+    unclaimed: "dict[int | None, list[int]]" = {}
+    for node_id in range(len(sequence), 0, -1):
+        current, cur_node = sequence[node_id - 1], nodes[node_id]
+        key = cur_node.cluster_id  # None for a body
         for k in [None] if key is None else [k for k in unclaimed if k != key]:
             kept = []
             for earlier in unclaimed.get(k, ()):
                 if (
-                    same_entry(current, earlier, sequence, p, line_height)
+                    same_entry(current, sequence[earlier - 1], sequence, p, line_height)
                     if key is None
-                    else can_parent(current, earlier, clusters, p)
+                    else can_parent(current, sequence[earlier - 1], clusters, p)
                 ):
-                    node = nodes[node_of[id(earlier)]]
-                    node.parent = cur_node.node_id
-                    cur_node.children.append(node.node_id)
+                    nodes[earlier].parent = node_id
+                    cur_node.children.append(earlier)
                 else:
                     kept.append(earlier)
             unclaimed[k] = kept
-        unclaimed.setdefault(key, []).append(current)
+        unclaimed.setdefault(key, []).append(node_id)
 
-    root = nodes[ROOT_ID]
-    for s in sequence:
-        node = nodes[node_of[id(s)]]
+    for node_id in range(1, len(sequence) + 1):
+        node = nodes[node_id]
         if node.parent is None:
             node.parent = ROOT_ID
-            root.children.append(node.node_id)
+            root.children.append(node_id)
 
     _demote_childless_headers(nodes)
 
@@ -400,14 +387,21 @@ def _demote_childless_headers(nodes: "dict[int, TreeNode]") -> None:
 
     A node claims only spans later in the reading sequence, so a child's id
     is larger than its parent's: in descending id order every header is
-    visited after all of its children.
+    visited after all of its children.  Moved children are counted per
+    parent and taken out of its list once, at the end.
     """
+    root = nodes[ROOT_ID]
+    lost: "dict[int, int]" = {}  # parent id -> children moved away from it
     for node_id in sorted(nodes, reverse=True):
         node = nodes[node_id]
-        if node.label is NodeLabel.HEADER and not node.children and node.parent != ROOT_ID:
-            nodes[node.parent].children.remove(node_id)
+        if (node.label is NodeLabel.HEADER and node.parent != ROOT_ID
+                and len(node.children) == lost.get(node_id, 0)):
+            lost[node.parent] = lost.get(node.parent, 0) + 1
             node.parent = ROOT_ID
-            nodes[ROOT_ID].children.append(node_id)
+            root.children.append(node_id)
+    for parent_id in lost:
+        parent = nodes[parent_id]
+        parent.children = [c for c in parent.children if nodes[c].parent == parent_id]
 
 
 def validate_tree(tree: ReadingTree) -> None:
@@ -420,6 +414,9 @@ def validate_tree(tree: ReadingTree) -> None:
     nodes = tree.nodes
     if ROOT_ID not in nodes or nodes[ROOT_ID].label is not NodeLabel.ROOT:
         raise TreeInvariantError("missing root node")
+    # Every (parent, child) link the children lists hold, so that each test
+    # below costs the same however many children a node has.
+    listed = {(node_id, c) for node_id, node in nodes.items() for c in node.children}
     for node in nodes.values():
         if node.node_id == ROOT_ID:
             if node.parent is not None:
@@ -427,7 +424,7 @@ def validate_tree(tree: ReadingTree) -> None:
             continue
         if node.parent is None or node.parent not in nodes:
             raise TreeInvariantError(f"node {node.node_id} has no valid parent")
-        if node.node_id not in nodes[node.parent].children:
+        if (node.parent, node.node_id) not in listed:
             raise TreeInvariantError(
                 f"node {node.node_id} missing from its parent's children"
             )
@@ -443,15 +440,18 @@ def validate_tree(tree: ReadingTree) -> None:
             if nodes[c].parent != node.node_id:
                 raise TreeInvariantError(f"child link {node.node_id}->{c} not mirrored")
 
-    # Acyclicity: every node must reach the root.
+    # Acyclicity: every node must reach the root.  A walk stops at a node
+    # an earlier walk has shown to reach it.
+    reaches_root = {ROOT_ID}
     for node in nodes.values():
         visited = set()
         cur = node.node_id
-        while cur != ROOT_ID:
+        while cur not in reaches_root:
             if cur in visited:
                 raise TreeInvariantError(f"cycle involving node {cur}")
             visited.add(cur)
             cur = nodes[cur].parent
+        reaches_root |= visited
 
     for node in nodes.values():
         if node.node_id == ROOT_ID:

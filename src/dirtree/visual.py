@@ -59,10 +59,9 @@ class BBox(NamedTuple):
 def union_all(boxes: "list[BBox]") -> BBox:
     if not boxes:
         raise ValueError("cannot union zero boxes")
-    out = boxes[0]
-    for b in boxes[1:]:
-        out = out.union(b)
-    return out
+    # min and max keep the first of equal values, as chained unions do.
+    lefts, tops, rights, bottoms = zip(*boxes)
+    return BBox(min(lefts), min(tops), max(rights), max(bottoms))
 
 
 def x_overlap(a: BBox, b: BBox) -> float:

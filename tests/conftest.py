@@ -302,15 +302,16 @@ def with_cycle(draw, document):
     records of one array loop.  The records are a predicted tree's nodes,
     which name a parent by its "id", or a gold page's spans, which name it by
     its index; a node's ``children`` are relinked to match its new parent,
-    so that only the loop is wrong.  Only tree nodes loop: never the root,
-    nor a Neither span, which the gold tree leaves out."""
+    so that only the loop is wrong.  Any record but the root may loop: a
+    Neither span too, whose parent must be null although the gold tree
+    leaves it out."""
     document = copy.deepcopy(document)
     arrays = [value for where, value in json_nodes(document) if isinstance(value, list)
               and any(isinstance(r, dict) and "parent" in r for r in value)]
     records = draw(st.sampled_from(arrays))
     keys = [r.get("id", i) for i, r in enumerate(records)]
     loop = draw(st.lists(st.sampled_from([i for i, r in enumerate(records)
-                                          if r.get("label") not in ("Root", "Neither")]),
+                                          if r.get("label") != "Root"]),
                          min_size=1, max_size=3, unique=True))
     for child, parent in zip(loop, loop[1:] + loop[:1]):
         records[child]["parent"] = keys[parent]

@@ -695,3 +695,38 @@ def test_phrase_index_compiles_phrases_on_first_hit(monkeypatch):
     assert compiled == ["Custodian", "Zürich"]
     index.find("Custodian, Zürich, custodian")
     assert compiled == ["Custodian", "Zürich"]
+
+
+def _synthetic_phrases(n):
+    """n phrases with n distinct first words: ASCII words, words with a
+    non-ASCII letter, and words led by an ASCII symbol."""
+    phrases = []
+    for i in range(n):
+        word = "".join(chr(97 + int(d)) for d in str(i))
+        lead = (f"Zü{word}", f"&{word}", f"({word})")[i % 3] if i % 10 == 0 else word.title()
+        phrases.append(f"{lead} Capital Partners")
+    return tuple(phrases)
+
+
+@pytest.mark.parametrize("n", [30, 3000])
+def test_phrase_index_build_compiles_nothing_that_grows(n, monkeypatch):
+    # A pattern of every first word would grow with the gazetteer, and
+    # re.compile takes time in proportion to a pattern's length.  The
+    # word-start pattern, the longest built, is 79 characters when all 31
+    # ASCII symbols that may lead a phrase do.
+    compiled = []
+    real = re.compile
+
+    def recording(pattern, flags=0):
+        compiled.append(pattern)
+        return real(pattern, flags)
+
+    monkeypatch.setattr(re, "compile", recording)
+    gaz = Gazetteer(orgs=_synthetic_phrases(n), gpe=("Luxembourg", "Zürich"))
+    index = gaz.phrase_index
+    assert compiled and max(map(len, compiled)) <= 100, max(compiled, key=len)
+    monkeypatch.setattr(re, "compile", real)
+    text = f"{gaz.orgs[-1]}, {gaz.orgs[0]} and zürich"
+    assert index.find(text)["orgs"] == [(0, len(gaz.orgs[-1])), (len(gaz.orgs[-1]) + 2,
+                                        len(gaz.orgs[-1]) + 2 + len(gaz.orgs[0]))]
+    assert index.find(text)["gpe"] == [(len(text) - 6, len(text))]

@@ -212,7 +212,7 @@ def test_blocks_rejects_integer_beyond_float_range(where, fig1a_path, tmp_path):
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["at_bound", "past_bound"])
 def test_gazetteer_first_word_length_is_bounded(extra, fig1a_path, tmp_path, capsys):
-    # The phrase index nests one regex group per character of a first word.
+    # The gazetteer format bounds the length of a phrase's first word.
     gaz = tmp_path / "gazetteer.json"
     gaz.write_text(json.dumps({"roles": ["x" * (MAX_FIRST_WORD + extra) + " of the Fund"]}))
     rc = run_cli("blocks", str(fig1a_path), "--pages", "all", "--gazetteer", str(gaz))
@@ -784,6 +784,23 @@ def test_eval_tree_requires_doc(fig1a_gold_path, tmp_path, capsys):
                  "--pred", str(pred), "--gold", str(fig1a_gold_path))
     assert rc == 1
     assert "--doc" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("parent", 999, "a Neither span's parent must be null"),
+    ("parent", 14, "a Neither span's parent must be null"),
+    ("group", 999, "no group 999"),
+    ("end", 10_000, "offsets outside group text"),
+])
+def test_eval_tree_checks_neither_gold_spans(key, value, reason, fig1a_gold, tmp_path, capsys):
+    # Span 14 of the fig1a gold is Neither: left out of the gold tree, but
+    # checked like every other span.
+    assert fig1a_gold["pages"][0]["spans"][14]["label"] == "Neither"
+    gold, pred = tmp_path / "gold.json", tmp_path / "pred.json"
+    gold.write_text(json.dumps(_with(fig1a_gold, ("pages", 0, "spans", 14, key), value)))
+    pred.write_text(json.dumps(_PREDICTED))
+    rc = run_cli("eval", "--stage", "tree", "--doc", FIG1A, "--pred", str(pred), "--gold", str(gold))
+    assert (rc, capsys.readouterr().err) == (1, f"error: gold page 0 span 14: {reason}\n")
 
 
 def test_eval_page_set_mismatch(fig1a_gold_path, tmp_path, capsys):

@@ -301,6 +301,24 @@ def test_grid_blocks_independent_of_group_order(case):
     assert _blocks_json(_with_groups_in_order(grid, order)) == _blocks_json(grid)
 
 
+# A grid page of several hundred spans: every title, one- and two-line
+# bodies and, every seventh entry, a stacked title, in a fixed cycle.
+LARGE_GRID = _grid([
+    (_GRID_TITLES[i % 6], [_GRID_LINES[i % 4], _GRID_LINES[(i + 1) % 4]][:1 + i % 2],
+     (_GRID_TITLES[(i + 2) % 6], 60 + 40 * (i % 2)) if i % 7 == 0 else None)
+    for i in range(200)
+], 5)
+# SHA-256 of stdout, computed before the phrase index, the rule cascade and
+# the tree build were made cheaper per span.
+LARGE_GRID_BLOCKS = "058adaf2ba020a988bdda53a81f79be61f74caeb56b5194d901d4b10402d229b"
+
+
+def test_large_grid_blocks_bytes_pinned(capsys, tmp_path):
+    out = _stdout(capsys, tmp_path, [LARGE_GRID], "blocks", "--pages", "all")
+    assert len(json.loads(out)["blocks"]) == 200
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_GRID_BLOCKS
+
+
 def test_stacked_headers_at_one_corner_independent_of_group_order():
     # Two bold headers share a top-left corner; geometry and text, not the
     # order of the groups, decide which of them heads the body below.

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dirtree.annotate import Annotation, AnnotationLabel, Gazetteer, annotate
 from dirtree.segment import (
     _CONTACT_TOKENS,
+    _HEADER_LABELS,
     _RULE_ORDER,
     _first_entity,
     _has_role_or_address,
@@ -379,7 +380,7 @@ def _reference_segment_group(group, anns, stats, gi):
                 if chunk.split()[-1].lower() not in _CONTACT_TOKENS:
                     paint(start, end, SpanLabel.HEADER, RULE_COLON_DASH)
                     continue
-            if _has_role_or_address(anns, start, end):
+            if _has_role_or_address(anns.select(*_HEADER_LABELS), start, end):
                 paint(start, end, SpanLabel.HEADER, RULE_ROLE_ADDRESS)
                 continue
             _, style = _span_geometry(group, layout, start, end)
@@ -480,15 +481,15 @@ def _page_and_annotations(draw):
                                           AnnotationLabel.ROLE, AnnotationLabel.GPE]))
             if start < end:
                 anns[gi].append(Annotation(label, start, end, text[start:end]))
-    return vp, [_Annotations(a) for a in anns]
+    return vp, [_Annotations(a, group_text(g)) for a, g in zip(anns, vp.groups)]
 
 
 class _Annotations:
-    """A group's annotations as a plain list, read through ``select`` the
-    way segmentation reads ``GroupAnnotations``."""
+    """A group's annotations as a plain list, read through ``text`` and
+    ``select`` the way segmentation reads ``GroupAnnotations``."""
 
-    def __init__(self, anns):
-        self.anns = anns
+    def __init__(self, anns, text):
+        self.anns, self.text = anns, text
 
     def select(self, *labels):
         return sorted((a for a in self.anns if a.label in labels),
@@ -564,5 +565,5 @@ def test_segment_calls_grow_linearly_with_span_count():
 def test_segment_reads_annotate_output_as_plain_lists(cells, fig1a_page):
     vp = _grid_page(cells) if cells else fig1a_page
     got = segment_page(vp, annotate(vp, GAZ))
-    lists = [_Annotations(a.select(*AnnotationLabel)) for a in annotate(vp, GAZ)]
+    lists = [_Annotations(a.select(*AnnotationLabel), a.text) for a in annotate(vp, GAZ)]
     assert got == _reference_segment_page(vp, lists)

@@ -833,6 +833,64 @@ def test_validate_same_cluster_parent_child():
         validate_tree(ReadingTree(nodes))
 
 
+def _equality_tests(make_nodes, k, work):
+    """Equality tests made on node ids while ``work`` runs on the nodes
+    ``make_nodes(k, Id)`` builds, where ``Id`` makes a node id that counts
+    them: a scan of a children list for an id tests every id it passes."""
+    count = [0]
+
+    class Id(int):
+        __hash__ = int.__hash__
+
+        def __eq__(self, other):
+            count[0] += 1
+            return int.__eq__(self, other)
+
+    nodes = make_nodes(k, Id)
+    count[0] = 0
+    work(nodes)
+    return count[0]
+
+
+def _root_of_bodies(k, Id):
+    """A root with k body children, each a block of its own."""
+    nodes = {Id(ROOT_ID): TreeNode(Id(ROOT_ID), NodeLabel.ROOT, "", None,
+                                   children=[Id(i) for i in range(1, k + 1)])}
+    for i in range(1, k + 1):
+        nodes[Id(i)] = TreeNode(Id(i), NodeLabel.BODY, f"body {i}", Id(ROOT_ID))
+    return nodes
+
+
+def _header_over_headers(k, Id):
+    """A header under the root whose k children are childless headers."""
+    nodes = {
+        Id(ROOT_ID): TreeNode(Id(ROOT_ID), NodeLabel.ROOT, "", None, children=[Id(1)]),
+        Id(1): TreeNode(Id(1), NodeLabel.HEADER, "Title", Id(ROOT_ID),
+                        children=[Id(i) for i in range(2, k + 2)], cluster_id=1),
+    }
+    for i in range(2, k + 2):
+        nodes[Id(i)] = TreeNode(Id(i), NodeLabel.HEADER, f"Head {i}", Id(1), cluster_id=2)
+    return nodes
+
+
+def _demote_and_check(nodes):
+    tree_module._demote_childless_headers(nodes)
+    assert all(node.parent == ROOT_ID for node_id, node in nodes.items() if node_id != ROOT_ID)
+    assert sorted(nodes[ROOT_ID].children) == sorted(set(nodes) - {ROOT_ID})
+    assert nodes[1].children == []
+
+
+@pytest.mark.parametrize("make_nodes, work", [
+    (_root_of_bodies, lambda nodes: validate_tree(ReadingTree(nodes))),
+    (_header_over_headers, _demote_and_check),
+], ids=["validate_tree", "demote_childless_headers"])
+def test_tree_checks_linear_in_child_count(make_nodes, work):
+    # A membership test or a remove per child, on a node with k children,
+    # would make k * k / 2 equality tests.
+    small, large = (_equality_tests(make_nodes, k, work) for k in (500, 1000))
+    assert large <= 2.2 * small + 20, (small, large)
+
+
 # --- blocks ---
 
 def test_blocks_order_by_last_chain_member():
