@@ -149,7 +149,7 @@ def cluster_headers(spans: "list[LabeledSpan]", p: TreeParams) -> "dict[LabeledS
 # --- reading order ---------------------------------------------------------
 
 def _same_band(a: BBox, b: BBox, p: TreeParams) -> bool:
-    # y_overlap and the heights, written out: this runs once per pair.
+    # The heights and the vertical overlap, written out: this runs once per pair.
     shorter = min(a.bottom - a.top, b.bottom - b.top)
     if shorter <= 0:
         # Degenerate zero-height boxes: band together only when touching.
