@@ -12,6 +12,7 @@ passes the threshold, so a split decided early reads no more groups.
 from __future__ import annotations
 
 import math
+import reprlib
 from operator import itemgetter
 
 from .annotate import AnnotationLabel, GroupAnnotations, is_address_candidate
@@ -185,31 +186,38 @@ def write_features_csv(f, rows: "list[tuple[FeatureVector, int | None]]") -> Non
 
 
 def read_features_csv(f) -> "list[tuple[list[float], int]]":
-    """Read labeled feature rows; rows with an empty label are skipped."""
+    """Read labeled feature rows; rows with an empty label are skipped.  An
+    error names the line on which the faulty record starts."""
     import csv
 
     reader = csv.reader(f)
-    header = next(reader, None)
     expected = list(FEATURE_NAMES) + ["label"]
-    if header != expected:
-        raise ValueError(f"bad CSV header: expected {expected}, got {header}")
     rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(expected):
-            raise ValueError(f"line {lineno}: expected {len(expected)} columns")
-        label_text = row[-1].strip().lower()
-        if not label_text:
-            continue
-        if label_text in ("1", "directory", "true"):
-            label = 1
-        elif label_text in ("0", "non-directory", "false"):
-            label = 0
-        else:
-            raise ValueError(f"line {lineno}: unrecognized label {row[-1]!r}")
-        x = [_csv_value(v, name, lineno) for v, name in zip(row, FEATURE_NAMES)]
-        rows.append((x, label))
+    start = 1  # the line on which the record being read starts
+    try:
+        header = next(reader, None)
+        if header != expected:
+            raise ValueError(f"bad CSV header: expected {expected}, got {reprlib.repr(header)}")
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
+            if not row:
+                continue
+            if len(row) != len(expected):
+                raise ValueError(f"line {lineno}: expected {len(expected)} columns")
+            label_text = row[-1].strip().lower()
+            if not label_text:
+                continue
+            if label_text in ("1", "directory", "true"):
+                label = 1
+            elif label_text in ("0", "non-directory", "false"):
+                label = 0
+            else:
+                raise ValueError(f"line {lineno}: unrecognized label {reprlib.repr(row[-1])}")
+            x = [_csv_value(v, name, lineno) for v, name in zip(row, FEATURE_NAMES)]
+            rows.append((x, label))
+    except csv.Error as e:  # such as a field past the csv module's size limit
+        raise ValueError(f"line {start}: {e}") from None
     return rows
 
 
@@ -217,7 +225,7 @@ def _csv_value(text: str, name: str, lineno: int) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ValueError(f"line {lineno}: {name} is not a number: {text!r}") from None
+        raise ValueError(f"line {lineno}: {name} is not a number: {reprlib.repr(text)}") from None
     if not math.isfinite(value):
-        raise ValueError(f"line {lineno}: {name} must be finite, got {text!r}")
+        raise ValueError(f"line {lineno}: {name} must be finite, got {reprlib.repr(text)}")
     return value

@@ -4,17 +4,15 @@ Everything is deterministic given (data, hyperparameters, seed): bootstrap
 draws, per-split feature subsets and tie-breaking all follow fixed rules, so
 two training runs serialize to byte-identical JSON.
 
-Split search works on histograms: for one feature at one node, the distinct
-values ascending with the number of negative and positive rows at each.  A
-node's rows are kept split by class, so its class counts are two list
-lengths.  A node builds a histogram only for a feature it draws, and the
-larger of two children takes it as its parent's histogram minus its smaller
-sibling's (the histogram-subtraction trick of LightGBM, Ke et al., 2017),
-so only the smaller child's rows are read for it.  Where the parent did not
-draw the feature, the child counts its own rows.  Either way a node reads
-no more feature values than counting its own rows would, and a split
-partitions the rows with one read each.  The thresholds are then swept in
-ascending order with running class counts (see ``_best_split``).
+Training bins the rows once per ``train`` call, as LightGBM does (Ke et
+al., 2017): each feature's distinct values, ascending, take a run of
+slots, the runs of all features lie end to end, and each row is coded once
+as a tuple of slots; bootstraps draw coded rows.  A node keeps its rows
+split by class, and its histogram as two flat lists of slot counts per
+class over every feature; the larger of two children takes its parent's
+lists minus its smaller sibling's, so only the smaller child's rows are
+counted.  The search drops the values no row of a node has and sweeps the
+thresholds in ascending order (see ``_best_split``).
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import math
 import random
 from bisect import bisect_right
 from collections import _count_elements  # the C helper Counter counts with
-from itertools import accumulate, compress, islice, repeat
+from itertools import accumulate, chain, compress, count, islice
 from operator import itemgetter, not_, or_, sub
 from typing import NamedTuple
 
@@ -142,6 +140,9 @@ def resample(d: Dataset, target_pos: int, target_neg: int, seed: int) -> Dataset
     Sampling is uniform without replacement when the target does not exceed
     the supply, with replacement otherwise.
     """
+    for name, target in (("target_pos", target_pos), ("target_neg", target_neg)):
+        if target < 1:
+            raise ValueError(f"{name} must be >= 1, got {target}")
     pos = [row for row in d.rows if row[1] == 1]
     neg = [row for row in d.rows if row[1] == 0]
     if not pos or not neg:
@@ -156,56 +157,54 @@ def resample(d: Dataset, target_pos: int, target_neg: int, seed: int) -> Dataset
     return Dataset(rows=draw(pos, target_pos) + draw(neg, target_neg))
 
 
-def _count(neg, pos, f):
-    """Histogram of feature ``f``: its distinct values ascending, with the
-    number of negative and of positive rows at each."""
-    value_of = itemgetter(f)
-    neg_counts, pos_counts = {}, {}
-    _count_elements(neg_counts, map(value_of, neg))
-    _count_elements(pos_counts, map(value_of, pos))
-    values = sorted(neg_counts.keys() | pos_counts.keys())
-    return (values, list(map(neg_counts.get, values, repeat(0))),
-            list(map(pos_counts.get, values, repeat(0))))
+class _Bins:
+    """Rows coded once: feature ``f``'s distinct values, ascending, are
+    ``values[f]``, in slots ``offsets[f]`` up to ``offsets[f + 1]``; ``rows``
+    holds each row as (its slots, its label); ``zeros`` maps each slot to 0."""
 
+    __slots__ = ("values", "offsets", "rows", "zeros")
 
-def _subtract(parent, sibling):
-    """A child's histogram: its parent's minus its sibling's, without the
-    values no row of the child has."""
-    values, neg, pos = parent
-    sib_values, sib_neg, sib_pos = sibling
-    neg = list(map(sub, neg, map(dict(zip(sib_values, sib_neg)).get, values, repeat(0))))
-    pos = list(map(sub, pos, map(dict(zip(sib_values, sib_pos)).get, values, repeat(0))))
-    keep = list(map(or_, neg, pos))
-    if all(keep):
-        return values, neg, pos
-    return list(compress(values, keep)), list(compress(neg, keep)), list(compress(pos, keep))
+    def __init__(self, rows):
+        xs = [x for x, _ in rows]
+        self.values, self.offsets, codes = [], [0], []
+        for f in range(len(xs[0]) if xs else 0):
+            column = list(map(itemgetter(f), xs))  # the one read of each value
+            values = sorted(set(column))
+            self.values.append(values)
+            codes.append(map(dict(zip(values, count(self.offsets[-1]))).__getitem__, column))
+            self.offsets.append(self.offsets[-1] + len(values))
+        coded = list(zip(*codes)) or [()] * len(xs)  # rows of no features
+        self.rows = list(zip(coded, map(itemgetter(1), rows)))
+        self.zeros = dict.fromkeys(range(self.offsets[-1]), 0)
+
+    def node(self, rows):
+        return _Rows(self, [x for x, y in rows if not y], [x for x, y in rows if y])
 
 
 class _Rows:
-    """One node's feature vectors split by class, with the histograms built
-    for it so far.
+    """One node's coded rows split by class, and their histogram once built:
+    the larger of two children keeps its parent and smaller sibling."""
 
-    Of two children, the larger keeps its ``parent`` and smaller ``sibling``:
-    where the parent has a feature's histogram, the larger child's is the
-    parent's minus the sibling's, so only the smaller child's rows are read.
-    """
+    __slots__ = ("bins", "neg", "pos", "hist", "parent", "sibling")
 
-    __slots__ = ("neg", "pos", "hists", "parent", "sibling")
+    def __init__(self, bins, neg, pos):
+        self.bins, self.neg, self.pos = bins, neg, pos
+        self.hist = self.parent = self.sibling = None
 
-    def __init__(self, neg, pos):
-        self.neg, self.pos, self.hists = neg, pos, {}
-        self.parent = self.sibling = None
-
-    def histogram(self, f):
-        h = self.hists.get(f)
-        if h is None:
-            parent = self.parent
-            if parent is not None and f in parent.hists:
-                h = _subtract(parent.hists[f], self.sibling.histogram(f))
+    def histogram(self):
+        """Negative and positive rows per slot, as two flat lists: counted in
+        one pass per class, or for a larger child, parent's minus sibling's."""
+        if self.hist is None:
+            if self.parent is None:
+                self.hist = []
+                for xs in (self.neg, self.pos):
+                    counts = self.bins.zeros.copy()
+                    _count_elements(counts, chain.from_iterable(xs))
+                    self.hist.append(list(counts.values()))
             else:
-                h = _count(self.neg, self.pos, f)
-            self.hists[f] = h
-        return h
+                pairs = zip(self.parent.hist, self.sibling.histogram())
+                self.hist = [list(map(sub, whole, part)) for whole, part in pairs]
+        return self.hist
 
     def __len__(self):
         return len(self.neg) + len(self.pos)
@@ -215,25 +214,29 @@ class _Rows:
 
     def split(self, f, thr):
         """(left, right) children: the rows with ``x[f] <= thr`` and the rest."""
-        value_of = itemgetter(f)
-        halves = []
+        cut = self.bins.offsets[f] + bisect_right(self.bins.values[f], thr)  # first slot right
+        sides = []
         for xs in (self.neg, self.pos):
-            go_left = [value_of(x) <= thr for x in xs]
-            halves.append((list(compress(xs, go_left)), list(compress(xs, map(not_, go_left)))))
-        (neg_left, neg_right), (pos_left, pos_right) = halves
-        left, right = _Rows(neg_left, pos_left), _Rows(neg_right, pos_right)
+            go_left = list(map(cut.__gt__, map(itemgetter(f), xs)))
+            sides.append((list(compress(xs, go_left)), list(compress(xs, map(not_, go_left)))))
+        left, right = (_Rows(self.bins, *halves) for halves in zip(*sides))
         small, large = (left, right) if len(left) <= len(right) else (right, left)
         large.parent, large.sibling = self, small
         return left, right
 
     def search(self, feature_ids, min_leaf):
-        """Lowest weighted-Gini split as ``(weighted_gini, feature,
-        threshold)``, or None; see ``_best_split``."""
+        """Lowest weighted-Gini split as ``(weighted_gini, feature, threshold)``, or None."""
+        neg_slots, pos_slots = self.histogram()
+        values_of, offsets = self.bins.values, self.bins.offsets
         n_neg, n_pos = self.counts()
         n = n_neg + n_pos
         best_w, best = math.inf, None
         for f in sorted(feature_ids):
-            values, neg, pos = self.histogram(f)
+            start, stop = offsets[f], offsets[f + 1]
+            values, neg, pos = values_of[f], neg_slots[start:stop], pos_slots[start:stop]
+            seen = list(map(or_, neg, pos))
+            if not all(seen):  # drop the values no row of this node has
+                values, neg, pos = (list(compress(v, seen)) for v in (values, neg, pos))
             # For adjacent values lo < hi the rows at or below lo go left,
             # unless the midpoint rounds to hi or overflows.
             for lo, hi, ln, lp in zip(values, islice(values, 1, None),
@@ -261,30 +264,26 @@ class _Rows:
         return best
 
 
-def _by_class(rows):
-    return _Rows([x for x, y in rows if not y], [x for x, y in rows if y])
-
-
 def _best_split(rows, feature_ids, min_leaf):
     """Lowest weighted-Gini split over the candidate features.
 
     Candidate thresholds are midpoints of consecutive distinct values.  Ties
     break toward the lowest feature index, then the lowest threshold.
 
-    Each feature's histogram (its distinct values ascending, with per-class
-    row counts) is read once, then the thresholds are swept in ascending
-    order with running (negative, positive) counts, and Gini is computed
-    inline by the same float expression as ``gini``.  A row goes left when
-    its value is ``<= thr``, so the left counts are the prefix through the
+    The thresholds are swept in ascending order over each feature's
+    histogram (its distinct values ascending, with per-class row counts)
+    with running (negative, positive) counts, and Gini is computed inline
+    by the same float expression as ``gini``.  A row goes left when its
+    value is ``<= thr``, so the left counts are the prefix through the
     lower value, except where the midpoint rounds: a midpoint of two
     adjacent floats may round up to the upper value, and one whose sum
-    overflows is ``inf`` (every row left) or ``-inf`` (none), so only then is
-    the prefix found by ``bisect_right(values, thr)``.  Because features and
-    thresholds come in ascending order, only a strictly lower Gini replaces
-    the best so far.  This entry point counts every feature over ``rows``;
-    training takes histograms from the parent where it can (see ``_Rows``).
+    overflows is ``inf`` (every row left) or ``-inf`` (none), so only then
+    is the prefix found by ``bisect_right(values, thr)``.  Only a strictly
+    lower Gini replaces the best so far.  This entry point bins ``rows``
+    for one search; ``train`` bins once.
     """
-    return _by_class(rows).search(feature_ids, min_leaf)
+    bins = _Bins(rows)
+    return bins.node(bins.rows).search(feature_ids, min_leaf)
 
 
 def _grow(node, depth, hp, n_features, n_root, rng, importance_acc):
@@ -334,11 +333,12 @@ def train(d: Dataset, hp: "ForestHyperparams | None" = None) -> ForestModel:
     n = len(d.rows)
     n_features = d.n_features
     per_feature = [0.0] * n_features
+    bins = _Bins(d.rows)
     trees = []
     for i in range(hp.n_trees):
         rng = random.Random(splitmix64(hp.seed + i))
-        sample = [d.rows[rng.randrange(n)] for _ in range(n)]
-        trees.append(_grow(_by_class(sample), 0, hp, n_features, n, rng, per_feature))
+        sample = [bins.rows[rng.randrange(n)] for _ in range(n)]
+        trees.append(_grow(bins.node(sample), 0, hp, n_features, n, rng, per_feature))
     total = sum(per_feature)
     if total > 0:
         importances = [v / total for v in per_feature]

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dirtree import cli, pipeline
 from dirtree.annotate import MAX_FIRST_WORD, Gazetteer
-from dirtree.features import FeatureVector, write_features_csv
+from dirtree.features import FEATURE_NAMES, FeatureVector, write_features_csv
 from dirtree.forest import Dataset, ForestHyperparams, model_to_json, train
 from dirtree.metrics import evaluate
 from dirtree.segment import spans_to_json
@@ -312,7 +312,8 @@ def test_cli_fuzzed_predicted_trees_fail_cleanly(pred):
 
 
 # Each kind of input file but the document, the model and the predicted tree
-# (fuzzed above): a small valid file, and the commands that read it.
+# (fuzzed above): a small valid file, and the commands that read it.  The
+# training CSV is held as rows of cells, which faults reach like JSON values.
 _GOLD = str(FIXTURES / "fig1a_gold.json")
 _SEGMENTED = {"pages": [spans_to_json(0, pipeline.PageRun(
     parse_document(Path(FIG1A).read_bytes())[0], 0, Gazetteer.default()).spans)]}
@@ -325,10 +326,26 @@ _FILES = {
     "gold": json.loads(Path(_GOLD).read_text()),
     "classifier": {"pages": [{"page": 0, "label": 1}]},
     "segmentation": _SEGMENTED,
+    "training": {"rows": [[*FEATURE_NAMES, "label"],
+                          *([*x, y] for x, y in make_margin_rows(5, 5, seed=2))]},
 }
+# Cells that open a quoted field, quote a line break, or break a line.
+_ODD_CELLS = ['"', '"1\n"', "1\n0"]
+
+
+def _csv_text(document):
+    """A training CSV: each row one line of its cells, a faulty row that is
+    no longer a list one cell."""
+    rows = document.get("rows", [])
+    rows = rows if isinstance(rows, list) else [rows]
+    return "".join((",".join(map(str, row)) if isinstance(row, list) else str(row)) + "\n"
+                   for row in rows)
 
 
 def _commands(kind, path):
+    if kind == "training":
+        return [["train", "--csv", path, "--pos", "5", "--neg", "5", "--seed", "1",
+                 "--out", os.path.join(os.path.dirname(path), "model.json")]]
     if kind == "gazetteer":
         return [["blocks", FIG1A, "--pages", "all", "--gazetteer", path]]
     if kind == "config":
@@ -348,18 +365,22 @@ def _commands(kind, path):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(_FILES)).flatmap(
-    lambda kind: st.tuples(st.just(kind), with_faults(_FILES[kind], ODD_JSON, grow=True))))
+@given(st.sampled_from(sorted(_FILES)).flatmap(lambda kind: st.tuples(st.just(kind), with_faults(
+    _FILES[kind], ODD_JSON + (_ODD_CELLS if kind == "training" else []), grow=True))))
 @example(("config", _with(_FILES["config"], ("tree_params", "align_tol"), 10**399)))
 @example(("classifier", {"pages": [{"page": 0, "label": 1}, {"page": 0, "label": 0}]}))
+@example(("training", _with(_FILES["training"], ("rows", 3, 0), "x" * 131_073)))
+@example(("training", _with(_FILES["training"], ("rows", 0, 15), "x" * 131_073)))
 def test_cli_fuzzed_input_files_fail_cleanly(kind_and_file):
-    # A gazetteer, config, gold or prediction file with one to four faults:
-    # every command that reads it runs or exits 1 with one error line.
+    # A gazetteer, config, gold, prediction or training file with one to four
+    # faults: every command that reads it runs or exits 1 with one error line.
+    # A field past the csv module's 131,072-character limit comes only from
+    # the examples, since growing an array may repeat it 2,001 times.
     kind, document = kind_and_file
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, f"{kind}.json")
+        path = os.path.join(tmp, kind)
         with open(path, "w") as f:
-            f.write(fault_text(document))
+            f.write(_csv_text(document) if kind == "training" else fault_text(document))
         env = {cli.CONFIG_ENV: path} if kind == "config" else {}
         with mock.patch.dict(os.environ, env):
             for argv in _commands(kind, path):
@@ -545,6 +566,21 @@ def test_train_bad_hyperparams(tmp_path, capsys):
                      "--seed", "1", flag, value, "--out", str(tmp_path / "m.json"))
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_train_bad_counts(tmp_path, capsys):
+    # Both classes are present: a count below 1 is named, not blamed on the
+    # data or on random.sample.
+    csv = tmp_path / "rows.csv"
+    write_csv(csv, make_margin_rows(10, 10, seed=2))
+    for pos, neg, message in [("-1", "5", "target_pos must be >= 1, got -1"),
+                              ("0", "5", "target_pos must be >= 1, got 0"),
+                              ("5", "0", "target_neg must be >= 1, got 0")]:
+        rc = run_cli("train", "--csv", str(csv), "--pos", pos, "--neg", neg,
+                     "--seed", "1", "--out", str(tmp_path / "m.json"))
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "m.json").exists()
 
 
 # --- classify ---

@@ -1,4 +1,5 @@
 import io
+import re
 from collections import Counter
 
 import pytest
@@ -177,6 +178,31 @@ def test_csv_errors():
         text = "\n".join([good_header, ",".join(["0"] * 16), ",".join(row)]) + "\n"
         with pytest.raises(ValueError, match=f"line 3: f7 .*{cell!r}"):
             read_features_csv(io.StringIO(text))
+
+
+def test_csv_errors_name_the_line_a_record_starts_on():
+    # A quoted label spans lines 2 and 3, so the faulty record starts on
+    # physical line 4; a csv module error is a ValueError naming its line.
+    header = ",".join(FEATURE_NAMES) + ",label\n"
+    two_line_label = ",".join(["0"] * 15) + ',"1\n"\n'
+    cases = [
+        (two_line_label + ",".join(["nan"] + ["0"] * 15) + "\n", "line 4: f1 must be finite"),
+        (two_line_label + ",".join(["0"] * 16) + ",0\n", "line 4: expected 16 columns"),
+        (two_line_label + "\n" + "x" * 131_073 + "\n", "line 5: field larger than field limit"),
+    ]
+    for body, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            read_features_csv(io.StringIO(header + body))
+    with pytest.raises(ValueError, match="^line 1: field larger than field limit"):
+        read_features_csv(io.StringIO("x" * 131_073 + "\n"))
+    # A long cell or header is cut short in the message.
+    long_cell = "9" * 500 + "x"
+    with pytest.raises(ValueError) as e:
+        read_features_csv(io.StringIO(header + ",".join([long_cell] + ["0"] * 15) + "\n"))
+    assert str(e.value).startswith("line 2: f1 is not a number") and len(str(e.value)) < 100
+    with pytest.raises(ValueError) as e:
+        read_features_csv(io.StringIO(",".join([long_cell] * 10_000) + "\n"))
+    assert str(e.value).startswith("bad CSV header") and len(str(e.value)) < 1000
 
 
 def test_write_features_csv_to_real_file(tmp_path):

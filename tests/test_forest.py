@@ -112,6 +112,14 @@ def test_resample_requires_both_classes():
         resample(Dataset(_unique_rows(5, 1)), 2, 2, seed=0)
 
 
+def test_resample_rejects_counts_below_one():
+    d = Dataset(_unique_rows(5, 1) + [((100.0,), 0)])
+    for pos, neg, message in [(0, 2, "target_pos must be >= 1, got 0"),
+                              (2, -1, "target_neg must be >= 1, got -1")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            resample(d, pos, neg, seed=0)
+
+
 # --- split search ---
 
 def _brute_best(rows, feature_ids, min_leaf):
@@ -264,6 +272,17 @@ def test_model_bytes_pinned(grid, hp, digest):
     # same data and hyperparameters must keep giving the same bytes.
     model = train(Dataset(_noisy_rows(160, 11, grid)), hp)
     assert hashlib.sha256(dumps_model(model).encode()).hexdigest() == digest
+
+
+def test_bench_shaped_model_bytes_pinned():
+    # Shaped like the training benchmark's rows: 15 features on a coarse
+    # grid, flipped labels, duplicate rows and default hyperparameters.  The
+    # digest was taken before rows were binned once per training call.
+    rows = _noisy_rows(400, 23, True, 15)
+    rows += random.Random(23).choices(rows, k=100)
+    model = train(Dataset(rows))
+    assert hashlib.sha256(dumps_model(model).encode()).hexdigest() == (
+        "9bf56630b268fb2b1e1a629a6f91be24bcab36c5e9c6d77f6908abbfa886003c")
 
 
 # --- reference: the count-and-sweep search before histogram subtraction ---
