@@ -8,11 +8,12 @@ Training bins the rows once per ``train`` call, as LightGBM does (Ke et
 al., 2017): each feature's distinct values, ascending, take a run of
 slots, the runs of all features lie end to end, and each row is coded once
 as a tuple of slots; bootstraps draw coded rows.  A node keeps its rows
-split by class, and its histogram as two flat lists of slot counts per
-class over every feature; the larger of two children takes its parent's
-lists minus its smaller sibling's, so only the smaller child's rows are
-counted.  The search drops the values no row of a node has and sweeps the
-thresholds in ascending order (see ``_best_split``).
+split by class, and its histogram as two dicts (negatives, positives) of
+only the slots its rows have; the larger of two children takes its
+parent's counts less its smaller sibling's, so only the smaller child's
+rows are counted and a node's work grows with its rows, not with the
+dataset's distinct values.  Each drawn feature's thresholds are then swept
+in ascending order (see ``_best_split``).
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import _count_elements  # the C helper Counter counts with
-from itertools import accumulate, chain, compress, count, islice
-from operator import itemgetter, not_, or_, sub
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import itemgetter, not_
 from typing import NamedTuple
 
 from .features import FEATURE_NAMES
@@ -159,10 +160,10 @@ def resample(d: Dataset, target_pos: int, target_neg: int, seed: int) -> Dataset
 
 class _Bins:
     """Rows coded once: feature ``f``'s distinct values, ascending, are
-    ``values[f]``, in slots ``offsets[f]`` up to ``offsets[f + 1]``; ``rows``
-    holds each row as (its slots, its label); ``zeros`` maps each slot to 0."""
+    ``values[offsets[f]:offsets[f + 1]]``, each value's index its slot;
+    ``rows`` holds each row as (its slots, its label)."""
 
-    __slots__ = ("values", "offsets", "rows", "zeros")
+    __slots__ = ("values", "offsets", "rows")
 
     def __init__(self, rows):
         xs = [x for x, _ in rows]
@@ -170,15 +171,23 @@ class _Bins:
         for f in range(len(xs[0]) if xs else 0):
             column = list(map(itemgetter(f), xs))  # the one read of each value
             values = sorted(set(column))
-            self.values.append(values)
-            codes.append(map(dict(zip(values, count(self.offsets[-1]))).__getitem__, column))
-            self.offsets.append(self.offsets[-1] + len(values))
+            codes.append(map(dict(zip(values, count(len(self.values)))).__getitem__, column))
+            self.values += values
+            self.offsets.append(len(self.values))
         coded = list(zip(*codes)) or [()] * len(xs)  # rows of no features
         self.rows = list(zip(coded, map(itemgetter(1), rows)))
-        self.zeros = dict.fromkeys(range(self.offsets[-1]), 0)
 
     def node(self, rows):
         return _Rows(self, [x for x, y in rows if not y], [x for x, y in rows if y])
+
+
+def _less(whole, part):
+    """Slot counts ``whole`` minus ``part``, without the slots left empty."""
+    counts = whole.copy()
+    for slot, k in part.items():
+        if left := counts.pop(slot) - k:
+            counts[slot] = left
+    return counts
 
 
 class _Rows:
@@ -192,18 +201,16 @@ class _Rows:
         self.hist = self.parent = self.sibling = None
 
     def histogram(self):
-        """Negative and positive rows per slot, as two flat lists: counted in
-        one pass per class, or for a larger child, parent's minus sibling's."""
+        """Negative and positive rows per slot held: counted in one pass per
+        class, or for a larger child, its parent's less its smaller sibling's."""
         if self.hist is None:
             if self.parent is None:
-                self.hist = []
-                for xs in (self.neg, self.pos):
-                    counts = self.bins.zeros.copy()
+                self.hist = [{}, {}]
+                for counts, xs in zip(self.hist, (self.neg, self.pos)):
                     _count_elements(counts, chain.from_iterable(xs))
-                    self.hist.append(list(counts.values()))
             else:
                 pairs = zip(self.parent.hist, self.sibling.histogram())
-                self.hist = [list(map(sub, whole, part)) for whole, part in pairs]
+                self.hist = [_less(whole, part) for whole, part in pairs]
         return self.hist
 
     def __len__(self):
@@ -214,7 +221,7 @@ class _Rows:
 
     def split(self, f, thr):
         """(left, right) children: the rows with ``x[f] <= thr`` and the rest."""
-        cut = self.bins.offsets[f] + bisect_right(self.bins.values[f], thr)  # first slot right
+        cut = bisect_right(self.bins.values, thr, *self.bins.offsets[f:f + 2])  # first slot right
         sides = []
         for xs in (self.neg, self.pos):
             go_left = list(map(cut.__gt__, map(itemgetter(f), xs)))
@@ -226,17 +233,16 @@ class _Rows:
 
     def search(self, feature_ids, min_leaf):
         """Lowest weighted-Gini split as ``(weighted_gini, feature, threshold)``, or None."""
-        neg_slots, pos_slots = self.histogram()
-        values_of, offsets = self.bins.values, self.bins.offsets
+        neg_counts, pos_counts = self.histogram()
+        slots = sorted(neg_counts.keys() | pos_counts.keys())
+        all_values, offsets = self.bins.values, self.bins.offsets
         n_neg, n_pos = self.counts()
         n = n_neg + n_pos
         best_w, best = math.inf, None
         for f in sorted(feature_ids):
-            start, stop = offsets[f], offsets[f + 1]
-            values, neg, pos = values_of[f], neg_slots[start:stop], pos_slots[start:stop]
-            seen = list(map(or_, neg, pos))
-            if not all(seen):  # drop the values no row of this node has
-                values, neg, pos = (list(compress(v, seen)) for v in (values, neg, pos))
+            held = slots[bisect_left(slots, offsets[f]):bisect_left(slots, offsets[f + 1])]
+            values = list(map(all_values.__getitem__, held))
+            neg, pos = (list(map(c.get, held, repeat(0))) for c in (neg_counts, pos_counts))
             # For adjacent values lo < hi the rows at or below lo go left,
             # unless the midpoint rounds to hi or overflows.
             for lo, hi, ln, lp in zip(values, islice(values, 1, None),
@@ -270,17 +276,16 @@ def _best_split(rows, feature_ids, min_leaf):
     Candidate thresholds are midpoints of consecutive distinct values.  Ties
     break toward the lowest feature index, then the lowest threshold.
 
-    The thresholds are swept in ascending order over each feature's
-    histogram (its distinct values ascending, with per-class row counts)
-    with running (negative, positive) counts, and Gini is computed inline
-    by the same float expression as ``gini``.  A row goes left when its
-    value is ``<= thr``, so the left counts are the prefix through the
-    lower value, except where the midpoint rounds: a midpoint of two
-    adjacent floats may round up to the upper value, and one whose sum
-    overflows is ``inf`` (every row left) or ``-inf`` (none), so only then
+    Each feature's histogram (its distinct values ascending, with per-class
+    row counts) is swept in ascending order with running (negative,
+    positive) counts, and Gini is computed inline by the same float
+    expression as ``gini``.  A row goes left when its value is ``<= thr``,
+    so the left counts are the prefix through the lower value, except where
+    the midpoint of two adjacent floats rounds up to the upper one or its
+    sum overflows to ``inf`` (every row left) or ``-inf`` (none): only then
     is the prefix found by ``bisect_right(values, thr)``.  Only a strictly
-    lower Gini replaces the best so far.  This entry point bins ``rows``
-    for one search; ``train`` bins once.
+    lower Gini replaces the best so far.  This entry point bins ``rows`` for
+    one search; ``train`` bins once.
     """
     bins = _Bins(rows)
     return bins.node(bins.rows).search(feature_ids, min_leaf)
@@ -344,16 +349,9 @@ def train(d: Dataset, hp: "ForestHyperparams | None" = None) -> ForestModel:
         importances = [v / total for v in per_feature]
     else:
         importances = [0.0] * n_features  # no split anywhere: degenerate forest
-    if n_features == len(FEATURE_NAMES):
-        names = FEATURE_NAMES
-    else:
-        names = tuple(f"x{i + 1}" for i in range(n_features))
-    return ForestModel(
-        hyperparams=hp,
-        feature_order=names,
-        trees=trees,
-        importances=importances,
-    )
+    names = FEATURE_NAMES if n_features == len(FEATURE_NAMES) else tuple(
+        f"x{i + 1}" for i in range(n_features))
+    return ForestModel(hyperparams=hp, feature_order=names, trees=trees, importances=importances)
 
 
 def _leaf_for(node, x):

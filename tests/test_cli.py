@@ -364,7 +364,7 @@ def _commands(kind, path):
     return [["eval", "--stage", kind, "--pred", path, "--gold", _GOLD]]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=360, deadline=None)
 @given(st.sampled_from(sorted(_FILES)).flatmap(lambda kind: st.tuples(st.just(kind), with_faults(
     _FILES[kind], ODD_JSON + (_ODD_CELLS if kind == "training" else []), grow=True))))
 @example(("config", _with(_FILES["config"], ("tree_params", "align_tol"), 10**399)))

@@ -6,12 +6,13 @@ import sys
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dirtree import forest
 from dirtree.features import FEATURE_NAMES, FeatureVector
 from dirtree.forest import (
     Dataset,
@@ -436,6 +437,27 @@ def test_train_reads_no_more_values_than_reference(grid, fraction):
         # here; histogram subtraction brings it near 0.5.
         assert reads["current"][1] < 0.75 * reads["reference"][1]
 
+
+def test_node_histograms_hold_only_their_rows_slots(monkeypatch):
+    # A node's histogram, and the search over it, grows with the node's own
+    # rows, not with the dataset's distinct values: on continuous rows there
+    # are about as many slots as rows times features, and a deep node with
+    # a handful of rows must not hold, copy or scan all of them.
+    sizes = []
+    search = forest._Rows.search
+
+    def checked(node, feature_ids, min_leaf):
+        neg_counts, pos_counts = node.histogram()
+        assert dict(neg_counts) == dict(Counter(chain.from_iterable(node.neg)))
+        assert dict(pos_counts) == dict(Counter(chain.from_iterable(node.pos)))
+        sizes.append(len(node))
+        return search(node, feature_ids, min_leaf)
+
+    monkeypatch.setattr(forest._Rows, "search", checked)
+    d = Dataset(_noisy_rows(300, 5, False, 15))
+    hp = ForestHyperparams(n_trees=3, seed=2)
+    assert dumps_model(train(d, hp)) == dumps_model(_ref_train(d, hp))
+    assert len(sizes) > 100 and min(sizes) < 8
 
 def test_importances_sum_to_one():
     model = train(Dataset(make_margin_rows(30, 30, seed=2)), ForestHyperparams(n_trees=10, seed=0))
