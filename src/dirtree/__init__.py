@@ -22,7 +22,6 @@ from .forest import (
     ForestHyperparams,
     ForestModel,
     load_model,
-    predict,
     predict_score,
     resample,
     save_model,
@@ -133,7 +132,6 @@ __all__ = [
     "normalize_text",
     "page_style_stats",
     "parse_document",
-    "predict",
     "predict_score",
     "reading_sequence",
     "resample",

@@ -8,11 +8,11 @@ statistical NER is involved, so recall is bounded by the gazetteer.
 
 from __future__ import annotations
 
+import os
 import re
 from bisect import bisect_left
 from enum import Enum
 from functools import cached_property
-from importlib import resources
 from typing import NamedTuple
 
 from .jsonin import SchemaError, items, json_path, load_json, string, top
@@ -227,6 +227,8 @@ def _compile_bucket(bucket: "dict[int, list[str]]") -> "tuple[tuple[int, re.Patt
 GazetteerError = SchemaError  # each names the JSON path of the phrase at fault
 
 _WHERE = ("gazetteer: $",)
+# The packaged gazetteer, installed as a plain file beside this module.
+_DEFAULT_PATH = os.path.join(os.path.dirname(__file__), "data", "gazetteer.json")
 
 
 #: The longest first word a phrase may have, a documented limit of the
@@ -297,8 +299,8 @@ class Gazetteer:
 
     @classmethod
     def default(cls) -> "Gazetteer":
-        data = resources.files("dirtree").joinpath("data/gazetteer.json").read_bytes()
-        return cls.from_json(data)
+        # Not through ``load``: a timer around both would count the read twice.
+        return cls.from_json(load_json(_DEFAULT_PATH))
 
 
 # Lowercase connective tokens allowed inside a capitalized organization name.

@@ -28,12 +28,13 @@ class FeatureVector:
     """A page's fifteen features, read by name (``vec.f1``) or by position
     in ``FEATURE_NAMES`` order (``vec[0]``).
 
-    A vector made from values (``FeatureVector(f6=2.0)``, ``from_list``)
-    holds them, 0.0 for each one not given.  The vector ``extract_features``
-    returns computes each value the first time something reads it, and
-    keeps it.  ``at_most(i, t)`` answers ``vec[i] <= t``: a feature that
-    sums a count over the groups is summed only until the answer is known,
-    and a later read resumes where that sum stopped.
+    A vector made from values, by position (``FeatureVector(*values)``) or
+    by name (``FeatureVector(f6=2.0)``), holds them, 0.0 for each one not
+    given.  The vector ``extract_features`` returns computes each value the
+    first time something reads it, and keeps it.  ``at_most(i, t)`` answers
+    ``vec[i] <= t``: a feature that sums a count over the groups is summed
+    only until the answer is known, and a later read resumes where that sum
+    stopped.
     """
 
     __slots__ = ("_values", "_page", "_per_group", "_partial")
@@ -83,12 +84,6 @@ class FeatureVector:
 
     def as_list(self) -> list[float]:
         return [self[i] for i in range(len(FEATURE_NAMES))]
-
-    @classmethod
-    def from_list(cls, values: "list[float]") -> "FeatureVector":
-        if len(values) != len(FEATURE_NAMES):
-            raise ValueError(f"expected {len(FEATURE_NAMES)} values, got {len(values)}")
-        return cls(*map(float, values))
 
     def __eq__(self, other):
         if isinstance(other, FeatureVector):

@@ -13,7 +13,7 @@ only the slots its rows have; the larger of two children takes its
 parent's counts less its smaller sibling's, so only the smaller child's
 rows are counted and a node's work grows with its rows, not with the
 dataset's distinct values.  Each drawn feature's thresholds are then swept
-in ascending order (see ``_best_split``).
+in ascending order (see ``_Rows.search``).
 """
 
 from __future__ import annotations
@@ -232,7 +232,22 @@ class _Rows:
         return left, right
 
     def search(self, feature_ids, min_leaf):
-        """Lowest weighted-Gini split as ``(weighted_gini, feature, threshold)``, or None."""
+        """Lowest weighted-Gini split as ``(weighted_gini, feature, threshold)``, or None.
+
+        Candidate thresholds are midpoints of consecutive distinct values.
+        Ties break toward the lowest feature index, then the lowest threshold.
+
+        Each feature's histogram (its distinct values ascending, with
+        per-class row counts) is swept in ascending order with running
+        (negative, positive) counts, and Gini is computed inline by the same
+        float expression as ``gini``.  A row goes left when its value is
+        ``<= thr``, so the left counts are the prefix through the lower
+        value, except where the midpoint of two adjacent floats rounds up to
+        the upper one or its sum overflows to ``inf`` (every row left) or
+        ``-inf`` (none): only then is the prefix found by
+        ``bisect_right(values, thr)``.  Only a strictly lower Gini replaces
+        the best so far.
+        """
         neg_counts, pos_counts = self.histogram()
         slots = sorted(neg_counts.keys() | pos_counts.keys())
         all_values, offsets = self.bins.values, self.bins.offsets
@@ -268,27 +283,6 @@ class _Rows:
                 if weighted < best_w:
                     best_w, best = weighted, (weighted, f, thr)
         return best
-
-
-def _best_split(rows, feature_ids, min_leaf):
-    """Lowest weighted-Gini split over the candidate features.
-
-    Candidate thresholds are midpoints of consecutive distinct values.  Ties
-    break toward the lowest feature index, then the lowest threshold.
-
-    Each feature's histogram (its distinct values ascending, with per-class
-    row counts) is swept in ascending order with running (negative,
-    positive) counts, and Gini is computed inline by the same float
-    expression as ``gini``.  A row goes left when its value is ``<= thr``,
-    so the left counts are the prefix through the lower value, except where
-    the midpoint of two adjacent floats rounds up to the upper one or its
-    sum overflows to ``inf`` (every row left) or ``-inf`` (none): only then
-    is the prefix found by ``bisect_right(values, thr)``.  Only a strictly
-    lower Gini replaces the best so far.  This entry point bins ``rows`` for
-    one search; ``train`` bins once.
-    """
-    bins = _Bins(rows)
-    return bins.node(bins.rows).search(feature_ids, min_leaf)
 
 
 def _grow(node, depth, hp, n_features, n_root, rng, importance_acc):
@@ -368,12 +362,6 @@ def predict_score(model: ForestModel, x) -> float:
     that the paths taken test, and sums a count only until its split is
     decided."""
     return sum(_leaf_for(t, x).positive_fraction for t in model.trees) / len(model.trees)
-
-
-def predict(model: ForestModel, x) -> tuple[int, float]:
-    """(label, score); label 1 when the score reaches 0.5."""
-    score = predict_score(model, x)
-    return (1 if score >= 0.5 else 0), score
 
 
 def _node_to_json(node) -> dict:

@@ -408,8 +408,10 @@ def validate_tree(tree: ReadingTree) -> None:
     """Check the structural invariants; raise TreeInvariantError on failure.
 
     Leaves are Body nodes (childless headers may hang off the root); headers
-    never have a Body parent; a header's parent is never in its own cluster;
-    body subtrees partition cleanly into blocks.
+    never have a Body parent; a header's parent is never in its own cluster.
+    These checks imply that the bodies split cleanly into blocks: each body
+    walks up through body parents to exactly one chain head (a body whose
+    parent is not a body), and only that head's chain reaches it.
     """
     nodes = tree.nodes
     if ROOT_ID not in nodes or nodes[ROOT_ID].label is not NodeLabel.ROOT:
@@ -478,63 +480,29 @@ def validate_tree(tree: ReadingTree) -> None:
                 f"header {node.node_id} shares a cluster with its parent"
             )
 
-    # Every body belongs to exactly one block.
-    bodies = {n.node_id for n in nodes.values() if n.label is NodeLabel.BODY}
-    covered: set = set()
-    for block_nodes in _block_body_sets(tree):
-        for node_id in block_nodes:
-            if node_id in covered:
-                raise TreeInvariantError(f"body {node_id} in two blocks")
-            covered.add(node_id)
-    if covered != bodies:
-        raise TreeInvariantError("bodies not partitioned into blocks")
-
-
-def _chain_heads(tree: ReadingTree) -> "list[TreeNode]":
-    heads = []
-    for node in tree.nodes.values():
-        if node.label is not NodeLabel.BODY:
-            continue
-        parent = tree.nodes[node.parent]
-        if parent.label is not NodeLabel.BODY:
-            heads.append(node)
-    return heads
-
-
-def _body_subtree(tree: ReadingTree, head: TreeNode) -> "list[TreeNode]":
-    out = []
-    stack = [head]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        stack.extend(
-            tree.nodes[c]
-            for c in reversed(node.children)
-            if tree.nodes[c].label is NodeLabel.BODY
-        )
-    return out
-
-
-def _block_body_sets(tree: ReadingTree):
-    return [
-        [n.node_id for n in _body_subtree(tree, head)]
-        for head in _chain_heads(tree)
-    ]
-
 
 def directory_blocks(tree: ReadingTree) -> "list[DirectoryBlock]":
     """One block per body chain: the header texts from just under the root
     down to the immediate parent, plus the chain's concatenated body text.
     Blocks come out in the reading order (node id order) of their last body."""
+    nodes = tree.nodes
     blocks = []
-    for head in _chain_heads(tree):
+    for head in nodes.values():
+        # A chain's head is a body whose parent is not a body.
+        if head.label is not NodeLabel.BODY or nodes[head.parent].label is NodeLabel.BODY:
+            continue
         headers = []
-        cur = tree.nodes[head.parent]
+        cur = nodes[head.parent]
         while cur.node_id != ROOT_ID:
             headers.append(cur.text)
-            cur = tree.nodes[cur.parent]
+            cur = nodes[cur.parent]
         headers.reverse()
-        chain = sorted(_body_subtree(tree, head), key=lambda n: n.node_id)
+        chain, stack = [], [head]
+        while stack:
+            node = stack.pop()
+            chain.append(node)
+            stack.extend(nodes[c] for c in node.children if nodes[c].label is NodeLabel.BODY)
+        chain.sort(key=lambda n: n.node_id)
         body = " ".join(n.text for n in chain)
         blocks.append((chain[-1].node_id, DirectoryBlock(headers=tuple(headers), body=body)))
     blocks.sort(key=lambda t: t[0])

@@ -44,14 +44,6 @@ class BBox(NamedTuple):
     def height(self) -> float:
         return self.bottom - self.top
 
-    def union(self, other: "BBox") -> "BBox":
-        return BBox(
-            min(self.left, other.left),
-            min(self.top, other.top),
-            max(self.right, other.right),
-            max(self.bottom, other.bottom),
-        )
-
     def to_json(self) -> dict:
         return {"l": self.left, "t": self.top, "r": self.right, "b": self.bottom}
 
@@ -59,7 +51,7 @@ class BBox(NamedTuple):
 def union_all(boxes: "list[BBox]") -> BBox:
     if not boxes:
         raise ValueError("cannot union zero boxes")
-    # min and max keep the first of equal values, as chained unions do.
+    # min and max keep the first of equal values: of 0.0 and -0.0, the earlier box's.
     lefts, tops, rights, bottoms = zip(*boxes)
     return BBox(min(lefts), min(tops), max(rights), max(bottoms))
 
@@ -67,10 +59,6 @@ def union_all(boxes: "list[BBox]") -> BBox:
 def x_overlap(a: BBox, b: BBox) -> float:
     """Width of the horizontal intersection of two boxes (0 if disjoint)."""
     return max(0.0, min(a.right, b.right) - max(a.left, b.left))
-
-
-def y_overlap(a: BBox, b: BBox) -> float:
-    return max(0.0, min(a.bottom, b.bottom) - max(a.top, b.top))
 
 
 def v_gap(a: BBox, b: BBox) -> float:
@@ -424,10 +412,6 @@ def document_to_json(pages: "list[VisualPage]") -> dict:
     }
 
 
-def _ordered_segments(g: Group) -> list[Segment]:
-    return [s for line in g.lines for s in line.segments]
-
-
 def group_text(g: Group) -> str:
     """Text of a group: lines top to bottom, segments left to right,
     joined with single spaces."""
@@ -439,7 +423,7 @@ def group_layout(g: Group) -> list[tuple[Segment, int, int]]:
     into ``group_text(g)``."""
     out = []
     pos = 0
-    for seg in _ordered_segments(g):
+    for seg in [s for line in g.lines for s in line.segments]:
         if pos:
             pos += 1  # the joining space
         out.append((seg, pos, pos + len(seg.text)))

@@ -271,7 +271,7 @@ def test_forest_mechanism(tmp_path):
     margin_model = forest.train(balanced, forest.ForestHyperparams(n_trees=15, seed=9))
     f1 = eval_classifier(
         [y for _, y in held_out],
-        [forest.predict(margin_model, list(x))[0] for x, _ in held_out],
+        [int(forest.predict_score(margin_model, list(x)) >= 0.5) for x, _ in held_out],
     ).f1
     if f1 < 0.95:
         problems.append(f"holdout F1 {f1:.3f} < 0.95")

@@ -417,8 +417,10 @@ def test_help_via_module():
 
 
 # Modules that would pull in ``fractions``, ``decimal`` and ``numbers`` on
-# every command.
-_HEAVY_MODULES = {"statistics", "fractions", "decimal"}
+# every command, and ``importlib.resources`` with the temporary-file and
+# archive modules it imports.
+_HEAVY_MODULES = {"statistics", "fractions", "decimal",
+                  "importlib.resources", "tempfile", "shutil", "bz2", "lzma", "zlib"}
 # Modules only some commands use (``csv`` for CSV files, ``metrics`` for
 # ``eval``), and ``dataclasses`` with the ``inspect`` it imports.
 _DEFERRED_MODULES = {"dataclasses", "inspect", "csv", "dirtree.metrics"}
@@ -464,6 +466,52 @@ def test_eval_names_load_when_first_read(fig1a_gold_path, tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout.splitlines()[0])["overall"]["f1"] == 1.0
+
+
+def test_every_exported_name_resolves():
+    # A name left in ``__all__`` after its export is gone breaks star-imports.
+    import dirtree
+
+    missing = []
+    for name in dirtree.__all__:
+        try:
+            getattr(dirtree, name)
+        except AttributeError:
+            missing.append(name)
+    assert missing == []
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys; sys.path.insert(0, sys.argv[1]); from dirtree import *; print('ok')"
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(fig1a_path, tmp_path):
+    # String hashes, and so the iteration order of sets and dicts keyed by
+    # strings, change with PYTHONHASHSEED; no output may.
+    csv = tmp_path / "rows.csv"
+    write_csv(csv, make_margin_rows(25, 35, seed=3))
+    model = tmp_path / "model.json"
+    commands = [
+        ["blocks", str(fig1a_path), "--pages", "all"],
+        ["tree", str(fig1a_path)],
+        ["train", "--csv", str(csv), "--pos", "40", "--neg", "40", "--seed", "5",
+         "--out", str(model)],
+    ]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outputs = {}
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "dirtree", *argv],
+                                  capture_output=True, env=env, timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, b""), argv
+            written = model.read_bytes() if argv[0] == "train" else b""
+            outputs.setdefault(argv[0], []).append((proc.stdout, written))
+    for name, (first, second) in outputs.items():
+        assert first == second, name
+        assert first[0], name
 
 
 def test_out_writes_file(fig1a_path, tmp_path, capsys):

@@ -128,17 +128,18 @@ def test_fixture_feature_vector(fig1a_page):
 
 
 def test_vector_list_round_trip():
-    vec = FeatureVector.from_list([float(i) for i in range(15)])
+    vec = FeatureVector(*[float(i) for i in range(15)])
     assert vec.as_list() == [float(i) for i in range(15)]
-    with pytest.raises(ValueError):
-        FeatureVector.from_list([1.0] * 14)
+    with pytest.raises(TypeError):
+        FeatureVector(*[1.0] * 16)
+    assert FeatureVector(*[1.0] * 14).as_list() == [1.0] * 14 + [0.0]
 
 
 # --- CSV ---
 
 def test_csv_round_trip():
     rows = [
-        (FeatureVector.from_list([float(i) for i in range(15)]), 1),
+        (FeatureVector(*[float(i) for i in range(15)]), 1),
         (FeatureVector(f7=0.123456789012345), 0),
         (FeatureVector(f6=2.0), None),
     ]

@@ -21,13 +21,12 @@ from dirtree.forest import (
     ForestModel,
     LeafNode,
     SplitNode,
-    _best_split,
+    _Bins,
     dumps_model,
     gini,
     load_model,
     model_from_json,
     model_to_json,
-    predict,
     predict_score,
     resample,
     save_model,
@@ -146,18 +145,24 @@ def _brute_best(rows, feature_ids, min_leaf):
     return best
 
 
+def _search_rows(rows, feature_ids, min_leaf):
+    """The split search ``train`` runs, at a root node of ``rows`` binned for it."""
+    bins = _Bins(rows)
+    return bins.node(bins.rows).search(feature_ids, min_leaf)
+
+
 def test_best_split_four_point_line():
     rows = [((0.0,), 0), ((2.0,), 0), ((10.0,), 1), ((12.0,), 1)]
-    got = _best_split(rows, [0], 1)
+    got = _search_rows(rows, [0], 1)
     assert got == (0.0, 0, 6.0)
     assert 2.0 < got[2] < 10.0
 
 
 def test_best_split_midpoint_and_min_leaf():
     rows = [((0.0,), 0), ((1.0,), 1)]
-    assert _best_split(rows, [0], 1) == (0.0, 0, 0.5)
-    assert _best_split(rows, [0], 2) is None
-    assert _best_split([((5.0,), 0), ((5.0,), 1)], [0], 1) is None
+    assert _search_rows(rows, [0], 1) == (0.0, 0, 0.5)
+    assert _search_rows(rows, [0], 2) is None
+    assert _search_rows([((5.0,), 0), ((5.0,), 1)], [0], 1) is None
 
 
 def _float_edge_cases():
@@ -202,7 +207,7 @@ def test_best_split_matches_brute_force():
         ]
         cases.append((rows, list(range(n_feat)), rng.randint(1, 2)))
     for rows, feature_ids, min_leaf in cases + _float_edge_cases():
-        got = _best_split(rows, feature_ids, min_leaf)
+        got = _search_rows(rows, feature_ids, min_leaf)
         want = _brute_best(rows, feature_ids, min_leaf)
         if want is None:
             assert got is None
@@ -224,7 +229,7 @@ def test_best_split_reads_each_value_once():
     rng = random.Random(3)
     rows = [(_CountingVector((rng.random(), rng.random())), i % 2) for i in range(50)]
     _CountingVector.reads = 0
-    assert _best_split(rows, [0, 1], 1) is not None
+    assert _search_rows(rows, [0, 1], 1) is not None
     # A rescan per candidate threshold would read about 2 * 50 * 49 values.
     assert _CountingVector.reads == 2 * len(rows)
 
@@ -493,7 +498,7 @@ def test_depth_one_stump_recovers_margin():
     (tree,) = model.trees
     if isinstance(tree, SplitNode):  # bootstrap may collapse to one class
         assert 2.0 < tree.threshold < 10.0
-    assert predict(model, [-5.0])[0] in (0, 1)
+    assert (predict_score(model, [-5.0]) >= 0.5) in (False, True)
 
 
 def test_hyperparam_validation():
@@ -553,9 +558,11 @@ def test_predict_score_and_label():
     hp = ForestHyperparams()
     model = ForestModel(hp, ("x1",), trees=[LeafNode((0, 1)), LeafNode((1, 0))])
     assert predict_score(model, [0.0]) == pytest.approx(0.5)
-    assert predict(model, [0.0]) == (1, 0.5)  # ties go positive
+    score = predict_score(model, [0.0])
+    assert (score >= 0.5, score) == (True, 0.5)  # ties go positive
     model = ForestModel(hp, ("x1",), trees=[LeafNode((1, 0))])
-    assert predict(model, [0.0]) == (0, 0.0)
+    score = predict_score(model, [0.0])
+    assert (score >= 0.5, score) == (False, 0.0)
 
 
 def test_split_boundary_goes_left():
@@ -576,7 +583,7 @@ def test_holdout_f1_on_margin_data():
     holdout = make_margin_rows(40, 40, seed=99)
     tp = fp = fn = 0
     for x, y in holdout:
-        label, _ = predict(model, list(x))
+        label = predict_score(model, list(x)) >= 0.5
         tp += label and y
         fp += label and not y
         fn += y and not label

@@ -891,6 +891,81 @@ def test_tree_checks_linear_in_child_count(make_nodes, work):
     assert large <= 2.2 * small + 20, (small, large)
 
 
+def _bodies_partitioned(tree):
+    """The partition check ``validate_tree`` once ended with: every body is
+    in the body subtree of exactly one chain head (a body whose parent is
+    not a body)."""
+    nodes = tree.nodes
+    covered = set()
+    for head in nodes.values():
+        if head.label is not NodeLabel.BODY or nodes[head.parent].label is NodeLabel.BODY:
+            continue
+        stack = [head]
+        while stack:
+            node = stack.pop()
+            if node.node_id in covered:
+                return False
+            covered.add(node.node_id)
+            stack.extend(nodes[c] for c in node.children if nodes[c].label is NodeLabel.BODY)
+    return covered == {n.node_id for n in nodes.values() if n.label is NodeLabel.BODY}
+
+
+@st.composite
+def _node_dicts(draw):
+    """Small node dicts keyed by node id, most of them close to trees.
+    Labels and clusters are random.  A parent is usually an earlier node,
+    sometimes any node (so cycles occur), missing, the node itself or a
+    dangling id.  Children lists mirror the parents, with a few entries
+    added, repeated or dropped."""
+    n = draw(st.integers(1, 9))
+    dangling = n + 1
+    nodes = {}
+    for i in range(n):
+        if i == 0 and draw(st.integers(0, 9)):
+            label, parent = NodeLabel.ROOT, None
+        else:
+            label = draw(st.sampled_from([*[NodeLabel.BODY] * 4, *[NodeLabel.HEADER] * 2,
+                                          NodeLabel.ROOT]))
+            kind = draw(st.integers(0, 19))
+            if i and kind > 1:
+                parent = draw(st.integers(0, i - 1))
+            elif kind == 1:
+                parent = draw(st.integers(0, n - 1))
+            else:
+                parent = draw(st.sampled_from([None, i, dangling]))
+        cluster = draw(st.sampled_from([None, 1, 2]))
+        nodes[i] = TreeNode(i, label, f"text {i}", parent, cluster_id=cluster)
+    for node in nodes.values():
+        if node.parent in nodes:
+            nodes[node.parent].children.append(node.node_id)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2]))):
+        children = nodes[draw(st.integers(0, n - 1))].children
+        edit = draw(st.sampled_from(["add", "repeat", "drop"]))
+        if edit == "add":
+            children.insert(draw(st.integers(0, len(children))),
+                            draw(st.sampled_from([*range(n), dangling])))
+        elif children:
+            k = draw(st.integers(0, len(children) - 1))
+            if edit == "repeat":
+                children.append(children[k])
+            else:
+                del children[k]
+    return nodes
+
+
+@settings(max_examples=500)
+@given(_node_dicts())
+def test_validated_trees_partition_bodies_into_blocks(nodes):
+    # validate_tree no longer checks the partition itself: its structural
+    # checks imply it, so every tree it accepts must pass the old check.
+    tree = ReadingTree(nodes)
+    try:
+        validate_tree(tree)
+    except TreeInvariantError:
+        return
+    assert _bodies_partitioned(tree)
+
+
 # --- blocks ---
 
 def test_blocks_order_by_last_chain_member():

@@ -25,7 +25,6 @@ from dirtree.visual import (
     union_all,
     v_gap,
     x_overlap,
-    y_overlap,
 )
 
 from conftest import (
@@ -45,7 +44,7 @@ def test_bbox_dimensions():
 def test_union():
     a = BBox(0, 0, 10, 10)
     b = BBox(5, -0, 20, 30)
-    assert a.union(b) == BBox(0, 0, 20, 30)
+    assert union_all([a, b]) == BBox(0, 0, 20, 30)
     assert union_all([a, b, BBox(1, 1, 2, 2)]) == BBox(0, 0, 20, 30)
     with pytest.raises(ValueError):
         union_all([])
@@ -55,7 +54,6 @@ def test_overlap_and_gap():
     a = BBox(0, 0, 10, 10)
     b = BBox(6, 20, 16, 30)
     assert x_overlap(a, b) == 4
-    assert y_overlap(a, b) == 0
     assert v_gap(a, b) == 10
     assert v_gap(b, a) == -30  # negative when b sits above a's bottom
     assert x_overlap(a, BBox(10, 0, 20, 10)) == 0  # touching edges share nothing
