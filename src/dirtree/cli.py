@@ -13,7 +13,6 @@ import gc
 import json
 import os
 import sys
-from pathlib import Path
 from typing import NamedTuple
 
 from . import EVAL_STAGES, forest, pipeline
@@ -84,7 +83,9 @@ class PipelineConfig(NamedTuple):
 # --- shared plumbing -------------------------------------------------------
 
 def _read_doc(path: str):
-    return parse_document(Path(path).read_bytes())
+    with open(path, "rb") as f:
+        data = f.read()
+    return parse_document(data)
 
 
 def _load_gazetteer(args, cfg: PipelineConfig) -> Gazetteer:
@@ -152,7 +153,8 @@ def _emit(payload: dict, args, cfg: PipelineConfig) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            f.write(text)
 
 
 # --- subcommands -----------------------------------------------------------

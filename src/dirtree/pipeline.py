@@ -15,6 +15,10 @@ roles and address types.  So a page that is scored and not selected
 computes only the features its trees test, scans a group for a count only
 while a split on it is undecided, lists no numbers or postcodes and builds
 no ``Annotation``, and no stage builds the full sorted annotation list.
+Parsing checked each group and kept its text, box, flags and border sides,
+and a group builds its lines, segment boxes and styles when first read:
+segmentation reads them, and the stages before it do not, so a page that
+is only scored builds none.
 
 The stages are called through this module's names so that tests can
 substitute them.  The package ``__init__`` must not import this module:

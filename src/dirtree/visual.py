@@ -5,13 +5,18 @@ Coordinates use a top-left origin with y growing downward, so ``top < bottom``
 for any box with positive height.
 
 ``parse_document`` checks every value it reads.  Each group is first read by
-``_accept_group``, which checks and builds a well-formed group in one pass and
-declines (returns None) at the first value it does not accept.  A declined
-group is parsed again by the checked path (``_parse_group`` and the functions
-below it), which makes the checks one at a time in a fixed order and raises
-the first that fails, with the JSON path of the value.  The page's own values
-(its size, its table regions, each group lying inside it) are always checked
-one at a time.
+``_accept_group``, a check pass that declines (returns None) at the first
+value it does not accept.  A group it accepts is made from the box, flags,
+border sides and text that pass records, with no line, segment or style
+built: the group keeps its JSON object, and ``_built_lines`` builds its
+lines from that object, with no check, the first time ``Group.lines`` is
+read.  Scoring a page reads only its groups' text, furniture flags and
+border sides, so a page that is only scored never builds its lines.  A
+declined group is parsed again by the checked path (``_parse_group`` and
+the functions below it), which makes the checks one at a time in a fixed
+order, raises the first that fails, with the JSON path of the value, and
+builds the group in full.  The page's own values (its size, its table
+regions, each group lying inside it) are always checked one at a time.
 """
 
 from __future__ import annotations
@@ -97,16 +102,75 @@ class Line(NamedTuple):
     bbox: BBox
 
 
-class Group(NamedTuple):
-    lines: tuple[Line, ...]  # top to bottom, as parsing sorts them
-    bbox: BBox
-    is_page_header: bool = False
-    is_page_footer: bool = False
-    border_sides: int = 0
+class Group:
+    """A group of lines: its lines top to bottom (as parsing sorts them), its
+    box, its page-furniture flags and how many sides carry a border.
+
+    Made and read like the named tuple ``Group(lines, bbox, is_page_header,
+    is_page_footer, border_sides)``, which it compares, hashes and prints
+    as.  It cannot be changed.  It also keeps its text (``group_text``).
+    A group that ``parse_document`` checked in one pass holds its JSON
+    object in place of its lines, and builds them from it the first time
+    ``lines`` is read.
+    """
+
+    __slots__ = ("_lines", "bbox", "is_page_header", "is_page_footer", "border_sides",
+                 "_text", "_source")
+
+    def __init__(self, lines: "tuple[Line, ...]", bbox: BBox, is_page_header: bool = False,
+                 is_page_footer: bool = False, border_sides: int = 0):
+        text = " ".join([s.text for line in lines for s in line.segments])
+        _init_group(self, lines, bbox, is_page_header, is_page_footer, border_sides, text, None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Group.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete Group.{name}")
+
+    @property
+    def lines(self) -> "tuple[Line, ...]":
+        lines = self._lines
+        if lines is None:
+            lines = _built_lines(self._source)
+            _set(self, "_lines", lines)
+            _set(self, "_source", None)
+        return lines
 
     @property
     def is_furniture(self) -> bool:
         return self.is_page_header or self.is_page_footer
+
+    def _astuple(self) -> tuple:
+        return self.lines, self.bbox, self.is_page_header, self.is_page_footer, self.border_sides
+
+    def __eq__(self, other):
+        if other.__class__ is not Group:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        return ("Group(lines=%r, bbox=%r, is_page_header=%r, is_page_footer=%r, "
+                "border_sides=%r)" % self._astuple())
+
+    def __reduce__(self):
+        return Group, self._astuple()
+
+
+_set = object.__setattr__
+
+
+def _init_group(g, lines, bbox, header, footer, border, text, source):
+    _set(g, "_lines", lines)
+    _set(g, "bbox", bbox)
+    _set(g, "is_page_header", header)
+    _set(g, "is_page_footer", footer)
+    _set(g, "border_sides", border)
+    _set(g, "_text", text)
+    _set(g, "_source", source)
 
 
 class VisualPage(NamedTuple):
@@ -231,6 +295,7 @@ def _parse_group(holder, group_i: int, where: tuple, page_i: int) -> Group:
 _MAX_FLOAT = sys.float_info.max
 _NUMBER_TYPES = frozenset((int, float))
 _new = tuple.__new__
+_new_object = object.__new__
 
 
 def _accept_box(box) -> "BBox | None":
@@ -258,8 +323,13 @@ def _accept_group(obj) -> "Group | None":
     value that is not plainly well formed.  Never raises.
 
     One pass reads the flags, lines, segments, boxes and styles, with the
-    same number rules as _accept_box.  The union checks use running minima
-    and maxima of the children's edges.
+    same number rules as _accept_box (written out for a segment's box).  The
+    union checks use running minima and maxima of the children's edges.  It
+    builds the group's box and text but no line, segment or style: the
+    group keeps ``obj`` and builds its lines from it when they are first
+    read (_built_lines).  The text joins the segments in the order of the
+    lines that will be built; while the JSON order is already that order,
+    the pass keeps the texts as it reads them.
     """
     if obj.__class__ is not dict:
         return None
@@ -272,23 +342,29 @@ def _accept_group(obj) -> "Group | None":
     numeric = _NUMBER_TYPES
     gl = gt = inf  # the union of the line boxes so far
     gr = gb = -inf
-    lines = []
+    texts = []
+    top = -inf  # the previous line's top
+    ordered = True  # whether lines and segments are in sorted order so far
     for line_obj in line_objs:
         seg_objs = line_obj.get("segments") if line_obj.__class__ is dict else None
         if seg_objs.__class__ is not list or not seg_objs:
             return None
         ul = ut = inf  # the union of this line's segment boxes so far
         ur = ub = -inf
-        segments = []
+        left = -inf  # the previous segment's left
         for seg_obj in seg_objs:
             if seg_obj.__class__ is not dict:
                 return None
-            text, style = seg_obj.get("text"), seg_obj.get("style")
-            box = _accept_box(seg_obj.get("bbox"))
-            if not (text.__class__ is str and text
-                    and box is not None and style.__class__ is dict):
+            text, style, box = seg_obj.get("text"), seg_obj.get("style"), seg_obj.get("bbox")
+            if box.__class__ is not dict:
                 return None
-            l, t, r, b = box
+            l, t, r, b = box.get("l"), box.get("t"), box.get("r"), box.get("b")
+            if not (l.__class__ in numeric and t.__class__ in numeric
+                    and r.__class__ in numeric and b.__class__ in numeric
+                    and 0 <= l <= r <= _MAX_FLOAT and 0 <= t <= b <= _MAX_FLOAT
+                    and text.__class__ is str and text and style.__class__ is dict):
+                return None
+            l, t, r, b = float(l), float(t), float(r), float(b)
             ul, ut = l if l < ul else ul, t if t < ut else ut
             ur, ub = r if r > ur else ur, b if b > ub else ub
             size, color = style.get("font_size"), style.get("color")
@@ -298,9 +374,10 @@ def _accept_group(obj) -> "Group | None":
                     and color.__class__ is int and 0 <= color <= 0xFFFFFF
                     and bold.__class__ is bool and italic.__class__ is bool):
                 return None
-            segments.append(_new(Segment, (
-                text, box, _new(StyleInfo, (family, float(size), bold, italic, color)),
-            )))
+            texts.append(text)
+            if l < left:
+                ordered = False
+            left = l
         box = _accept_box(line_obj.get("bbox"))
         if box is None:
             return None
@@ -310,9 +387,9 @@ def _accept_group(obj) -> "Group | None":
             return None
         gl, gt = l if l < gl else gl, t if t < gt else gt
         gr, gb = r if r > gr else gr, b if b > gb else gb
-        if len(segments) > 1:
-            segments.sort(key=_LEFT)
-        lines.append(_new(Line, (tuple(segments), box)))
+        if t < top:
+            ordered = False
+        top = t
     box = _accept_box(obj.get("bbox"))
     if box is None:
         return None
@@ -320,9 +397,46 @@ def _accept_group(obj) -> "Group | None":
     if not (abs(l - gl) <= _BOX_EPS and abs(t - gt) <= _BOX_EPS
             and abs(r - gr) <= _BOX_EPS and abs(b - gb) <= _BOX_EPS):
         return None
+    group = _new_object(Group)
+    _init_group(group, None, box, header, footer, border,
+                " ".join(texts) if ordered else _sorted_text(line_objs), obj)
+    return group
+
+
+def _sorted_text(line_objs: list) -> str:
+    """The text of an accepted group's lines, in the order _built_lines
+    sorts them and their segments: by the float value of each line's top and
+    each segment's left, keeping ties in JSON order."""
+    return " ".join([
+        seg_obj["text"]
+        for line_obj in sorted(line_objs, key=lambda o: float(o["bbox"]["t"]))
+        for seg_obj in sorted(line_obj["segments"], key=lambda o: float(o["bbox"]["l"]))
+    ])
+
+
+def _built_box(box: dict) -> BBox:
+    return _new(BBox, (float(box["l"]), float(box["t"]), float(box["r"]), float(box["b"])))
+
+
+def _built_lines(obj: dict) -> "tuple[Line, ...]":
+    """The lines of a group object that _accept_group accepted, as
+    _parse_group builds them.  Makes no check: each was made on parse."""
+    lines = []
+    for line_obj in obj["lines"]:
+        segments = []
+        for seg_obj in line_obj["segments"]:
+            style = seg_obj["style"]
+            segments.append(_new(Segment, (
+                seg_obj["text"], _built_box(seg_obj["bbox"]),
+                _new(StyleInfo, (style["font_family"], float(style["font_size"]),
+                                 style["bold"], style["italic"], style["color"])),
+            )))
+        if len(segments) > 1:
+            segments.sort(key=_LEFT)
+        lines.append(_new(Line, (tuple(segments), _built_box(line_obj["bbox"]))))
     if len(lines) > 1:
         lines.sort(key=_TOP)
-    return _new(Group, (tuple(lines), box, header, footer, border))
+    return tuple(lines)
 
 
 def _parse_page(holder, page_i: int, where: tuple) -> VisualPage:
@@ -362,6 +476,11 @@ def parse_document(data: "bytes | str | dict") -> list[VisualPage]:
     fields (message carries the JSON path) and GeometryError for invariant
     violations (message carries page/group indices).
 
+    A group checked in one pass builds its lines from its part of the
+    decoded JSON when they are first read.  A ``dict`` is the caller's own,
+    which the caller may change after the call, so its groups' lines are
+    built before this returns; ``bytes`` and ``str`` are decoded afresh.
+
     Parsing makes no reference cycles, so the cyclic garbage collector is
     paused for the call: otherwise the tuples it builds set off collections
     that walk every container of the decoded JSON.
@@ -369,7 +488,12 @@ def parse_document(data: "bytes | str | dict") -> list[VisualPage]:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return items(_parse_page, top(data), "pages", ROOT)
+        pages = items(_parse_page, top(data), "pages", ROOT)
+        if isinstance(data, dict):
+            for page in pages:
+                for g in page.groups:
+                    g.lines
+        return pages
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -414,8 +538,8 @@ def document_to_json(pages: "list[VisualPage]") -> dict:
 
 def group_text(g: Group) -> str:
     """Text of a group: lines top to bottom, segments left to right,
-    joined with single spaces."""
-    return " ".join([s.text for line in g.lines for s in line.segments])
+    joined with single spaces.  Reading it builds no line."""
+    return g._text
 
 
 def group_layout(g: Group) -> list[tuple[Segment, int, int]]:

@@ -417,10 +417,11 @@ def test_help_via_module():
 
 
 # Modules that would pull in ``fractions``, ``decimal`` and ``numbers`` on
-# every command, and ``importlib.resources`` with the temporary-file and
-# archive modules it imports.
-_HEAVY_MODULES = {"statistics", "fractions", "decimal",
-                  "importlib.resources", "tempfile", "shutil", "bz2", "lzma", "zlib"}
+# every command, ``importlib.resources`` with the temporary-file and archive
+# modules it imports, and ``pathlib`` with ``fnmatch``, ``ipaddress`` and
+# ``urllib``.
+_HEAVY_MODULES = {"statistics", "fractions", "decimal", "importlib.resources", "tempfile",
+                  "shutil", "bz2", "lzma", "zlib", "pathlib"}
 # Modules only some commands use (``csv`` for CSV files, ``metrics`` for
 # ``eval``), and ``dataclasses`` with the ``inspect`` it imports.
 _DEFERRED_MODULES = {"dataclasses", "inspect", "csv", "dirtree.metrics"}

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from dirtree import cli
 from dirtree.annotate import Gazetteer, annotate
 from dirtree.features import extract_features
+from dirtree.forest import load_model
 from dirtree.pipeline import page_runs
 from dirtree.segment import RULE_ENTITY_BODY, RULE_ROLE_ADDRESS, segment_page, spans_to_json
 from dirtree.tree import blocks_to_json
@@ -329,3 +330,36 @@ def test_stacked_headers_at_one_corner_independent_of_group_order():
     first = _blocks_json(page(title, office, auditor, body))
     assert first == _blocks_json(page(title, auditor, office, body))
     assert json.loads(first)[0]["body"] == "KPMG Luxembourg 39, Avenue John F. Kennedy"
+
+
+# --- page order ---
+
+def _blocks_by_page(pages, which, model):
+    """Each selected page's blocks, without the ``page`` field, keyed by page
+    index, with the document read from JSON text as the CLI reads it."""
+    runs = page_runs(parse_document(json.dumps(doc(*pages))), GAZ, which, model)
+    return {run.index: [{k: v for k, v in block.items() if k != "page"}
+                        for block in blocks_to_json(run.blocks, page_index=run.index)]
+            for run in runs}
+
+
+_PAGE_POOL = [NARRATIVE, LONG_NARRATIVE, _fig1a(), _shifted(_fig1a(), 0.5)]
+
+
+@st.composite
+def _documents_and_orders(draw):
+    pages = draw(st.lists(st.sampled_from(_PAGE_POOL) | _grid_and_order().map(lambda c: c[0]),
+                          min_size=2, max_size=5))
+    return pages, draw(st.permutations(range(len(pages))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_documents_and_orders())
+def test_page_order_changes_no_page_blocks(trained_model_path, case):
+    # In any order, a page is selected and given blocks as when alone.
+    pages, order = case
+    model = load_model(str(trained_model_path))
+    for which, m in (("all", None), ("auto", model)):
+        alone = [_blocks_by_page([p], which, m).get(0) for p in pages]
+        permuted = _blocks_by_page([pages[i] for i in order], which, m)
+        assert permuted == {j: alone[i] for j, i in enumerate(order) if alone[i] is not None}

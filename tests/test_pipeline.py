@@ -1,8 +1,11 @@
 """A page's run computes each stage once, and only the stages it reads."""
 
 import importlib
+import json
 
-from dirtree import pipeline
+import pytest
+
+from dirtree import cli, pipeline, visual
 from dirtree.annotate import AnnotationLabel, Gazetteer
 from dirtree.features import FEATURE_NAMES
 from dirtree.forest import ForestHyperparams, ForestModel, LeafNode, SplitNode
@@ -164,3 +167,56 @@ def test_segmenting_builds_no_surface_annotations(fig1a_page, monkeypatch):
     run = pipeline.PageRun(fig1a_page, 0, GAZ)
     assert run.spans
     assert built and {args[0] for args in built}.isdisjoint(SURFACE_LABELS)
+
+
+# --- lines are built on segmented pages only ---
+
+def _counting_line_builds(monkeypatch):
+    """The group objects whose lines are built, one entry per build."""
+    built = []
+    real = visual._built_lines
+
+    def counting(obj):
+        built.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(visual, "_built_lines", counting)
+    return built
+
+
+def _document_file(tmp_path, *pages):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc(*pages)))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ("validate",), ("features",), ("classify", "--model"), ("blocks", "--pages", "auto", "--model"),
+], ids=lambda c: c[0])
+def test_lines_built_once_on_segmented_pages_only(
+    command, fig1a_path, trained_model_path, tmp_path, monkeypatch, capsys
+):
+    fig1a = json.loads(fig1a_path.read_text())["pages"][0]
+    path = _document_file(tmp_path, NARRATIVE, fig1a, NARRATIVE)
+    built = _counting_line_builds(monkeypatch)
+    model = [str(trained_model_path)] if command[-1] == "--model" else []
+    assert cli.run([command[0], path, *command[1:], *model]) == 0
+    out = capsys.readouterr().out
+    if command[0] != "blocks":
+        assert built == []
+        return
+    # Only fig1a (page 1) is flagged and segmented: each of its groups is
+    # built once, and no group of the narrative pages is built.
+    assert {block["page"] for block in json.loads(out)["blocks"]} == {1}
+    assert len({id(obj) for obj in built}) == len(built)
+    assert sorted(map(json.dumps, built)) == sorted(map(json.dumps, fig1a["groups"]))
+
+
+def test_eval_tree_builds_no_lines(fig1a_path, fig1a_gold_path, tmp_path, monkeypatch, capsys):
+    pred = tmp_path / "tree.json"
+    assert cli.run(["tree", str(fig1a_path), "--out", str(pred)]) == 0
+    built = _counting_line_builds(monkeypatch)
+    assert cli.run(["eval", "--stage", "tree", "--pred", str(pred),
+                    "--gold", str(fig1a_gold_path), "--doc", str(fig1a_path)]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["blocks"]["f1"] == 1.0
+    assert built == []

@@ -1,12 +1,14 @@
+import copy
 import gc
 import json
 import math
+import pickle
 import random
 import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dirtree import visual
 from dirtree.visual import (
@@ -86,6 +88,11 @@ def test_value_types_hash_as_field_tuples_and_are_immutable(value, names):
     for name in names:
         with pytest.raises(AttributeError):
             setattr(value, name, None)
+
+
+def test_parsed_groups_pickle_and_copy(fig1a_path):
+    pages = parse_document(fig1a_path.read_bytes())  # lines not yet built
+    assert pickle.loads(pickle.dumps(pages)) == copy.deepcopy(pages) == pages
 
 
 def test_group_defaults_and_furniture():
@@ -694,6 +701,67 @@ def test_valid_documents_parse_like_reference(document):
     groups = [g for p in document["pages"] for g in p["groups"]]
     if not any(_beyond_float_range(v) for _, v in json_nodes(groups)):
         assert checked.call_count == 0
+
+
+# --- group text and lines built on first read ---
+#
+# A group accepted in one pass keeps its text and builds its lines the first
+# time they are read, so the text must join the segments in the order the
+# lines are built: by the float value of each top and left, ties kept in
+# JSON order.  Integers that differ but read as one float (2**53 and
+# 2**53 + 1, int(_MAX) - 1 and int(_MAX)) are such ties.
+
+_TIE = 2**53
+
+
+def _tied_document():
+    """Segments and lines listed against their raw order but tied as floats."""
+    tied_segments = line(seg("a", _TIE + 1, 0, _TIE + 1, 5), seg("b", _TIE, 0, _TIE, 5),
+                         seg("c", 1, 0, 2, 5))
+    tied_lines = [line(seg(text, 0, top, 5, top)) for text, top in
+                  (("x", int(_MAX)), ("y", int(_MAX) - 1), ("z", 7), ("w", _MAX))]
+    return doc(page(group(tied_segments), group(*tied_lines), width=_MAX, height=_MAX))
+
+
+def _built_text(g):
+    return " ".join([s.text for line in g.lines for s in line.segments])
+
+
+@settings(max_examples=300)
+@given(_valid_documents())
+@example(_tied_document())
+def test_group_text_before_lines_matches_built_lines(document):
+    data = json.dumps(document)
+    try:
+        text_first = parse_document(data)
+    except GeometryError:
+        assert any(_beyond_float_range(v) for _, v in json_nodes(document))
+        return
+    lines_first = parse_document(data)
+    for p, q in zip(text_first, lines_first, strict=True):
+        for g, h in zip(p.groups, q.groups, strict=True):
+            h.lines
+            text = group_text(g)
+            assert text == _built_text(g) == group_text(h)
+            assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+
+
+def test_tied_coordinates_keep_json_order():
+    with mock.patch.object(visual, "_parse_group", wraps=visual._parse_group) as checked:
+        tied_segments, tied_lines = parse_document(json.dumps(_tied_document()))[0].groups
+    assert checked.call_count == 0  # both groups passed the one-pass check
+    assert group_text(tied_segments) == "c a b"
+    assert group_text(tied_lines) == "z x y w"
+    assert [_built_text(g) for g in (tied_segments, tied_lines)] == ["c a b", "z x y w"]
+
+
+def test_parsed_dict_does_not_reach_the_groups():
+    # The caller's object may change after the call; groups read from it
+    # are built before parse_document returns.
+    document = _tied_document()
+    (parsed,) = parse_document(document)
+    document["pages"][0]["groups"][0]["lines"][0]["segments"][0]["text"] = ""
+    assert [_built_text(g) for g in parsed.groups] == ["c a b", "z x y w"]
 
 
 def _narrative_page():
