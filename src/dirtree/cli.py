@@ -112,9 +112,9 @@ def _threshold(args, cfg: PipelineConfig) -> float:
 def _runs(args, cfg: PipelineConfig, skip_empty: bool = True):
     """Read the document and resolve the flags and config to page runs.
 
-    --pages is "auto" (model required), "all" or a comma list of page
-    indexes.  Errors come in the order: model, threshold, page range, tree
-    parameters; the runs then raise segmentation errors as they are read.
+    --pages is "auto" (model required), "all" or a comma list of distinct
+    page indexes.  Errors come in the order: model, threshold, page list,
+    tree parameters; the runs then raise segmentation errors when read.
     """
     pages = _read_doc(args.doc)
     gaz = _load_gazetteer(args, cfg)
@@ -294,7 +294,7 @@ def _add_pages(p, default):
     p.add_argument(
         "--pages",
         default=default,
-        help=f"auto, all, or comma list of page indexes (default: {default})",
+        help=f"auto, all, or comma list of distinct page indexes (default: {default})",
     )
 
 

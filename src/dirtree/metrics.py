@@ -134,16 +134,18 @@ def eval_aligned_nodes(gold: "list[DirectoryBlock]", pred: "list[DirectoryBlock]
     pair contributes position-wise node matches."""
     gold_nodes = [_block_nodes(b) for b in gold]
     pred_nodes = [_block_nodes(b) for b in pred]
+    gold_counts = [Counter(gn) for gn in gold_nodes]
     taken = [False] * len(gold_nodes)
     tp = fp = 0
     matched_gold = 0
     for pn in pred_nodes:
         best = -1
         best_overlap = 0
-        for gi, gn in enumerate(gold_nodes):
+        pred_count = Counter(pn)
+        for gi, gold_count in enumerate(gold_counts):
             if taken[gi]:
                 continue
-            overlap = sum((Counter(pn) & Counter(gn)).values())
+            overlap = sum((pred_count & gold_count).values())
             if overlap > best_overlap:
                 best = gi
                 best_overlap = overlap

@@ -80,10 +80,14 @@ class PageRun:
 
 
 def check_indexes(indexes, count: int) -> None:
-    """Raise ValueError unless every index names one of ``count`` pages."""
+    """Raise ValueError unless each index names one of ``count`` pages, once."""
+    seen = set()
     for i in indexes:
         if i < 0 or i >= count:
             raise ValueError(f"page {i} out of range (document has {count})")
+        if i in seen:
+            raise ValueError(f"page {i} given twice")
+        seen.add(i)
 
 
 def page_runs(pages: "list[VisualPage]", gaz: Gazetteer, which="all", model=None,
@@ -93,10 +97,10 @@ def page_runs(pages: "list[VisualPage]", gaz: Gazetteer, which="all", model=None
 
     ``which`` is "all"; "auto", the pages ``model`` labels 1 at
     ``threshold``, whose runs keep the annotations made to score them; or a
-    list of page indexes, taken as given.  With ``skip_empty`` a page with
-    no text to segment is left out, or raises EmptyPageError when it was
-    named in a list.  Runs are made as they are yielded and not kept, so a
-    page's stages are freed once the caller lets go of its run.
+    list of distinct page indexes, in the order given.  With ``skip_empty``
+    a page with no text to segment is left out, or raises EmptyPageError
+    when it was named in a list.  Runs are made as they are yielded and not
+    kept, so a page's stages are freed once the caller lets go of its run.
     """
     explicit = which not in ("all", "auto")
     if explicit:

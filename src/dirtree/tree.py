@@ -249,13 +249,13 @@ def nearest_header_above(
     spans: "list[LabeledSpan]",
     p: "TreeParams | None" = None,
 ) -> "LabeledSpan | None":
-    """The closest header above a span with enough horizontal overlap;
-    None stands for the synthetic root."""
+    """The closest header above ``x`` with enough horizontal overlap, or None
+    for the synthetic root.  ``spans`` may be just headers, in reading order."""
     p = p or TreeParams()
     best = None
     best_key = None
     for idx, h in enumerate(spans):
-        if h.label is not SpanLabel.HEADER or h is x:
+        if h.label is not SpanLabel.HEADER:
             continue
         if x.bbox.top <= h.bbox.top + p.align_tol:
             continue
@@ -292,9 +292,9 @@ def same_entry(
 ) -> bool:
     """Whether body ``b`` continues the entry started by body ``c``.
 
-    True within one group; across groups the two must hang under the same
-    nearest header, be left-aligned, sit within a small multiple of the line
-    height, and have no admissible header between them.
+    True within one group; across groups both hang under one nearest header,
+    are left-aligned, at most ``gap_factor`` line heights apart, no admissible
+    header between.  Given ``line_height``, ``spans`` may be just the headers.
     """
     p = p or TreeParams()
     if c.group_index == b.group_index:
@@ -334,7 +334,8 @@ def build_tree(spans: "list[LabeledSpan]", p: "TreeParams | None" = None) -> Rea
     p = p or TreeParams()
     live = [s for s in spans if s.label is not SpanLabel.NEITHER]
     sequence = reading_sequence(live, p)
-    clusters = cluster_headers(sequence, p)
+    headers = [s for s in sequence if s.label is SpanLabel.HEADER]
+    clusters = cluster_headers(headers, p)
     line_height = median_line_height(sequence)
 
     # A span's node id is its reading position + 1, and a header's cluster
@@ -357,7 +358,7 @@ def build_tree(spans: "list[LabeledSpan]", p: "TreeParams | None" = None) -> Rea
             kept = []
             for earlier in unclaimed.get(k, ()):
                 if (
-                    same_entry(current, sequence[earlier - 1], sequence, p, line_height)
+                    same_entry(current, sequence[earlier - 1], headers, p, line_height)
                     if key is None
                     else can_parent(current, sequence[earlier - 1], clusters, p)
                 ):

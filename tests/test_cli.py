@@ -702,6 +702,18 @@ def test_segment_empty_pages_list(fig1a_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["segment", "tree", "blocks"])
+def test_pages_list_rejects_a_repeated_index(fig1a_path, capsys, command):
+    # Written out twice, a page's tree would then fail eval as given twice.
+    assert run_cli(command, str(fig1a_path), "--pages", "0,0") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: page 0 given twice"]
+    with pytest.raises(ValueError, match="page 0 given twice"):
+        next(pipeline.page_runs(parse_document(fig1a_path.read_bytes()),
+                                Gazetteer.default(), [0, 0]))
+
+
 def test_segment_auto_needs_model(fig1a_path, capsys):
     assert run_cli("segment", str(fig1a_path), "--pages", "auto") == 1
     assert "--model" in capsys.readouterr().err

@@ -9,7 +9,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dirtree import cli
 from dirtree.annotate import Gazetteer, annotate
@@ -42,18 +42,18 @@ def _fig1a():
     return json.loads((FIXTURES / "fig1a.json").read_text())["pages"][0]
 
 
-def _shifted(obj, d):
-    """A copy of a page dict with every box moved right and down by d."""
+def _shifted(obj, dx, dy):
+    """A copy of a page dict with every box moved right by dx and down by dy."""
     if isinstance(obj, list):
-        return [_shifted(v, d) for v in obj]
+        return [_shifted(v, dx, dy) for v in obj]
     if not isinstance(obj, dict):
         return obj
     if set(obj) == {"l", "t", "r", "b"}:
-        return {k: v + d for k, v in obj.items()}
-    return {k: _shifted(v, d) for k, v in obj.items()}
+        return {k: v + (dx if k in "lr" else dy) for k, v in obj.items()}
+    return {k: _shifted(v, dx, dy) for k, v in obj.items()}
 
 
-THREE_PAGES = [NARRATIVE, _fig1a(), _shifted(_fig1a(), 0.5)]
+THREE_PAGES = [NARRATIVE, _fig1a(), _shifted(_fig1a(), 0.5, 0.5)]
 
 
 def _paragraph(top, *lines):
@@ -277,6 +277,23 @@ def _grid(entries, columns):
     return page(*groups, width=640, height=120 + 50 * (len(entries) // columns + 1))
 
 
+def _column(rows):
+    """A title above a column of one-line body groups, 10 pt high on a 12 pt
+    pitch, so that they chain into entries; a row may have a bold header
+    beside it, on the left."""
+    groups = [text_group("DIRECTORY OF ADVISERS", 40, 20, 400, 36, size=16.0, bold=True)]
+    for i, (text, beside) in enumerate(rows):
+        top = 60 + 12.0 * i
+        if beside is not None:
+            groups.append(text_group(beside, 40, top, 140, top + 10, bold=True))
+        groups.append(text_group(text, 160, top, 400, top + 10))
+    return page(*groups, width=640, height=80 + 12 * len(rows))
+
+
+_COLUMNS = st.lists(st.tuples(st.sampled_from(_GRID_LINES), st.none() | st.sampled_from(_GRID_TITLES)),
+                    min_size=1, max_size=12).map(_column)
+
+
 @st.composite
 def _grid_and_order(draw):
     entries = draw(st.lists(st.tuples(
@@ -286,6 +303,9 @@ def _grid_and_order(draw):
         min_size=1, max_size=12))
     grid = _grid(entries, draw(st.integers(1, 5)))
     return grid, draw(st.permutations(range(len(grid["groups"]))))
+
+
+_GRIDS = _grid_and_order().map(lambda c: c[0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -343,12 +363,12 @@ def _blocks_by_page(pages, which, model):
             for run in runs}
 
 
-_PAGE_POOL = [NARRATIVE, LONG_NARRATIVE, _fig1a(), _shifted(_fig1a(), 0.5)]
+_PAGE_POOL = [NARRATIVE, LONG_NARRATIVE, _fig1a(), _shifted(_fig1a(), 0.5, 0.5)]
 
 
 @st.composite
 def _documents_and_orders(draw):
-    pages = draw(st.lists(st.sampled_from(_PAGE_POOL) | _grid_and_order().map(lambda c: c[0]),
+    pages = draw(st.lists(st.sampled_from(_PAGE_POOL) | _GRIDS,
                           min_size=2, max_size=5))
     return pages, draw(st.permutations(range(len(pages))))
 
@@ -363,3 +383,62 @@ def test_page_order_changes_no_page_blocks(trained_model_path, case):
         alone = [_blocks_by_page([p], which, m).get(0) for p in pages]
         permuted = _blocks_by_page([pages[i] for i in order], which, m)
         assert permuted == {j: alone[i] for j, i in enumerate(order) if alone[i] is not None}
+
+
+# --- translation and inert furniture ---
+
+# Offsets on a 1/64 grid keep every coordinate, and every difference of
+# two, exact in binary.
+_OFFSETS = st.integers(0, 64 * 10**6).map(lambda k: k / 64)
+# The helpers reuse one document file and drain the captured output on
+# every call, so the fixtures may serve every example.
+_REUSED_FIXTURES = [HealthCheck.function_scoped_fixture]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=_REUSED_FIXTURES)
+@given(page_dict=_GRIDS | _COLUMNS, dx=_OFFSETS, dy=_OFFSETS)
+def test_translation_changes_no_blocks(capsys, tmp_path, page_dict, dx, dy):
+    moved = dict(_shifted(page_dict, dx, dy), width=page_dict["width"] + dx,
+                 height=page_dict["height"] + dy)
+    command = ("blocks", "--pages", "all")
+    assert (_stdout(capsys, tmp_path, [moved], *command)
+            == _stdout(capsys, tmp_path, [page_dict], *command))
+
+
+_FURNITURE_TEXTS = ["Page 3", "DIRECTORY", "Registered Office of the Fund", "KPMG Luxembourg",
+                    "12 Main Street", "Custodian:", "Acme Fund Prospectus, 1 June 2021, page 3 of 120"]
+
+
+def _with_group(page_dict, g, position):
+    groups = list(page_dict["groups"])
+    groups.insert(position, g)
+    return dict(page_dict, groups=groups)
+
+
+@st.composite
+def _page_and_furnished(draw):
+    """A page, and the page with a page-header or page-footer group, of any
+    text and anywhere on it, inserted at any position of its group list."""
+    page_dict = draw(st.sampled_from([_fig1a()]) | _GRIDS | _COLUMNS)
+    left = draw(st.integers(0, int(page_dict["width"]) - 100))
+    top = draw(st.integers(0, int(page_dict["height"]) - 10))
+    furniture = text_group(draw(st.sampled_from(_FURNITURE_TEXTS)), left, top, left + 100, top + 10,
+                           size=draw(st.sampled_from([8.0, 10.0, 16.0])), bold=draw(st.booleans()),
+                           **{draw(st.sampled_from(["header", "footer"])): True})
+    return page_dict, _with_group(page_dict, furniture, draw(st.integers(0, len(page_dict["groups"]))))
+
+
+_ONE_ROW = _column([("12 Main Street", None)])
+_LONG_FOOTER = text_group(_FURNITURE_TEXTS[-1], 0, 0, 100, 10, size=8.0, footer=True)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=_REUSED_FIXTURES)
+@given(case=_page_and_furnished())
+# A footer with more characters than the rest of the page: counted in the
+# page's modal style, its 8 pt would turn the 10 pt body into a header.
+@example(case=(_ONE_ROW, _with_group(_ONE_ROW, _LONG_FOOTER, 0)))
+def test_furniture_group_changes_no_tree_or_blocks(capsys, tmp_path, case):
+    page_dict, furnished = case
+    for command in (("tree", "--pages", "all"), ("blocks", "--pages", "all")):
+        assert (_stdout(capsys, tmp_path, [furnished], *command)
+                == _stdout(capsys, tmp_path, [page_dict], *command)), command

@@ -608,7 +608,7 @@ def _build_tree_all_pairs(spans, p):
 
 
 @st.composite
-def _tree_spans(draw):
+def _scattered_spans(draw):
     # Few styles, groups and grid positions, so that clusters hold several
     # headers, groups several spans, and boxes stack, align and overlap.
     spans = []
@@ -626,6 +626,37 @@ def _tree_spans(draw):
             bold=draw(st.booleans()),
         ))
     return spans
+
+
+@st.composite
+def _column_spans(draw):
+    """Left-aligned one-line bodies, each its own group, on a pitch near the
+    line height, with optional headers above the column, beside its rows or
+    on a row of their own between bodies."""
+    def header(text, left, top, right):
+        return mkspan(text, left, top, right, top + 10.0, H,
+                      size=draw(st.sampled_from([10.0, 12.0, 16.0])), bold=draw(st.booleans()))
+
+    column, pitch = 120.0, draw(st.sampled_from([10.0, 12.0, 14.0]))
+    spans = [header(f"top {k}", draw(st.sampled_from([0.0, 120.0])), 12.0 * k, 400.0)
+             for k in range(draw(st.integers(0, 2)))]
+    top = 30.0
+    for i in range(draw(st.integers(2, 12))):
+        beside = draw(st.sampled_from([None, None, "left", "right", "row"]))
+        if beside == "row":
+            spans.append(header(f"row {i}", column, top, column + 150.0))
+            top += pitch
+        elif beside is not None:
+            left = 0.0 if beside == "left" else 340.0
+            spans.append(header(f"{beside} {i}", left, top, left + 100.0))
+        left = column + draw(st.sampled_from([0.0, 0.0, 3.0, 8.0]))
+        spans.append(mkspan(f"b{i}", left, top, left + 200.0, top + 10.0))
+        top += pitch
+    return spans
+
+
+def _tree_spans():
+    return _scattered_spans() | _column_spans()
 
 
 @settings(max_examples=300)
@@ -672,6 +703,34 @@ def test_build_tree_can_parent_calls_linear_on_grid(monkeypatch, k):
         (("DIRECTORY", f"Head {i}"), f"body {i}") for i in range(k)
     ]
     assert len(calls) <= 4 * (2 * k + 1)  # all earlier spans would be about k * k / 2
+
+
+def _column_page(n):
+    """One header over n left-aligned bodies, each its own group, 10 pt high
+    on a 12 pt pitch, so that they chain into one entry."""
+    return [mkspan("DIRECTORY", 0, 0, 300, 20, H, size=16.0, bold=True)] + [
+        mkspan(f"body {i}", 0, 30 + 12.0 * i, 200, 40 + 12.0 * i) for i in range(n)]
+
+
+@pytest.mark.parametrize("spans", [_column_page(250), _column_page(500), _column_page(1000),
+                                   _grid_page(50), _grid_page(200)],
+                         ids=["column250", "column500", "column1000", "grid50", "grid200"])
+def test_build_tree_header_scans_linear(monkeypatch, spans):
+    # The body-chain test reads only headers, so it is handed the page's
+    # headers, not every span: on the column that is one header per call.
+    scanned = []
+
+    def counting_nearest_header_above(x, candidates, p=None):
+        scanned.append(len(candidates))
+        return nearest_header_above(x, candidates, p)
+
+    monkeypatch.setattr(tree_module, "nearest_header_above", counting_nearest_header_above)
+    tree = build_tree(spans)
+    validate_tree(tree)
+    if spans[1].label is B:  # the column: one entry, so every pair reaches the scans
+        assert [(b.headers, b.body) for b in directory_blocks(tree)] == [
+            (("DIRECTORY",), " ".join(s.text for s in spans[1:]))]
+    assert sum(scanned) <= 4 * len(spans)  # every span per call would be about 2 * n * n
 
 
 # --- the worked example ---
