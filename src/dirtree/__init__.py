@@ -10,7 +10,6 @@ from .annotate import (
     Annotation,
     AnnotationLabel,
     Gazetteer,
-    GazetteerError,
     GroupAnnotations,
     annotate,
     is_address_candidate,
@@ -57,7 +56,6 @@ from .visual import (
     Segment,
     StyleInfo,
     VisualPage,
-    document_to_json,
     group_layout,
     group_text,
     parse_document,
@@ -97,7 +95,6 @@ __all__ = [
     "ForestHyperparams",
     "ForestModel",
     "Gazetteer",
-    "GazetteerError",
     "GeometryError",
     "Group",
     "GroupAnnotations",
@@ -120,7 +117,6 @@ __all__ = [
     "build_tree",
     "cluster_headers",
     "directory_blocks",
-    "document_to_json",
     "eval_classifier",
     "eval_tree",
     "evaluate",

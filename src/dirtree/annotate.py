@@ -12,7 +12,7 @@ import os
 import re
 from bisect import bisect_left
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 from .jsonin import SchemaError, items, json_path, load_json, string, top
@@ -124,12 +124,18 @@ def _ascii_key(phrase: str) -> "str | None":
     key = []
     for ch in lead:
         if not ch.isascii():
-            ch_re = re.compile(re.escape(ch), re.IGNORECASE)
-            ch = next((a for a in map(chr, range(128)) if ch_re.fullmatch(a)), None)
+            ch = _ascii_char(ch)
             if ch is None:
                 return None
         key.append(ch.lower())
     return "".join(key)
+
+
+@cache
+def _ascii_char(ch: str) -> "str | None":
+    """An ASCII character that ``re.IGNORECASE`` equates with ch, or None."""
+    ch_re = re.compile(re.escape(ch), re.IGNORECASE)
+    return next((a for a in map(chr, range(128)) if ch_re.fullmatch(a)), None)
 
 
 class _PhraseIndex:
@@ -140,15 +146,15 @@ class _PhraseIndex:
     list's longest-first alternation would give.  One regex pass finds where
     a phrase may start, each place not after a word character: a whole
     word, a non-ASCII character that is not a word character, or an ASCII
-    symbol that leads a phrase.  An ASCII word or symbol is looked up in
-    lowercase among the keys, each phrase's leading word (or symbol) as the
-    lowercase ASCII text that ``re.IGNORECASE`` equates with it.  No phrase
-    filed elsewhere can match there, because ``re.IGNORECASE`` equates an
-    ASCII word character only with word characters and an ASCII symbol only
-    with itself, so a phrase that matches at a whole ASCII word has that
-    word as its leading word.  Anything else is looked up by its first
-    character in a bucket of the phrases whose first character
-    ``re.IGNORECASE`` equates with it, filled on first use.
+    symbol that leads a phrase.  The keys are each phrase's leading word (or
+    symbol) as the lowercase ASCII text that ``re.IGNORECASE`` equates with
+    it, and a word or symbol that has such a text is looked up by it.  No
+    phrase filed elsewhere can match there, because ``re.IGNORECASE``
+    equates an ASCII word character only with word characters and an ASCII
+    symbol only with itself, so a phrase that matches at such a whole word
+    has that word as its leading word.  Anything else is looked up by its
+    first character in a bucket of the phrases with no key whose first
+    character ``re.IGNORECASE`` equates with it, filled on first use.
 
     A key's phrases of one list are tried by one word-boundary guarded,
     case-insensitive alternation, longest first: ``re`` tries alternatives
@@ -163,15 +169,20 @@ class _PhraseIndex:
 
     def __init__(self, lists: "dict[str, tuple[str, ...]]"):
         self.names = tuple(lists)
-        # Per list: its phrases, longest first.
-        self._lists = [sorted(phrases, key=len, reverse=True) for phrases in lists.values()]
         # Key -> {list: its phrases under that key, longest first}.
         self._keyed: "dict[str, dict[int, list[str]]]" = {}
-        for slot, phrases in enumerate(self._lists):
-            for phrase in phrases:
+        # Per list: its phrases with no key (and those holding U+0345), longest first.
+        self._unkeyed: "list[list[str]]" = [[] for _ in self.names]
+        for slot, phrases in enumerate(lists.values()):
+            for phrase in sorted(phrases, key=len, reverse=True):
                 key = _ascii_key(phrase)
                 if key is not None:
                     self._keyed.setdefault(key, {}).setdefault(slot, []).append(phrase)
+                # U+0345 is the one non-word character that re.IGNORECASE
+                # equates with word characters (ι, Ι): after a keyed leading
+                # word it may match inside a longer text word with no key.
+                if key is None or "\u0345" in phrase:
+                    self._unkeyed[slot].append(phrase)
         # The buckets of (list, alternation) pairs, each compiled on its first hit.
         self._by_key: "dict[str, tuple[tuple[int, re.Pattern], ...]]" = {}
         self._by_char: "dict[str, tuple[tuple[int, re.Pattern], ...]]" = {}
@@ -181,11 +192,11 @@ class _PhraseIndex:
             r"(?<!\w)(?:\w+|[^\x00-\x7f]" + (f"|[{symbols}]" if symbols else "") + ")")
 
     def _char_candidates(self, ch: str) -> "tuple[tuple[int, re.Pattern], ...]":
-        """The bucket of phrases whose first character may be ch."""
+        """The bucket of unkeyed phrases whose first character may be ch."""
         found = self._by_char.get(ch)
         if found is None:
             bucket: "dict[int, list[str]]" = {}
-            for slot, phrases in enumerate(self._lists):
+            for slot, phrases in enumerate(self._unkeyed):
                 for phrase in phrases:
                     if re.fullmatch(re.escape(phrase[0]), ch, re.IGNORECASE):
                         bucket.setdefault(slot, []).append(phrase)
@@ -198,15 +209,15 @@ class _PhraseIndex:
         by_key, keyed = self._by_key, self._keyed
         for m in self._start_re.finditer(text):
             word = m[0]
-            if word.isascii():
-                key = word.lower()
+            key = word.lower() if word.isascii() else _ascii_key(word)
+            if key is None:
+                candidates = self._char_candidates(word[0])
+            else:
                 candidates = by_key.get(key)
                 if candidates is None:
                     if key not in keyed:
                         continue
                     candidates = by_key[key] = _compile_bucket(keyed[key])
-            else:
-                candidates = self._char_candidates(word[0])
             pos = m.start()
             for slot, pattern in candidates:
                 if pos >= next_allowed[slot]:
@@ -223,8 +234,6 @@ def _compile_bucket(bucket: "dict[int, list[str]]") -> "tuple[tuple[int, re.Patt
                           re.IGNORECASE))
         for slot, phrases in bucket.items())
 
-
-GazetteerError = SchemaError  # each names the JSON path of the phrase at fault
 
 _WHERE = ("gazetteer: $",)
 # The packaged gazetteer, installed as a plain file beside this module.
@@ -452,9 +461,6 @@ class GroupAnnotations:
         found = [(start, end, label) for label in labels for start, end in self.spans_of(label)]
         found.sort()  # a label compares as its value, being a str
         return [Annotation(label, start, end, text[start:end]) for start, end, label in found]
-
-    def __repr__(self) -> str:
-        return f"GroupAnnotations({self.select(*AnnotationLabel)!r})"
 
 
 def _phrase_spans(text: str, index: _PhraseIndex) -> "dict[AnnotationLabel, list[tuple[int, int]]]":

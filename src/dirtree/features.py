@@ -85,18 +85,6 @@ class FeatureVector:
     def as_list(self) -> list[float]:
         return [self[i] for i in range(len(FEATURE_NAMES))]
 
-    def __eq__(self, other):
-        if isinstance(other, FeatureVector):
-            return self.as_list() == other.as_list()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self.as_list()))
-
-    def __repr__(self) -> str:
-        values = ", ".join(f"{name}={v!r}" for name, v in zip(FEATURE_NAMES, self.as_list()))
-        return f"FeatureVector({values})"
-
 
 def _count(anns: GroupAnnotations, label: AnnotationLabel) -> int:
     """The number of a group's annotations of the label; builds no

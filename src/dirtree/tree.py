@@ -92,10 +92,6 @@ class TreeNode:
 class ReadingTree(NamedTuple):
     nodes: dict[int, TreeNode]
 
-    @property
-    def root(self) -> TreeNode:
-        return self.nodes[ROOT_ID]
-
 
 class DirectoryBlock(NamedTuple):
     headers: tuple[str, ...]

@@ -81,15 +81,6 @@ class StyleInfo(NamedTuple):
     italic: bool
     color: int  # 24-bit RGB packed as an int
 
-    def to_json(self) -> dict:
-        return {
-            "font_family": self.font_family,
-            "font_size": self.font_size,
-            "bold": self.bold,
-            "italic": self.italic,
-            "color": self.color,
-        }
-
 
 class Segment(NamedTuple):
     text: str
@@ -497,43 +488,6 @@ def parse_document(data: "bytes | str | dict") -> list[VisualPage]:
     finally:
         if gc_was_enabled:
             gc.enable()
-
-
-def document_to_json(pages: "list[VisualPage]") -> dict:
-    """Serialize pages back to the input schema (parse round-trips exactly)."""
-    return {
-        "pages": [
-            {
-                "width": p.width,
-                "height": p.height,
-                "table_regions": [r.to_json() for r in p.table_regions],
-                "groups": [
-                    {
-                        "bbox": g.bbox.to_json(),
-                        "is_page_header": g.is_page_header,
-                        "is_page_footer": g.is_page_footer,
-                        "border_sides": g.border_sides,
-                        "lines": [
-                            {
-                                "bbox": l.bbox.to_json(),
-                                "segments": [
-                                    {
-                                        "text": s.text,
-                                        "bbox": s.bbox.to_json(),
-                                        "style": s.style.to_json(),
-                                    }
-                                    for s in l.segments
-                                ],
-                            }
-                            for l in g.lines
-                        ],
-                    }
-                    for g in p.groups
-                ],
-            }
-            for p in pages
-        ]
-    }
 
 
 def group_text(g: Group) -> str:

@@ -15,7 +15,6 @@ from dirtree.annotate import (
     Annotation,
     AnnotationLabel,
     Gazetteer,
-    GazetteerError,
     _dedupe_longest,
     _is_linker,
     _suffix_orgs,
@@ -23,6 +22,7 @@ from dirtree.annotate import (
     annotate,
     is_address_candidate,
 )
+from dirtree.jsonin import SchemaError
 
 from conftest import address_candidate_reference, parse_page, text_group
 
@@ -217,13 +217,13 @@ def test_fig1a_group_annotations(fig1a_page):
 # --- gazetteer loading ---
 
 def test_gazetteer_validation():
-    with pytest.raises(GazetteerError):
+    with pytest.raises(SchemaError):
         Gazetteer(roles=("", "Custodian"))
-    with pytest.raises(GazetteerError):
+    with pytest.raises(SchemaError):
         Gazetteer.from_json({"roles": "Custodian"})
-    with pytest.raises(GazetteerError):
+    with pytest.raises(SchemaError):
         Gazetteer.from_json({"roles": [1]})
-    with pytest.raises(GazetteerError):
+    with pytest.raises(SchemaError):
         Gazetteer.from_json([1, 2])
 
 
@@ -696,6 +696,37 @@ def test_phrase_index_compiles_phrases_on_first_hit(monkeypatch):
     index.find("Custodian, Zürich, custodian")
     assert compiled == ["Custodian", "Zürich"]
 
+
+def test_phrase_index_tries_only_phrases_that_can_match_a_non_ascii_word(monkeypatch):
+    # A phrase whose leading word has an ASCII key cannot match at a word
+    # with an "é": "Société" may start only "Société ...", and "Coopérative"
+    # no phrase of the default gazetteer.
+    tried = []
+    real = annotate_module._compile_bucket
+
+    class Counting:
+        def __init__(self, pattern):
+            self.pattern = pattern
+
+        def match(self, text, pos):
+            hit = self.pattern.match(text, pos)
+            tried.append(text[pos:hit.end()] if hit else None)
+            return hit
+
+    monkeypatch.setattr(annotate_module, "_compile_bucket", lambda bucket: tuple(
+        (slot, Counting(pattern)) for slot, pattern in real(bucket)))
+    found = Gazetteer.default().phrase_index.find("KPMG Luxembourg Société Coopérative")
+    assert found["gpe"] == [(5, 15)] and found["org_suffixes"] == [(16, 35)]
+    assert tried == ["Luxembourg", "Société Coopérative"]
+
+
+
+def test_keyed_phrase_before_u0345_matches_inside_a_word_with_no_key():
+    # U+0345 is not a word character but equates with ι, so "Aͅ Fund", keyed
+    # by its leading word "A", matches at the text word "Aι", which has no key.
+    gaz = Gazetteer(gpe=("Aͅ Fund",))
+    for text in ("Aι fund", "aͅ FUND"):
+        assert GroupAnnotations(text, gaz).select(*_L) == _annotate_text_reference(text, gaz) != []
 
 def _synthetic_phrases(n):
     """n phrases with n distinct first words: ASCII words, words with a

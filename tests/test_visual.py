@@ -3,7 +3,6 @@ import gc
 import json
 import math
 import pickle
-import random
 import sys
 from unittest import mock
 
@@ -20,7 +19,6 @@ from dirtree.visual import (
     Segment,
     StyleInfo,
     VisualPage,
-    document_to_json,
     group_layout,
     group_text,
     parse_document,
@@ -31,7 +29,7 @@ from dirtree.visual import (
 
 from conftest import (
     doc, faulty_documents, group, json_nodes, line, page, parent_of, parse_page,
-    random_page_dict, seg, text_group,
+    seg, text_group,
 )
 
 
@@ -328,30 +326,6 @@ def test_int_coordinates_become_floats():
     assert isinstance(vp.groups[0].bbox.left, float)
 
 
-# --- round trips ---
-
-def test_round_trip_fixture(fig1a_path):
-    pages = parse_document(fig1a_path.read_bytes())
-    again = parse_document(document_to_json(pages))
-    assert again == pages
-
-
-def test_round_trip_is_stable_json(fig1a_path):
-    pages = parse_document(fig1a_path.read_bytes())
-    first = json.dumps(document_to_json(pages), sort_keys=True)
-    second = json.dumps(document_to_json(parse_document(document_to_json(pages))), sort_keys=True)
-    assert first == second
-
-
-@settings(max_examples=40)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_round_trip_random_pages(seed):
-    rng = random.Random(seed)
-    d = doc(*[random_page_dict(rng) for _ in range(rng.randint(1, 3))])
-    pages = parse_document(d)
-    assert parse_document(document_to_json(pages)) == pages
-
-
 # --- the parser against the parser as first written ---
 #
 # The reference below is the parser as first written, which formatted every
@@ -527,7 +501,7 @@ def _parse_document_reference(data):
 
 def _outcome(parse, document):
     try:
-        return document_to_json(parse(document))
+        return parse(document)
     except (SchemaError, GeometryError, OverflowError) as exc:
         return type(exc), str(exc), getattr(exc, "path", None)
 
