@@ -154,7 +154,11 @@ class _PhraseIndex:
     symbol only with itself, so a phrase that matches at such a whole word
     has that word as its leading word.  Anything else is looked up by its
     first character in a bucket of the phrases with no key whose first
-    character ``re.IGNORECASE`` equates with it, filled on first use.
+    character ``re.IGNORECASE`` equates with it, filled on first use.  The
+    one exception is a word that U+0345 follows: ``re.IGNORECASE`` equates
+    that non-word character with ``ι``, so a phrase whose leading word runs
+    on with ``ι`` may match there, and the word is looked up by its key and
+    by its first character both.
 
     A key's phrases of one list are tried by one word-boundary guarded,
     case-insensitive alternation, longest first: ``re`` tries alternatives
@@ -173,8 +177,10 @@ class _PhraseIndex:
         self._keyed: "dict[str, dict[int, list[str]]]" = {}
         # Per list: its phrases with no key (and those holding U+0345), longest first.
         self._unkeyed: "list[list[str]]" = [[] for _ in self.names]
-        for slot, phrases in enumerate(lists.values()):
-            for phrase in sorted(phrases, key=len, reverse=True):
+        # Per list: all its phrases, longest first.
+        self._longest_first = [sorted(phrases, key=len, reverse=True) for phrases in lists.values()]
+        for slot, phrases in enumerate(self._longest_first):
+            for phrase in phrases:
                 key = _ascii_key(phrase)
                 if key is not None:
                     self._keyed.setdefault(key, {}).setdefault(slot, []).append(phrase)
@@ -186,21 +192,41 @@ class _PhraseIndex:
         # The buckets of (list, alternation) pairs, each compiled on its first hit.
         self._by_key: "dict[str, tuple[tuple[int, re.Pattern], ...]]" = {}
         self._by_char: "dict[str, tuple[tuple[int, re.Pattern], ...]]" = {}
+        self._by_run_on: "dict[tuple[str, str], tuple[tuple[int, re.Pattern], ...]]" = {}
         # A symbol key is an ASCII symbol but "_": the class holds at most 31.
         symbols = "".join(re.escape(k) for k in self._keyed if not _LEADING_WORD_RE.match(k))
         self._start_re = re.compile(
             r"(?<!\w)(?:\w+|[^\x00-\x7f]" + (f"|[{symbols}]" if symbols else "") + ")")
 
+    def _unkeyed_from(self, ch: str) -> "dict[int, list[str]]":
+        """Per list, its unkeyed phrases whose first character may be ch."""
+        bucket: "dict[int, list[str]]" = {}
+        for slot, phrases in enumerate(self._unkeyed):
+            for phrase in phrases:
+                if re.fullmatch(re.escape(phrase[0]), ch, re.IGNORECASE):
+                    bucket.setdefault(slot, []).append(phrase)
+        return bucket
+
     def _char_candidates(self, ch: str) -> "tuple[tuple[int, re.Pattern], ...]":
         """The bucket of unkeyed phrases whose first character may be ch."""
         found = self._by_char.get(ch)
         if found is None:
-            bucket: "dict[int, list[str]]" = {}
-            for slot, phrases in enumerate(self._unkeyed):
-                for phrase in phrases:
-                    if re.fullmatch(re.escape(phrase[0]), ch, re.IGNORECASE):
-                        bucket.setdefault(slot, []).append(phrase)
-            found = self._by_char[ch] = _compile_bucket(bucket)
+            found = self._by_char[ch] = _compile_bucket(self._unkeyed_from(ch))
+        return found
+
+    def _run_on_candidates(self, key: str, ch: str) -> "tuple[tuple[int, re.Pattern], ...]":
+        """The bucket at a word with a key, first character ch, that U+0345
+        runs on: a phrase's leading word may run on through it (as ``ι``), so
+        the unkeyed phrases of ch join the key's, each list longest first."""
+        found = self._by_run_on.get((key, ch))
+        if found is None:
+            unkeyed, keyed = self._unkeyed_from(ch), self._keyed.get(key, {})
+            bucket = {}
+            for slot, phrases in enumerate(self._longest_first):
+                picked = {*unkeyed.get(slot, ()), *keyed.get(slot, ())}
+                if picked:
+                    bucket[slot] = [p for p in phrases if p in picked]
+            found = self._by_run_on[key, ch] = _compile_bucket(bucket)
         return found
 
     def find(self, text: str) -> "dict[str, list[tuple[int, int]]]":
@@ -212,6 +238,8 @@ class _PhraseIndex:
             key = word.lower() if word.isascii() else _ascii_key(word)
             if key is None:
                 candidates = self._char_candidates(word[0])
+            elif text.startswith("\u0345", m.end()):
+                candidates = self._run_on_candidates(key, word[0])
             else:
                 candidates = by_key.get(key)
                 if candidates is None:

@@ -82,10 +82,11 @@ class PipelineConfig(NamedTuple):
 
 # --- shared plumbing -------------------------------------------------------
 
-def _read_doc(path: str):
+def _read_doc(path: str, stream: bool = False):
+    """The document's pages: a list, or with ``stream`` a generator that
+    reads them one at a time."""
     with open(path, "rb") as f:
-        data = f.read()
-    return parse_document(data)
+        return parse_document(f.read(), stream=stream)
 
 
 def _load_gazetteer(args, cfg: PipelineConfig) -> Gazetteer:
@@ -116,7 +117,7 @@ def _runs(args, cfg: PipelineConfig, skip_empty: bool = True):
     page indexes.  Errors come in the order: model, threshold, page list,
     tree parameters; the runs then raise segmentation errors when read.
     """
-    pages = _read_doc(args.doc)
+    pages = _read_doc(args.doc, args.stream)
     gaz = _load_gazetteer(args, cfg)
     which = getattr(args, "pages", "all")
     model, threshold = None, cfg.threshold
@@ -160,8 +161,11 @@ def _emit(payload: dict, args, cfg: PipelineConfig) -> None:
 # --- subcommands -----------------------------------------------------------
 
 def _cmd_validate(args, cfg):
-    pages = _read_doc(args.doc)
-    _emit({"pages": len(pages), "groups": sum(len(p.groups) for p in pages)}, args, cfg)
+    pages = groups = 0
+    for page in _read_doc(args.doc, args.stream):
+        pages += 1
+        groups += len(page.groups)
+    _emit({"pages": pages, "groups": groups}, args, cfg)
     return EXIT_OK
 
 
@@ -220,7 +224,7 @@ def _cmd_train(args, cfg):
 
 
 def _cmd_classify(args, cfg):
-    pages = _read_doc(args.doc)
+    pages = _read_doc(args.doc, args.stream)
     gaz = _load_gazetteer(args, cfg)
     model, threshold = _load_model(args, cfg), _threshold(args, cfg)
     out = [
@@ -284,6 +288,7 @@ def _cmd_eval(args, cfg):
 
 def _add_doc(p):
     p.add_argument("doc", help="visual-model document JSON")
+    p.set_defaults(stream=True)
 
 
 def _add_gazetteer(p):
@@ -418,6 +423,21 @@ def _run(argv: "list[str] | None") -> int:
         return EXIT_INPUT
     try:
         cfg = PipelineConfig.from_environment()
+        # Read whole, a document is checked before anything else and before
+        # any page runs, so its first fault is reported ahead of a bad flag
+        # or file and of a later page's error.  A command that read every
+        # page one at a time and failed runs again on the whole document,
+        # which reports the error it always reported; output is written
+        # only at the end of a run that succeeds, so the failed run shows
+        # nothing.  (Run here, not in a helper, so that the whole-document
+        # decode has the stack depth it always had.)
+        args.stream = (getattr(args, "stream", False)
+                       and getattr(args, "pages", "all") in ("all", "auto"))
+        if args.stream:
+            try:
+                return args.func(args, cfg)
+            except Exception:  # whatever it was, the run on the whole document reports it
+                args.stream = False
         return args.func(args, cfg)
     except TreeInvariantError as e:
         print(f"internal error: {e}", file=sys.stderr)

@@ -355,13 +355,48 @@ def _leaf_for(node, x):
     return node
 
 
-def predict_score(model: ForestModel, x) -> float:
+def predict_score(model: ForestModel, x, threshold: "float | None" = None) -> float:
     """Mean positive fraction over the leaves the vector lands in.  ``x`` is
     read by feature index, or asked ``x.at_most(feature, threshold)`` when
     it has that method, so a ``FeatureVector`` computes only the features
     that the paths taken test, and sums a count only until its split is
-    decided."""
-    return sum(_leaf_for(t, x).positive_fraction for t in model.trees) / len(model.trees)
+    decided.
+
+    With ``threshold`` the result is only on the same side of it as the
+    mean (``>= threshold`` or not), and the vote stops once that side is
+    known.  The trees are read grouped by the feature their root tests, in
+    order of first appearance, so a page whose side the trees of its first
+    feature settle reads no other feature.  After each group the mean is
+    bounded by the in-order float sum with each unread tree's fraction set
+    to 0.0 and then to 1.0; float addition is monotone, so the bounds hold
+    exactly.
+    """
+    trees = model.trees
+    if threshold is None:
+        return _mean([_leaf_for(t, x).positive_fraction for t in trees])
+    by_feature = {}
+    for i, tree in enumerate(trees):
+        by_feature.setdefault(getattr(tree, "feature", None), []).append(i)
+    fractions = [None] * len(trees)
+    for group in by_feature.values():
+        for i in group:
+            fractions[i] = _leaf_for(trees[i], x).positive_fraction
+        low = _mean([0.0 if f is None else f for f in fractions])
+        if low >= threshold:
+            return low
+        high = _mean([1.0 if f is None else f for f in fractions])
+        if high < threshold:
+            return high
+    return low
+
+
+def _mean(fractions: "list[float]") -> float:
+    """The mean, added in order: ``sum`` compensates float additions from
+    Python 3.12 on, and the bounds above need plain ones."""
+    total = 0.0
+    for f in fractions:
+        total += f
+    return total / len(fractions)
 
 
 def _node_to_json(node) -> dict:

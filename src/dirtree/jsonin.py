@@ -12,7 +12,10 @@ to the holder, formatted only to raise (``("$", "pages", 0)`` reads
 from __future__ import annotations
 
 import json
+import re
 import reprlib
+import sys
+from json.decoder import scanstring
 from math import inf, isfinite
 
 ROOT = ("$",)
@@ -84,10 +87,113 @@ def top(data, where: tuple = ROOT, known=None) -> dict:
         try:
             data = decode_json(data)
         except ValueError as exc:
-            raise SchemaError(json_path(where), f"invalid JSON: {exc}") from exc
+            raise _invalid(where, exc) from exc
     if not isinstance(data, dict):
         raise SchemaError(json_path(where), f"expected object, got {type(data).__name__}")
     return _known(data, where, known)
+
+
+def _invalid(where: tuple, exc: ValueError) -> SchemaError:
+    return SchemaError(json_path(where), f"invalid JSON: {exc}")
+
+
+def streamed_items(read, data: "bytes | str", key: str, where: tuple = ROOT):
+    """``items(read, top(data), key, where)`` as a generator that decodes the
+    array's items one at a time.
+
+    ``bytes`` are decoded to text as ``json.loads`` decodes them, on the
+    call.  Then the document's top-level object is scanned in order: its
+    other values are decoded and dropped, and each item of the array ``key``
+    is decoded when reached and yielded as ``read({i: item}, i, path)`` (a
+    one-item holder, so that the item reads as item i of the array).  So no
+    item's decoded JSON outlives the next item's read.
+
+    A document that ``top`` or ``array`` rejects raises the error they
+    raise, but only when the scan reaches the fault, after the items before
+    it were yielded.  So does a document whose object holds ``key`` more
+    than once (``json.loads`` keeps the last), and one nested too deeply for
+    the scan's decoder, which then raise SchemaError.
+    """
+    if isinstance(data, bytes):
+        try:
+            data = data.decode(json.detect_encoding(data), "surrogatepass")
+        except ValueError as exc:  # as json.loads raises it
+            raise _invalid(where, exc) from exc
+    at = where + (key,)
+    return (read({i: item}, i, at) for i, item in enumerate(_array_items(data, key, where)))
+
+
+_skip = re.compile(r"[ \t\n\r]*").match  # JSON whitespace
+_raw_decode = json.JSONDecoder().raw_decode  # the decoder json.loads uses
+# Frames of recursion the scan's decoder is denied.  Decoding the whole
+# document reaches an item through more frames and two more levels of
+# nesting (seven more in all, measured from the CLI), so with this margin the scan
+# never takes an item nested too deeply for that decode.
+_DEPTH_MARGIN = 50
+
+
+def _decode(text: str, pos: int):
+    """``raw_decode(text, pos)`` with the recursion limit lowered by
+    _DEPTH_MARGIN.  (From Python 3.12 the decoder's nesting limit is a C
+    stack budget that the recursion limit does not set.)"""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit - _DEPTH_MARGIN)
+    try:
+        return _raw_decode(text, pos)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _array_items(text: str, key: str, where: tuple):
+    """The items of the array ``key`` of ``text``'s top-level object, each
+    decoded when reached.  Anything the scan does not take (a fault of the
+    JSON, a missing key, a value of the key that is not an array, a repeated
+    key) leaves the scan, and decoding the whole text names the fault."""
+    reason = "appears more than once"  # what the whole text may not name
+    found = closed = False
+    try:
+        pos = _skip(text).end()
+        if text.startswith("{", pos):
+            pos = _skip(text, pos + 1).end()
+            closed = text.startswith("}", pos)
+        while not closed and text.startswith('"', pos):
+            name, pos = scanstring(text, pos + 1)
+            pos = _skip(text, pos).end()
+            if not text.startswith(":", pos):
+                break
+            pos = _skip(text, pos + 1).end()
+            if name != key:
+                pos = _decode(text, pos)[1]
+            elif found or not text.startswith("[", pos):
+                break
+            else:
+                found = True
+                pos = _skip(text, pos + 1).end()
+                if not text.startswith("]", pos):
+                    while True:
+                        item, pos = _decode(text, pos)
+                        yield item
+                        pos = _skip(text, pos).end()
+                        if not text.startswith(",", pos):
+                            break
+                        pos = _skip(text, pos + 1).end()
+                    if not text.startswith("]", pos):
+                        break
+                pos += 1
+            pos = _skip(text, pos).end()
+            closed = text.startswith("}", pos)
+            if not closed:
+                if not text.startswith(",", pos):
+                    break
+                pos = _skip(text, pos + 1).end()
+        if closed and found and _skip(text, pos + 1).end() == len(text):
+            return
+    except RecursionError:
+        reason = "nested too deeply"
+    except ValueError:  # from the decoder
+        pass
+    array(top(text, where), key, where)
+    raise SchemaError(json_path(where + (key,)), f"cannot be read one item at a time: {reason}")
 
 
 def obj(holder, key, where: tuple, default=_REQUIRED, known=None) -> dict:

@@ -11,8 +11,10 @@ each reading only the labels it counts, and the address-block feature
 tests numbers and postcodes by presence.  A split on a count sums it over
 the groups in order only until the sum passes the split's threshold, and
 a later read resumes the sum.  Segmentation reads organizations, persons,
-roles and address types.  So a page that is scored and not selected
-computes only the features its trees test, scans a group for a count only
+roles and address types.  Selecting pages needs only their labels, and
+the vote for a label stops once its side of the threshold is known.  So a
+page that is scored and not selected computes only the features tested by
+the trees read before its label settled, scans a group for a count only
 while a split on it is undecided, lists no numbers or postcodes and builds
 no ``Annotation``, and no stage builds the full sorted annotation list.
 Parsing checked each group and kept its text, box, flags and border sides,
@@ -28,6 +30,7 @@ dirtree``, and names bound here before that would bypass the wrappers.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cached_property
 
 from .annotate import Gazetteer, annotate
@@ -61,8 +64,11 @@ class PageRun:
 
     @cached_property
     def label(self) -> int:
-        """1 when the page scores at or above the threshold: a directory page."""
-        return 1 if self.score >= self.threshold else 0
+        """1 when the page scores at or above the threshold: a directory page.
+        The vote stops once its side of the threshold is known, so the label
+        may cost fewer features than ``score``."""
+        settled = predict_score(self.model, self.features, self.threshold)
+        return 1 if settled >= self.threshold else 0
 
     @cached_property
     def spans(self):
@@ -90,25 +96,30 @@ def check_indexes(indexes, count: int) -> None:
         seen.add(i)
 
 
-def page_runs(pages: "list[VisualPage]", gaz: Gazetteer, which="all", model=None,
+def page_runs(pages: "Iterable[VisualPage]", gaz: Gazetteer, which="all", model=None,
               threshold: float = 0.5, params: TreeParams = TreeParams(),
               skip_empty: bool = True):
     """Yield a PageRun for each selected page, in order.
 
     ``which`` is "all"; "auto", the pages ``model`` labels 1 at
     ``threshold``, whose runs keep the annotations made to score them; or a
-    list of distinct page indexes, in the order given.  With ``skip_empty``
-    a page with no text to segment is left out, or raises EmptyPageError
-    when it was named in a list.  Runs are made as they are yielded and not
-    kept, so a page's stages are freed once the caller lets go of its run.
+    list of distinct page indexes, in the order given, of a list of pages.
+    With "all" or "auto" the pages are read one at a time, so they may come
+    from ``parse_document(data, stream=True)``.  With ``skip_empty`` a page
+    with no text to segment is left out, or raises EmptyPageError when it
+    was named in a list.  Runs are made as they are yielded and not kept,
+    so a page's stages are freed once the caller lets go of its run.
     """
     explicit = which not in ("all", "auto")
     if explicit:
         check_indexes(which, len(pages))
-    elif which == "auto" and model is None:
-        raise ValueError("selecting pages by classifier needs a model")
-    for i in which if explicit else range(len(pages)):
-        run = PageRun(pages[i], i, gaz, model, threshold, params)
+        numbered = ((i, pages[i]) for i in which)
+    else:
+        if which == "auto" and model is None:
+            raise ValueError("selecting pages by classifier needs a model")
+        numbered = enumerate(pages)
+    for i, page in numbered:
+        run = PageRun(page, i, gaz, model, threshold, params)
         if which == "auto" and not run.label:
             continue
         if skip_empty:

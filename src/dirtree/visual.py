@@ -23,12 +23,15 @@ from __future__ import annotations
 
 import gc
 import sys
+from collections.abc import Iterator
 from functools import partial
 from math import inf, isfinite
 from operator import attrgetter
 from typing import NamedTuple
 
-from .jsonin import ROOT, SchemaError, array, boolean, field, items, json_path, number, obj, top
+from .jsonin import (
+    ROOT, SchemaError, array, boolean, field, items, json_path, number, obj, streamed_items, top,
+)
 
 
 class GeometryError(ValueError):
@@ -314,13 +317,13 @@ def _accept_group(obj) -> "Group | None":
     value that is not plainly well formed.  Never raises.
 
     One pass reads the flags, lines, segments, boxes and styles, with the
-    same number rules as _accept_box (written out for a segment's box).  The
-    union checks use running minima and maxima of the children's edges.  It
-    builds the group's box and text but no line, segment or style: the
-    group keeps ``obj`` and builds its lines from it when they are first
-    read (_built_lines).  The text joins the segments in the order of the
-    lines that will be built; while the JSON order is already that order,
-    the pass keeps the texts as it reads them.
+    same number rules as _accept_box (written out for each line's and
+    segment's box).  The union checks use running minima and maxima of the
+    children's edges.  It builds the group's box and text but no line,
+    segment or style: the group keeps ``obj`` and builds its lines from it
+    when they are first read (_built_lines).  The text joins the segments
+    in the order of the lines that will be built; while the JSON order is
+    already that order, the pass keeps the texts as it reads them.
     """
     if obj.__class__ is not dict:
         return None
@@ -356,8 +359,14 @@ def _accept_group(obj) -> "Group | None":
                     and text.__class__ is str and text and style.__class__ is dict):
                 return None
             l, t, r, b = float(l), float(t), float(r), float(b)
-            ul, ut = l if l < ul else ul, t if t < ut else ut
-            ur, ub = r if r > ur else ur, b if b > ub else ub
+            if l < ul:
+                ul = l
+            if t < ut:
+                ut = t
+            if r > ur:
+                ur = r
+            if b > ub:
+                ub = b
             size, color = style.get("font_size"), style.get("color")
             family, bold, italic = style.get("font_family"), style.get("bold"), style.get("italic")
             if not (family.__class__ is str
@@ -369,15 +378,26 @@ def _accept_group(obj) -> "Group | None":
             if l < left:
                 ordered = False
             left = l
-        box = _accept_box(line_obj.get("bbox"))
-        if box is None:
+        box = line_obj.get("bbox")
+        if box.__class__ is not dict:
             return None
-        l, t, r, b = box
+        l, t, r, b = box.get("l"), box.get("t"), box.get("r"), box.get("b")
+        if not (l.__class__ in numeric and t.__class__ in numeric
+                and r.__class__ in numeric and b.__class__ in numeric
+                and 0 <= l <= r <= _MAX_FLOAT and 0 <= t <= b <= _MAX_FLOAT):
+            return None
+        l, t, r, b = float(l), float(t), float(r), float(b)
         if not (abs(l - ul) <= _BOX_EPS and abs(t - ut) <= _BOX_EPS
                 and abs(r - ur) <= _BOX_EPS and abs(b - ub) <= _BOX_EPS):
             return None
-        gl, gt = l if l < gl else gl, t if t < gt else gt
-        gr, gb = r if r > gr else gr, b if b > gb else gb
+        if l < gl:
+            gl = l
+        if t < gt:
+            gt = t
+        if r > gr:
+            gr = r
+        if b > gb:
+            gb = b
         if t < top:
             ordered = False
         top = t
@@ -460,12 +480,22 @@ def _parse_page(holder, page_i: int, where: tuple) -> VisualPage:
     )
 
 
-def parse_document(data: "bytes | str | dict") -> list[VisualPage]:
+def parse_document(data: "bytes | str | dict",
+                   stream: bool = False) -> "list[VisualPage] | Iterator[VisualPage]":
     """Parse a visual-JSON document into validated pages.
 
     Unknown fields are ignored.  Raises SchemaError for missing or mistyped
     fields (message carries the JSON path) and GeometryError for invariant
     violations (message carries page/group indices).
+
+    With ``stream``, ``bytes`` and ``str`` give a generator in place of the
+    list: it decodes, checks and yields one page at a time, so a page's
+    decoded JSON is freed with the page (see ``jsonin.streamed_items``).
+    It raises a fault when it reaches it, after yielding the pages before
+    it, where the list path raises a fault of the JSON (trailing data, say)
+    before any page's.  It declines a document that repeats ``"pages"``,
+    of which the list path reads the last.  A ``dict`` is parsed to a list
+    either way.
 
     A group checked in one pass builds its lines from its part of the
     decoded JSON when they are first read.  A ``dict`` is the caller's own,
@@ -473,9 +503,11 @@ def parse_document(data: "bytes | str | dict") -> list[VisualPage]:
     built before this returns; ``bytes`` and ``str`` are decoded afresh.
 
     Parsing makes no reference cycles, so the cyclic garbage collector is
-    paused for the call: otherwise the tuples it builds set off collections
-    that walk every container of the decoded JSON.
+    paused for a call that returns a list: otherwise the tuples it builds
+    set off collections that walk every container of the decoded JSON.
     """
+    if stream and not isinstance(data, dict):
+        return streamed_items(_parse_page, data, "pages")
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -448,6 +448,7 @@ def _prose(pieces):
                "I i ı İ (Lux)(LUX) Fund (lux)\tfund"))
 @example(case=(Gazetteer(fac=("ιota",), gpe=("Co", "Coöp")), "ͅota ͅOTA xͅota ΙOTA COÖP"))
 @example(case=(Gazetteer(gpe=("Rich", "Sigma")), "Zürich ΣSigma ſigma"))
+@example(case=(Gazetteer(gpe=("someι",)), "some\u0345 x"))
 def test_annotate_text_matches_alternation_scan(case):
     gaz, text = case
     assert GroupAnnotations(text, gaz).select(*_L) == _annotate_text_reference(text, gaz)

@@ -7,10 +7,12 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 from unittest import mock
@@ -47,6 +49,7 @@ from conftest import (
     faulty_documents,
     make_margin_rows,
     parent_of,
+    random_page_dict,
     with_cycle,
     with_faults,
 )
@@ -252,6 +255,123 @@ def test_cli_fuzzed_documents_fail_cleanly(document):
             json.dump(document, f)
         for argv in (["validate", path], ["blocks", path, "--pages", "all"]):
             _fails_cleanly(*argv)
+
+
+# --- a document read one page at a time ---
+
+def _outcome(*argv):
+    """(exit code, stdout, stderr) of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(*argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _on_the_list_path():
+    """The CLI reading each document whole, as a list of pages."""
+    return mock.patch.object(cli, "parse_document", lambda data, stream=False: parse_document(data))
+
+
+_DOCUMENT_COMMANDS = [["validate"], ["blocks", "--pages", "all"], ["blocks", "--pages", "auto"]]
+
+
+def _argv(command, path, model):
+    return [command[0], str(path), *command[1:], *(["--model", str(model)] * ("auto" in command))]
+
+
+@settings(max_examples=50, deadline=None)
+@given(document=faulty_documents())
+def test_streamed_commands_report_the_first_document_fault(document, trained_model_path):
+    # A page's fault stops the streamed run, which runs again on the whole
+    # document, so the error is the one parse_document raises for it.
+    data = json.dumps(document).encode()
+    try:
+        parse_document(data)
+    except ValueError as e:
+        expected = (1, "", f"error: {e}\n")
+    else:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "wb") as f:
+            f.write(data)
+        for command in _DOCUMENT_COMMANDS:
+            assert _outcome(*_argv(command, path, trained_model_path)) == expected
+
+
+_FIG1A_PAGE = json.loads((FIXTURES / "fig1a.json").read_text())["pages"][0]
+
+
+@pytest.mark.parametrize("flags", [["--model", "no-such-model.json"],
+                                   ["--gazetteer", "no-such-gazetteer.json"],
+                                   ["--threshold", "2"], ["--align-tol", "-1"]],
+                         ids=["missing_model", "bad_gazetteer", "bad_threshold", "bad_tree_param"])
+@pytest.mark.parametrize("command", _DOCUMENT_COMMANDS[1:], ids=["all", "auto"])
+def test_document_fault_is_reported_before_a_bad_flag(command, flags, trained_model_path,
+                                                      tmp_path):
+    # The fault is in the second page: a streamed run meets the flag first.
+    faulty = copy.deepcopy(_FIG1A_PAGE)
+    faulty["groups"][3]["bbox"]["l"] = -1
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"pages": [_FIG1A_PAGE, faulty]}))
+    with pytest.raises(ValueError) as fault:
+        parse_document(path.read_bytes())
+    argv = _argv(command, path, trained_model_path) + flags
+    assert _outcome(*argv) == (1, "", f"error: {fault.value}\n")
+
+
+_PAGE_TEXT = json.dumps(_FIG1A_PAGE)
+_DEEP = "[" * 100_000 + "]" * 100_000
+# Documents whose top level a page-by-page read must take as json.loads does.
+_DOCUMENT_SHAPES = {
+    "utf16": json.dumps({"pages": [_FIG1A_PAGE]}).encode("utf-16"),
+    "utf8_bom": "\ufeff{\"pages\": [%s]}" % _PAGE_TEXT,
+    "repeated_pages": '{"pages": [7], "pages": [%s]}' % _PAGE_TEXT,
+    "repeated_pages_last_longer": '{"pages": [%s], "pages": [%s, %s]}' % ((_PAGE_TEXT,) * 3),
+    "repeated_pages_last_faulty": '{"pages": [%s], "pages": {}}' % _PAGE_TEXT,
+    "unknown_keys": '{"title": {"a": [1, "]"]}, "pages": [%s],\n"notes": [null]} ' % _PAGE_TEXT,
+    "trailing_data": '{"pages": [%s]} {}' % _PAGE_TEXT,
+    "trailing_comma": '{"pages": [%s, %s,]}' % (_PAGE_TEXT, _PAGE_TEXT),
+    "deep_page": '{"pages": [%s, %s]}' % (_PAGE_TEXT, _DEEP),
+    "deep_key_after": '{"pages": [%s], "notes": %s}' % (_PAGE_TEXT, _DEEP),
+    "no_pages": '{"page": [%s]}' % _PAGE_TEXT,
+    "pages_not_an_array": '{"pages": {"0": %s}}' % _PAGE_TEXT,
+    "not_an_object": "[%s]" % _PAGE_TEXT,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DOCUMENT_SHAPES))
+@pytest.mark.parametrize("command", _DOCUMENT_COMMANDS, ids=["validate", "all", "auto"])
+def test_streamed_document_reads_as_the_list_does(name, command, trained_model_path, tmp_path):
+    shape = _DOCUMENT_SHAPES[name]
+    path = tmp_path / "doc.json"
+    path.write_bytes(shape if isinstance(shape, bytes) else shape.encode())
+    argv = _argv(command, path, trained_model_path)
+    streamed = _outcome(*argv)
+    with _on_the_list_path():
+        assert _outcome(*argv) == streamed
+    assert "Traceback" not in streamed[2]
+
+
+@pytest.mark.parametrize("command", _DOCUMENT_COMMANDS[::2], ids=["validate", "auto"])
+def test_peak_memory_grows_under_three_bytes_per_byte_of_json(command, trained_model_path,
+                                                              tmp_path):
+    # Each page is decoded, checked and run alone, so what grows with the
+    # document is its bytes and its text, one byte per character each.
+    sizes, peaks = [], []
+    for n_pages in (20, 20, 200):  # the first run fills the caches
+        rng = random.Random(n_pages)
+        data = json.dumps({"pages": [random_page_dict(rng) for _ in range(n_pages)]}).encode()
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            assert _outcome(*_argv(command, path, trained_model_path))[0] == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(len(data))
+    assert (peaks[2] - peaks[1]) / (sizes[2] - sizes[1]) <= 3
 
 
 FIG1A = str(FIXTURES / "fig1a.json")
@@ -787,9 +907,9 @@ def test_run_pauses_gc_and_restores_its_state(enabled, args, invalid_tree, code,
     seen = []  # the collector's state wherever the command reached
     real_read, real_build = cli._read_doc, pipeline.build_tree
 
-    def reading(path):
+    def reading(path, *stream):
         seen.append(gc.isenabled())
-        return real_read(path)
+        return real_read(path, *stream)
 
     def building(spans, params):
         seen.append(gc.isenabled())

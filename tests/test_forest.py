@@ -657,3 +657,28 @@ def test_model_schema_rejected(mutate, message):
     mutate(obj)
     with pytest.raises(ValueError, match=message):
         model_from_json(obj)
+
+
+# --- settling the vote at a threshold ---
+
+_FRACTION_LEAVES = st.sampled_from([(1, 0), (0, 1), (1, 1), (1, 2), (0, 0)]).map(LeafNode)
+
+
+def _trees(depth):
+    if depth == 0:
+        return _FRACTION_LEAVES
+    return st.one_of(_FRACTION_LEAVES, st.builds(
+        SplitNode, st.integers(0, 2), st.sampled_from([0.5, 1.5, 2.5]),
+        _trees(depth - 1), _trees(depth - 1)))
+
+
+@settings(max_examples=400)
+@given(trees=st.lists(_trees(3), min_size=1, max_size=20),
+       x=st.lists(st.integers(0, 3).map(float), min_size=3, max_size=3),
+       threshold=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0, 1)))
+def test_settled_vote_is_on_the_side_of_the_mean(trees, x, threshold):
+    # Leaves of 0, 1/3, 1/2 and 1 put the mean exactly on the threshold
+    # often (10 of 20 trees at 1.0 against 0.5, say).
+    model = ForestModel(ForestHyperparams(n_trees=len(trees)), ("x1", "x2", "x3"), trees)
+    assert (predict_score(model, x, threshold) >= threshold) == (
+        predict_score(model, x) >= threshold)

@@ -220,3 +220,22 @@ def test_eval_tree_builds_no_lines(fig1a_path, fig1a_gold_path, tmp_path, monkey
                     "--gold", str(fig1a_gold_path), "--doc", str(fig1a_path)]) == 0
     assert json.loads(capsys.readouterr().out.splitlines()[0])["blocks"]["f1"] == 1.0
     assert built == []
+
+
+def test_label_reads_the_settling_feature_first(monkeypatch):
+    # A forest shaped like a classifier trained for the benchmark: one
+    # "f2 <= 18" tree in 8th place among nineteen "f1 <= 13.5" trees.  The
+    # f1 trees settle a narrative page's label, so its dates are never read.
+    def stump(feature, threshold):
+        return SplitNode(feature, threshold, LeafNode((10, 0)), LeafNode((0, 10)))
+
+    trees = [stump(0, 13.5)] * 7 + [stump(1, 18.0)] + [stump(0, 13.5)] * 12
+    model = ForestModel(ForestHyperparams(n_trees=20), FEATURE_NAMES, trees)
+    read = []
+    for name in ("spans_of", "has"):
+        real = getattr(annotate_module.GroupAnnotations, name)
+        monkeypatch.setattr(annotate_module.GroupAnnotations, name,
+                            lambda self, label, real=real: read.append(label) or real(self, label))
+    (page,) = parse_document(doc(NARRATIVE))
+    assert pipeline.PageRun(page, 0, GAZ, model).label == 0
+    assert AnnotationLabel.CURRENCY in read and AnnotationLabel.DATE not in read
