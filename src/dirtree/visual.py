@@ -4,19 +4,17 @@ The input format is a JSON rendering of a visually laid-out document.
 Coordinates use a top-left origin with y growing downward, so ``top < bottom``
 for any box with positive height.
 
-``parse_document`` checks every value it reads.  Each group is first read by
-``_accept_group``, a check pass that declines (returns None) at the first
-value it does not accept.  A group it accepts is made from the box, flags,
-border sides and text that pass records, with no line, segment or style
-built: the group keeps its JSON object, and ``_built_lines`` builds its
-lines from that object, with no check, the first time ``Group.lines`` is
-read.  Scoring a page reads only its groups' text, furniture flags and
-border sides, so a page that is only scored never builds its lines.  A
-declined group is parsed again by the checked path (``_parse_group`` and
-the functions below it), which makes the checks one at a time in a fixed
-order, raises the first that fails, with the JSON path of the value, and
-builds the group in full.  The page's own values (its size, its table
-regions, each group lying inside it) are always checked one at a time.
+``parse_document`` checks every value it reads.  ``_read_group`` reads each
+group in one pass, in a fixed order, testing each value's exact JSON class
+and range.  A value that fails is read again by its checked reader, which
+raises the fault with the value's JSON path, or returns the value where the
+test was too narrow for it.  The group keeps the box, flags, border sides
+and text that pass records, and its JSON object: no line, segment or style
+is built until ``Group.lines`` is first read, when ``_built_lines`` builds
+them from that object, with no check.  Scoring a page reads only its
+groups' text, furniture flags and border sides, so a page that is only
+scored never builds its lines.  The page's own values (its size, its table
+regions, each group lying inside it) are checked one at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from __future__ import annotations
 import gc
 import sys
 from collections.abc import Iterator
-from functools import partial
 from math import inf, isfinite
 from operator import attrgetter
 from typing import NamedTuple
@@ -103,8 +100,8 @@ class Group:
     Made and read like the named tuple ``Group(lines, bbox, is_page_header,
     is_page_footer, border_sides)``, which it compares, hashes and prints
     as.  It cannot be changed.  It also keeps its text (``group_text``).
-    A group that ``parse_document`` checked in one pass holds its JSON
-    object in place of its lines, and builds them from it the first time
+    A group that ``parse_document`` read holds its JSON object in place of
+    its lines, and builds them from it (``_built_lines``) the first time
     ``lines`` is read.
     """
 
@@ -201,26 +198,25 @@ def _parse_bbox(holder, key, where: tuple) -> BBox:
     return box
 
 
-def _parse_style(holder, key, where: tuple) -> StyleInfo:
+def _parse_style(holder, key, where: tuple) -> None:
     style = obj(holder, key, where)
     where += (key,)
     family = field(style, "font_family", where)
     if not isinstance(family, str):
         raise SchemaError(json_path(where + ("font_family",)), "expected string")
-    size = _number(style, "font_size", where)
-    if size <= 0:
+    if _number(style, "font_size", where) <= 0:
         raise GeometryError(f"{json_path(where + ('font_size',))}: must be positive")
     color = field(style, "color", where)
     if isinstance(color, bool) or not isinstance(color, int):
         raise SchemaError(json_path(where + ("color",)), "expected integer")
     if not 0 <= color <= 0xFFFFFF:
         raise GeometryError(f"{json_path(where + ('color',))}: must fit in 24 bits")
-    return StyleInfo(
-        family, size, boolean(style, "bold", where), boolean(style, "italic", where), color
-    )
+    boolean(style, "bold", where)
+    boolean(style, "italic", where)
 
 
-def _parse_segment(holder, key, where: tuple) -> Segment:
+def _parse_segment(holder, key, where: tuple) -> BBox:
+    """Checks the segment ``holder[key]`` and returns its box."""
     segment = obj(holder, key, where)
     where += (key,)
     text = field(segment, "text", where)
@@ -228,137 +224,98 @@ def _parse_segment(holder, key, where: tuple) -> Segment:
         raise SchemaError(json_path(where + ("text",)), "expected string")
     if not text:
         raise GeometryError(f"{json_path(where + ('text',))}: must be non-empty")
-    return Segment(text, _parse_bbox(segment, "bbox", where), _parse_style(segment, "style", where))
+    box = _parse_bbox(segment, "bbox", where)
+    _parse_style(segment, "style", where)
+    return box
 
 
-def _is_union(box: BBox, parts: "list[BBox]") -> bool:
-    """Whether ``box`` is the union of ``parts``, to within _BOX_EPS."""
-    return all(abs(a - b) <= _BOX_EPS for a, b in zip(box, union_all(parts)))
+def _index(values: list, value) -> int:
+    """The index of the first item of ``values`` that is ``value``."""
+    for i, item in enumerate(values):
+        if item is value:
+            return i
 
-
-_LEFT = attrgetter("bbox.left")
-_TOP = attrgetter("bbox.top")
-
-
-def _parse_line(holder, key, where: tuple, page_i: int, group_i: int) -> Line:
-    line = obj(holder, key, where)
-    where += (key,)
-    segments = items(_parse_segment, line, "segments", where)
-    if not segments:
-        raise SchemaError(json_path(where + ("segments",)), "must contain at least one segment")
-    # Ingestion establishes the left-to-right ordering invariant.
-    segments.sort(key=_LEFT)
-    bbox = _parse_bbox(line, "bbox", where)
-    if not _is_union(bbox, [s.bbox for s in segments]):
-        raise GeometryError(
-            f"page {page_i}, group {group_i}: line bbox does not equal "
-            "the union of its segment bboxes"
-        )
-    return Line(tuple(segments), bbox)
-
-
-def _parse_group(holder, group_i: int, where: tuple, page_i: int) -> Group:
-    group = obj(holder, group_i, where)
-    where += (group_i,)
-    lines = items(partial(_parse_line, page_i=page_i, group_i=group_i), group, "lines", where)
-    if not lines:
-        raise SchemaError(json_path(where + ("lines",)), "must contain at least one line")
-    lines.sort(key=_TOP)
-    bbox = _parse_bbox(group, "bbox", where)
-    if not _is_union(bbox, [l.bbox for l in lines]):
-        raise GeometryError(
-            f"page {page_i}, group {group_i}: group bbox does not equal "
-            "the union of its line bboxes"
-        )
-    border = group.get("border_sides", 0)
-    if isinstance(border, bool) or not isinstance(border, int):
-        raise SchemaError(json_path(where + ("border_sides",)), "expected integer")
-    if not 0 <= border <= 4:
-        raise GeometryError(f"page {page_i}, group {group_i}: border_sides must be 0..4")
-    return Group(
-        tuple(lines),
-        bbox,
-        boolean(group, "is_page_header", where),
-        boolean(group, "is_page_footer", where),
-        border,
-    )
-
-
-# --- fast accept -------------------------------------------------------------
 
 _MAX_FLOAT = sys.float_info.max
 _NUMBER_TYPES = frozenset((int, float))
+_EMPTY: dict = {}
 _new = tuple.__new__
 _new_object = object.__new__
 
 
-def _accept_box(box) -> "BBox | None":
-    """``box`` as _parse_bbox returns it, or None if it is not plainly well
-    formed.  Never raises.
+def _read_group(holder, group_i: int, where: tuple, page_i: int) -> Group:
+    """The group ``holder[group_i]``, checked in one pass.
 
-    Each edge must be an exact int or float (a bool is neither), and an
-    integer is taken only up to the largest float.  The chained comparison
-    ``0 <= l <= r <= _MAX_FLOAT`` is false for NaN and the infinities, so it
-    tests finite, non-negative and in order at once.
+    Each value must be of its exact JSON class (a bool is not a number), and
+    a number is taken only up to the largest float: ``0 <= l <= r <=
+    _MAX_FLOAT`` is false for NaN and the infinities, so it tests finite,
+    non-negative and in order at once.  A value that fails is read again by
+    its checked reader (``obj``, ``array``, ``boolean``, ``_parse_segment``
+    or ``_parse_bbox``), which raises the fault with its JSON path, or
+    returns the value where the test was too narrow: an integer above the
+    largest float, or a subclass of ``dict``, ``list``, ``str``, ``int`` or
+    ``float`` in a ``dict`` document.  The order is fixed: each line's
+    segments, at least one segment, the line's box and its union; then at
+    least one line, the group's box and its union, ``border_sides``,
+    ``is_page_header`` and ``is_page_footer``.  A failing line or segment
+    is found by identity: an item listed twice fails first where it is
+    first.
+
+    The unions use running minima and maxima of the children's edges.  The
+    text joins the segments in the order of the lines that _built_lines
+    will build; while the JSON order is already that order, the pass keeps
+    the texts as it reads them.
     """
-    if box.__class__ is not dict:
-        return None
-    l, t, r, b = box.get("l"), box.get("t"), box.get("r"), box.get("b")
-    numeric = _NUMBER_TYPES
-    if not (l.__class__ in numeric and t.__class__ in numeric
-            and r.__class__ in numeric and b.__class__ in numeric
-            and 0 <= l <= r <= _MAX_FLOAT and 0 <= t <= b <= _MAX_FLOAT):
-        return None
-    return _new(BBox, (float(l), float(t), float(r), float(b)))
-
-
-def _accept_group(obj) -> "Group | None":
-    """The group ``obj`` as _parse_group returns it, or None at the first
-    value that is not plainly well formed.  Never raises.
-
-    One pass reads the flags, lines, segments, boxes and styles, with the
-    same number rules as _accept_box (written out for each line's and
-    segment's box).  The union checks use running minima and maxima of the
-    children's edges.  It builds the group's box and text but no line,
-    segment or style: the group keeps ``obj`` and builds its lines from it
-    when they are first read (_built_lines).  The text joins the segments
-    in the order of the lines that will be built; while the JSON order is
-    already that order, the pass keeps the texts as it reads them.
-    """
-    if obj.__class__ is not dict:
-        return None
-    header, footer = obj.get("is_page_header"), obj.get("is_page_footer")
-    border, line_objs = obj.get("border_sides", 0), obj.get("lines")
-    if not (header.__class__ is bool and footer.__class__ is bool
-            and border.__class__ is int and 0 <= border <= 4
-            and line_objs.__class__ is list and line_objs):
-        return None
-    numeric = _NUMBER_TYPES
+    g = holder[group_i]
+    if g.__class__ is not dict:
+        g = obj(holder, group_i, where)
+    line_objs = g.get("lines")
+    if line_objs.__class__ is not list or not line_objs:
+        line_objs = array(g, "lines", where + (group_i,))
+        if not line_objs:
+            raise SchemaError(json_path(where + (group_i, "lines")),
+                              "must contain at least one line")
+    numeric, empty = _NUMBER_TYPES, _EMPTY
     gl = gt = inf  # the union of the line boxes so far
     gr = gb = -inf
     texts = []
     top = -inf  # the previous line's top
     ordered = True  # whether lines and segments are in sorted order so far
     for line_obj in line_objs:
-        seg_objs = line_obj.get("segments") if line_obj.__class__ is dict else None
+        if line_obj.__class__ is not dict:
+            line_obj = obj(line_objs, _index(line_objs, line_obj), where + (group_i, "lines"))
+        seg_objs = line_obj.get("segments")
         if seg_objs.__class__ is not list or not seg_objs:
-            return None
+            at = where + (group_i, "lines", _index(line_objs, line_obj))
+            seg_objs = array(line_obj, "segments", at)
+            if not seg_objs:
+                raise SchemaError(json_path(at + ("segments",)),
+                                  "must contain at least one segment")
         ul = ut = inf  # the union of this line's segment boxes so far
         ur = ub = -inf
         left = -inf  # the previous segment's left
         for seg_obj in seg_objs:
-            if seg_obj.__class__ is not dict:
-                return None
-            text, style, box = seg_obj.get("text"), seg_obj.get("style"), seg_obj.get("bbox")
+            seg = seg_obj if seg_obj.__class__ is dict else empty
+            text, style, box = seg.get("text"), seg.get("style"), seg.get("bbox")
             if box.__class__ is not dict:
-                return None
+                box = empty
+            if style.__class__ is not dict:
+                style = empty
             l, t, r, b = box.get("l"), box.get("t"), box.get("r"), box.get("b")
-            if not (l.__class__ in numeric and t.__class__ in numeric
+            size, color = style.get("font_size"), style.get("color")
+            family, bold, italic = style.get("font_family"), style.get("bold"), style.get("italic")
+            if (l.__class__ in numeric and t.__class__ in numeric
                     and r.__class__ in numeric and b.__class__ in numeric
                     and 0 <= l <= r <= _MAX_FLOAT and 0 <= t <= b <= _MAX_FLOAT
-                    and text.__class__ is str and text and style.__class__ is dict):
-                return None
-            l, t, r, b = float(l), float(t), float(r), float(b)
+                    and text.__class__ is str and text and family.__class__ is str
+                    and size.__class__ in numeric and 0 < size <= _MAX_FLOAT
+                    and color.__class__ is int and 0 <= color <= 0xFFFFFF
+                    and bold.__class__ is bool and italic.__class__ is bool):
+                l, t, r, b = float(l), float(t), float(r), float(b)
+            else:
+                at = where + (group_i, "lines", _index(line_objs, line_obj), "segments")
+                l, t, r, b = _parse_segment(seg_objs, _index(seg_objs, seg_obj), at)
+                text = seg_obj["text"]
             if l < ul:
                 ul = l
             if t < ut:
@@ -367,29 +324,25 @@ def _accept_group(obj) -> "Group | None":
                 ur = r
             if b > ub:
                 ub = b
-            size, color = style.get("font_size"), style.get("color")
-            family, bold, italic = style.get("font_family"), style.get("bold"), style.get("italic")
-            if not (family.__class__ is str
-                    and size.__class__ in numeric and 0 < size <= _MAX_FLOAT
-                    and color.__class__ is int and 0 <= color <= 0xFFFFFF
-                    and bold.__class__ is bool and italic.__class__ is bool):
-                return None
             texts.append(text)
             if l < left:
                 ordered = False
             left = l
         box = line_obj.get("bbox")
         if box.__class__ is not dict:
-            return None
+            box = empty
         l, t, r, b = box.get("l"), box.get("t"), box.get("r"), box.get("b")
-        if not (l.__class__ in numeric and t.__class__ in numeric
+        if (l.__class__ in numeric and t.__class__ in numeric
                 and r.__class__ in numeric and b.__class__ in numeric
                 and 0 <= l <= r <= _MAX_FLOAT and 0 <= t <= b <= _MAX_FLOAT):
-            return None
-        l, t, r, b = float(l), float(t), float(r), float(b)
+            l, t, r, b = float(l), float(t), float(r), float(b)
+        else:
+            at = where + (group_i, "lines", _index(line_objs, line_obj))
+            l, t, r, b = _parse_bbox(line_obj, "bbox", at)
         if not (abs(l - ul) <= _BOX_EPS and abs(t - ut) <= _BOX_EPS
                 and abs(r - ur) <= _BOX_EPS and abs(b - ub) <= _BOX_EPS):
-            return None
+            raise GeometryError(f"page {page_i}, group {group_i}: line bbox does not equal "
+                                "the union of its segment bboxes")
         if l < gl:
             gl = l
         if t < gt:
@@ -401,23 +354,42 @@ def _accept_group(obj) -> "Group | None":
         if t < top:
             ordered = False
         top = t
-    box = _accept_box(obj.get("bbox"))
-    if box is None:
-        return None
+    box = g.get("bbox")
+    if box.__class__ is not dict:
+        box = empty
+    l, t, r, b = box.get("l"), box.get("t"), box.get("r"), box.get("b")
+    if (l.__class__ in numeric and t.__class__ in numeric
+            and r.__class__ in numeric and b.__class__ in numeric
+            and 0 <= l <= r <= _MAX_FLOAT and 0 <= t <= b <= _MAX_FLOAT):
+        box = _new(BBox, (float(l), float(t), float(r), float(b)))
+    else:
+        box = _parse_bbox(g, "bbox", where + (group_i,))
     l, t, r, b = box
     if not (abs(l - gl) <= _BOX_EPS and abs(t - gt) <= _BOX_EPS
             and abs(r - gr) <= _BOX_EPS and abs(b - gb) <= _BOX_EPS):
-        return None
+        raise GeometryError(f"page {page_i}, group {group_i}: group bbox does not equal "
+                            "the union of its line bboxes")
+    border = g.get("border_sides", 0)
+    if border.__class__ is not int or not 0 <= border <= 4:
+        if isinstance(border, bool) or not isinstance(border, int):
+            raise SchemaError(json_path(where + (group_i, "border_sides")), "expected integer")
+        if not 0 <= border <= 4:
+            raise GeometryError(f"page {page_i}, group {group_i}: border_sides must be 0..4")
+    header, footer = g.get("is_page_header"), g.get("is_page_footer")
+    if header.__class__ is not bool:
+        header = boolean(g, "is_page_header", where + (group_i,))
+    if footer.__class__ is not bool:
+        footer = boolean(g, "is_page_footer", where + (group_i,))
     group = _new_object(Group)
     _init_group(group, None, box, header, footer, border,
-                " ".join(texts) if ordered else _sorted_text(line_objs), obj)
+                " ".join(texts) if ordered else _sorted_text(line_objs), g)
     return group
 
 
 def _sorted_text(line_objs: list) -> str:
-    """The text of an accepted group's lines, in the order _built_lines
-    sorts them and their segments: by the float value of each line's top and
-    each segment's left, keeping ties in JSON order."""
+    """The text of a checked group's lines, in the order _built_lines sorts
+    them and their segments: by the float value of each line's top and each
+    segment's left, keeping ties in JSON order."""
     return " ".join([
         seg_obj["text"]
         for line_obj in sorted(line_objs, key=lambda o: float(o["bbox"]["t"]))
@@ -429,9 +401,16 @@ def _built_box(box: dict) -> BBox:
     return _new(BBox, (float(box["l"]), float(box["t"]), float(box["r"]), float(box["b"])))
 
 
+_LEFT = attrgetter("bbox.left")
+_TOP = attrgetter("bbox.top")
+
+
 def _built_lines(obj: dict) -> "tuple[Line, ...]":
-    """The lines of a group object that _accept_group accepted, as
-    _parse_group builds them.  Makes no check: each was made on parse."""
+    """The lines of a group object that _read_group checked, the one place
+    that makes a ``Line``, ``Segment`` or ``StyleInfo`` from JSON.  Makes no
+    check: each was made on parse.  Every number is a float but the colour,
+    an int; lines are sorted top to bottom and segments left to right,
+    keeping ties in JSON order."""
     lines = []
     for line_obj in obj["lines"]:
         segments = []
@@ -440,7 +419,7 @@ def _built_lines(obj: dict) -> "tuple[Line, ...]":
             segments.append(_new(Segment, (
                 seg_obj["text"], _built_box(seg_obj["bbox"]),
                 _new(StyleInfo, (style["font_family"], float(style["font_size"]),
-                                 style["bold"], style["italic"], style["color"])),
+                                 style["bold"], style["italic"], int(style["color"]))),
             )))
         if len(segments) > 1:
             segments.sort(key=_LEFT)
@@ -461,8 +440,8 @@ def _parse_page(holder, page_i: int, where: tuple) -> VisualPage:
     group_objs = array(page, "groups", where)
     at = where + ("groups",)
     groups = []
-    for i, g in enumerate(group_objs):
-        group = _accept_group(g) or _parse_group(group_objs, i, at, page_i)
+    for i in range(len(group_objs)):
+        group = _read_group(group_objs, i, at, page_i)
         box = group.bbox
         if (
             box.left < -_BOX_EPS

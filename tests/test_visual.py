@@ -1,9 +1,12 @@
+import contextlib
 import copy
+import enum
 import gc
 import json
 import math
 import pickle
 import sys
+from collections import OrderedDict
 from unittest import mock
 
 import pytest
@@ -544,6 +547,15 @@ _FAULT_PAIRS = {
     "union_then_next_group": [(("groups", 0, "bbox", "b"), 900),
                               (("groups", 1, "lines"), None)],
     "huge_then_missing": [(("height",), 10**400), (("groups",), _DROP)],
+    "segment_then_border": [(("groups", 0, "lines", 0, "segments", 0, "bbox", "r"), "x"),
+                            (("groups", 0, "border_sides"), 5)],
+    "no_segments_then_line_bbox": [(("groups", 0, "lines", 0, "segments"), []),
+                                   (("groups", 0, "lines", 0, "bbox"), _DROP)],
+    "line_union_then_group_bbox": [(("groups", 0, "lines", 0, "bbox", "r"), 11),
+                                   (("groups", 0, "bbox"), _DROP)],
+    "second_segment_then_line_box": [(("groups", 0, "lines", 0, "segments"),
+                                      [seg("a", 0, 0, 5, 10), seg("b", 5, 0, 10, 10, color=-1)]),
+                                     (("groups", 0, "lines", 0, "bbox", "l"), 3)],
 }
 
 
@@ -567,11 +579,33 @@ def test_parse_reports_first_fault_like_reference(edits):
 
 # --- the one-pass parse of well-formed groups ---
 #
-# parse_document reads each group in one pass and hands a group it declines
-# to the checked parser.  On valid documents with JSON integers as well as
-# floats it must return what the reference returns, to the type and sign of
-# every number, and only an integer beyond the float range may send a group
-# to the checked parser.
+# parse_document reads each group in one pass, which tests each value's
+# exact class and range and hands a value that fails to its checked reader:
+# a segment to _parse_segment, a line's or group's box to _parse_bbox.  On
+# valid documents with JSON integers as well as floats it must return what
+# the reference returns, to the type and sign of every number, and only an
+# integer beyond the float range may reach a checked reader.
+
+
+@contextlib.contextmanager
+def _checked_reads():
+    """A list that collects, while open, the calls of the checked readers
+    that the one-pass read falls back to, as (reader, key) pairs.  A table
+    region's box, read with an integer key, is not one."""
+    calls = []
+
+    def spy(name):
+        read = getattr(visual, name)
+
+        def spied(holder, key, where):
+            if name == "_parse_segment" or key == "bbox":
+                calls.append((name, key))
+            return read(holder, key, where)
+        return mock.patch.object(visual, name, spied)
+
+    with spy("_parse_segment"), spy("_parse_bbox"):
+        yield calls
+
 
 _MAX = sys.float_info.max
 _small = st.one_of(st.integers(0, 700), st.floats(0, 700), st.just(-0.0))
@@ -662,7 +696,7 @@ def _beyond_float_range(value):
 @settings(max_examples=300)
 @given(_valid_documents())
 def test_valid_documents_parse_like_reference(document):
-    with mock.patch.object(visual, "_parse_group", wraps=visual._parse_group) as checked:
+    with _checked_reads() as checked:
         new = _outcome(parse_document, document)
     try:
         old = repr(_parse_document_reference(document))
@@ -674,12 +708,12 @@ def test_valid_documents_parse_like_reference(document):
         assert _outcome(parse_document, json.dumps(document)) == new
     groups = [g for p in document["pages"] for g in p["groups"]]
     if not any(_beyond_float_range(v) for _, v in json_nodes(groups)):
-        assert checked.call_count == 0
+        assert checked == []
 
 
 # --- group text and lines built on first read ---
 #
-# A group accepted in one pass keeps its text and builds its lines the first
+# A group read in one pass keeps its text and builds its lines the first
 # time they are read, so the text must join the segments in the order the
 # lines are built: by the float value of each top and left, ties kept in
 # JSON order.  Integers that differ but read as one float (2**53 and
@@ -721,9 +755,9 @@ def test_group_text_before_lines_matches_built_lines(document):
 
 
 def test_tied_coordinates_keep_json_order():
-    with mock.patch.object(visual, "_parse_group", wraps=visual._parse_group) as checked:
+    with _checked_reads() as checked:
         tied_segments, tied_lines = parse_document(json.dumps(_tied_document()))[0].groups
-    assert checked.call_count == 0  # both groups passed the one-pass check
+    assert checked == []  # no value of either group failed the one-pass test
     assert group_text(tied_segments) == "c a b"
     assert group_text(tied_lines) == "z x y w"
     assert [_built_text(g) for g in (tied_segments, tied_lines)] == ["c a b", "z x y w"]
@@ -766,20 +800,81 @@ def _grid_page():
 
 
 @pytest.mark.parametrize("name", ["fig1a", "narrative", "grid"])
-def test_well_formed_groups_skip_the_checked_parser(name, fig1a_path, monkeypatch):
-    # Common input must stay on the one-pass path: a check there that
-    # declines too much would send every group through both parsers.
+def test_well_formed_groups_skip_the_checked_parser(name, fig1a_path):
+    # Common input must stay on the one-pass path: a test there that is too
+    # narrow would send every segment or box through its checked reader.
     document = {"fig1a": lambda: json.loads(fig1a_path.read_text()),
                 "narrative": lambda: doc(_narrative_page()),
                 "grid": lambda: doc(_grid_page())}[name]()
-    calls = []
-    checked = visual._parse_group
-    monkeypatch.setattr(visual, "_parse_group", lambda *a: calls.append(a) or checked(*a))
-    pages = parse_document(json.dumps(document))
+    with _checked_reads() as calls:
+        pages = parse_document(json.dumps(document))
     assert calls == []
     assert sum(len(p.groups) for p in pages) == sum(len(p["groups"]) for p in document["pages"])
-    # A group that fails a check goes to the checked parser, which raises.
+    # A segment that fails a test goes to its checked reader, which raises.
     document["pages"][0]["groups"][-1]["lines"][0]["segments"][0]["style"]["font_size"] = 0
-    with pytest.raises(GeometryError, match="font_size: must be positive"):
+    with _checked_reads() as calls, pytest.raises(GeometryError,
+                                                  match="font_size: must be positive"):
         parse_document(document)
-    assert len(calls) == 1
+    assert calls == [("_parse_segment", 0), ("_parse_bbox", "bbox")]
+
+
+# --- values the one-pass test is too narrow for ---
+#
+# The one-pass read takes numbers only up to the largest float and values
+# only of their exact JSON class.  So an integer above the largest float
+# (which reads as it) and, in a dict document, a subclass of dict, str, int
+# or float reach a checked reader, which returns them.  Their group is still
+# built by _built_lines, and parses as the plain document does.
+
+class _Text(str):
+    pass
+
+
+class _Size(float):
+    pass
+
+
+class _Colour(enum.IntEnum):
+    BLACK = 0
+
+
+_SUBCLASS = {"text": _Text, "color": _Colour, "font_size": _Size}
+
+
+def _subclassed(value, key=None):
+    """``value`` with each object an OrderedDict, each text a str subclass,
+    each colour an IntEnum member and each font size a float subclass."""
+    if isinstance(value, dict):
+        return OrderedDict((k, _subclassed(v, k)) for k, v in value.items())
+    if isinstance(value, list):
+        return [_subclassed(v) for v in value]
+    return _SUBCLASS[key](value) if key in _SUBCLASS else value
+
+
+def _fig1a_with_right_edge(fig1a_path, right):
+    """fig1a with the page width and the first group's right edges (its
+    box's, its line's and its segment's) set to ``right``."""
+    document = json.loads(fig1a_path.read_text())
+    p = document["pages"][0]
+    p["width"] = right
+    for _, node in json_nodes(p["groups"][0]):
+        if isinstance(node, dict) and "r" in node:
+            node["r"] = right
+    return document
+
+
+def test_values_the_one_pass_test_is_too_narrow_for(fig1a_path):
+    plain = json.loads(fig1a_path.read_text())
+    at_max = _fig1a_with_right_edge(fig1a_path, _MAX)
+    huge = _fig1a_with_right_edge(fig1a_path, int(_MAX) + 1)
+    cases = [(huge, at_max), (json.dumps(huge), at_max), (_subclassed(plain), plain)]
+    for document, plain_document in cases:
+        expected = parse_document(plain_document)
+        with mock.patch.object(visual, "_built_lines", wraps=visual._built_lines) as built, \
+             _checked_reads() as checked:
+            pages = parse_document(document)
+            assert pages == expected and repr(pages) == repr(expected)
+        assert checked  # the test was too narrow, and the checked reader took the value
+        assert built.call_count == len(pages[0].groups)
+    assert repr(parse_document(huge)[0].groups[0].bbox).endswith(
+        "right=1.7976931348623157e+308, bottom=75.0)")
