@@ -12,8 +12,12 @@ split by class, and its histogram as two dicts (negatives, positives) of
 only the slots its rows have; the larger of two children takes its
 parent's counts less its smaller sibling's, so only the smaller child's
 rows are counted and a node's work grows with its rows, not with the
-dataset's distinct values.  Each drawn feature's thresholds are then swept
-in ascending order (see ``_Rows.search``).
+dataset's distinct values.  Each node reads its histogram once, into lists
+of values and per-class counts in slot order; each drawn feature's
+thresholds are then swept in ascending order along its run of those lists
+(see ``_Rows.search``).  A node's Gini is computed once, by its parent,
+which needs both children's for the importance decrease (the root's by
+``train``).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from collections import _count_elements  # the C helper Counter counts with
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import chain, compress, count, repeat
 from operator import itemgetter, not_
 from typing import NamedTuple
 
@@ -216,9 +220,6 @@ class _Rows:
     def __len__(self):
         return len(self.neg) + len(self.pos)
 
-    def counts(self) -> tuple[int, int]:
-        return len(self.neg), len(self.pos)
-
     def split(self, f, thr):
         """(left, right) children: the rows with ``x[f] <= thr`` and the rest."""
         cut = bisect_right(self.bins.values, thr, *self.bins.offsets[f:f + 2])  # first slot right
@@ -237,35 +238,44 @@ class _Rows:
         Candidate thresholds are midpoints of consecutive distinct values.
         Ties break toward the lowest feature index, then the lowest threshold.
 
-        Each feature's histogram (its distinct values ascending, with
-        per-class row counts) is swept in ascending order with running
-        (negative, positive) counts, and Gini is computed inline by the same
-        float expression as ``gini``.  A row goes left when its value is
-        ``<= thr``, so the left counts are the prefix through the lower
-        value, except where the midpoint of two adjacent floats rounds up to
-        the upper one or its sum overflows to ``inf`` (every row left) or
-        ``-inf`` (none): only then is the prefix found by
-        ``bisect_right(values, thr)``.  Only a strictly lower Gini replaces
-        the best so far.
+        The histogram is read once per node into three lists in slot order:
+        values, negative counts and positive counts.  Slots are ordered by
+        feature, so each drawn feature's distinct values are one run of the
+        lists, found by ``bisect_left`` from where the previous feature's run
+        ended, and swept in ascending order with running (negative,
+        positive) counts.  Gini is computed inline by the same float
+        expression as ``gini``.  A row goes left when its value is ``<=
+        thr``, so the left counts are the prefix through the lower value,
+        except where the midpoint of two adjacent floats rounds up to the
+        upper one or its sum overflows to ``inf`` (every row left) or
+        ``-inf`` (none): only then is the prefix found by ``bisect_right``
+        over the run.  Only a strictly lower Gini replaces the best so far.
         """
         neg_counts, pos_counts = self.histogram()
         slots = sorted(neg_counts.keys() | pos_counts.keys())
-        all_values, offsets = self.bins.values, self.bins.offsets
-        n_neg, n_pos = self.counts()
+        vals = list(map(self.bins.values.__getitem__, slots))
+        negs = list(map(neg_counts.get, slots, repeat(0)))
+        poss = list(map(pos_counts.get, slots, repeat(0)))
+        offsets = self.bins.offsets
+        n_neg, n_pos = len(self.neg), len(self.pos)
         n = n_neg + n_pos
         best_w, best = math.inf, None
+        j = 0
         for f in sorted(feature_ids):
-            held = slots[bisect_left(slots, offsets[f]):bisect_left(slots, offsets[f + 1])]
-            values = list(map(all_values.__getitem__, held))
-            neg, pos = (list(map(c.get, held, repeat(0))) for c in (neg_counts, pos_counts))
+            i = bisect_left(slots, offsets[f], j)
+            j = bisect_left(slots, offsets[f + 1], i)
+            sn = sp = 0
             # For adjacent values lo < hi the rows at or below lo go left,
             # unless the midpoint rounds to hi or overflows.
-            for lo, hi, ln, lp in zip(values, islice(values, 1, None),
-                                      accumulate(neg), accumulate(pos)):
+            for lo, hi, dn, dp in zip(vals[i:j], vals[i + 1:j], negs[i:j], poss[i:j]):
+                sn += dn
+                sp += dp
                 thr = (lo + hi) / 2.0
-                if not lo <= thr < hi:
-                    k = bisect_right(values, thr)
-                    ln, lp = sum(neg[:k]), sum(pos[:k])
+                if lo <= thr < hi:
+                    ln, lp = sn, sp
+                else:
+                    k = bisect_right(vals, thr, i, j)
+                    ln, lp = sum(negs[i:k]), sum(poss[i:k])
                 left_total = ln + lp
                 if left_total < min_leaf:
                     continue
@@ -285,34 +295,31 @@ class _Rows:
         return best
 
 
-def _grow(node, depth, hp, n_features, n_root, rng, importance_acc):
-    counts = node.counts()
-    n = len(node)
-    node_gini = gini(counts)
+def _grow(node, node_gini, depth, hp, n_features, n_root, rng, importance_acc):
+    """Grow ``node``; ``node_gini`` is its Gini, which the caller has computed."""
+    counts = len(node.neg), len(node.pos)
+    n = counts[0] + counts[1]
     if (
         node_gini == 0.0
         or (hp.max_depth is not None and depth >= hp.max_depth)
         or n < 2 * hp.min_samples_leaf
     ):
-        return LeafNode(counts=counts)
+        return LeafNode(counts)
     k = math.ceil(hp.max_features_fraction * n_features)
     feature_ids = rng.sample(range(n_features), k)
     best = node.search(feature_ids, hp.min_samples_leaf)
     if best is None:
-        return LeafNode(counts=counts)
+        return LeafNode(counts)
     _, f, thr = best
     left, right = node.split(f, thr)
-    decrease = (n / n_root) * (
-        node_gini
-        - (len(left) / n) * gini(left.counts())
-        - (len(right) / n) * gini(right.counts())
-    )
-    importance_acc[f] += decrease
+    left_gini = gini((len(left.neg), len(left.pos)))
+    right_gini = gini((len(right.neg), len(right.pos)))
+    importance_acc[f] += (n / n_root) * (
+        node_gini - (len(left) / n) * left_gini - (len(right) / n) * right_gini)
     return SplitNode(
-        feature=f,
-        threshold=thr,
-        left=_grow(left, depth + 1, hp, n_features, n_root, rng, importance_acc),
-        right=_grow(right, depth + 1, hp, n_features, n_root, rng, importance_acc),
+        f, thr,
+        _grow(left, left_gini, depth + 1, hp, n_features, n_root, rng, importance_acc),
+        _grow(right, right_gini, depth + 1, hp, n_features, n_root, rng, importance_acc),
     )
 
 
@@ -336,9 +343,10 @@ def train(d: Dataset, hp: "ForestHyperparams | None" = None) -> ForestModel:
     trees = []
     for i in range(hp.n_trees):
         rng = random.Random(splitmix64(hp.seed + i))
-        sample = [bins.rows[rng.randrange(n)] for _ in range(n)]
-        trees.append(_grow(bins.node(sample), 0, hp, n_features, n, rng, per_feature))
-    total = sum(per_feature)
+        root = bins.node([bins.rows[rng.randrange(n)] for _ in range(n)])
+        root_gini = gini((len(root.neg), len(root.pos)))
+        trees.append(_grow(root, root_gini, 0, hp, n_features, n, rng, per_feature))
+    total = _in_order_sum(per_feature)
     if total > 0:
         importances = [v / total for v in per_feature]
     else:
@@ -390,13 +398,19 @@ def predict_score(model: ForestModel, x, threshold: "float | None" = None) -> fl
     return low
 
 
-def _mean(fractions: "list[float]") -> float:
-    """The mean, added in order: ``sum`` compensates float additions from
-    Python 3.12 on, and the bounds above need plain ones."""
+def _in_order_sum(values: "list[float]") -> float:
+    """Plain float additions, left to right: the builtin ``sum`` compensates
+    float additions from Python 3.12 on, so its totals differ between
+    Python versions in their last digits."""
     total = 0.0
-    for f in fractions:
-        total += f
-    return total / len(fractions)
+    for v in values:
+        total += v
+    return total
+
+
+def _mean(fractions: "list[float]") -> float:
+    """The mean, added in order: the bounds above need plain additions."""
+    return _in_order_sum(fractions) / len(fractions)
 
 
 def _node_to_json(node) -> dict:

@@ -1,12 +1,13 @@
+import builtins
 import hashlib
 import math
 import random
 import re
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
 
 import pytest
@@ -374,7 +375,9 @@ def _ref_train(d, hp=None):
         rng = random.Random(splitmix64(hp.seed + i))
         sample = [d.rows[rng.randrange(n)] for _ in range(n)]
         trees.append(_ref_grow(sample, 0, hp, n_features, len(sample), rng, per_feature))
-    total = sum(per_feature)
+    total = 0.0
+    for v in per_feature:  # in order: ``sum`` compensates from Python 3.12 on
+        total += v
     if total > 0:
         importances = [v / total for v in per_feature]
     else:
@@ -463,6 +466,87 @@ def test_node_histograms_hold_only_their_rows_slots(monkeypatch):
     hp = ForestHyperparams(n_trees=3, seed=2)
     assert dumps_model(train(d, hp)) == dumps_model(_ref_train(d, hp))
     assert len(sizes) > 100 and min(sizes) < 8
+
+
+def _ref_search(node, feature_ids, min_leaf):
+    """``_Rows.search`` before it read the node's histogram once: each drawn
+    feature slices its own slots and builds its own value and count lists."""
+    neg_counts, pos_counts = node.histogram()
+    slots = sorted(neg_counts.keys() | pos_counts.keys())
+    all_values, offsets = node.bins.values, node.bins.offsets
+    n_neg, n_pos = len(node.neg), len(node.pos)
+    n = n_neg + n_pos
+    best_w, best = math.inf, None
+    for f in sorted(feature_ids):
+        held = slots[bisect_left(slots, offsets[f]):bisect_left(slots, offsets[f + 1])]
+        values = list(map(all_values.__getitem__, held))
+        neg, pos = (list(map(c.get, held, repeat(0))) for c in (neg_counts, pos_counts))
+        for lo, hi, ln, lp in zip(values, islice(values, 1, None),
+                                  accumulate(neg), accumulate(pos)):
+            thr = (lo + hi) / 2.0
+            if not lo <= thr < hi:
+                k = bisect_right(values, thr)
+                ln, lp = sum(neg[:k]), sum(pos[:k])
+            left_total = ln + lp
+            if left_total < min_leaf:
+                continue
+            right_total = n - left_total
+            if right_total < min_leaf:
+                break
+            rn, rp = n_neg - ln, n_pos - lp
+            p0, p1 = ln / left_total, lp / left_total
+            q0, q1 = rn / right_total, rp / right_total
+            weighted = ((left_total / n) * (1.0 - p0 * p0 - p1 * p1)
+                        + (right_total / n) * (1.0 - q0 * q0 - q1 * q1))
+            if weighted < best_w:
+                best_w, best = weighted, (weighted, f, thr)
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=_datasets(),
+    max_depth=st.one_of(st.none(), st.integers(1, 4)),
+    min_leaf=st.integers(1, 3),
+    fraction=st.floats(0.2, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_search_matches_reference_bit_for_bit(d, max_depth, min_leaf, fraction, seed):
+    # Every node training searches, root or child, with a counted or a
+    # subtracted histogram, gives the reference's split to the last bit.
+    search = forest._Rows.search
+
+    def checked(node, feature_ids, min_leaf):
+        got = search(node, feature_ids, min_leaf)
+        want = _ref_search(node, feature_ids, min_leaf)
+        assert got == want
+        assert repr(got) == repr(want)  # the sign of a zero Gini too
+        return got
+
+    hp = ForestHyperparams(n_trees=2, max_depth=max_depth, min_samples_leaf=min_leaf,
+                           max_features_fraction=fraction, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forest._Rows, "search", checked)
+        train(d, hp)
+
+
+def test_model_bytes_do_not_depend_on_compensated_sum(monkeypatch):
+    # From Python 3.12 on the builtin ``sum`` compensates float additions.
+    # With ``math.fsum`` standing in for it on floats, the pinned model must
+    # keep its bytes, so that they are the same on every Python version.
+    builtin_sum = builtins.sum
+
+    def compensated(iterable, start=0):
+        values = list(iterable)
+        if any(isinstance(v, float) for v in values):
+            return math.fsum([start, *values])
+        return builtin_sum(values, start)
+
+    monkeypatch.setattr(builtins, "sum", compensated)
+    model = train(Dataset(_noisy_rows(160, 11, True)), ForestHyperparams(n_trees=6, seed=3))
+    assert hashlib.sha256(dumps_model(model).encode()).hexdigest() == (
+        "84ba420470590ae68892f75c08bd08ebb9d5956f3b9b09d01e79caab0afea523")
+
 
 def test_importances_sum_to_one():
     model = train(Dataset(make_margin_rows(30, 30, seed=2)), ForestHyperparams(n_trees=10, seed=0))
