@@ -89,22 +89,27 @@ def _read_doc(path: str, stream: bool = False):
         return parse_document(f.read(), stream=stream)
 
 
+def _setting(args, cfg, key: str):
+    """The flag ``key`` when it was given, even empty, else ``cfg``'s value
+    (``cfg`` is the config or its ``tree_params``)."""
+    value = getattr(args, key, None)
+    return getattr(cfg, key) if value is None else value
+
+
 def _load_gazetteer(args, cfg: PipelineConfig) -> Gazetteer:
-    path = getattr(args, "gazetteer", None) or cfg.gazetteer
-    return Gazetteer.load(path) if path else Gazetteer.default()
+    path = _setting(args, cfg, "gazetteer")
+    return Gazetteer.default() if path is None else Gazetteer.load(path)
 
 
 def _load_model(args, cfg: PipelineConfig):
-    path = getattr(args, "model", None) or cfg.model
-    if not path:
+    path = _setting(args, cfg, "model")
+    if path is None:
         raise UsageError("a model is required here; pass --model")
     return forest.load_model(path)
 
 
 def _threshold(args, cfg: PipelineConfig) -> float:
-    value = getattr(args, "threshold", None)
-    if value is None:
-        return cfg.threshold
+    value = _setting(args, cfg, "threshold")
     if not 0 <= value <= 1:
         raise UsageError("--threshold must be in [0, 1]")
     return value
@@ -132,9 +137,7 @@ def _runs(args, cfg: PipelineConfig, skip_empty: bool = True):
             raise UsageError("--pages list is empty")
         pipeline.check_indexes(which, len(pages))
     # Made anew from the merged values, so that a bad flag fails the checks.
-    merged = cfg.tree_params._asdict()
-    merged.update((k, v) for k in TreeParams._fields if (v := getattr(args, k, None)) is not None)
-    params = TreeParams(**merged)
+    params = TreeParams(*[_setting(args, cfg.tree_params, k) for k in TreeParams._fields])
     return pipeline.page_runs(pages, gaz, which, model, threshold, params, skip_empty)
 
 

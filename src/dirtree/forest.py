@@ -356,8 +356,7 @@ def train(d: Dataset, hp: "ForestHyperparams | None" = None) -> ForestModel:
     return ForestModel(hyperparams=hp, feature_order=names, trees=trees, importances=importances)
 
 
-def _leaf_for(node, x):
-    at_most = getattr(x, "at_most", None) or (lambda f, t: x[f] <= t)
+def _leaf_for(node, at_most):
     while isinstance(node, SplitNode):
         node = node.left if at_most(node.feature, node.threshold) else node.right
     return node
@@ -370,32 +369,33 @@ def predict_score(model: ForestModel, x, threshold: "float | None" = None) -> fl
     that the paths taken test, and sums a count only until its split is
     decided.
 
-    With ``threshold`` the result is only on the same side of it as the
-    mean (``>= threshold`` or not), and the vote stops once that side is
-    known.  The trees are read grouped by the feature their root tests, in
-    order of first appearance, so a page whose side the trees of its first
-    feature settle reads no other feature.  After each group the mean is
-    bounded by the in-order float sum with each unread tree's fraction set
-    to 0.0 and then to 1.0; float addition is monotone, so the bounds hold
-    exactly.
+    The trees are walked once, grouped by the feature their root tests, in
+    order of first appearance; the mean adds their fractions in model
+    order, so the grouping does not change it.  ``threshold`` only lets the
+    walk stop early: the result is then only on the same side of it as the
+    mean (``>= threshold`` or not), and a page whose side the trees of its
+    first feature settle reads no other feature.  After each group the mean
+    is bounded by the in-order float sum with each unread tree's fraction
+    set to 0.0 and then to 1.0; float addition is monotone, so the bounds
+    hold exactly.
     """
+    at_most = getattr(x, "at_most", None) or (lambda f, t: x[f] <= t)
     trees = model.trees
-    if threshold is None:
-        return _mean([_leaf_for(t, x).positive_fraction for t in trees])
     by_feature = {}
     for i, tree in enumerate(trees):
         by_feature.setdefault(getattr(tree, "feature", None), []).append(i)
     fractions = [None] * len(trees)
     for group in by_feature.values():
         for i in group:
-            fractions[i] = _leaf_for(trees[i], x).positive_fraction
-        low = _mean([0.0 if f is None else f for f in fractions])
-        if low >= threshold:
-            return low
-        high = _mean([1.0 if f is None else f for f in fractions])
-        if high < threshold:
-            return high
-    return low
+            fractions[i] = _leaf_for(trees[i], at_most).positive_fraction
+        if threshold is not None:
+            low = _mean([0.0 if f is None else f for f in fractions])
+            if low >= threshold:
+                return low
+            high = _mean([1.0 if f is None else f for f in fractions])
+            if high < threshold:
+                return high
+    return _mean(fractions)
 
 
 def _in_order_sum(values: "list[float]") -> float:

@@ -1,7 +1,8 @@
 """Checked reads of JSON input files, the one place that tests JSON types.
 
-A value of the wrong type, or a missing required key, raises one
-``SchemaError`` that names the value's JSON path.  A reader takes the
+A value of the wrong type raises one ``SchemaError`` that names the
+value's JSON path and reads ``expected T, got U``; a missing required key
+raises one that reads ``missing required field``.  A reader takes the
 object or array that holds the value, the value's key or index there and
 the holder's path: a tuple of the root's name and the keys and indexes down
 to the holder, formatted only to raise (``("$", "pages", 0)`` reads
@@ -54,19 +55,16 @@ def json_path(where: tuple) -> str:
     return where[0] + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in where[1:])
 
 
-def field(holder, key, where: tuple):
-    """``holder[key]``: an array's item, or an object's value if it has one."""
-    if isinstance(holder, list) or key in holder:
-        return holder[key]
-    raise SchemaError(json_path(where + (key,)), "missing required field")
-
-
 def _read(holder, key, where: tuple, default, kind: str, *types):
-    """``holder[key]`` if it is an instance of ``types``.  A bool is an int
-    to Python but not to JSON, so it passes only as a bool."""
-    if default is not _REQUIRED and key not in holder:
+    """``holder[key]`` (an array's item, or an object's value if it has one)
+    if it is an instance of ``types``.  A bool is an int to Python but not
+    to JSON, so it passes only as a bool."""
+    if isinstance(holder, list) or key in holder:
+        value = holder[key]
+    elif default is _REQUIRED:
+        raise SchemaError(json_path(where + (key,)), "missing required field")
+    else:
         return default
-    value = field(holder, key, where)
     if not isinstance(value, types) or isinstance(value, bool) and bool not in types:
         raise SchemaError(json_path(where + (key,)), f"expected {kind}, got {type(value).__name__}")
     return value

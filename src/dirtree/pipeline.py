@@ -65,10 +65,13 @@ class PageRun:
     @cached_property
     def label(self) -> int:
         """1 when the page scores at or above the threshold: a directory page.
-        The vote stops once its side of the threshold is known, so the label
-        may cost fewer features than ``score``."""
-        settled = predict_score(self.model, self.features, self.threshold)
-        return 1 if settled >= self.threshold else 0
+        Taken from ``score`` when that was read; otherwise the vote stops
+        once its side of the threshold is known, so the label may cost
+        fewer features than ``score``."""
+        score = self.__dict__.get("score")
+        if score is None:
+            score = predict_score(self.model, self.features, self.threshold)
+        return 1 if score >= self.threshold else 0
 
     @cached_property
     def spans(self):

@@ -6,15 +6,17 @@ for any box with positive height.
 
 ``parse_document`` checks every value it reads.  ``_read_group`` reads each
 group in one pass, in a fixed order, testing each value's exact JSON class
-and range.  A value that fails is read again by its checked reader, which
-raises the fault with the value's JSON path, or returns the value where the
-test was too narrow for it.  The group keeps the box, flags, border sides
-and text that pass records, and its JSON object: no line, segment or style
-is built until ``Group.lines`` is first read, when ``_built_lines`` builds
-them from that object, with no check.  Scoring a page reads only its
-groups' text, furniture flags and border sides, so a page that is only
-scored never builds its lines.  The page's own values (its size, its table
-regions, each group lying inside it) are checked one at a time.
+and range.  A value that fails is read again by its checked reader (from
+``jsonin``, for its type), which raises the fault with the value's JSON
+path, or returns the value where the test was too narrow for it.  The group
+keeps the box, flags, border sides and text that pass records, and its JSON
+object: no line, segment or style is built until ``Group.lines`` is first
+read, when ``_built_lines``, the one place that orders a group, builds them
+from that object, with no check.  A group whose JSON is not in reading
+order is built at once.  Scoring a page reads only its groups' text,
+furniture flags and border sides, so a page that is only scored builds no
+line of a group in reading order.  The page's own values (its size, its
+table regions, each group lying inside it) are checked one at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .jsonin import (
-    ROOT, SchemaError, array, boolean, field, items, json_path, number, obj, streamed_items, top,
+    ROOT, SchemaError, array, boolean, integer, items, json_path, number, obj, streamed_items,
+    string, top,
 )
 
 
@@ -100,9 +103,10 @@ class Group:
     Made and read like the named tuple ``Group(lines, bbox, is_page_header,
     is_page_footer, border_sides)``, which it compares, hashes and prints
     as.  It cannot be changed.  It also keeps its text (``group_text``).
-    A group that ``parse_document`` read holds its JSON object in place of
-    its lines, and builds them from it (``_built_lines``) the first time
-    ``lines`` is read.
+    A group that ``parse_document`` read from JSON in reading order holds
+    its JSON object in place of its lines, and builds them from it
+    (``_built_lines``) the first time ``lines`` is read; one read from JSON
+    in any other order is made by this constructor from its built lines.
     """
 
     __slots__ = ("_lines", "bbox", "is_page_header", "is_page_footer", "border_sides",
@@ -201,15 +205,10 @@ def _parse_bbox(holder, key, where: tuple) -> BBox:
 def _parse_style(holder, key, where: tuple) -> None:
     style = obj(holder, key, where)
     where += (key,)
-    family = field(style, "font_family", where)
-    if not isinstance(family, str):
-        raise SchemaError(json_path(where + ("font_family",)), "expected string")
+    string(style, "font_family", where)
     if _number(style, "font_size", where) <= 0:
         raise GeometryError(f"{json_path(where + ('font_size',))}: must be positive")
-    color = field(style, "color", where)
-    if isinstance(color, bool) or not isinstance(color, int):
-        raise SchemaError(json_path(where + ("color",)), "expected integer")
-    if not 0 <= color <= 0xFFFFFF:
+    if not 0 <= integer(style, "color", where) <= 0xFFFFFF:
         raise GeometryError(f"{json_path(where + ('color',))}: must fit in 24 bits")
     boolean(style, "bold", where)
     boolean(style, "italic", where)
@@ -219,10 +218,7 @@ def _parse_segment(holder, key, where: tuple) -> BBox:
     """Checks the segment ``holder[key]`` and returns its box."""
     segment = obj(holder, key, where)
     where += (key,)
-    text = field(segment, "text", where)
-    if not isinstance(text, str):
-        raise SchemaError(json_path(where + ("text",)), "expected string")
-    if not text:
+    if not string(segment, "text", where):
         raise GeometryError(f"{json_path(where + ('text',))}: must be non-empty")
     box = _parse_bbox(segment, "bbox", where)
     _parse_style(segment, "style", where)
@@ -250,10 +246,10 @@ def _read_group(holder, group_i: int, where: tuple, page_i: int) -> Group:
     a number is taken only up to the largest float: ``0 <= l <= r <=
     _MAX_FLOAT`` is false for NaN and the infinities, so it tests finite,
     non-negative and in order at once.  A value that fails is read again by
-    its checked reader (``obj``, ``array``, ``boolean``, ``_parse_segment``
-    or ``_parse_bbox``), which raises the fault with its JSON path, or
-    returns the value where the test was too narrow: an integer above the
-    largest float, or a subclass of ``dict``, ``list``, ``str``, ``int`` or
+    its checked reader (``obj``, ``array``, ``boolean``, ``integer``,
+    ``_parse_segment`` or ``_parse_bbox``), which raises the fault with its
+    JSON path, or returns the value where the test was too narrow: an
+    integer above the largest float, or a subclass of ``dict``, ``list``, ``str``, ``int`` or
     ``float`` in a ``dict`` document.  The order is fixed: each line's
     segments, at least one segment, the line's box and its union; then at
     least one line, the group's box and its union, ``border_sides``,
@@ -263,8 +259,9 @@ def _read_group(holder, group_i: int, where: tuple, page_i: int) -> Group:
 
     The unions use running minima and maxima of the children's edges.  The
     text joins the segments in the order of the lines that _built_lines
-    will build; while the JSON order is already that order, the pass keeps
-    the texts as it reads them.
+    builds.  When the JSON lists lines top to bottom and each line's
+    segments left to right, the pass keeps the texts as it reads them;
+    otherwise the group is made from its built lines at once.
     """
     g = holder[group_i]
     if g.__class__ is not dict:
@@ -371,8 +368,7 @@ def _read_group(holder, group_i: int, where: tuple, page_i: int) -> Group:
                             "the union of its line bboxes")
     border = g.get("border_sides", 0)
     if border.__class__ is not int or not 0 <= border <= 4:
-        if isinstance(border, bool) or not isinstance(border, int):
-            raise SchemaError(json_path(where + (group_i, "border_sides")), "expected integer")
+        border = integer(g, "border_sides", where + (group_i,))
         if not 0 <= border <= 4:
             raise GeometryError(f"page {page_i}, group {group_i}: border_sides must be 0..4")
     header, footer = g.get("is_page_header"), g.get("is_page_footer")
@@ -380,21 +376,11 @@ def _read_group(holder, group_i: int, where: tuple, page_i: int) -> Group:
         header = boolean(g, "is_page_header", where + (group_i,))
     if footer.__class__ is not bool:
         footer = boolean(g, "is_page_footer", where + (group_i,))
+    if not ordered:
+        return Group(_built_lines(g), box, header, footer, border)
     group = _new_object(Group)
-    _init_group(group, None, box, header, footer, border,
-                " ".join(texts) if ordered else _sorted_text(line_objs), g)
+    _init_group(group, None, box, header, footer, border, " ".join(texts), g)
     return group
-
-
-def _sorted_text(line_objs: list) -> str:
-    """The text of a checked group's lines, in the order _built_lines sorts
-    them and their segments: by the float value of each line's top and each
-    segment's left, keeping ties in JSON order."""
-    return " ".join([
-        seg_obj["text"]
-        for line_obj in sorted(line_objs, key=lambda o: float(o["bbox"]["t"]))
-        for seg_obj in sorted(line_obj["segments"], key=lambda o: float(o["bbox"]["l"]))
-    ])
 
 
 def _built_box(box: dict) -> BBox:

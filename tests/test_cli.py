@@ -53,6 +53,7 @@ from conftest import (
     with_cycle,
     with_faults,
 )
+from test_pipeline import NARRATIVE
 from test_tree import BAD_TREE_PARAMS
 
 
@@ -773,6 +774,57 @@ def test_classify_threshold_flag(fig1a_path, trained_model_path, capsys):
                  "--threshold", "1.5")
     assert rc == 1
     assert "threshold" in capsys.readouterr().err
+
+
+def _directory_and_narrative(tmp_path):
+    """A document of fig1a, which the test model labels 1, and a narrative
+    page, which it labels 0 at the default threshold."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"pages": [_FIG1A_PAGE, NARRATIVE]}))
+    return str(path)
+
+
+def test_threshold_flag_sets_the_labels(trained_model_path, tmp_path, monkeypatch, capsys):
+    classify = ["classify", _directory_and_narrative(tmp_path), "--model", str(trained_model_path)]
+
+    def labels(*flags):
+        assert run_cli(*classify, *flags) == 0
+        return [entry["label"] for entry in json.loads(capsys.readouterr().out)["pages"]]
+
+    assert labels() == [1, 0]
+    assert labels("--threshold", "0") == [1, 1]
+    set_config(monkeypatch, tmp_path, {"threshold": 1.0})
+    assert labels("--threshold", "0") == [1, 1]  # the flag wins over the config
+
+
+def test_threshold_flag_selects_the_pages(trained_model_path, tmp_path, monkeypatch, capsys):
+    blocks = ["blocks", _directory_and_narrative(tmp_path), "--pages", "auto",
+              "--model", str(trained_model_path)]
+    segmented = []
+    real = pipeline.segment_page
+    monkeypatch.setattr(pipeline, "segment_page",
+                        lambda page, anns: segmented.append(page) or real(page, anns))
+
+    def selected(*flags):
+        segmented.clear()
+        assert run_cli(*blocks, *flags) == 0
+        capsys.readouterr()
+        return len(segmented)
+
+    assert selected() == 1
+    assert selected("--threshold", "0") == 2
+    set_config(monkeypatch, tmp_path, {"threshold": 1.0})
+    assert selected("--threshold", "0") == 2
+
+
+@pytest.mark.parametrize("argv", [["blocks", "--pages", "all", "--gazetteer", ""],
+                                  ["classify", "--model", ""]], ids=["gazetteer", "model"])
+def test_empty_path_flag_is_an_error(argv, fig1a_path):
+    # A given flag is used even when empty; it is not read as "not given".
+    code, out, err = _outcome(argv[0], str(fig1a_path), *argv[1:])
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and line.endswith(": ''")
 
 
 @pytest.mark.parametrize(

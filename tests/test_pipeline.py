@@ -212,6 +212,40 @@ def test_lines_built_once_on_segmented_pages_only(
     assert sorted(map(json.dumps, built)) == sorted(map(json.dumps, fig1a["groups"]))
 
 
+# A directory page: a title above a 3 by 3 grid of entries, each a bold
+# title over a one-line address.
+GRID = page(
+    text_group("DIRECTORY", 40, 20, 300, 36, size=16.0, bold=True),
+    *[g
+      for i in range(9)
+      for left, top in [(40 + i % 3 * 180.0, 60 + i // 3 * 60.0)]
+      for g in (text_group(("Registered Office", "Administrator", "Auditor")[i % 3],
+                           left, top, left + 160, top + 10, bold=True),
+                text_group("12 Main Street, L-2449 Luxembourg",
+                           left, top + 14, left + 160, top + 24))],
+)
+
+
+@pytest.mark.parametrize("command", [("classify",), ("blocks", "--pages", "auto")],
+                         ids=lambda c: c[0])
+@pytest.mark.parametrize("document", ["fig1a", "grid"])
+def test_forest_walked_once_per_page(
+    command, document, fig1a_path, trained_model_path, tmp_path, monkeypatch, capsys
+):
+    pages = {"fig1a": [json.loads(fig1a_path.read_text())["pages"][0]],
+             "grid": [GRID, NARRATIVE, GRID]}[document]
+    calls = []
+    real = pipeline.predict_score
+    monkeypatch.setattr(pipeline, "predict_score", lambda *args: calls.append(args) or real(*args))
+    path = _document_file(tmp_path, *pages)
+    assert cli.run([command[0], path, *command[1:], "--model", str(trained_model_path)]) == 0
+    if command[0] == "blocks":
+        # Every directory page was flagged: the vote was read, not skipped.
+        pages_out = {block["page"] for block in json.loads(capsys.readouterr().out)["blocks"]}
+        assert pages_out == {i for i, p in enumerate(pages) if p is not NARRATIVE}
+    assert len(calls) == len(pages)
+
+
 def test_eval_tree_builds_no_lines(fig1a_path, fig1a_gold_path, tmp_path, monkeypatch, capsys):
     pred = tmp_path / "tree.json"
     assert cli.run(["tree", str(fig1a_path), "--out", str(pred)]) == 0

@@ -336,7 +336,8 @@ def test_int_coordinates_become_floats():
 # in the same order: on any document it returns the same pages or raises the
 # same error, with the same message and path.  The one change is an integer
 # beyond the float range, on which the reference ends in OverflowError and
-# the parser raises GeometryError.
+# the parser raises GeometryError.  Every wrong-type message reads
+# ``expected T, got U``.
 
 def _require_reference(obj, key, path):
     if not isinstance(obj, dict):
@@ -382,13 +383,13 @@ def _parse_bbox_reference(obj, path):
 def _parse_style_reference(obj, path):
     family = _require_reference(obj, "font_family", path)
     if not isinstance(family, str):
-        raise SchemaError(f"{path}.font_family", "expected string")
+        raise SchemaError(f"{path}.font_family", f"expected string, got {type(family).__name__}")
     size = _number_reference(_require_reference(obj, "font_size", path), f"{path}.font_size")
     if size <= 0:
         raise GeometryError(f"{path}.font_size: must be positive")
     color = _require_reference(obj, "color", path)
     if isinstance(color, bool) or not isinstance(color, int):
-        raise SchemaError(f"{path}.color", "expected integer")
+        raise SchemaError(f"{path}.color", f"expected integer, got {type(color).__name__}")
     if not 0 <= color <= 0xFFFFFF:
         raise GeometryError(f"{path}.color: must fit in 24 bits")
     return StyleInfo(
@@ -403,7 +404,7 @@ def _parse_style_reference(obj, path):
 def _parse_segment_reference(obj, path):
     text = _require_reference(obj, "text", path)
     if not isinstance(text, str):
-        raise SchemaError(f"{path}.text", "expected string")
+        raise SchemaError(f"{path}.text", f"expected string, got {type(text).__name__}")
     if not text:
         raise GeometryError(f"{path}.text: must be non-empty")
     bbox = _parse_bbox_reference(_require_reference(obj, "bbox", path), f"{path}.bbox")
@@ -450,7 +451,8 @@ def _parse_group_reference(obj, path, page_i, group_i):
         )
     border = obj.get("border_sides", 0)
     if isinstance(border, bool) or not isinstance(border, int):
-        raise SchemaError(f"{path}.border_sides", "expected integer")
+        raise SchemaError(f"{path}.border_sides",
+                          f"expected integer, got {type(border).__name__}")
     if not 0 <= border <= 4:
         raise GeometryError(f"page {page_i}, group {group_i}: border_sides must be 0..4")
     return Group(
