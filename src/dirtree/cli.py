@@ -96,38 +96,37 @@ def _setting(args, cfg, key: str):
     return getattr(cfg, key) if value is None else value
 
 
-def _load_gazetteer(args, cfg: PipelineConfig) -> Gazetteer:
-    path = _setting(args, cfg, "gazetteer")
-    return Gazetteer.default() if path is None else Gazetteer.load(path)
+def _load(args, cfg: PipelineConfig, key: str, load):
+    """``load`` of the file that the flag or config key ``key`` names, or
+    None.  An OSError names where the path came from: ``--key`` or
+    ``config: $.key``."""
+    path = _setting(args, cfg, key)
+    try:
+        return None if path is None else load(path)
+    except OSError as e:
+        source = json_path(("config: $", key)) if getattr(args, key, None) is None else "--" + key
+        raise OSError(f"{source}: {e}") from e
 
 
-def _load_model(args, cfg: PipelineConfig):
-    path = _setting(args, cfg, "model")
-    if path is None:
-        raise UsageError("a model is required here; pass --model")
-    return forest.load_model(path)
-
-
-def _threshold(args, cfg: PipelineConfig) -> float:
-    value = _setting(args, cfg, "threshold")
-    if not 0 <= value <= 1:
-        raise UsageError("--threshold must be in [0, 1]")
-    return value
-
-
-def _runs(args, cfg: PipelineConfig, skip_empty: bool = True):
+def _runs(args, cfg: PipelineConfig, skip_empty: bool = True, needs_model: bool = False):
     """Read the document and resolve the flags and config to page runs.
 
     --pages is "auto" (model required), "all" or a comma list of distinct
-    page indexes.  Errors come in the order: model, threshold, page list,
+    page indexes; ``needs_model`` requires a model whatever it is.  Errors
+    come in the order: document, gazetteer, model, threshold, page list,
     tree parameters; the runs then raise segmentation errors when read.
     """
     pages = _read_doc(args.doc, args.stream)
-    gaz = _load_gazetteer(args, cfg)
+    gaz = _load(args, cfg, "gazetteer", Gazetteer.load) or Gazetteer.default()
     which = getattr(args, "pages", "all")
     model, threshold = None, cfg.threshold
-    if which == "auto":
-        model, threshold = _load_model(args, cfg), _threshold(args, cfg)
+    if which == "auto" or needs_model:
+        model = _load(args, cfg, "model", forest.load_model)
+        if model is None:
+            raise UsageError("a model is required here; pass --model")
+        threshold = _setting(args, cfg, "threshold")
+        if not 0 <= threshold <= 1:
+            raise UsageError("--threshold must be in [0, 1]")
     elif which != "all":
         try:
             which = [int(tok) for tok in which.split(",") if tok.strip() != ""]
@@ -227,12 +226,9 @@ def _cmd_train(args, cfg):
 
 
 def _cmd_classify(args, cfg):
-    pages = _read_doc(args.doc, args.stream)
-    gaz = _load_gazetteer(args, cfg)
-    model, threshold = _load_model(args, cfg), _threshold(args, cfg)
     out = [
         {"page": run.index, "score": run.score, "label": run.label}
-        for run in pipeline.page_runs(pages, gaz, "all", model, threshold, skip_empty=False)
+        for run in _runs(args, cfg, skip_empty=False, needs_model=True)
     ]
     _emit({"pages": out}, args, cfg)
     return EXIT_OK

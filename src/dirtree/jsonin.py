@@ -146,8 +146,10 @@ def _array_items(text: str, key: str, where: tuple):
     """The items of the array ``key`` of ``text``'s top-level object, each
     decoded when reached.  Anything the scan does not take (a fault of the
     JSON, a missing key, a value of the key that is not an array, a repeated
-    key) leaves the scan, and decoding the whole text names the fault."""
-    reason = "appears more than once"  # what the whole text may not name
+    key) leaves the scan, and decoding the whole text names the fault.  Text
+    nested too deeply for the scan is declined without that decode, which
+    would run deeper in the stack than the caller's own decode."""
+    reason = None
     found = closed = False
     try:
         pos = _skip(text).end()
@@ -190,7 +192,9 @@ def _array_items(text: str, key: str, where: tuple):
         reason = "nested too deeply"
     except ValueError:  # from the decoder
         pass
-    array(top(text, where), key, where)
+    if reason is None:
+        array(top(text, where), key, where)
+        reason = "appears more than once"  # what the whole text may not name
     raise SchemaError(json_path(where + (key,)), f"cannot be read one item at a time: {reason}")
 
 

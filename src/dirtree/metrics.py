@@ -24,6 +24,7 @@ from .tree import (
     TreeInvariantError,
     TreeNode,
     directory_blocks,
+    link_children,
     tree_from_json,
     validate_tree,
 )
@@ -96,12 +97,16 @@ def _block_key(b: DirectoryBlock) -> tuple:
     )
 
 
+def _multiset_prf(gold: Counter, pred: Counter) -> PRF:
+    """Scores of a predicted against a gold multiset: each key matches as
+    many times as both hold it."""
+    tp = sum((gold & pred).values())
+    return PRF.from_counts(tp, sum(pred.values()) - tp, sum(gold.values()) - tp)
+
+
 def eval_blocks(gold: "list[DirectoryBlock]", pred: "list[DirectoryBlock]") -> PRF:
     """Multiset match on (header path, body) pairs."""
-    g = Counter(_block_key(b) for b in gold)
-    q = Counter(_block_key(b) for b in pred)
-    tp = sum((g & q).values())
-    return PRF.from_counts(tp, sum(q.values()) - tp, sum(g.values()) - tp)
+    return _multiset_prf(Counter(map(_block_key, gold)), Counter(map(_block_key, pred)))
 
 
 def _parent_pairs(tree: ReadingTree) -> "Counter[tuple[str, str]]":
@@ -118,10 +123,7 @@ def _parent_pairs(tree: ReadingTree) -> "Counter[tuple[str, str]]":
 def eval_parents(gold: ReadingTree, pred: ReadingTree) -> PRF:
     """Multiset match on (body text, parent text) pairs; the synthetic root
     shows up as a reserved marker."""
-    g = _parent_pairs(gold)
-    q = _parent_pairs(pred)
-    tp = sum((g & q).values())
-    return PRF.from_counts(tp, sum(q.values()) - tp, sum(g.values()) - tp)
+    return _multiset_prf(_parent_pairs(gold), _parent_pairs(pred))
 
 
 def _block_nodes(b: DirectoryBlock) -> "list[str]":
@@ -299,11 +301,7 @@ def gold_tree_for_page(gold_page: dict, visual_page) -> ReadingTree:
             text=text[s["start"]:s["end"]],
             parent=ROOT_ID if parent is None else parent + 1,
         )
-    for node in nodes.values():
-        if node.node_id != ROOT_ID:
-            nodes[node.parent].children.append(node.node_id)
-    for node in nodes.values():
-        node.children.sort()
+    link_children(nodes)
     out = ReadingTree(nodes=nodes)
     try:
         validate_tree(out)

@@ -11,6 +11,7 @@ which is what keeps sibling sections from swallowing one another.
 from __future__ import annotations
 
 import reprlib
+from collections import Counter
 from enum import Enum
 from math import inf
 from typing import NamedTuple
@@ -76,8 +77,8 @@ class NodeLabel(str, Enum):
 
 
 class TreeNode:
-    """One node of a reading tree; building a tree sets ``parent`` and
-    appends to ``children`` in place."""
+    """One node of a reading tree.  Building a tree sets each node's
+    ``parent``; ``link_children`` then fills the ``children`` lists."""
 
     __slots__ = ("node_id", "label", "text", "parent", "children", "cluster_id", "bbox")
 
@@ -336,8 +337,7 @@ def build_tree(spans: "list[LabeledSpan]", p: "TreeParams | None" = None) -> Rea
 
     # A span's node id is its reading position + 1, and a header's cluster
     # id is looked up once, so the claim loop hashes no span.
-    root = TreeNode(ROOT_ID, NodeLabel.ROOT, "", None)
-    nodes: dict[int, TreeNode] = {ROOT_ID: root}
+    nodes: dict[int, TreeNode] = {ROOT_ID: TreeNode(ROOT_ID, NodeLabel.ROOT, "", None)}
     for node_id, s in enumerate(sequence, 1):
         header = s.label is SpanLabel.HEADER
         nodes[node_id] = TreeNode(node_id, NodeLabel.HEADER if header else NodeLabel.BODY, s.text,
@@ -359,46 +359,42 @@ def build_tree(spans: "list[LabeledSpan]", p: "TreeParams | None" = None) -> Rea
                     else can_parent(current, sequence[earlier - 1], clusters, p)
                 ):
                     nodes[earlier].parent = node_id
-                    cur_node.children.append(earlier)
                 else:
                     kept.append(earlier)
             unclaimed[k] = kept
         unclaimed.setdefault(key, []).append(node_id)
 
     for node_id in range(1, len(sequence) + 1):
-        node = nodes[node_id]
-        if node.parent is None:
-            node.parent = ROOT_ID
-            root.children.append(node_id)
+        if nodes[node_id].parent is None:
+            nodes[node_id].parent = ROOT_ID
 
     _demote_childless_headers(nodes)
-
-    # Node ids are reading positions + 1, so id order is reading order.
-    for node in nodes.values():
-        node.children.sort()
+    link_children(nodes)
     return ReadingTree(nodes=nodes)
 
 
 def _demote_childless_headers(nodes: "dict[int, TreeNode]") -> None:
     """Move headers without children under the root (cascading upward).
 
-    A node claims only spans later in the reading sequence, so a child's id
-    is larger than its parent's: in descending id order every header is
-    visited after all of its children.  Moved children are counted per
-    parent and taken out of its list once, at the end.
+    Only parent links are read and set.  A node claims only spans later in
+    the reading sequence, so a child's id is larger than its parent's: in
+    descending id order every header is visited after all of its children.
     """
-    root = nodes[ROOT_ID]
-    lost: "dict[int, int]" = {}  # parent id -> children moved away from it
+    child_count = Counter(node.parent for node in nodes.values())
     for node_id in sorted(nodes, reverse=True):
         node = nodes[node_id]
-        if (node.label is NodeLabel.HEADER and node.parent != ROOT_ID
-                and len(node.children) == lost.get(node_id, 0)):
-            lost[node.parent] = lost.get(node.parent, 0) + 1
+        if node.label is NodeLabel.HEADER and node.parent != ROOT_ID and not child_count[node_id]:
+            child_count[node.parent] -= 1
             node.parent = ROOT_ID
-            root.children.append(node_id)
-    for parent_id in lost:
-        parent = nodes[parent_id]
-        parent.children = [c for c in parent.children if nodes[c].parent == parent_id]
+
+
+def link_children(nodes: "dict[int, TreeNode]") -> None:
+    """Append each node to its parent's ``children`` (empty until then), in
+    node id order, so that every list comes out ascending."""
+    for node_id in sorted(nodes):
+        parent = nodes[node_id].parent
+        if parent is not None:
+            nodes[parent].children.append(node_id)
 
 
 def validate_tree(tree: ReadingTree) -> None:

@@ -459,8 +459,8 @@ def parse_document(data: "bytes | str | dict",
     It raises a fault when it reaches it, after yielding the pages before
     it, where the list path raises a fault of the JSON (trailing data, say)
     before any page's.  It declines a document that repeats ``"pages"``,
-    of which the list path reads the last.  A ``dict`` is parsed to a list
-    either way.
+    of which the list path reads the last, and one nested too deeply to
+    read page by page.  A ``dict`` is parsed to a list either way.
 
     A group checked in one pass builds its lines from its part of the
     decoded JSON when they are first read.  A ``dict`` is the caller's own,

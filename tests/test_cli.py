@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import copy
+import errno
 import gc
 import hashlib
 import io
@@ -24,7 +25,7 @@ from dirtree import cli, pipeline
 from dirtree.annotate import MAX_FIRST_WORD, Gazetteer
 from dirtree.features import FEATURE_NAMES, FeatureVector, write_features_csv
 from dirtree.forest import Dataset, ForestHyperparams, model_to_json, train
-from dirtree.metrics import evaluate
+from dirtree.metrics import evaluate, gold_tree_for_page
 from dirtree.segment import spans_to_json
 from dirtree.tree import (
     NodeLabel,
@@ -827,6 +828,28 @@ def test_empty_path_flag_is_an_error(argv, fig1a_path):
     assert line.startswith("error: ") and line.endswith(": ''")
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("argv", [["blocks", "--pages", "all"], ["classify"]],
+                         ids=["gazetteer", "model"])
+def test_unreadable_path_names_where_it_came_from(argv, source, fig1a_path, tmp_path,
+                                                   monkeypatch):
+    # A directory passes the config's existence check and cannot be read.
+    key = "gazetteer" if argv[0] == "blocks" else "model"
+    argv = [argv[0], str(fig1a_path), *argv[1:]]
+    if source == "flag":
+        argv += ["--" + key, str(tmp_path)]
+        where = "--" + key
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: str(tmp_path)}))
+        monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+        where = f"config: $.{key}"
+    code, out, err = _outcome(*argv)
+    assert (code, out) == (1, "")
+    reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}"
+    assert err == f"error: {where}: {reason}\n"
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -1225,6 +1248,34 @@ def test_eval_bytes_pinned(stage, kind, fig1a_path, fig1a_gold_path, tmp_path, c
     doc = parse_document(fig1a_path.read_bytes())
     gold = json.loads(fig1a_gold_path.read_text())
     assert json.loads(out.splitlines()[0]) == evaluate(stage, prediction, gold, doc)
+
+
+@pytest.mark.parametrize("kind", ["perfect", "imperfect"])
+def test_eval_tree_gold_parents_may_point_forward(kind, fig1a_path, fig1a_gold_path, tmp_path,
+                                                  capsys):
+    # The fig1a gold spans in reverse order, so that every parent index
+    # points to a later span: the gold tree's children lists still come out
+    # ascending, and the report is the one the gold in reading order gives.
+    gold = json.loads(fig1a_gold_path.read_text())
+    spans = gold["pages"][0]["spans"]
+    last = len(spans) - 1
+    gold["pages"][0]["spans"] = [
+        dict(s, parent=None if s["parent"] is None else last - s["parent"])
+        for s in reversed(spans)]
+    assert any(s["parent"] is not None for s in gold["pages"][0]["spans"])
+    assert all(s["parent"] is None or s["parent"] > i
+               for i, s in enumerate(gold["pages"][0]["spans"]))
+    tree = gold_tree_for_page(gold["pages"][0], parse_document(fig1a_path.read_bytes())[0])
+    assert all(node.children == sorted(node.children) for node in tree.nodes.values())
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps(_eval_prediction("tree", kind, fig1a_path, capsys)))
+    reversed_gold = tmp_path / "gold.json"
+    reversed_gold.write_text(json.dumps(gold))
+    rc = run_cli("eval", "--stage", "tree", "--doc", str(fig1a_path),
+                 "--pred", str(pred), "--gold", str(reversed_gold))
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == EVAL_PINNED[("tree", kind)]
 
 
 def tree_json(*nodes):

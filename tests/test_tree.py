@@ -921,11 +921,11 @@ def _root_of_bodies(k, Id):
 
 
 def _header_over_headers(k, Id):
-    """A header under the root whose k children are childless headers."""
+    """A header under the root over k childless headers, given by their
+    parent links alone, as ``build_tree`` hands them to demotion."""
     nodes = {
-        Id(ROOT_ID): TreeNode(Id(ROOT_ID), NodeLabel.ROOT, "", None, children=[Id(1)]),
-        Id(1): TreeNode(Id(1), NodeLabel.HEADER, "Title", Id(ROOT_ID),
-                        children=[Id(i) for i in range(2, k + 2)], cluster_id=1),
+        Id(ROOT_ID): TreeNode(Id(ROOT_ID), NodeLabel.ROOT, "", None),
+        Id(1): TreeNode(Id(1), NodeLabel.HEADER, "Title", Id(ROOT_ID), cluster_id=1),
     }
     for i in range(2, k + 2):
         nodes[Id(i)] = TreeNode(Id(i), NodeLabel.HEADER, f"Head {i}", Id(1), cluster_id=2)
@@ -934,6 +934,7 @@ def _header_over_headers(k, Id):
 
 def _demote_and_check(nodes):
     tree_module._demote_childless_headers(nodes)
+    tree_module.link_children(nodes)
     assert all(node.parent == ROOT_ID for node_id, node in nodes.items() if node_id != ROOT_ID)
     assert sorted(nodes[ROOT_ID].children) == sorted(set(nodes) - {ROOT_ID})
     assert nodes[1].children == []

@@ -880,3 +880,38 @@ def test_values_the_one_pass_test_is_too_narrow_for(fig1a_path):
         assert built.call_count == len(pages[0].groups)
     assert repr(parse_document(huge)[0].groups[0].bbox).endswith(
         "right=1.7976931348623157e+308, bottom=75.0)")
+
+
+# --- a document read one page at a time ---
+
+def test_page_nested_as_deep_as_the_list_path_takes_streams_or_declines(fig1a_path):
+    # The depth at which a whole-document decode gives up differs between
+    # Python versions (the recursion limit up to 3.11, a C stack budget
+    # from 3.12), so the test finds it on the running Python.  A page as
+    # deep as that, or one level less, is yielded page by page or declined
+    # as too deep for that read; it is never reported as invalid JSON.
+    page = json.loads(fig1a_path.read_text())["pages"][0]
+    text = json.dumps({"pages": [dict(page, extra=0)]})
+
+    def nested(depth):
+        return text.replace('"extra": 0', '"extra": ' + "[" * depth + "]" * depth)
+
+    def accepted(depth):
+        try:
+            parse_document(nested(depth))
+        except ValueError:
+            return False
+        return True
+
+    low, high = 1, 1 << 17  # accepted, refused
+    assert accepted(low) and not accepted(high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if accepted(mid) else (low, mid)
+    for depth in (low, low - 1):
+        try:
+            pages = list(parse_document(nested(depth), stream=True))
+        except SchemaError as e:
+            assert str(e) == "$.pages: cannot be read one item at a time: nested too deeply"
+        else:
+            assert pages == parse_document(nested(depth))
