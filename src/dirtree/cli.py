@@ -54,9 +54,6 @@ class PipelineConfig(NamedTuple):
         data = top(data, where, known=set(cls._fields))
         paths = {key: nullable(file_path, data, key, where, None)
                  for key in ("gazetteer", "model", "output_dir")}
-        for key in ("gazetteer", "model"):
-            if paths[key] is not None and not os.path.exists(paths[key]):
-                raise SchemaError(json_path(where + (key,)), f"does not exist: {paths[key]}")
         at = where + ("tree_params",)
         tp = obj(data, "tree_params", where, {}, known=set(TreeParams._fields))
         try:

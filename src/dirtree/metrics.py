@@ -24,7 +24,6 @@ from .tree import (
     TreeInvariantError,
     TreeNode,
     directory_blocks,
-    link_children,
     tree_from_json,
     validate_tree,
 )
@@ -232,10 +231,6 @@ def read_predictions(pred, key: str, name: str) -> dict:
                                   f"must be 0 or 1, got {reprlib.repr(value)}")
         else:
             value = tree_from_json(obj(record, "tree", at), at + ("tree",))
-            try:
-                validate_tree(value)
-            except TreeInvariantError as e:
-                raise SchemaError(json_path(at + ("tree",)), f"invalid tree: {e}") from e
         out[page] = value
     return out
 
@@ -301,7 +296,6 @@ def gold_tree_for_page(gold_page: dict, visual_page) -> ReadingTree:
             text=text[s["start"]:s["end"]],
             parent=ROOT_ID if parent is None else parent + 1,
         )
-    link_children(nodes)
     out = ReadingTree(nodes=nodes)
     try:
         validate_tree(out)

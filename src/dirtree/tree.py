@@ -77,16 +77,14 @@ class NodeLabel(str, Enum):
 
 
 class TreeNode:
-    """One node of a reading tree.  Building a tree sets each node's
-    ``parent``; ``link_children`` then fills the ``children`` lists."""
+    """One node of a reading tree.  Its ``parent`` is the tree's one record
+    of the edge above it."""
 
-    __slots__ = ("node_id", "label", "text", "parent", "children", "cluster_id", "bbox")
+    __slots__ = ("node_id", "label", "text", "parent", "cluster_id", "bbox")
 
     def __init__(self, node_id: int, label: NodeLabel, text: str, parent: "int | None",
-                 children: "list[int] | None" = None, cluster_id: "int | None" = None,
-                 bbox: "BBox | None" = None):
+                 cluster_id: "int | None" = None, bbox: "BBox | None" = None):
         self.node_id, self.label, self.text, self.parent = node_id, label, text, parent
-        self.children = [] if children is None else children
         self.cluster_id, self.bbox = cluster_id, bbox
 
 
@@ -341,7 +339,7 @@ def build_tree(spans: "list[LabeledSpan]", p: "TreeParams | None" = None) -> Rea
     for node_id, s in enumerate(sequence, 1):
         header = s.label is SpanLabel.HEADER
         nodes[node_id] = TreeNode(node_id, NodeLabel.HEADER if header else NodeLabel.BODY, s.text,
-                                  None, None, clusters[s] if header else None, s.bbox)
+                                  None, clusters[s] if header else None, s.bbox)
 
     # Unclaimed earlier node ids, bucketed: bodies under None, headers under
     # their cluster id.  A body can claim only bodies, and a header anything
@@ -369,16 +367,15 @@ def build_tree(spans: "list[LabeledSpan]", p: "TreeParams | None" = None) -> Rea
             nodes[node_id].parent = ROOT_ID
 
     _demote_childless_headers(nodes)
-    link_children(nodes)
     return ReadingTree(nodes=nodes)
 
 
 def _demote_childless_headers(nodes: "dict[int, TreeNode]") -> None:
     """Move headers without children under the root (cascading upward).
 
-    Only parent links are read and set.  A node claims only spans later in
-    the reading sequence, so a child's id is larger than its parent's: in
-    descending id order every header is visited after all of its children.
+    A node claims only spans later in the reading sequence, so a child's id
+    is larger than its parent's: in descending id order every header is
+    visited after all of its children.
     """
     child_count = Counter(node.parent for node in nodes.values())
     for node_id in sorted(nodes, reverse=True):
@@ -388,13 +385,38 @@ def _demote_childless_headers(nodes: "dict[int, TreeNode]") -> None:
             node.parent = ROOT_ID
 
 
-def link_children(nodes: "dict[int, TreeNode]") -> None:
-    """Append each node to its parent's ``children`` (empty until then), in
-    node id order, so that every list comes out ascending."""
-    for node_id in sorted(nodes):
-        parent = nodes[node_id].parent
-        if parent is not None:
-            nodes[parent].children.append(node_id)
+def _check_parents(nodes: "dict[int, TreeNode]",
+                   lists: "dict[int, list[int]] | None" = None) -> None:
+    """Raise the first fault of the parent links: a missing root, then node
+    by node a bad parent id or, given a file's ``children`` lists by node
+    id, a node its parent's list leaves out; then a list's unknown,
+    repeated or unmirrored child."""
+    if ROOT_ID not in nodes or nodes[ROOT_ID].label is not NodeLabel.ROOT:
+        raise TreeInvariantError("missing root node")
+    lists = lists or {}
+    # Every (parent, child) link the lists hold, so that each test below
+    # costs the same however many children a node has.
+    listed = {(node_id, c) for node_id, children in lists.items() for c in children}
+    for node in nodes.values():
+        if node.node_id == ROOT_ID:
+            if node.parent is not None:
+                raise TreeInvariantError("root must have no parent")
+            continue
+        if node.parent is None or node.parent not in nodes:
+            raise TreeInvariantError(f"node {node.node_id} has no valid parent")
+        if lists and (node.parent, node.node_id) not in listed:
+            raise TreeInvariantError(f"node {node.node_id} missing from its parent's children")
+
+    seen_children: set = set()
+    for node_id, children in lists.items():
+        for c in children:
+            if c not in nodes:
+                raise TreeInvariantError(f"node {node_id} lists unknown child {c}")
+            if c in seen_children:
+                raise TreeInvariantError(f"node {c} appears under two parents")
+            seen_children.add(c)
+            if nodes[c].parent != node_id:
+                raise TreeInvariantError(f"child link {node_id}->{c} not mirrored")
 
 
 def validate_tree(tree: ReadingTree) -> None:
@@ -407,33 +429,7 @@ def validate_tree(tree: ReadingTree) -> None:
     parent is not a body), and only that head's chain reaches it.
     """
     nodes = tree.nodes
-    if ROOT_ID not in nodes or nodes[ROOT_ID].label is not NodeLabel.ROOT:
-        raise TreeInvariantError("missing root node")
-    # Every (parent, child) link the children lists hold, so that each test
-    # below costs the same however many children a node has.
-    listed = {(node_id, c) for node_id, node in nodes.items() for c in node.children}
-    for node in nodes.values():
-        if node.node_id == ROOT_ID:
-            if node.parent is not None:
-                raise TreeInvariantError("root must have no parent")
-            continue
-        if node.parent is None or node.parent not in nodes:
-            raise TreeInvariantError(f"node {node.node_id} has no valid parent")
-        if (node.parent, node.node_id) not in listed:
-            raise TreeInvariantError(
-                f"node {node.node_id} missing from its parent's children"
-            )
-
-    seen_children: set = set()
-    for node in nodes.values():
-        for c in node.children:
-            if c not in nodes:
-                raise TreeInvariantError(f"node {node.node_id} lists unknown child {c}")
-            if c in seen_children:
-                raise TreeInvariantError(f"node {c} appears under two parents")
-            seen_children.add(c)
-            if nodes[c].parent != node.node_id:
-                raise TreeInvariantError(f"child link {node.node_id}->{c} not mirrored")
+    _check_parents(nodes)
 
     # Acyclicity: every node must reach the root.  A walk stops at a node
     # an earlier walk has shown to reach it.
@@ -448,30 +444,26 @@ def validate_tree(tree: ReadingTree) -> None:
             cur = nodes[cur].parent
         reaches_root |= visited
 
+    # Children per (parent, whether the child is a body), from the parents.
+    child_count = Counter((node.parent, node.label is NodeLabel.BODY) for node in nodes.values())
     for node in nodes.values():
         if node.node_id == ROOT_ID:
             continue
         parent = nodes[node.parent]
-        if not node.children and node.label is NodeLabel.HEADER and node.parent != ROOT_ID:
-            raise TreeInvariantError(
-                f"childless header {node.node_id} not attached to root"
-            )
+        bodies, others = child_count[node.node_id, True], child_count[node.node_id, False]
+        if not bodies + others and node.label is NodeLabel.HEADER and node.parent != ROOT_ID:
+            raise TreeInvariantError(f"childless header {node.node_id} not attached to root")
         if node.label is NodeLabel.HEADER and parent.label is NodeLabel.BODY:
             raise TreeInvariantError(f"header {node.node_id} parented by a body")
-        if node.label is NodeLabel.BODY and node.children:
-            if any(nodes[c].label is not NodeLabel.BODY for c in node.children):
-                raise TreeInvariantError(
-                    f"body {node.node_id} has a non-body child"
-                )
+        if node.label is NodeLabel.BODY and others:
+            raise TreeInvariantError(f"body {node.node_id} has a non-body child")
         if (
             node.label is NodeLabel.HEADER
             and parent.label is NodeLabel.HEADER
             and node.cluster_id is not None
             and node.cluster_id == parent.cluster_id
         ):
-            raise TreeInvariantError(
-                f"header {node.node_id} shares a cluster with its parent"
-            )
+            raise TreeInvariantError(f"header {node.node_id} shares a cluster with its parent")
 
 
 def directory_blocks(tree: ReadingTree) -> "list[DirectoryBlock]":
@@ -479,6 +471,10 @@ def directory_blocks(tree: ReadingTree) -> "list[DirectoryBlock]":
     down to the immediate parent, plus the chain's concatenated body text.
     Blocks come out in the reading order (node id order) of their last body."""
     nodes = tree.nodes
+    body_children: "dict[int, list[TreeNode]]" = {}
+    for node in nodes.values():
+        if node.label is NodeLabel.BODY:
+            body_children.setdefault(node.parent, []).append(node)
     blocks = []
     for head in nodes.values():
         # A chain's head is a body whose parent is not a body.
@@ -490,11 +486,9 @@ def directory_blocks(tree: ReadingTree) -> "list[DirectoryBlock]":
             headers.append(cur.text)
             cur = nodes[cur.parent]
         headers.reverse()
-        chain, stack = [], [head]
-        while stack:
-            node = stack.pop()
-            chain.append(node)
-            stack.extend(nodes[c] for c in node.children if nodes[c].label is NodeLabel.BODY)
+        chain = [head]
+        for node in chain:  # the chain grows as it is read: breadth first
+            chain.extend(body_children.get(node.node_id, ()))
         chain.sort(key=lambda n: n.node_id)
         body = " ".join(n.text for n in chain)
         blocks.append((chain[-1].node_id, DirectoryBlock(headers=tuple(headers), body=body)))
@@ -505,50 +499,61 @@ def directory_blocks(tree: ReadingTree) -> "list[DirectoryBlock]":
 # --- serialization ---------------------------------------------------------
 
 def tree_to_json(tree: ReadingTree) -> dict:
+    """The tree as JSON.  Each node's ``children`` list is filled by one pass
+    over the parents in node id order, so it comes out ascending."""
+    ids = sorted(tree.nodes)
+    children: "dict[int, list[int]]" = {node_id: [] for node_id in ids}
     nodes = []
-    for node_id in sorted(tree.nodes):
+    for node_id in ids:
         node = tree.nodes[node_id]
-        nodes.append(
-            {
-                "id": node.node_id,
-                "label": node.label.value,
-                "text": node.text,
-                "parent": node.parent,
-                "children": list(node.children),
-                "cluster": node.cluster_id,
-                "bbox": node.bbox.to_json() if node.bbox is not None else None,
-            }
-        )
+        if node.parent in children:
+            children[node.parent].append(node_id)
+        nodes.append({"id": node.node_id, "label": node.label.value, "text": node.text,
+                      "parent": node.parent, "children": children[node_id],
+                      "cluster": node.cluster_id,
+                      "bbox": node.bbox.to_json() if node.bbox is not None else None})
     return {"nodes": nodes}
 
 
-def _tree_node(holder, i: int, where: tuple) -> TreeNode:
+def _tree_node(holder, i: int, where: tuple) -> "tuple[TreeNode, list[int]]":
+    """A node, and the ``children`` list its file gives."""
     node = obj(holder, i, where)
     where += (i,)
     bbox = nullable(obj, node, "bbox", where, None)
-    return TreeNode(
-        node_id=integer(node, "id", where),
-        label=NodeLabel(one_of(node, "label", where, tuple(NodeLabel))),
-        text=string(node, "text", where),
-        parent=nullable(integer, node, "parent", where),
-        children=items(integer, node, "children", where),
-        cluster_id=nullable(integer, node, "cluster", where, None),
-        bbox=None if bbox is None else BBox(*[finite(bbox, e, where + ("bbox",)) for e in "ltrb"]),
+    node_id, label, text, parent, children = (
+        integer(node, "id", where),
+        NodeLabel(one_of(node, "label", where, tuple(NodeLabel))),
+        string(node, "text", where),
+        nullable(integer, node, "parent", where),
+        items(integer, node, "children", where),
     )
+    return TreeNode(
+        node_id, label, text, parent, nullable(integer, node, "cluster", where, None),
+        None if bbox is None else BBox(*[finite(bbox, e, where + ("bbox",)) for e in "ltrb"]),
+    ), children
 
 
 def tree_from_json(data: "bytes | str | dict", where: tuple = ROOT) -> ReadingTree:
     """Rebuild a tree from its JSON form, found at ``where`` in its file.
     Spans are not recoverable; the result carries labels, texts and
-    structure, which is all evaluation needs.  A malformed node, or one
-    whose id an earlier node has, raises ValueError."""
+    structure, which is all evaluation needs.  A malformed node, one whose
+    id an earlier node has, ``children`` lists that do not mirror the
+    parents, or a tree that ``validate_tree`` rejects raise ValueError.
+    The lists are dropped once checked: a node's parent is its one link."""
     nodes: "dict[int, TreeNode]" = {}
-    for i, node in enumerate(items(_tree_node, top(data, where), "nodes", where)):
+    lists: "dict[int, list[int]]" = {}
+    for i, (node, children) in enumerate(items(_tree_node, top(data, where), "nodes", where)):
         if node.node_id in nodes:
             raise SchemaError(json_path(where + ("nodes", i, "id")),
                               f"node id {reprlib.repr(node.node_id)} given twice")
-        nodes[node.node_id] = node
-    return ReadingTree(nodes=nodes)
+        nodes[node.node_id], lists[node.node_id] = node, children
+    tree = ReadingTree(nodes=nodes)
+    try:
+        _check_parents(nodes, lists)
+        validate_tree(tree)
+    except TreeInvariantError as e:
+        raise SchemaError(json_path(where), f"invalid tree: {e}") from e
+    return tree
 
 
 def blocks_to_json(blocks: "list[DirectoryBlock]", page_index: "int | None" = None) -> list:

@@ -1254,8 +1254,9 @@ def test_eval_bytes_pinned(stage, kind, fig1a_path, fig1a_gold_path, tmp_path, c
 def test_eval_tree_gold_parents_may_point_forward(kind, fig1a_path, fig1a_gold_path, tmp_path,
                                                   capsys):
     # The fig1a gold spans in reverse order, so that every parent index
-    # points to a later span: the gold tree's children lists still come out
-    # ascending, and the report is the one the gold in reading order gives.
+    # points to a later span: the gold tree's children lists, as written,
+    # still come out ascending, and the report is the one the gold in
+    # reading order gives.
     gold = json.loads(fig1a_gold_path.read_text())
     spans = gold["pages"][0]["spans"]
     last = len(spans) - 1
@@ -1266,7 +1267,8 @@ def test_eval_tree_gold_parents_may_point_forward(kind, fig1a_path, fig1a_gold_p
     assert all(s["parent"] is None or s["parent"] > i
                for i, s in enumerate(gold["pages"][0]["spans"]))
     tree = gold_tree_for_page(gold["pages"][0], parse_document(fig1a_path.read_bytes())[0])
-    assert all(node.children == sorted(node.children) for node in tree.nodes.values())
+    listed = [node["children"] for node in tree_to_json(tree)["nodes"]]
+    assert all(children == sorted(children) for children in listed)
     pred = tmp_path / "pred.json"
     pred.write_text(json.dumps(_eval_prediction("tree", kind, fig1a_path, capsys)))
     reversed_gold = tmp_path / "gold.json"
@@ -1347,9 +1349,15 @@ def test_config_bad_threshold(fig1a_path, tmp_path, monkeypatch, capsys):
 
 
 def test_config_missing_gazetteer(fig1a_path, tmp_path, monkeypatch, capsys):
-    set_config(monkeypatch, tmp_path, {"gazetteer": str(tmp_path / "nope.json")})
-    assert run_cli("validate", str(fig1a_path)) == 1
-    assert "does not exist" in capsys.readouterr().err
+    # A config path is read only by a command that needs the file, and its
+    # fault is the read's own, named by the config key.
+    missing = tmp_path / "nope.json"
+    set_config(monkeypatch, tmp_path, {"gazetteer": str(missing)})
+    assert run_cli("validate", str(fig1a_path)) == 0
+    capsys.readouterr()
+    assert run_cli("segment", str(fig1a_path)) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: config: $.gazetteer: [Errno 2] No such file or directory: '{missing}'"
 
 
 def test_config_unreadable(fig1a_path, tmp_path, monkeypatch, capsys):

@@ -124,7 +124,6 @@ def chain_tree(*texts, cluster_ids=None):
         if cluster_ids and i <= len(cluster_ids):
             cluster = cluster_ids[i - 1]
         nodes[i] = TreeNode(i, label, text, i - 1, cluster_id=cluster)
-        nodes[i - 1].children.append(i)
     return ReadingTree(nodes)
 
 
@@ -132,7 +131,7 @@ def six_block_trees():
     """The directory tree and a copy with the last body under the wrong header."""
 
     def build(corrupt):
-        nodes = {ROOT_ID: TreeNode(ROOT_ID, NodeLabel.ROOT, "", None, children=[1])}
+        nodes = {ROOT_ID: TreeNode(ROOT_ID, NodeLabel.ROOT, "", None)}
         nodes[1] = TreeNode(1, NodeLabel.HEADER, "D", ROOT_ID, cluster_id=9)
         next_id = 2
         header_ids = {}
@@ -142,19 +141,12 @@ def six_block_trees():
             next_id += 2
             header_ids[k] = h
             nodes[h] = TreeNode(h, NodeLabel.HEADER, f"H{k}", 1, cluster_id=1)
-            nodes[1].children.append(h)
             nodes[b] = TreeNode(b, NodeLabel.BODY, f"B{k}", h)
-            nodes[h].children.append(b)
         if corrupt:
             b6 = 13
-            h5, h6 = header_ids[5], header_ids[6]
-            nodes[h6].children.remove(b6)
-            nodes[b6].parent = h5
-            nodes[h5].children.append(b6)
+            nodes[b6].parent = header_ids[5]
             # the childless header moves under the root, as the builder would
-            nodes[1].children.remove(h6)
-            nodes[h6].parent = ROOT_ID
-            nodes[ROOT_ID].children.append(h6)
+            nodes[header_ids[6]].parent = ROOT_ID
         return ReadingTree(nodes)
 
     return build(False), build(True)
