@@ -15,7 +15,7 @@ import os
 import sys
 from typing import NamedTuple
 
-from . import EVAL_STAGES, forest, pipeline
+from . import EVAL_STAGES, forest, jsonin, pipeline
 from .annotate import AnnotationLabel, Gazetteer
 from .features import read_features_csv, write_features_csv
 from .jsonin import SchemaError, file_path, finite, json_path, load_json, nullable, obj, top
@@ -106,14 +106,14 @@ def _load(args, cfg: PipelineConfig, key: str, load):
 
 
 def _runs(args, cfg: PipelineConfig, skip_empty: bool = True, needs_model: bool = False):
-    """Read the document and resolve the flags and config to page runs.
+    """Resolve the flags and config to runs over the document's pages.
 
     --pages is "auto" (model required), "all" or a comma list of distinct
     page indexes; ``needs_model`` requires a model whatever it is.  Errors
-    come in the order: document, gazetteer, model, threshold, page list,
-    tree parameters; the runs then raise segmentation errors when read.
+    come in the order: gazetteer, model, threshold, page list, tree
+    parameters; the runs then raise segmentation errors when read.
     """
-    pages = _read_doc(args.doc, args.stream)
+    pages = args.document
     gaz = _load(args, cfg, "gazetteer", Gazetteer.load) or Gazetteer.default()
     which = getattr(args, "pages", "all")
     model, threshold = None, cfg.threshold
@@ -131,6 +131,7 @@ def _runs(args, cfg: PipelineConfig, skip_empty: bool = True, needs_model: bool 
             raise UsageError(f"--pages must be auto, all or a comma list: {args.pages!r}")
         if not which:
             raise UsageError("--pages list is empty")
+        pages = list(pages)
         pipeline.check_indexes(which, len(pages))
     # Made anew from the merged values, so that a bad flag fails the checks.
     params = TreeParams(*[_setting(args, cfg.tree_params, k) for k in TreeParams._fields])
@@ -161,7 +162,7 @@ def _emit(payload: dict, args, cfg: PipelineConfig) -> None:
 
 def _cmd_validate(args, cfg):
     pages = groups = 0
-    for page in _read_doc(args.doc, args.stream):
+    for page in args.document:
         pages += 1
         groups += len(page.groups)
     _emit({"pages": pages, "groups": groups}, args, cfg)
@@ -284,7 +285,7 @@ def _cmd_eval(args, cfg):
 
 def _add_doc(p):
     p.add_argument("doc", help="visual-model document JSON")
-    p.set_defaults(stream=True)
+    p.set_defaults(document=None)  # its pages, which _run reads
 
 
 def _add_gazetteer(p):
@@ -419,21 +420,17 @@ def _run(argv: "list[str] | None") -> int:
         return EXIT_INPUT
     try:
         cfg = PipelineConfig.from_environment()
-        # Read whole, a document is checked before anything else and before
-        # any page runs, so its first fault is reported ahead of a bad flag
-        # or file and of a later page's error.  A command that read every
-        # page one at a time and failed runs again on the whole document,
-        # which reports the error it always reported; output is written
-        # only at the end of a run that succeeds, so the failed run shows
-        # nothing.  (Run here, not in a helper, so that the whole-document
-        # decode has the stack depth it always had.)
-        args.stream = (getattr(args, "stream", False)
-                       and getattr(args, "pages", "all") in ("all", "auto"))
-        if args.stream:
+        args.document = _read_doc(args.doc, True) if hasattr(args, "document") else ()
+        try:
             try:
                 return args.func(args, cfg)
-            except Exception:  # whatever it was, the run on the whole document reports it
-                args.stream = False
+            except Exception:  # a document's first fault comes ahead of any other error
+                for _ in args.document:  # so check the pages not read, running none
+                    pass
+                raise
+        except jsonin.DeclinedError:  # read whole, once the failed run is let go
+            pass
+        args.document = _read_doc(args.doc)
         return args.func(args, cfg)
     except TreeInvariantError as e:
         print(f"internal error: {e}", file=sys.stderr)

@@ -31,6 +31,10 @@ class SchemaError(ValueError):
         self.path = path
 
 
+class DeclinedError(SchemaError):
+    """A document that cannot be read one item at a time; read it whole."""
+
+
 def decode_json(data: "bytes | str"):
     """``json.loads`` for input files: JSON nested too deeply for the decoder
     raises ValueError, as malformed JSON does, not RecursionError."""
@@ -106,27 +110,34 @@ def streamed_items(read, data: "bytes | str", key: str, where: tuple = ROOT):
     one-item holder, so that the item reads as item i of the array).  So no
     item's decoded JSON outlives the next item's read.
 
-    A document that ``top`` or ``array`` rejects raises the error they
-    raise, but only when the scan reaches the fault, after the items before
-    it were yielded.  So does a document whose object holds ``key`` more
-    than once (``json.loads`` keeps the last), and one nested too deeply for
-    the scan's decoder, which then raise SchemaError.
+    It raises what ``items(read, top(data), ...)`` raises, after the items
+    before the fault (when ``read`` raises, a later fault of the JSON comes
+    first), or DeclinedError for a document that repeats ``key``, of which
+    ``json.loads`` keeps the last, or is nested too deeply for the scan.
     """
     if isinstance(data, bytes):
         try:
             data = data.decode(json.detect_encoding(data), "surrogatepass")
         except ValueError as exc:  # as json.loads raises it
             raise _invalid(where, exc) from exc
-    at = where + (key,)
-    return (read({i: item}, i, at) for i, item in enumerate(_array_items(data, key, where)))
+    return _read_items(read, enumerate(_array_items(data, key, where)), where + (key,))
+
+
+def _read_items(read, items, at: tuple):
+    for i, item in items:
+        try:
+            yield read({i: item}, i, at)
+        except ValueError:
+            for i, item in items:  # as deep as the reads: a later JSON fault comes first
+                pass
+            raise
 
 
 _skip = re.compile(r"[ \t\n\r]*").match  # JSON whitespace
 _raw_decode = json.JSONDecoder().raw_decode  # the decoder json.loads uses
-# Frames of recursion the scan's decoder is denied.  Decoding the whole
-# document reaches an item through more frames and two more levels of
-# nesting (seven more in all, measured from the CLI), so with this margin the scan
-# never takes an item nested too deeply for that decode.
+# Frames of recursion the scan's decoder is denied.  From the CLI on 3.11,
+# decoding the whole document takes an item two to five levels deeper (frames
+# and nesting), so the scan never takes an item too deep for that decode.
 _DEPTH_MARGIN = 50
 
 
@@ -147,55 +158,59 @@ def _array_items(text: str, key: str, where: tuple):
     decoded when reached.  Anything the scan does not take (a fault of the
     JSON, a missing key, a value of the key that is not an array, a repeated
     key) leaves the scan, and decoding the whole text names the fault.  Text
-    nested too deeply for the scan is declined without that decode, which
-    would run deeper in the stack than the caller's own decode."""
+    nested too deeply for the scan's decoder, read or not, is declined
+    without that decode, which would run deeper than the caller's own."""
     reason = None
     found = closed = False
     try:
-        pos = _skip(text).end()
-        if text.startswith("{", pos):
-            pos = _skip(text, pos + 1).end()
-            closed = text.startswith("}", pos)
-        while not closed and text.startswith('"', pos):
-            name, pos = scanstring(text, pos + 1)
-            pos = _skip(text, pos).end()
-            if not text.startswith(":", pos):
-                break
-            pos = _skip(text, pos + 1).end()
-            if name != key:
-                pos = _decode(text, pos)[1]
-            elif found or not text.startswith("[", pos):
-                break
-            else:
-                found = True
+        try:
+            pos = _skip(text).end()
+            if text.startswith("{", pos):
                 pos = _skip(text, pos + 1).end()
-                if not text.startswith("]", pos):
-                    while True:
-                        item, pos = _decode(text, pos)
-                        yield item
-                        pos = _skip(text, pos).end()
-                        if not text.startswith(",", pos):
-                            break
-                        pos = _skip(text, pos + 1).end()
-                    if not text.startswith("]", pos):
-                        break
-                pos += 1
-            pos = _skip(text, pos).end()
-            closed = text.startswith("}", pos)
-            if not closed:
-                if not text.startswith(",", pos):
+                closed = text.startswith("}", pos)
+            while not closed and text.startswith('"', pos):
+                name, pos = scanstring(text, pos + 1)
+                pos = _skip(text, pos).end()
+                if not text.startswith(":", pos):
                     break
                 pos = _skip(text, pos + 1).end()
-        if closed and found and _skip(text, pos + 1).end() == len(text):
-            return
+                if name != key:
+                    pos = _decode(text, pos)[1]
+                elif found or not text.startswith("[", pos):
+                    break
+                else:
+                    found = True
+                    pos = _skip(text, pos + 1).end()
+                    if not text.startswith("]", pos):
+                        while True:
+                            item, pos = _decode(text, pos)
+                            yield item
+                            pos = _skip(text, pos).end()
+                            if not text.startswith(",", pos):
+                                break
+                            pos = _skip(text, pos + 1).end()
+                        if not text.startswith("]", pos):
+                            break
+                    pos += 1
+                pos = _skip(text, pos).end()
+                closed = text.startswith("}", pos)
+                if not closed:
+                    if not text.startswith(",", pos):
+                        break
+                    pos = _skip(text, pos + 1).end()
+            if closed and found and _skip(text, pos + 1).end() == len(text):
+                return
+        except ValueError:  # from the decoder
+            pass
+        _decode(text, _skip(text).end())  # what the scan did not read may be too deep
     except RecursionError:
         reason = "nested too deeply"
-    except ValueError:  # from the decoder
+    except ValueError:  # a fault of the JSON
         pass
     if reason is None:
         array(top(text, where), key, where)
         reason = "appears more than once"  # what the whole text may not name
-    raise SchemaError(json_path(where + (key,)), f"cannot be read one item at a time: {reason}")
+    raise DeclinedError(json_path(where + (key,)), f"cannot be read one item at a time: {reason}")
 
 
 def obj(holder, key, where: tuple, default=_REQUIRED, known=None) -> dict:

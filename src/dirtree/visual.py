@@ -456,11 +456,9 @@ def parse_document(data: "bytes | str | dict",
     With ``stream``, ``bytes`` and ``str`` give a generator in place of the
     list: it decodes, checks and yields one page at a time, so a page's
     decoded JSON is freed with the page (see ``jsonin.streamed_items``).
-    It raises a fault when it reaches it, after yielding the pages before
-    it, where the list path raises a fault of the JSON (trailing data, say)
-    before any page's.  It declines a document that repeats ``"pages"``,
-    of which the list path reads the last, and one nested too deeply to
-    read page by page.  A ``dict`` is parsed to a list either way.
+    It raises the list's first fault, after yielding the pages before it,
+    or DeclinedError for a document that repeats ``"pages"`` or is too deep
+    to read page by page.  A ``dict`` is parsed to a list either way.
 
     A group checked in one pass builds its lines from its part of the
     decoded JSON when they are first read.  A ``dict`` is the caller's own,

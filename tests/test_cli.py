@@ -21,7 +21,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dirtree import cli, pipeline
+from dirtree import cli, jsonin, pipeline, visual
 from dirtree.annotate import MAX_FIRST_WORD, Gazetteer
 from dirtree.features import FEATURE_NAMES, FeatureVector, write_features_csv
 from dirtree.forest import Dataset, ForestHyperparams, model_to_json, train
@@ -274,7 +274,8 @@ def _on_the_list_path():
     return mock.patch.object(cli, "parse_document", lambda data, stream=False: parse_document(data))
 
 
-_DOCUMENT_COMMANDS = [["validate"], ["blocks", "--pages", "all"], ["blocks", "--pages", "auto"]]
+_DOCUMENT_COMMANDS = [["validate"], ["blocks", "--pages", "all"], ["blocks", "--pages", "auto"],
+                      ["blocks", "--pages", "0"]]
 
 
 def _argv(command, path, model):
@@ -284,8 +285,9 @@ def _argv(command, path, model):
 @settings(max_examples=50, deadline=None)
 @given(document=faulty_documents())
 def test_streamed_commands_report_the_first_document_fault(document, trained_model_path):
-    # A page's fault stops the streamed run, which runs again on the whole
-    # document, so the error is the one parse_document raises for it.
+    # A page's fault stops the run, and the rest of the document is checked
+    # for a fault of the JSON itself, so the error is the one parse_document
+    # raises for it.
     data = json.dumps(document).encode()
     try:
         parse_document(data)
@@ -308,7 +310,7 @@ _FIG1A_PAGE = json.loads((FIXTURES / "fig1a.json").read_text())["pages"][0]
                                    ["--gazetteer", "no-such-gazetteer.json"],
                                    ["--threshold", "2"], ["--align-tol", "-1"]],
                          ids=["missing_model", "bad_gazetteer", "bad_threshold", "bad_tree_param"])
-@pytest.mark.parametrize("command", _DOCUMENT_COMMANDS[1:], ids=["all", "auto"])
+@pytest.mark.parametrize("command", _DOCUMENT_COMMANDS[1:], ids=["all", "auto", "list"])
 def test_document_fault_is_reported_before_a_bad_flag(command, flags, trained_model_path,
                                                       tmp_path):
     # The fault is in the second page: a streamed run meets the flag first.
@@ -343,7 +345,7 @@ _DOCUMENT_SHAPES = {
 
 
 @pytest.mark.parametrize("name", sorted(_DOCUMENT_SHAPES))
-@pytest.mark.parametrize("command", _DOCUMENT_COMMANDS, ids=["validate", "all", "auto"])
+@pytest.mark.parametrize("command", _DOCUMENT_COMMANDS, ids=["validate", "all", "auto", "list"])
 def test_streamed_document_reads_as_the_list_does(name, command, trained_model_path, tmp_path):
     shape = _DOCUMENT_SHAPES[name]
     path = tmp_path / "doc.json"
@@ -355,25 +357,129 @@ def test_streamed_document_reads_as_the_list_does(name, command, trained_model_p
     assert "Traceback" not in streamed[2]
 
 
-@pytest.mark.parametrize("command", _DOCUMENT_COMMANDS[::2], ids=["validate", "auto"])
-def test_peak_memory_grows_under_three_bytes_per_byte_of_json(command, trained_model_path,
-                                                              tmp_path):
+@pytest.mark.parametrize("command, faulty", [(_DOCUMENT_COMMANDS[0], False),
+                                             (_DOCUMENT_COMMANDS[2], False),
+                                             (_DOCUMENT_COMMANDS[0], True),
+                                             (_DOCUMENT_COMMANDS[1], True)],
+                         ids=["validate", "auto", "validate_faulty_last_page",
+                              "all_faulty_last_page"])
+def test_peak_memory_grows_under_three_bytes_per_byte_of_json(command, faulty,
+                                                              trained_model_path, tmp_path):
     # Each page is decoded, checked and run alone, so what grows with the
-    # document is its bytes and its text, one byte per character each.
+    # document is its bytes and its text, one byte per character each.  A
+    # faulty last page stops the run, and no page is read twice.
     sizes, peaks = [], []
     for n_pages in (20, 20, 200):  # the first run fills the caches
         rng = random.Random(n_pages)
-        data = json.dumps({"pages": [random_page_dict(rng) for _ in range(n_pages)]}).encode()
+        pages = [random_page_dict(rng) for _ in range(n_pages)]
+        if faulty:
+            pages[-1]["groups"][0]["bbox"]["l"] = -1
+        data = json.dumps({"pages": pages}).encode()
         path = tmp_path / "doc.json"
         path.write_bytes(data)
         tracemalloc.start()
         try:
-            assert _outcome(*_argv(command, path, trained_model_path))[0] == 0
+            assert _outcome(*_argv(command, path, trained_model_path))[0] == int(faulty)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         sizes.append(len(data))
     assert (peaks[2] - peaks[1]) / (sizes[2] - sizes[1]) <= 3
+
+
+_FAULTY_PAGE = copy.deepcopy(_FIG1A_PAGE)
+_FAULTY_PAGE["groups"][3]["bbox"]["l"] = -1
+_LATE_FAULT = json.dumps({"pages": [_FIG1A_PAGE, _FIG1A_PAGE, _FAULTY_PAGE]})
+# (command, document, an invalid tree built) of commands that fail.
+_FAILED_READS = {
+    "bad_flag": (["blocks", "--pages", "all", "--align-tol", "-1"],
+                 json.dumps({"pages": [_FIG1A_PAGE] * 3}), False),
+    **{name: (command, _LATE_FAULT, False)
+       for name, command in zip(["validate", "all", "auto", "list"], _DOCUMENT_COMMANDS)},
+    "invalid_tree": (["blocks", "--pages", "all"],
+                     json.dumps({"pages": [_FIG1A_PAGE, _FAULTY_PAGE]}), True),
+    "declined": (["validate"],
+                 '{"pages": [7], "pages": %s}' % json.dumps([_FIG1A_PAGE, _FAULTY_PAGE]), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAILED_READS))
+def test_failed_command_checks_each_page_once(name, trained_model_path, tmp_path, monkeypatch):
+    # A command that fails checks the pages it did not read, and reads the
+    # whole text only when the document cannot be read page by page.  Its
+    # outcome is the list path's: a tree found invalid on page 0 exits 1
+    # with the later page's fault.
+    command, text, invalid_tree = _FAILED_READS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    argv = _argv(command, path, trained_model_path)
+    if invalid_tree:
+        monkeypatch.setattr(pipeline, "build_tree", lambda spans, params: ReadingTree(
+            {1: TreeNode(1, NodeLabel.BODY, "orphan", None)}))
+    with _on_the_list_path():
+        expected = _outcome(*argv)
+    checked, whole = [], []  # page indexes checked; for each decode, whether of the text
+    real_check, real_decode = visual._parse_page, jsonin.decode_json
+
+    def check(holder, page_i, where):
+        checked.append(page_i)
+        return real_check(holder, page_i, where)
+
+    def decode(data):
+        whole.append(data in (text, text.encode()))
+        return real_decode(data)
+
+    monkeypatch.setattr(visual, "_parse_page", check)
+    monkeypatch.setattr(jsonin, "decode_json", decode)
+    assert _outcome(*argv) == expected and expected[0] == 1
+    assert any(whole) == (name == "declined")
+    if name != "declined":
+        assert len(checked) == len(set(checked))
+
+
+# Documents with a page nested d deep (its "extra" value), each read page by
+# page to some point and then whole.
+_NEAR_THE_DEPTH_LIMIT = {
+    "page_fault_then_deep_page": '{"pages": [%s, %%s]}' % json.dumps(_FAULTY_PAGE),
+    "page_fault_then_deep_page_then_trailing_comma":
+        '{"pages": [%s, %%s,]}' % json.dumps(_FAULTY_PAGE),
+    "repeated_pages_then_deep_page": '{"pages": [], "pages": [%s]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEAR_THE_DEPTH_LIMIT))
+@pytest.mark.parametrize("command", _DOCUMENT_COMMANDS[:2], ids=["validate", "all"])
+def test_streamed_read_near_the_depth_limit_reads_as_the_list_does(name, command, tmp_path,
+                                                                   monkeypatch):
+    # Where the whole read gives up differs between Pythons (the recursion
+    # limit up to 3.11, a C stack budget from 3.12), so the test finds it.
+    # Around it, a command that reads page by page ends as the whole read
+    # does: the scan that follows a fault goes no deeper than the reads.
+    # Each depth runs three times, as from 3.12 a loop the interpreter has
+    # specialized may resume a generator with less of that budget.
+    page = json.dumps(dict(_FIG1A_PAGE, extra=0))
+    path = tmp_path / "doc.json"
+
+    def outcome(shape, depth, whole):
+        path.write_text(shape % page.replace('"extra": 0', '"extra": ' + "[" * depth + "]" * depth))
+        with monkeypatch.context() as m:
+            if whole:  # every document declined, so read whole where the CLI reads it
+                m.setattr(visual, "streamed_items", _declined)
+            return _outcome(*_argv(command, path, None))
+
+    low, high = 1, 1 << 15  # taken and refused by the whole read
+    assert outcome('{"pages": [%s]}', low, True)[0] == 0
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if outcome('{"pages": [%s]}', mid, True)[0] == 0 else (low, mid)
+    shape = _NEAR_THE_DEPTH_LIMIT[name]
+    for depth in [*range(low - 3, low + 4)] * 3:
+        assert outcome(shape, depth, False) == outcome(shape, depth, True)
+
+
+def _declined(read, data, key):
+    raise jsonin.DeclinedError("$", "declined")
+    yield
 
 
 FIG1A = str(FIXTURES / "fig1a.json")

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dirtree import visual
+from dirtree.jsonin import DeclinedError
 from dirtree.visual import (
     BBox,
     GeometryError,
@@ -883,6 +884,28 @@ def test_values_the_one_pass_test_is_too_narrow_for(fig1a_path):
 
 
 # --- a document read one page at a time ---
+
+# Faults of the JSON itself, put after the whole text of a document.
+_JSON_FAULTS = {
+    "trailing_data": lambda text: text + " {}",
+    "trailing_comma": lambda text: text[:-2] + ",]}",
+    "unclosed": lambda text: text[:-2],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(faulty_documents(), st.sampled_from(sorted(_JSON_FAULTS)))
+def test_streamed_read_raises_the_first_fault_as_the_list_does(document, fault):
+    # A page's fault comes before the JSON fault in the text, and after it
+    # in the whole read, which decodes the text before it checks a page.
+    text = _JSON_FAULTS[fault](json.dumps(document))
+    with pytest.raises(ValueError) as whole:
+        parse_document(text)
+    with pytest.raises(ValueError) as streamed:
+        list(parse_document(text, stream=True))
+    if not isinstance(streamed.value, DeclinedError):
+        assert str(streamed.value) == str(whole.value)
+
 
 def test_page_nested_as_deep_as_the_list_path_takes_streams_or_declines(fig1a_path):
     # The depth at which a whole-document decode gives up differs between
